@@ -2,6 +2,7 @@
 
 #include "autograd/ops.hpp"
 #include "runtime/parallel_for.hpp"
+#include "tensor/gemm_packed.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
@@ -10,27 +11,27 @@
 namespace ibrar::ag {
 
 Var conv2d(const Var& x, const Var& w, const Var& bias, const Conv2dSpec& spec) {
-  const Tensor& xv = x.value();
-  const Tensor& wv = w.value();
   const bool has_bias = bias.defined();
-  Tensor out = ibrar::conv2d(xv, wv, has_bias ? &bias.value() : nullptr, spec);
-
-  // Save im2col columns for backward (recomputing would double conv cost; the
-  // models here are small enough that memory is the cheaper trade).
-  const Tensor cols = im2col(xv, spec);
-  const auto f = wv.dim(0);
-  const Tensor wmat = wv.reshape({f, wv.numel() / f});
-  const Shape x_shape = xv.shape();
-  const Shape w_shape = wv.shape();
-
   std::vector<Var> parents = {x, w};
   if (has_bias) parents.push_back(bias);
 
+  // The im2col columns are read only by the weight gradient, so the forward's
+  // own columns move into the closure when that gradient will be recorded.
+  // NoGradGuard and paused-weight (attack) forwards keep none.
+  const bool keep_cols = will_record(parents) && w.requires_grad();
+  Tensor cols;
+  Tensor out = ibrar::conv2d(x.value(), w.value(),
+                             has_bias ? &bias.value() : nullptr, spec,
+                             keep_cols ? &cols : nullptr);
+
   return make_op(std::move(out), std::move(parents),
-                 [cols, wmat, x_shape, w_shape, spec, has_bias](Node& n) {
+                 [cols = std::move(cols), keep_cols, spec, has_bias](Node& n) {
+    const Tensor& xv = n.parents[0]->value;
+    const Tensor& wv = n.parents[1]->value;
     const auto nN = n.value.shape()[0];
     const auto nf = n.value.shape()[1];
     const auto spatial = n.value.shape()[2] * n.value.shape()[3];
+    const auto ckk = wv.numel() / nf;
     // NCHW grad -> (N*OH*OW, F) spatial-major layout used by the GEMM.
     Tensor gprod({nN * spatial, nf});
     {
@@ -48,12 +49,20 @@ Var conv2d(const Var& x, const Var& w, const Var& bias, const Conv2dSpec& spec) 
       });
     }
     if (n.parents[0]->requires_grad) {
-      const Tensor gcols = ibrar::matmul(gprod, wmat);  // (N*OH*OW, CKK)
-      n.parents[0]->accumulate(col2im(gcols, x_shape, spec));
+      // gcols (N*OH*OW, CKK) = gprod * w, w read in place as (F, CKK).
+      Tensor gcols({nN * spatial, ckk});
+      gemm_packed(gprod.data().data(), GemmLayout::kRowMajor, wv.data().data(),
+                  GemmLayout::kRowMajor, gcols.data().data(), nN * spatial, nf,
+                  ckk);
+      n.parents[0]->accumulate(col2im(gcols, xv.shape(), spec));
     }
     if (n.parents[1]->requires_grad) {
-      Tensor gw = ibrar::matmul_tn(gprod, cols);  // (F, CKK)
-      n.parents[1]->accumulate(gw.reshape(w_shape));
+      // A weight un-paused after the forward finds no kept columns; lower the
+      // input again rather than return a wrong gradient.
+      Tensor lowered;
+      if (!keep_cols) lowered = im2col(xv, spec);
+      const Tensor& c = keep_cols ? cols : lowered;
+      n.parents[1]->accumulate(ibrar::matmul_tn(gprod, c).reshape(wv.shape()));
     }
     if (has_bias && n.parents[2]->requires_grad) {
       n.parents[2]->accumulate(ibrar::sum_axis(gprod, 0));
@@ -63,11 +72,11 @@ Var conv2d(const Var& x, const Var& w, const Var& bias, const Conv2dSpec& spec) 
 
 Var maxpool2d(const Var& x, std::int64_t kernel, std::int64_t stride) {
   PoolResult r = ibrar::maxpool2d(x.value(), kernel, stride);
-  const Shape x_shape = x.shape();
-  auto argmax = std::move(r.argmax);
-  return make_op(std::move(r.out), {x}, [x_shape, argmax](Node& n) {
+  return make_op(std::move(r.out), {x},
+                 [argmax = std::move(r.argmax)](Node& n) {
     if (!n.parents[0]->requires_grad) return;
-    n.parents[0]->accumulate(maxpool2d_backward(n.grad, x_shape, argmax));
+    n.parents[0]->accumulate(
+        maxpool2d_backward(n.grad, n.parents[0]->value.shape(), argmax));
   });
 }
 

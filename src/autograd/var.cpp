@@ -94,13 +94,17 @@ bool grad_enabled() { return grad_flag(); }
 NoGradGuard::NoGradGuard() : prev_(grad_flag()) { grad_flag() = false; }
 NoGradGuard::~NoGradGuard() { grad_flag() = prev_; }
 
+bool will_record(const std::vector<Var>& parents) {
+  if (!grad_enabled()) return false;
+  for (const auto& p : parents) {
+    if (p.requires_grad()) return true;
+  }
+  return false;
+}
+
 Var make_op(Tensor value, std::vector<Var> parents,
             std::function<void(Node&)> backward_fn) {
-  bool needs = false;
-  if (grad_enabled()) {
-    for (const auto& p : parents) needs = needs || p.requires_grad();
-  }
-  if (!needs) return Var::constant(std::move(value));
+  if (!will_record(parents)) return Var::constant(std::move(value));
 
   Var out(std::move(value), true);
   auto node = out.node();

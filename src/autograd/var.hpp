@@ -6,6 +6,25 @@
 // rebuilt every forward pass; parameter leaves persist across passes so their
 // gradients accumulate until the optimizer clears them — the same contract as
 // PyTorch, which keeps the training-loop code in src/train idiomatic.
+//
+// Ownership contract (what a backward closure may read):
+//  * Closures read their parents' values as n.parents[i]->value and their own
+//    output as n.value; they keep no private copy of either. What only the
+//    backward needs (conv's im2col columns, batch norm's xhat, maxpool's
+//    argmax, the dropout mask, log_softmax's probabilities) is moved into the
+//    closure, never copied.
+//  * A node's value must not be mutated between the forward that used it and
+//    its backward. The four mutable_value() writers all run outside that
+//    window: the optimizer step (after backward), Module load/copy (between
+//    graphs), gradcheck (perturbs its inputs only after the analytic
+//    backward, then runs forwards without backward), and CW's Adam step on
+//    its w (after the step's backward; the next step builds a new graph).
+//  * conv2d keeps its columns only for a recorded weight gradient
+//    (will_record and the weight requires grad); under NoGradGuard or with
+//    paused parameters it keeps none. Batch norm likewise keeps xhat only
+//    when gamma's gradient or a training-mode input gradient is recorded.
+//    A parameter un-paused between forward and backward gets what it needs
+//    recomputed from the parents' values, never a wrong gradient.
 
 #include <functional>
 #include <memory>
@@ -86,6 +105,11 @@ class NoGradGuard {
  private:
   bool prev_;
 };
+
+/// True when make_op would record a node over `parents`: recording is on and
+/// at least one parent requires grad. Ops ask it before saving anything that
+/// only their backward reads.
+bool will_record(const std::vector<Var>& parents);
 
 /// Build an op node: value, parents, and a backward closure. When recording is
 /// off or no parent requires grad, the result is a detached constant.

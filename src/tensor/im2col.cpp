@@ -5,7 +5,7 @@
 
 #include "obs/profile.hpp"
 #include "runtime/parallel_for.hpp"
-#include "tensor/matmul.hpp"
+#include "tensor/gemm_packed.hpp"
 
 namespace ibrar {
 
@@ -91,7 +91,7 @@ Tensor col2im(const Tensor& cols, const Shape& x_shape, const Conv2dSpec& spec) 
 }
 
 Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor* bias,
-              const Conv2dSpec& spec) {
+              const Conv2dSpec& spec, Tensor* cols_out) {
   static obs::ProfileSite& prof = obs::profile_site("tensor/conv2d");
   obs::ProfileScope prof_scope(prof);
   if (x.rank() != 4 || w.rank() != 4) {
@@ -100,21 +100,25 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor* bias,
   if (x.dim(1) != w.dim(1)) throw std::invalid_argument("conv2d: channel mismatch");
   const auto n = x.dim(0);
   const auto f = w.dim(0);
+  if (bias != nullptr && bias->numel() != f) {
+    throw std::invalid_argument("conv2d: bias size");
+  }
   const auto oh = conv_out_dim(x.dim(2), spec.kernel, spec.stride, spec.pad);
   const auto ow = conv_out_dim(x.dim(3), spec.kernel, spec.stride, spec.pad);
+  const std::int64_t spatial = oh * ow;
 
-  const Tensor cols = im2col(x, spec);                    // (N*OH*OW, CKK)
-  const Tensor wmat = w.reshape({f, w.numel() / f});      // (F, CKK)
-  Tensor prod = matmul_nt(cols, wmat);                    // (N*OH*OW, F)
+  // prod (N*OH*OW, F) = cols (N*OH*OW, CKK) * w^T, with w read in place as
+  // (F, CKK): the same gemm_packed call matmul_nt makes, without a reshape.
+  Tensor cols = im2col(x, spec);
+  Tensor prod({n * spatial, f});
+  gemm_packed(cols.data().data(), GemmLayout::kRowMajor, w.data().data(),
+              GemmLayout::kTransposed, prod.data().data(), n * spatial,
+              w.numel() / f, f);
 
   // Transpose the (spatial, filter) layout into NCHW.
   Tensor out({n, f, oh, ow});
   const float* pp = prod.data().data();
   float* po = out.data().data();
-  const std::int64_t spatial = oh * ow;
-  if (bias != nullptr && bias->numel() != f) {
-    throw std::invalid_argument("conv2d: bias size");
-  }
   const float* pb = bias != nullptr ? bias->data().data() : nullptr;
   runtime::parallel_for(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
     for (std::int64_t in_n = n0; in_n < n1; ++in_n) {
@@ -133,6 +137,7 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor* bias,
       }
     }
   });
+  if (cols_out != nullptr) *cols_out = std::move(cols);
   return out;
 }
 

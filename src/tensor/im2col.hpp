@@ -27,8 +27,12 @@ Tensor im2col(const Tensor& x, const Conv2dSpec& spec);
 Tensor col2im(const Tensor& cols, const Shape& x_shape, const Conv2dSpec& spec);
 
 /// Forward conv: x (N,C,H,W), w (F,C,K,K), bias (F) optional -> (N,F,OH,OW).
+/// One im2col feeds the GEMM, which reads w in place as the (F, C*K*K)
+/// matrix it already is. When `cols_out` is non-null the columns are moved
+/// into it, so a caller that needs them for a weight gradient does not lower
+/// x a second time.
 Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor* bias,
-              const Conv2dSpec& spec);
+              const Conv2dSpec& spec, Tensor* cols_out = nullptr);
 
 struct PoolResult {
   Tensor out;                      ///< (N,C,OH,OW)

@@ -109,7 +109,7 @@ float Tensor::item() const {
   return data_[0];
 }
 
-Tensor Tensor::reshape(Shape new_shape) const {
+Shape Tensor::reshaped(Shape new_shape) const {
   // Support a single -1 wildcard dimension.
   std::int64_t wildcard = -1;
   std::int64_t known = 1;
@@ -131,7 +131,16 @@ Tensor Tensor::reshape(Shape new_shape) const {
     throw std::invalid_argument("reshape: numel mismatch " + shape_str(shape_) +
                                 " -> " + shape_str(new_shape));
   }
-  return Tensor(std::move(new_shape), data_);
+  return new_shape;
+}
+
+Tensor Tensor::reshape(Shape new_shape) const& {
+  return Tensor(reshaped(std::move(new_shape)), data_);
+}
+
+Tensor Tensor::reshape(Shape new_shape) && {
+  Shape shape = reshaped(std::move(new_shape));
+  return Tensor(std::move(shape), std::move(data_));
 }
 
 std::vector<std::int64_t> Tensor::strides() const {

@@ -79,8 +79,10 @@ class Tensor {
   /// Scalar value of a one-element tensor.
   float item() const;
 
-  /// Same data, new shape (numel must match).
-  Tensor reshape(Shape new_shape) const;
+  /// Same data, new shape (numel must match). The rvalue overload moves the
+  /// buffer instead of copying it.
+  Tensor reshape(Shape new_shape) const&;
+  Tensor reshape(Shape new_shape) &&;
 
   /// Row-major strides of this tensor's shape.
   std::vector<std::int64_t> strides() const;
@@ -95,6 +97,9 @@ class Tensor {
   std::string to_string(std::int64_t max_elems = 16) const;
 
  private:
+  /// Resolve a -1 wildcard in `new_shape` and check its numel against ours.
+  Shape reshaped(Shape new_shape) const;
+
   Shape shape_;
   std::vector<float> data_;
 };

@@ -1,12 +1,19 @@
 // Autograd: backward rules for every op, finite-difference gradient checks
-// (parameterized sweeps), graph mechanics (accumulation, detach, no-grad).
+// (parameterized sweeps), graph mechanics (accumulation, detach, no-grad),
+// and the ownership contract: closures that read the graph's own values give
+// the same bits as the copy-capturing formulas, and conv lowers its input
+// once, keeping the columns only for a recorded weight gradient.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
+#include "obs/profile.hpp"
+#include "tensor/matmul.hpp"
+#include "tensor/ops.hpp"
 #include "tensor/random.hpp"
 
 namespace ibrar::ag {
@@ -439,6 +446,292 @@ TEST(Gradcheck, DetectsWrongGradient) {
   Tensor a({2}, {1.0f, 2.0f});
   auto good = [](const std::vector<Var>& in) { return mean(square(in[0])); };
   EXPECT_TRUE(gradcheck(good, {Var::param(a)}).ok);
+}
+
+// ---- ownership contract: bit identity with the copy-capturing rules ---------
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(float)) == 0;
+}
+
+/// What a first accumulate leaves in a fresh gradient: 0 + g (turns -0 into
+/// +0, exactly as Node::accumulate does).
+Tensor accumulated(const Tensor& g) { return ibrar::add(Tensor(g.shape()), g); }
+
+/// Calls recorded at a profile site since the last reset_profile().
+std::uint64_t profile_calls(const char* site) {
+  for (const auto& e : obs::profile_table()) {
+    if (e.name == site) return e.calls;
+  }
+  return 0;
+}
+
+/// L = sum(y * r): backward hands y exactly r as its gradient.
+void backward_with(const Var& y, const Tensor& r) {
+  sum(mul(y, Var::constant(r))).backward();
+}
+
+struct ConvCase {
+  std::int64_t stride;
+  std::int64_t pad;
+  bool bias;
+};
+
+std::string conv_case_name(const ConvCase& c) {
+  return "s" + std::to_string(c.stride) + "p" + std::to_string(c.pad) +
+         (c.bias ? "b" : "");
+}
+
+struct ConvRef {
+  Tensor gw;
+  Tensor gb;
+};
+
+/// Reference gradients of L = sum(conv2d(x, w, b) * r), built from im2col
+/// and matmul_tn: gprod is r in the GEMM's (N*OH*OW, F) layout.
+ConvRef conv_reference(const Tensor& x, const Tensor& w, const Tensor& r,
+                       const Conv2dSpec& spec) {
+  const auto n = r.dim(0), f = r.dim(1), spatial = r.dim(2) * r.dim(3);
+  Tensor gprod({n * spatial, f});
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t of = 0; of < f; ++of) {
+      for (std::int64_t s = 0; s < spatial; ++s) {
+        gprod.at(i * spatial + s, of) = r[(i * f + of) * spatial + s];
+      }
+    }
+  }
+  ConvRef ref;
+  ref.gw = accumulated(matmul_tn(gprod, im2col(x, spec)).reshape(w.shape()));
+  ref.gb = accumulated(
+      matmul_tn(gprod, Tensor({n * spatial, 1}, 1.0f)).reshape({f}));
+  return ref;
+}
+
+class ConvOwnership : public ::testing::TestWithParam<ConvCase> {};
+
+TEST_P(ConvOwnership, ForwardMatchesTensorConvInEveryMode) {
+  const auto& c = GetParam();
+  Rng rng(101);
+  const Tensor x = randn({2, 3, 6, 5}, rng);
+  const Tensor w = randn({4, 3, 3, 3}, rng, 0, 0.3f);
+  const Tensor b = randn({4}, rng);
+  const Conv2dSpec spec{3, c.stride, c.pad};
+  const Tensor expect = ibrar::conv2d(x, w, c.bias ? &b : nullptr, spec);
+  auto run = [&](bool weight_grad) {
+    Var wv(w, weight_grad);
+    return conv2d(Var::param(x), wv, c.bias ? Var(b, weight_grad) : Var(), spec)
+        .value();
+  };
+  EXPECT_TRUE(same_bits(run(true), expect)) << "grad on";
+  EXPECT_TRUE(same_bits(run(false), expect)) << "weight paused";
+  NoGradGuard ng;
+  EXPECT_TRUE(same_bits(run(true), expect)) << "NoGradGuard";
+}
+
+TEST_P(ConvOwnership, GradientsMatchReferenceWithOneIm2col) {
+  const auto& c = GetParam();
+  Rng rng(103);
+  const Tensor x = randn({2, 3, 6, 5}, rng);
+  const Tensor w = randn({4, 3, 3, 3}, rng, 0, 0.3f);
+  const Tensor b = randn({4}, rng);
+  const Conv2dSpec spec{3, c.stride, c.pad};
+  const Tensor r = randn(ibrar::conv2d(x, w, nullptr, spec).shape(), rng);
+  const ConvRef ref = conv_reference(x, w, r, spec);
+
+  const bool was_profiling = obs::profiling_enabled();
+  obs::set_profiling_enabled(true);
+
+  // Weight requires grad: the forward's own columns feed the weight grad.
+  obs::reset_profile();
+  Var xa = Var::param(x), wa = Var::param(w), ba = Var::param(b);
+  backward_with(conv2d(xa, wa, c.bias ? ba : Var(), spec), r);
+  EXPECT_EQ(profile_calls("tensor/im2col"), 1u) << "one im2col per conv";
+  EXPECT_TRUE(same_bits(wa.grad(), ref.gw));
+  if (c.bias) {
+    EXPECT_TRUE(same_bits(ba.grad(), ref.gb));
+  }
+
+  // Weight paused: no columns are kept and none are recomputed; the input
+  // gradient does not depend on them.
+  obs::reset_profile();
+  Var xp = Var::param(x);
+  backward_with(conv2d(xp, Var(w, false), c.bias ? Var(b, false) : Var(), spec),
+                r);
+  EXPECT_EQ(profile_calls("tensor/im2col"), 1u);
+  EXPECT_TRUE(same_bits(xp.grad(), xa.grad()));
+
+  obs::set_profiling_enabled(was_profiling);
+}
+
+TEST_P(ConvOwnership, WeightUnpausedBeforeBackwardRecomputesColumns) {
+  const auto& c = GetParam();
+  Rng rng(107);
+  const Tensor x = randn({2, 3, 6, 5}, rng);
+  const Tensor w = randn({4, 3, 3, 3}, rng, 0, 0.3f);
+  const Conv2dSpec spec{3, c.stride, c.pad};
+  const Tensor r = randn(ibrar::conv2d(x, w, nullptr, spec).shape(), rng);
+  const ConvRef ref = conv_reference(x, w, r, spec);
+
+  Var xv = Var::param(x);
+  Var wv(w, /*requires_grad=*/false);  // paused at forward time
+  Var y = conv2d(xv, wv, Var(), spec);
+  wv.node()->requires_grad = true;     // un-paused before backward
+  backward_with(y, r);
+  EXPECT_TRUE(same_bits(wv.grad(), ref.gw));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, ConvOwnership,
+    ::testing::Values(ConvCase{1, 0, false}, ConvCase{1, 0, true},
+                      ConvCase{1, 1, false}, ConvCase{1, 1, true},
+                      ConvCase{2, 0, false}, ConvCase{2, 0, true},
+                      ConvCase{2, 1, false}, ConvCase{2, 1, true}),
+    [](const auto& info) { return conv_case_name(info.param); });
+
+struct UnaryRule {
+  const char* name;
+  UnaryFn fn;
+  float lo;
+  float hi;
+  /// The backward formula as the copy-capturing closure computed it, from
+  /// the upstream gradient g, a copy of the input x and of the output y.
+  Tensor (*grad)(const Tensor& g, const Tensor& x, const Tensor& y);
+};
+
+Var pow_1_5(const Var& a) { return pow_scalar(a, 1.5f); }
+
+class UnaryOwnership : public ::testing::TestWithParam<UnaryRule> {};
+
+TEST_P(UnaryOwnership, GradientMatchesCopyCapturingFormula) {
+  const auto& c = GetParam();
+  Rng rng(109);
+  Tensor x = rand_uniform({5, 7}, rng, c.lo, c.hi);
+  x[3] = 0.0f;  // relu/abs kink: the formulas' tie handling must agree too
+  const Tensor r = randn({5, 7}, rng);
+  Var xv = Var::param(x);
+  Var y = c.fn(xv);
+  const Tensor y_copy = y.value();
+  backward_with(y, r);
+  EXPECT_TRUE(same_bits(xv.grad(), accumulated(c.grad(r, x, y_copy))))
+      << c.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ops, UnaryOwnership,
+    ::testing::Values(
+        UnaryRule{"exp", &exp, -2.0f, 2.0f,
+                  [](const Tensor& g, const Tensor&, const Tensor& y) {
+                    return ibrar::mul(g, y);
+                  }},
+        UnaryRule{"log", &log, 0.1f, 3.0f,
+                  [](const Tensor& g, const Tensor& x, const Tensor&) {
+                    return ibrar::div(
+                        g, ibrar::maximum(x, Tensor::scalar(1e-38f)));
+                  }},
+        UnaryRule{"sqrt", &sqrt, 0.1f, 3.0f,
+                  [](const Tensor& g, const Tensor&, const Tensor& y) {
+                    return ibrar::div(
+                        g, ibrar::mul_scalar(
+                               ibrar::maximum(y, Tensor::scalar(1e-12f)), 2.0f));
+                  }},
+        UnaryRule{"square", &square, -2.0f, 2.0f,
+                  [](const Tensor& g, const Tensor& x, const Tensor&) {
+                    return ibrar::mul(g, ibrar::mul_scalar(x, 2.0f));
+                  }},
+        UnaryRule{"pow_1_5", &pow_1_5, 0.1f, 3.0f,
+                  [](const Tensor& g, const Tensor& x, const Tensor&) {
+                    return ibrar::mul(
+                        g, ibrar::mul_scalar(ibrar::pow_scalar(x, 0.5f), 1.5f));
+                  }},
+        UnaryRule{"relu", &relu, -2.0f, 2.0f,
+                  [](const Tensor& g, const Tensor& x, const Tensor&) {
+                    return ibrar::mul(
+                        g, ibrar::greater(x, Tensor::scalar(0.0f)));
+                  }},
+        UnaryRule{"tanh", &tanh, -2.0f, 2.0f,
+                  [](const Tensor& g, const Tensor&, const Tensor& y) {
+                    return ibrar::mul(g, ibrar::sub(Tensor::scalar(1.0f),
+                                                    ibrar::square(y)));
+                  }},
+        UnaryRule{"sigmoid", &sigmoid, -3.0f, 3.0f,
+                  [](const Tensor& g, const Tensor&, const Tensor& y) {
+                    return ibrar::mul(
+                        g, ibrar::mul(y, ibrar::sub(Tensor::scalar(1.0f), y)));
+                  }},
+        UnaryRule{"abs", &abs, -2.0f, 2.0f,
+                  [](const Tensor& g, const Tensor& x, const Tensor&) {
+                    return ibrar::mul(g, ibrar::sign(x));
+                  }}),
+    [](const auto& info) { return info.param.name; });
+
+TEST(BinaryOwnership, MulDivGradientsMatchCopyCapturingFormula) {
+  // b broadcasts along rows, so its gradient takes the reduce_to_shape path
+  // and a's the same-shape path that skips it.
+  Rng rng(113);
+  const Tensor a = rand_uniform({4, 6}, rng, 0.5f, 2.0f);
+  const Tensor b = rand_uniform({6}, rng, 0.5f, 2.0f);
+  const Tensor r = randn({4, 6}, rng);
+  {
+    Var av = Var::param(a), bv = Var::param(b);
+    backward_with(mul(av, bv), r);
+    EXPECT_TRUE(same_bits(av.grad(), accumulated(ibrar::mul(r, b))));
+    EXPECT_TRUE(same_bits(
+        bv.grad(), accumulated(reduce_to_shape(ibrar::mul(r, a), b.shape()))));
+  }
+  {
+    Var av = Var::param(a), bv = Var::param(b);
+    backward_with(div(av, bv), r);
+    EXPECT_TRUE(same_bits(av.grad(), accumulated(ibrar::div(r, b))));
+    const Tensor gb = ibrar::neg(
+        ibrar::div(ibrar::mul(r, a), ibrar::mul(b, b)));
+    EXPECT_TRUE(
+        same_bits(bv.grad(), accumulated(reduce_to_shape(gb, b.shape()))));
+  }
+}
+
+TEST(BinaryOwnership, MatmulGradientsMatchCopyCapturingFormula) {
+  Rng rng(127);
+  const Tensor a = randn({5, 7}, rng);
+  const Tensor b = randn({7, 3}, rng);
+  const Tensor r = randn({5, 3}, rng);
+  Var av = Var::param(a), bv = Var::param(b);
+  backward_with(matmul(av, bv), r);
+  EXPECT_TRUE(same_bits(av.grad(), accumulated(matmul_nt(r, b))));
+  EXPECT_TRUE(same_bits(bv.grad(), accumulated(matmul_tn(a, r))));
+}
+
+TEST(NormOwnership, GammaUnpausedBeforeBackwardMatchesRecordedXhat) {
+  // A forward with gamma paused keeps xhat only for a training-mode input
+  // gradient. Un-pausing gamma before backward makes the other cases
+  // recompute it, and every gradient must equal a run where gamma required
+  // grad all along.
+  Rng rng(131);
+  const Tensor x = randn({3, 2, 4, 4}, rng);
+  const Tensor gamma = rand_uniform({2}, rng, 0.5f, 1.5f);
+  const Tensor beta = randn({2}, rng);
+  const Tensor r = randn({3, 2, 4, 4}, rng);
+  for (const bool training : {true, false}) {
+    for (const bool x_grad : {true, false}) {
+      auto run = [&](bool pause_gamma) {
+        Tensor rm({2}), rv({2}, 1.0f);
+        Var xv(x, x_grad);
+        Var gv(gamma, !pause_gamma), bv = Var::param(beta);
+        Var y = batch_norm2d(xv, gv, bv, rm, rv, training);
+        gv.node()->requires_grad = true;
+        backward_with(y, r);
+        return std::vector<Tensor>{y.value(), xv.grad(), gv.grad(), bv.grad()};
+      };
+      const auto kept = run(false);
+      const auto recomputed = run(true);
+      for (std::size_t i = 0; i < kept.size(); ++i) {
+        EXPECT_TRUE(same_bits(kept[i], recomputed[i]))
+            << "training=" << training << " x_grad=" << x_grad << " output "
+            << i;
+      }
+    }
+  }
 }
 
 }  // namespace

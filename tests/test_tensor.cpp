@@ -55,6 +55,17 @@ TEST(TensorBasics, ReshapeWildcard) {
   EXPECT_THROW(t.reshape({-1, -1}), std::invalid_argument);
 }
 
+TEST(TensorBasics, ReshapeOfTemporaryMovesTheBuffer) {
+  Tensor t = Tensor::arange(12);
+  const Tensor copy = t.reshape({3, 4});
+  const float* buffer = t.data().data();
+  const Tensor moved = std::move(t).reshape({-1, 6});
+  EXPECT_EQ(moved.shape(), (Shape{2, 6}));
+  EXPECT_EQ(moved.data().data(), buffer);
+  EXPECT_EQ(moved.vec(), copy.vec());
+  EXPECT_THROW(Tensor({2, 6}).reshape({5, -1}), std::invalid_argument);
+}
+
 TEST(TensorBasics, EyeAndArange) {
   const Tensor e = Tensor::eye(3);
   EXPECT_FLOAT_EQ(e.at(0, 0), 1);
