@@ -143,12 +143,12 @@ std::vector<float> drift_row(int i, bool adv) {
 
 /// Windows of shifted traffic until the drift flag flips (-1 = never, within
 /// the budget).
-int drift_windows_to_flip(bool ewma) {
+int drift_windows_to_flip(float ewma_decay) {
   serve::TelemetryConfig cfg;
   cfg.sample_every = 1;
   cfg.window = 8;
   cfg.suspicious_fraction = 0.25f;
-  cfg.ewma = ewma;
+  cfg.ewma_decay = ewma_decay;
   serve::RobustnessMonitor mon(cfg);
   int idx = 0;
   for (int win = 0; win < 8; ++win) {  // clean warmup: arm the control bands
@@ -387,8 +387,9 @@ int main(int argc, char** argv) {
 
   // -- drift latency: scripted clean -> PGD shift, windows until the flag ---
   {
-    for (const bool ewma : {false, true}) {
-      const int windows = drift_windows_to_flip(ewma);
+    for (const float decay : {0.0f, 0.5f}) {  // tumbling, then EWMA
+      const bool ewma = decay > 0.0f;
+      const int windows = drift_windows_to_flip(decay);
       BenchRecord rec;
       rec.kernel = ewma ? "obs/drift_latency_ewma" : "obs/drift_latency";
       rec.shape = "w8 c16 shift";
@@ -444,7 +445,7 @@ int main(int argc, char** argv) {
       serve::net::AdminEndpoint admin;
       serve::ServeConfig scfg_on = scfg;
       scfg_on.telemetry.sample_every = 1;
-      scfg_on.telemetry.ewma = true;
+      scfg_on.telemetry.ewma_decay = 0.5f;
       serve::Server server(mreg, scfg_on);
       Stopwatch sw;
       for (int i = 0; i < n_reqs; ++i) {

@@ -43,7 +43,7 @@ struct Cursor {
     if (left < bytes) {
       throw std::runtime_error("wire: truncated frame");
     }
-    std::memcpy(dst, p, bytes);
+    if (bytes != 0) std::memcpy(dst, p, bytes);  // empty dst may be null
     p += bytes;
     left -= bytes;
   }
@@ -85,8 +85,6 @@ WireStatus to_wire(ReplyStatus s) {
   switch (s) {
     case ReplyStatus::kOk:
       return WireStatus::kOk;
-    case ReplyStatus::kRejectedQueueFull:
-      return WireStatus::kRejectedQueueFull;
     case ReplyStatus::kRejectedShutdown:
       return WireStatus::kRejectedShutdown;
     case ReplyStatus::kRejectedStaleShape:
@@ -163,10 +161,10 @@ std::vector<std::uint8_t> encode_reply(const ReplyFrame& f) {
   put<std::uint8_t>(buf, f.cached ? 1 : 0);
   put<std::uint32_t>(buf, f.retry_after_ms);
   put<std::uint32_t>(buf, static_cast<std::uint32_t>(f.logits.size()));
-  const std::size_t at = buf.size();
-  buf.resize(at + sizeof(float) * f.logits.size());
-  std::memcpy(buf.data() + at, f.logits.data(),
-              sizeof(float) * f.logits.size());
+  // insert, not memcpy: a busy or failed reply's empty logits have a null
+  // data(), which memcpy may not be given even for zero bytes.
+  const auto* raw = reinterpret_cast<const std::uint8_t*>(f.logits.data());
+  buf.insert(buf.end(), raw, raw + sizeof(float) * f.logits.size());
   if (buf.size() > kMaxFrameBytes) {
     throw std::runtime_error("encode_reply: frame exceeds kMaxFrameBytes");
   }
@@ -210,7 +208,8 @@ ReplyFrame decode_reply(const std::uint8_t* p, std::size_t n) {
   ReplyFrame f;
   f.id = c.get<std::uint64_t>();
   const auto status = c.get<std::uint8_t>();
-  if (status > static_cast<std::uint8_t>(WireStatus::kBusyRetryAfter)) {
+  if (status == 1 ||
+      status > static_cast<std::uint8_t>(WireStatus::kBusyRetryAfter)) {
     throw std::runtime_error("decode_reply: unknown status");
   }
   f.status = static_cast<WireStatus>(status);

@@ -53,13 +53,13 @@ inline constexpr std::uint32_t kMaxFrameBytes = 1u << 24;
 inline constexpr std::uint8_t kFrameSubmit = 1;
 inline constexpr std::uint8_t kFrameReply = 2;
 
-/// Reply status on the wire: ReplyStatus values verbatim, plus kBadRequest
+/// Reply status on the wire: one value per ReplyStatus, plus kBadRequest
 /// for requests the front-end refused before they reached the queue (e.g. a
 /// shape the published model cannot take — Server::submit throws for those,
-/// and the front-end answers instead of dying).
+/// and the front-end answers instead of dying). Value 1 is unassigned, and
+/// decode_reply refuses it; the numbering is the protocol, so it keeps gaps.
 enum class WireStatus : std::uint8_t {
   kOk = 0,
-  kRejectedQueueFull = 1,
   kRejectedShutdown = 2,
   kRejectedStaleShape = 3,
   kBadRequest = 4,

@@ -16,9 +16,6 @@ namespace ibrar::serve {
 
 enum class ReplyStatus {
   kOk = 0,
-  /// Legacy hard backpressure: admission queue at capacity, no retry hint.
-  /// Only emitted when ServeConfig::busy_on_full is off.
-  kRejectedQueueFull,
   kRejectedShutdown,    ///< server no longer accepting (draining or stopped)
   /// The request was admitted against an older model version whose input
   /// layout no longer matches the snapshot serving its batch (a hot-swap

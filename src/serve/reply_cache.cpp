@@ -144,6 +144,7 @@ ReplyCache::Lookup ReplyCache::lookup_or_join(std::uint64_t hash,
       }
       if (e.complete) {
         sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
+        e.used = clock_++;
         out.outcome = Outcome::kHit;
         out.reply = e.reply;  // already normalized at store time
         c_hits_.inc();
@@ -166,6 +167,7 @@ ReplyCache::Lookup ReplyCache::lookup_or_join(std::uint64_t hash,
     e.shape = input.shape();
     e.input.assign(input.data().begin(), input.data().end());
     e.bytes = entry_bytes(e);
+    e.used = clock_++;
     sh.lru.push_front(std::move(e));
     sh.index.emplace(key, sh.lru.begin());
     account(static_cast<std::ptrdiff_t>(sh.lru.front().bytes));
@@ -202,6 +204,7 @@ void ReplyCache::complete(std::uint64_t hash, std::uint64_t version,
       account(static_cast<std::ptrdiff_t>(e.bytes) -
               static_cast<std::ptrdiff_t>(before));
       sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
+      e.used = clock_++;
       stored = e.reply;
     } else {
       account(-static_cast<std::ptrdiff_t>(e.bytes));
@@ -299,29 +302,37 @@ std::size_t ReplyCache::entries() const {
 }
 
 void ReplyCache::evict_to_budget() {
-  // Evict cold COMPLETE entries (in-flight ones are pinned — evicting one
-  // would strand its joiners) round-robin across shards until the byte
-  // budget holds or nothing is evictable.
+  // Evict the least recently used COMPLETE entry (in-flight ones are pinned
+  // — evicting one would strand its joiners) until the byte budget holds or
+  // nothing is evictable. Each shard's list is in clock order, so the oldest
+  // of the shards' cold tails is the global LRU victim; taking one entry per
+  // shard in turn would let a shard that drew more of the recent inserts
+  // lose its newest entries.
+  const auto coldest_complete = [](std::list<Entry>& lru) {  // end(): none
+    for (auto it = lru.rbegin(); it != lru.rend(); ++it) {
+      if (it->complete) return std::prev(it.base());
+    }
+    return lru.end();
+  };
   while (bytes_.load(std::memory_order_relaxed) > cfg_.capacity_bytes) {
-    bool evicted = false;
+    Shard* victim = nullptr;
+    std::uint64_t oldest = 0;
     for (auto& shp : shards_) {
-      if (bytes_.load(std::memory_order_relaxed) <= cfg_.capacity_bytes) {
-        return;
-      }
-      Shard& sh = *shp;
-      std::lock_guard<std::mutex> lk(sh.mu);
-      for (auto it = sh.lru.rbegin(); it != sh.lru.rend(); ++it) {
-        if (!it->complete) continue;
-        auto victim = std::prev(it.base());
-        account(-static_cast<std::ptrdiff_t>(victim->bytes));
-        sh.index.erase(victim->key);
-        sh.lru.erase(victim);
-        c_evictions_.inc();
-        evicted = true;
-        break;
+      std::lock_guard<std::mutex> lk(shp->mu);
+      const auto it = coldest_complete(shp->lru);
+      if (it != shp->lru.end() && (victim == nullptr || it->used < oldest)) {
+        victim = shp.get();
+        oldest = it->used;
       }
     }
-    if (!evicted) return;  // everything left is in flight
+    if (victim == nullptr) return;  // everything left is in flight
+    std::lock_guard<std::mutex> lk(victim->mu);
+    const auto it = coldest_complete(victim->lru);  // may differ from the scan
+    if (it == victim->lru.end()) continue;
+    account(-static_cast<std::ptrdiff_t>(it->bytes));
+    victim->index.erase(it->key);
+    victim->lru.erase(it);
+    c_evictions_.inc();
   }
 }
 

@@ -27,7 +27,8 @@
 // — never a wrong answer).
 //
 // Capacity is bounded in BYTES (inputs dominate), LRU-evicted from the cold
-// end; in-flight entries are pinned (evicting one would strand its joiners).
+// end in global LRU order across shards; in-flight entries are pinned
+// (evicting one would strand its joiners).
 // A model hot-swap invalidates: on_version() drops complete entries of other
 // versions and dooms in-flight ones (they still fan out — their joiners were
 // promised a reply — but are not stored).
@@ -133,6 +134,7 @@ class ReplyCache {
     Reply reply;                ///< normalized cached reply (complete only)
     std::vector<std::promise<Reply>> joiners;  ///< parked while in flight
     std::size_t bytes = 0;      ///< this entry's accounted footprint
+    std::uint64_t used = 0;     ///< clock_ tick of its last move to the front
   };
 
   struct Shard {
@@ -144,8 +146,8 @@ class ReplyCache {
   static std::uint64_t mix_key(std::uint64_t hash, std::uint64_t version);
   Shard& shard_for(std::uint64_t key);
   static std::size_t entry_bytes(const Entry& e);
-  /// Evict cold COMPLETE entries until bytes_ fits the budget. Shard lock
-  /// must NOT be held (takes each shard's in turn).
+  /// Evict least recently used COMPLETE entries until bytes_ fits the
+  /// budget. Shard lock must NOT be held (takes each shard's in turn).
   void evict_to_budget();
   void account(std::ptrdiff_t delta);
 
@@ -153,6 +155,7 @@ class ReplyCache {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::size_t> bytes_{0};
   std::atomic<std::uint64_t> latest_version_{0};
+  std::atomic<std::uint64_t> clock_{0};  ///< Entry::used ticks, all shards
 
   obs::Counter& c_lookups_;
   obs::Counter& c_hits_;

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "analysis/capture.hpp"
 #include "autograd/var.hpp"
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
@@ -40,9 +39,8 @@ ServeConfig ServeConfig::from_env() {
   cfg.client_rate = env::get_double("IBRAR_SERVE_CLIENT_RATE", 0.0);
   cfg.client_burst = env::get_double("IBRAR_SERVE_CLIENT_BURST", 0.0);
   cfg.max_inflight_per_client = env::get_int("IBRAR_SERVE_MAX_INFLIGHT", 0);
-  cfg.telemetry.ewma = env::get_int("IBRAR_SERVE_TELEMETRY_EWMA", 0) != 0;
   cfg.telemetry.ewma_decay = static_cast<float>(
-      env::get_double("IBRAR_SERVE_TELEMETRY_EWMA_DECAY", 0.5));
+      env::get_double("IBRAR_SERVE_TELEMETRY_EWMA_DECAY", 0.0));
   return cfg;
 }
 
@@ -87,8 +85,8 @@ Server::Server(ModelRegistry& registry, ServeConfig cfg)
         "serve::Server: registry has no published model");
   }
   // Any workers/telemetry combination is safe: snapshots are
-  // shared_ptr<const TapClassifier>, so both the serving forward and the
-  // telemetry tap capture can only take the strictly-const eval path.
+  // shared_ptr<const TapClassifier>, so the serving forward (which also
+  // feeds telemetry its taps) can only take the strictly-const eval path.
   base_ = read_totals();
   workers_.reserve(static_cast<std::size_t>(cfg_.workers));
   for (std::int64_t w = 0; w < cfg_.workers; ++w) {
@@ -207,18 +205,14 @@ std::future<Reply> Server::submit(Tensor input, std::uint64_t client_id) {
       // every push can be rejected, and the gauge would otherwise freeze at
       // whatever the last accepted push recorded.
       g_queue_depth_.set(static_cast<double>(queue_.size()));
+      // CUPS-style busy: say WHEN to come back — roughly how long the
+      // backlog ahead takes to drain at the measured service rate.
       Reply reply;
       reply.model_version = snap->version;
-      if (cfg_.busy_on_full) {
-        // CUPS-style busy: say WHEN to come back — roughly how long the
-        // backlog ahead takes to drain at the measured service rate.
-        reply.status = ReplyStatus::kBusyRetryAfter;
-        reply.retry_after_ms = admission_.retry_after_ms(queue_.size());
-        c_admission_busy_.inc();
-        h_retry_after_ms_.observe(static_cast<double>(reply.retry_after_ms));
-      } else {
-        reply.status = ReplyStatus::kRejectedQueueFull;
-      }
+      reply.status = ReplyStatus::kBusyRetryAfter;
+      reply.retry_after_ms = admission_.retry_after_ms(queue_.size());
+      c_admission_busy_.inc();
+      h_retry_after_ms_.observe(static_cast<double>(reply.retry_after_ms));
       fail_request(r, std::move(reply));
       break;
     }
@@ -309,7 +303,11 @@ void Server::serve_batch(MicroBatch& batch) {
                 live[static_cast<std::size_t>(i)].input.data().data(),
                 sizeof(float) * static_cast<std::size_t>(row));
   }
-  const Tensor logits = snap->forward(x);
+  // The batch's one forward: it computes every tap anyway, so telemetry
+  // below reads the sampled riders' last-conv rows from it.
+  const auto out = snap->model->eval_forward_with_taps(ag::Var::constant(x));
+  const Tensor& logits = out.logits.value();
+  const Tensor& tap = out.taps[snap->model->last_conv_tap_index()].value();
   const std::int64_t t1 = now_ns();
   // Stage boundaries tile exactly: queue_wait covers enqueue ->
   // assemble_end, compute covers assemble_end -> logits-ready (row staging
@@ -388,19 +386,13 @@ void Server::serve_batch(MicroBatch& batch) {
 
     if (monitor_.should_sample(req.index)) {
       obs::Span rescore_span("telemetry_rescore", traced_req, req.index);
-      // Tap capture rides the shared analysis sweep on a one-row dataset:
-      // one extra forward per Kth request, amortized away by the cadence.
-      data::Dataset one;
-      one.images = req.input.reshape({1, chw[0], chw[1], chw[2]});
-      one.labels = {0};
-      one.num_classes = snap->num_classes;
-      const auto dump = analysis::capture_taps(
-          *snap->model, one, /*max_samples=*/-1, /*batch=*/1,
-          {snap->model->last_conv_tap_index()});
+      // Row i of the batch's tap holds the same bits a batch-1 forward of
+      // this input would (the batch bit-identity contract), so sampling
+      // costs the O(C * spatial) energy sweep plus one re-score per window.
       const std::int64_t channels = snap->model->last_conv_channels();
-      const std::int64_t width = dump.taps[0].dim(1);
+      const std::int64_t width = tap.numel() / bsz;
       reply.telemetry =
-          monitor_.observe(dump.taps[0].data().data(), channels,
+          monitor_.observe(tap.data().data() + i * width, channels,
                            width / channels, reply.argmax, snap->num_classes);
       c_telemetry_samples_.inc();
       if (reply.telemetry.suspicion >= 0.0f) {

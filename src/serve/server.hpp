@@ -10,10 +10,11 @@
 // an immutable snapshot per batch, so checkpoints hot-swap under live traffic
 // while in-flight batches finish on the version they grabbed. Every Kth
 // request optionally flows through the robustness telemetry
-// (serve/telemetry.hpp) — safe at any worker count because both the serving
-// forward and the telemetry tap capture ride the snapshot's strictly-const
-// eval path (no mode flips, no shared mutable state; see
-// serve/model_registry.hpp). Bit-identity contract: a request's logits are
+// (serve/telemetry.hpp), which reads the request's last-conv tap from its
+// micro-batch's forward: one forward per batch, telemetry on or off. That
+// forward is the snapshot's strictly-const eval path (no mode flips, no
+// shared mutable state; see serve/model_registry.hpp), so any worker count
+// is safe. Bit-identity contract: a request's logits are
 // memcmp-identical whichever worker or micro-batch serves it, telemetry on or
 // off — gated in tests/test_serve.cpp and bench_serve.
 //
@@ -31,10 +32,9 @@
 //
 // Admission control (serve/admission.hpp): per-client token buckets and
 // in-flight caps keyed on the client id (0 for in-process callers without
-// one), plus busy-instead-of-reject — with cfg.busy_on_full (default on) a
-// full queue answers kBusyRetryAfter carrying a retry-after hint computed
-// from queue depth / measured service rate, instead of the hint-less
-// kRejectedQueueFull.
+// one), plus busy-instead-of-reject: a full queue answers kBusyRetryAfter
+// carrying a retry-after hint computed from queue depth / measured service
+// rate.
 //
 // Observability (src/obs): the server records into the process-global
 // obs::registry() — serve.* counters for admission/trigger/telemetry events,
@@ -103,13 +103,10 @@ struct ServeConfig {
   double client_burst = 0.0;
   /// Per-client in-flight cap; 0 = unlimited.
   std::int64_t max_inflight_per_client = 0;
-  /// Full queue answers kBusyRetryAfter + hint (default) instead of the
-  /// legacy hint-less kRejectedQueueFull.
-  bool busy_on_full = true;
 
   /// Defaults overridden by IBRAR_SERVE_MAX_BATCH / _DEADLINE_US /
   /// _QUEUE_CAP / _WORKERS / _CACHE_MB / _CLIENT_RATE / _CLIENT_BURST /
-  /// _MAX_INFLIGHT.
+  /// _MAX_INFLIGHT / _TELEMETRY_EWMA_DECAY.
   static ServeConfig from_env();
 };
 

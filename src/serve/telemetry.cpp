@@ -146,25 +146,26 @@ RequestTelemetry RobustnessMonitor::observe(const float* tap_row,
     lk.unlock();
 
     auto scores = mi::channel_label_scores(feats, preds, num_classes);
-    auto mask = mi::mask_from_scores(scores, cfg_.suspicious_fraction);
 
     lk.lock();
     // Install only if the tap geometry is still the one this window was
     // sampled under: a concurrent hot-swap may have restarted the window for
     // a new architecture, and these scores would be meaningless for it.
     if (channels_ == gen_channels && spatial_ == gen_spatial) {
-      if (cfg_.ewma && scores_.size() == scores.size()) {
-        // Sliding re-score: blend into the previous epoch instead of
-        // replacing it, then re-derive the suspicious set from the blended
-        // scores (cheap: one O(C log C) partial sort under the lock).
+      // Blend into the previous epoch, then derive the suspicious set from
+      // the blended scores (cheap: one O(C log C) sort under the lock). At
+      // decay 0 the blend returns the window's scores bit for bit (0 * prev
+      // + s == s for finite prev and any s but -0, which an HSIC score never
+      // is), so tumbling needs no branch of its own.
+      if (scores_.size() == scores.size()) {
         const float d = cfg_.ewma_decay;
         for (std::size_t i = 0; i < scores.size(); ++i) {
           scores[i] = d * scores_[i] + (1.0f - d) * scores[i];
         }
-        mask = mi::mask_from_scores(scores, cfg_.suspicious_fraction);
       }
+      suspicious_mask_ =
+          mi::mask_from_scores(scores, cfg_.suspicious_fraction);
       scores_ = std::move(scores);
-      suspicious_mask_ = std::move(mask);
       ++epoch_;
     }
   }

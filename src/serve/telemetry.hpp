@@ -4,22 +4,22 @@
 // IB-RAR scores each last-conv channel by HSIC(f_c, Y) and treats the
 // low-scoring ones as non-robust — the channels adversarial perturbations
 // exploit. The serving runtime streams that same signal over live traffic:
-// every Kth admitted request is sampled (its last-conv tap captured through
-// analysis::capture_taps), the sampled taps accumulate into a tumbling
-// scoring window, and each time the window fills the per-channel scores are
-// recomputed with mi::channel_label_scores (against the model's own
-// predictions — no ground truth exists at serving time; the parallel
-// per-channel loop keeps this affordable on a live worker, and the re-score
-// runs on a double-buffered copy of the window OUTSIDE the monitor mutex so
-// concurrent workers keep observing while one recomputes). A sampled
-// request's reply then carries a `suspicion` reading: the fraction of its
-// activation energy living in the currently low-scoring channels. Clean
-// traffic concentrates energy in robust channels; inputs pushed toward the
-// non-robust ones read high.
+// every Kth admitted request is sampled (its last-conv tap is its row of the
+// micro-batch forward's tap — no second forward), the sampled taps
+// accumulate into a scoring window, and each time the window fills the
+// per-channel scores are recomputed with mi::channel_label_scores (against
+// the model's own predictions — no ground truth exists at serving time; the
+// parallel per-channel loop keeps this affordable on a live worker, and the
+// re-score runs on a double-buffered copy of the window OUTSIDE the monitor
+// mutex so concurrent workers keep observing while one recomputes). A
+// sampled request's reply then carries a `suspicion` reading: the fraction
+// of its activation energy living in the currently low-scoring channels.
+// Clean traffic concentrates energy in robust channels; inputs pushed
+// toward the non-robust ones read high.
 //
-// Sampling every Kth request bounds the overhead to (1 capture forward +
-// O(C) energy sweep) / K requests, plus one windowed re-score per
-// window*K requests.
+// Sampling every Kth request bounds the overhead to one O(C * spatial)
+// energy sweep per K requests, plus one windowed re-score per window*K
+// requests.
 
 #include <cstdint>
 #include <mutex>
@@ -38,14 +38,12 @@ struct TelemetryConfig {
   /// Bottom fraction of channels (by current score) counted as suspicious —
   /// mirrors the paper's Eq. (3) drop fraction.
   float suspicious_fraction = 0.25f;
-  /// Sliding re-score (IBRAR_SERVE_TELEMETRY_EWMA): instead of REPLACING the
-  /// channel scores each tumbling window, blend
+  /// Weight kept on the previous epoch's scores per completed window:
   ///   scores = ewma_decay * previous + (1 - ewma_decay) * window
-  /// so suspicion tracks drifting traffic without forgetting the clean
-  /// baseline at every epoch boundary (ROADMAP item 4, PR-5 follow-up).
-  bool ewma = false;
-  /// Weight kept on the previous epoch's scores per completed window.
-  float ewma_decay = 0.5f;
+  /// 0 (the default) is a tumbling window — each epoch's scores are exactly
+  /// that window's. A positive decay lets suspicion track drifting traffic
+  /// without forgetting the clean baseline at every epoch boundary.
+  float ewma_decay = 0.0f;
 };
 
 /// EWMA control-band change detector over a scalar series (here: the
@@ -147,8 +145,8 @@ class RobustnessMonitor {
  private:
   TelemetryConfig cfg_;
   mutable std::mutex mu_;
-  // Tumbling window of sampled taps, stored flat (window, channels * spatial)
-  // with the predicted labels alongside; re-scored when fill_ wraps.
+  // Window of sampled taps, stored flat (window, channels * spatial) with
+  // the predicted labels alongside; re-scored when fill_ wraps.
   std::vector<float> window_taps_;
   std::vector<std::int64_t> window_preds_;
   std::int64_t fill_ = 0;

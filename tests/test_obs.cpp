@@ -563,7 +563,6 @@ TEST(ServerObs, LogitsBitIdenticalWithContinuousTelemetryStackOn) {
     serve::net::AdminEndpoint admin;  // live scraper on a kernel port
     serve::ServeConfig cfg_on = cfg;
     cfg_on.telemetry.sample_every = 1;
-    cfg_on.telemetry.ewma = true;
     cfg_on.telemetry.ewma_decay = 0.5f;
     serve::Server server(reg, cfg_on);
     for (int i = 0; i < kReqs; ++i) {

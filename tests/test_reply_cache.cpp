@@ -217,6 +217,40 @@ TEST(ReplyCache, LruEvictsColdEntriesFirstUnderByteBudget) {
   EXPECT_EQ(delta.hits + delta.misses, delta.lookups);
 }
 
+TEST(ReplyCache, ShardedEvictionKeepsTheNewestEntries) {
+  // Eight shards, a budget of ~128 entries, 1024 distinct inserts. Eviction
+  // must take each shard's cold tail in turn: an eviction that always began
+  // at shard 0 drained the low shards, so fresh entries landing there were
+  // gone by the next insert and most of the newest 32 missed.
+  serve::ReplyCacheConfig cfg;
+  cfg.shards = 8;
+  {
+    serve::ReplyCache probe(serve::ReplyCacheConfig{std::size_t{1} << 20, 1});
+    probe.on_version(1);
+    ASSERT_EQ(drive(probe, sample_input(1), 1),
+              serve::ReplyCache::Outcome::kLeader);
+    cfg.capacity_bytes = probe.bytes() * 128;
+  }
+  constexpr int kInserts = 1024;
+  constexpr int kNewest = 32;
+  std::vector<Tensor> inputs;
+  for (int i = 0; i < kInserts; ++i) {
+    inputs.push_back(sample_input(5000 + static_cast<std::uint64_t>(i)));
+  }
+  serve::ReplyCache cache(cfg);
+  cache.on_version(1);
+  for (const auto& x : inputs) {
+    ASSERT_EQ(drive(cache, x, 1), serve::ReplyCache::Outcome::kLeader);
+  }
+  EXPECT_LE(cache.bytes(), cfg.capacity_bytes);
+  for (int i = kInserts - kNewest; i < kInserts; ++i) {
+    EXPECT_EQ(drive(cache, inputs[static_cast<std::size_t>(i)], 1),
+              serve::ReplyCache::Outcome::kHit)
+        << "insert " << i << " was evicted";
+  }
+  cache.clear();
+}
+
 // ---- hot-swap invalidation --------------------------------------------------
 
 TEST(ReplyCache, VersionChangeInvalidatesAcrossHotSwap) {

@@ -1,9 +1,11 @@
 // Serving runtime: queue backpressure + drain, dual batch triggers,
-// batched-vs-singleton bit-identity, versioned hot-swap under live load, and
-// telemetry sampling cadence.
+// batched-vs-singleton bit-identity, versioned hot-swap under live load,
+// telemetry sampling cadence, and telemetry riding the batch's one forward
+// with the bits of a batch-1 capture.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -12,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/capture.hpp"
 #include "models/registry.hpp"
 #include "nn/module.hpp"
 #include "obs/metrics.hpp"
@@ -66,9 +69,9 @@ TEST(RequestQueue, BackpressureRejectsWithoutConsuming) {
   // The rejected request was NOT moved from: its promise is still usable.
   auto fut = c.promise.get_future();
   serve::Reply reply;
-  reply.status = serve::ReplyStatus::kRejectedQueueFull;
+  reply.status = serve::ReplyStatus::kBusyRetryAfter;
   c.promise.set_value(std::move(reply));
-  EXPECT_EQ(fut.get().status, serve::ReplyStatus::kRejectedQueueFull);
+  EXPECT_EQ(fut.get().status, serve::ReplyStatus::kBusyRetryAfter);
   EXPECT_EQ(q.size(), 2u);
 }
 
@@ -349,8 +352,8 @@ TEST(Server, BackpressureRejectsWithStatusUnderFlood) {
     const auto r = f.get();
     if (r.status == serve::ReplyStatus::kOk) ++ok;
     else {
-      // The default overload answer is busy + retry hint, never a bare
-      // queue-full (CUPS server-error-busy semantics).
+      // The overload answer is busy + retry hint (CUPS server-error-busy
+      // semantics).
       EXPECT_EQ(r.status, serve::ReplyStatus::kBusyRetryAfter);
       EXPECT_GE(r.retry_after_ms, 1u);
       EXPECT_LE(r.retry_after_ms, 5000u);
@@ -363,42 +366,6 @@ TEST(Server, BackpressureRejectsWithStatusUnderFlood) {
   EXPECT_EQ(stats.accepted, ok);
   EXPECT_EQ(stats.rejected_full, rejected);
   EXPECT_EQ(stats.admission_busy, rejected);
-}
-
-TEST(Server, LegacyQueueFullStatusWhenBusyOnFullDisabled) {
-  // Deployments that keyed off kRejectedQueueFull can opt out of the busy
-  // protocol; the status (and only the status) reverts.
-  serve::ModelRegistry reg;
-  models::ModelSpec spec;
-  spec.name = "vgg16";
-  spec.num_classes = kClasses;
-  spec.image_size = 8;
-  spec.in_channels = kChannels;
-  Rng rng(5);
-  reg.publish(models::make_model(spec, rng), {kChannels, 8, 8});
-
-  serve::ServeConfig cfg;
-  cfg.max_batch = 1;
-  cfg.deadline_us = 0;
-  cfg.queue_capacity = 4;
-  cfg.busy_on_full = false;
-  serve::Server server(reg, cfg);
-  Rng in_rng(17);
-  const Tensor x = rand_uniform({kChannels, 8, 8}, in_rng, 0.0f, 1.0f);
-  std::vector<std::future<serve::Reply>> futures;
-  for (int i = 0; i < 64; ++i) futures.push_back(server.submit(x));
-  std::size_t rejected = 0;
-  for (auto& f : futures) {
-    const auto r = f.get();
-    if (!r.ok()) {
-      EXPECT_EQ(r.status, serve::ReplyStatus::kRejectedQueueFull);
-      EXPECT_EQ(r.retry_after_ms, 0u);
-      ++rejected;
-    }
-  }
-  EXPECT_GT(rejected, 0u);
-  EXPECT_EQ(server.stats().admission_busy, 0u);
-  EXPECT_EQ(server.stats().rejected_full, rejected);
 }
 
 TEST(Server, BatchedLogitsBitIdenticalToSingleton) {
@@ -641,6 +608,14 @@ TEST(Server, FromEnvReadsWorkersKnob) {
   EXPECT_EQ(serve::ServeConfig::from_env().workers, 1);
 }
 
+TEST(Server, FromEnvTelemetryDecayDefaultsToTumbling) {
+  ASSERT_EQ(::unsetenv("IBRAR_SERVE_TELEMETRY_EWMA_DECAY"), 0);
+  EXPECT_EQ(serve::ServeConfig::from_env().telemetry.ewma_decay, 0.0f);
+  ASSERT_EQ(::setenv("IBRAR_SERVE_TELEMETRY_EWMA_DECAY", "0.5", 1), 0);
+  EXPECT_EQ(serve::ServeConfig::from_env().telemetry.ewma_decay, 0.5f);
+  ASSERT_EQ(::unsetenv("IBRAR_SERVE_TELEMETRY_EWMA_DECAY"), 0);
+}
+
 TEST(Server, FromEnvReadsCacheAndAdmissionKnobs) {
   // CI pins IBRAR_SERVE_CACHE_MB per sanitizer step, so save whatever is
   // there, clear it to observe the real defaults, and restore afterwards.
@@ -762,6 +737,156 @@ TEST(Server, TelemetrySamplesEveryKthRequestAndScoresAfterWindow) {
   EXPECT_LE(replies[28].telemetry.suspicion, 1.0f);
   EXPECT_EQ(replies[28].telemetry.score_epoch, 1u);
   EXPECT_GE(replies[32].telemetry.suspicion, 0.0f);
+}
+
+/// Delegates to a real model and counts its eval forwards: the serving
+/// forward and any telemetry re-forward both reach eval_forward_with_taps.
+class ForwardCountingModel final : public models::TapClassifier {
+ public:
+  explicit ForwardCountingModel(models::TapClassifierPtr inner)
+      : inner_(std::move(inner)) {
+    register_module("inner", inner_);
+  }
+  models::TapsOutput forward_with_taps(const ag::Var& x) override {
+    return inner_->forward_with_taps(x);
+  }
+  models::TapsOutput eval_forward_with_taps(const ag::Var& x) const override {
+    forwards_.fetch_add(1, std::memory_order_relaxed);
+    return inner_->eval_forward_with_taps(x);
+  }
+  void prepare_fused_eval() override { inner_->prepare_fused_eval(); }
+  bool fused_eval_ready() const override { return inner_->fused_eval_ready(); }
+  const std::vector<std::string>& tap_names() const override {
+    return inner_->tap_names();
+  }
+  std::int64_t last_conv_channels() const override {
+    return inner_->last_conv_channels();
+  }
+  std::int64_t num_classes() const override { return inner_->num_classes(); }
+  std::size_t last_conv_tap_index() const override {
+    return inner_->last_conv_tap_index();
+  }
+  std::uint64_t forwards() const {
+    return forwards_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  models::TapClassifierPtr inner_;
+  mutable std::atomic<std::uint64_t> forwards_{0};
+};
+
+TEST(Server, SampledTelemetryRunsOneForwardPerMicroBatch) {
+  // Every request sampled: telemetry reads each rider's tap from its
+  // batch's own forward, so the model runs exactly one forward per
+  // micro-batch. A second forward per sample would make it batches +
+  // samples.
+  auto model = std::make_shared<ForwardCountingModel>(tiny_model(1));
+  serve::ModelRegistry reg;
+  reg.publish(model, sample_shape());
+  serve::ServeConfig cfg = quick_config();
+  cfg.telemetry.sample_every = 1;
+  cfg.telemetry.window = 4;
+  serve::Server server(reg, cfg);
+  constexpr int kReqs = 24;
+  std::vector<std::future<serve::Reply>> futures;
+  for (int i = 0; i < kReqs; ++i) {
+    futures.push_back(
+        server.submit(sample_input(700 + static_cast<std::uint64_t>(i))));
+  }
+  for (auto& f : futures) {
+    const auto reply = f.get();
+    ASSERT_EQ(reply.status, serve::ReplyStatus::kOk);
+    EXPECT_TRUE(reply.telemetry.sampled);
+  }
+  server.shutdown();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.telemetry_samples, static_cast<std::uint64_t>(kReqs));
+  EXPECT_GE(stats.batches, 1u);
+  EXPECT_EQ(model->forwards(), stats.batches);
+}
+
+TEST(Server, TelemetryBitIdenticalToBatchOneCaptureReference) {
+  // Served telemetry must carry the bits of the reference it replaced: a
+  // batch-1 capture_taps forward of each sampled request alone, fed to a
+  // standalone monitor in admission order. One worker keeps the server's
+  // observe order equal to admission order; max_batch 8 with a long
+  // deadline makes the riders share batches.
+  for (const char* name : {"vgg16", "mlp"}) {
+    SCOPED_TRACE(name);
+    constexpr std::int64_t kSide = 8;
+    const Shape chw = {kChannels, kSide, kSide};
+    models::ModelSpec spec;
+    spec.name = name;
+    spec.num_classes = kClasses;
+    spec.image_size = kSide;
+    spec.in_channels = kChannels;
+    Rng rng(7);
+    serve::ModelRegistry reg;
+    reg.publish(models::make_model(spec, rng), chw);
+
+    serve::ServeConfig cfg;
+    cfg.max_batch = 8;
+    cfg.deadline_us = 50'000;
+    cfg.queue_capacity = 64;
+    cfg.telemetry.sample_every = 3;
+    cfg.telemetry.window = 4;
+
+    constexpr int kReqs = 48;
+    std::vector<Tensor> inputs;
+    Rng in_rng(11);
+    for (int i = 0; i < kReqs; ++i) {
+      inputs.push_back(rand_uniform(chw, in_rng, 0.0f, 1.0f));
+    }
+    std::vector<serve::Reply> replies;
+    std::vector<float> served_scores;
+    std::uint64_t max_batch_seen = 0;
+    {
+      serve::Server server(reg, cfg);
+      std::vector<std::future<serve::Reply>> futures;
+      for (const auto& x : inputs) futures.push_back(server.submit(x));
+      for (auto& f : futures) replies.push_back(f.get());
+      max_batch_seen = server.stats().max_batch_observed;
+      served_scores = server.monitor().channel_scores();
+    }
+    EXPECT_GT(max_batch_seen, 1u);  // riders really shared batches
+
+    const auto snap = reg.current();
+    const std::size_t tap = snap->model->last_conv_tap_index();
+    const std::int64_t channels = snap->model->last_conv_channels();
+    serve::RobustnessMonitor ref(cfg.telemetry);
+    for (int i = 0; i < kReqs; ++i) {
+      const auto& got = replies[static_cast<std::size_t>(i)];
+      ASSERT_EQ(got.status, serve::ReplyStatus::kOk);
+      serve::RequestTelemetry want;
+      if (ref.should_sample(static_cast<std::uint64_t>(i))) {
+        data::Dataset one;
+        one.images = inputs[static_cast<std::size_t>(i)].reshape(
+            {1, kChannels, kSide, kSide});
+        one.labels = {0};
+        one.num_classes = kClasses;
+        const auto dump = analysis::capture_taps(*snap->model, one,
+                                                 /*max_samples=*/-1,
+                                                 /*batch=*/1, {tap});
+        const std::int64_t width = dump.taps[0].dim(1);
+        want = ref.observe(dump.taps[0].data().data(), channels,
+                           width / channels, dump.preds[0], kClasses);
+      }
+      EXPECT_EQ(got.telemetry.sampled, want.sampled) << "request " << i;
+      EXPECT_EQ(std::memcmp(&got.telemetry.suspicion, &want.suspicion,
+                            sizeof(float)),
+                0)
+          << "request " << i << ": " << got.telemetry.suspicion << " vs "
+          << want.suspicion;
+      EXPECT_EQ(got.telemetry.score_epoch, want.score_epoch)
+          << "request " << i;
+    }
+    EXPECT_EQ(ref.score_epoch(), 4u);  // 16 samples, window 4
+    const auto want_scores = ref.channel_scores();
+    ASSERT_EQ(served_scores.size(), want_scores.size());
+    EXPECT_EQ(std::memcmp(served_scores.data(), want_scores.data(),
+                          sizeof(float) * want_scores.size()),
+              0);
+  }
 }
 
 }  // namespace

@@ -125,14 +125,34 @@ TEST(Wire, ReplyFrameRoundTripsEveryField) {
 
 TEST(Wire, StatusMappingMirrorsReplyStatus) {
   EXPECT_EQ(net::to_wire(serve::ReplyStatus::kOk), net::WireStatus::kOk);
-  EXPECT_EQ(net::to_wire(serve::ReplyStatus::kRejectedQueueFull),
-            net::WireStatus::kRejectedQueueFull);
   EXPECT_EQ(net::to_wire(serve::ReplyStatus::kRejectedShutdown),
             net::WireStatus::kRejectedShutdown);
   EXPECT_EQ(net::to_wire(serve::ReplyStatus::kRejectedStaleShape),
             net::WireStatus::kRejectedStaleShape);
   EXPECT_EQ(net::to_wire(serve::ReplyStatus::kBusyRetryAfter),
             net::WireStatus::kBusyRetryAfter);
+}
+
+TEST(Wire, UnassignedStatusValuesAreRefused) {
+  // 1 was the retired hint-less queue-full status; it stays unassigned so
+  // no other wire value moved, and a reply carrying it is malformed. Status
+  // is the byte after the u8 type and the u64 id.
+  net::ReplyFrame rf;
+  rf.logits = {1.0f};
+  auto bytes = net::encode_reply(rf);
+  constexpr std::size_t kStatusByte = 1 + sizeof(std::uint64_t);
+  for (const std::uint8_t status : {0, 2, 3, 4, 5}) {
+    bytes[kStatusByte] = status;
+    EXPECT_EQ(static_cast<std::uint8_t>(
+                  net::decode_reply(bytes.data(), bytes.size()).status),
+              status);
+  }
+  for (const std::uint8_t status : {1, 6, 255}) {
+    bytes[kStatusByte] = status;
+    EXPECT_THROW(net::decode_reply(bytes.data(), bytes.size()),
+                 std::runtime_error)
+        << "status " << static_cast<int>(status);
+  }
 }
 
 TEST(Wire, TruncatedPayloadsThrowAtEveryPrefixLength) {

@@ -1,9 +1,9 @@
 // Continuous-telemetry tier: time-series ring exactness (including rate
 // across the overwrite boundary), SLO burn-rate state transitions + episode
 // monotonicity, registry retire/compact cardinality bounds, drift-detector
-// control bands, the EWMA-vs-tumbling telemetry A/B (scripted clean -> PGD
-// shift must flip drift within <= 3 windows; all-clean never does), and the
-// read-only HTTP admin endpoint.
+// control bands, the EWMA-vs-tumbling (decay 0.5 vs 0) telemetry A/B
+// (scripted clean -> PGD shift must flip drift within <= 3 windows;
+// all-clean never does), and the read-only HTTP admin endpoint.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "mi/channel_score.hpp"
 #include "models/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/slo.hpp"
@@ -325,17 +326,18 @@ TEST(TelemetryDrift, CleanToPgdShiftFlipsWithinThreeWindowsCleanNever) {
   base.window = 8;
   base.suspicious_fraction = 0.25f;
 
-  for (const bool ewma : {true, false}) {
+  for (const float decay : {0.5f, 0.0f}) {
     serve::TelemetryConfig cfg = base;
-    cfg.ewma = ewma;
+    cfg.ewma_decay = decay;
     // A/B arm 1: scripted clean -> PGD-like shift.
     serve::RobustnessMonitor shifted(cfg);
     int idx = 0;
     ASSERT_EQ(feed_windows(shifted, 8, /*adv=*/false, &idx), -1)
-        << "clean warmup must not trip drift (ewma=" << ewma << ")";
+        << "clean warmup must not trip drift (decay=" << decay << ")";
     const int flipped = feed_windows(shifted, 3, /*adv=*/true, &idx);
-    EXPECT_GE(flipped, 1) << "shift never flipped drift (ewma=" << ewma << ")";
-    EXPECT_LE(flipped, 3) << "drift too slow (ewma=" << ewma << ")";
+    EXPECT_GE(flipped, 1) << "shift never flipped drift (decay=" << decay
+                          << ")";
+    EXPECT_LE(flipped, 3) << "drift too slow (decay=" << decay << ")";
     // (No assertion on the FINAL state: once the monitor re-scores on the
     // shifted traffic its suspicion normalizes against the new mask, and the
     // detector may legitimately clear — the alert is the transition.)
@@ -344,7 +346,7 @@ TEST(TelemetryDrift, CleanToPgdShiftFlipsWithinThreeWindowsCleanNever) {
     serve::RobustnessMonitor control(cfg);
     int cidx = 0;
     EXPECT_EQ(feed_windows(control, 16, /*adv=*/false, &cidx), -1)
-        << "all-clean traffic flipped drift (ewma=" << ewma << ")";
+        << "all-clean traffic flipped drift (decay=" << decay << ")";
     EXPECT_EQ(control.drift_state(), serve::DriftDetector::kStable);
   }
 }
@@ -353,10 +355,9 @@ TEST(TelemetryDrift, EwmaBlendsScoresTumblingReplacesThem) {
   serve::TelemetryConfig cfg;
   cfg.sample_every = 1;
   cfg.window = 8;
-  cfg.ewma = true;
   cfg.ewma_decay = 0.5f;
   serve::RobustnessMonitor ewma(cfg);
-  cfg.ewma = false;
+  cfg.ewma_decay = 0.0f;
   serve::RobustnessMonitor tumbling(cfg);
 
   // Identical script through both monitors: clean epochs, then a shift.
@@ -378,6 +379,38 @@ TEST(TelemetryDrift, EwmaBlendsScoresTumblingReplacesThem) {
   }
   EXPECT_GT(max_diff, 1e-6f);
   EXPECT_EQ(ewma.score_epoch(), tumbling.score_epoch());
+}
+
+TEST(TelemetryDrift, DecayZeroScoresAreExactlyEachWindowsOwn) {
+  // Tumbling is the blend at decay 0, the default: after every completed
+  // window the monitor's scores must be memcmp-equal to scoring that window
+  // alone, even though each epoch runs through the blend with the previous
+  // epoch's scores.
+  serve::TelemetryConfig cfg;
+  cfg.sample_every = 1;
+  cfg.window = 8;
+  EXPECT_EQ(cfg.ewma_decay, 0.0f);
+  serve::RobustnessMonitor mon(cfg);
+  int idx = 0;
+  for (int win = 0; win < 6; ++win) {
+    const bool adv = win >= 3;  // clean epochs, then a shift
+    Tensor feats({cfg.window, kChans, kSpatial, 1});
+    std::vector<std::int64_t> preds;
+    for (std::int64_t s = 0; s < cfg.window; ++s, ++idx) {
+      const auto row = adv ? adv_row(idx) : clean_row(idx);
+      std::copy(row.begin(), row.end(),
+                feats.data().begin() + s * kChans * kSpatial);
+      preds.push_back(idx % 2);
+      mon.observe(row.data(), kChans, kSpatial, idx % 2, 2);
+    }
+    const auto want = mi::channel_label_scores(feats, preds, 2);
+    const auto got = mon.channel_scores();
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(float) * got.size()),
+              0)
+        << "epoch " << win + 1;
+    EXPECT_EQ(mon.score_epoch(), static_cast<std::uint64_t>(win + 1));
+  }
 }
 
 // ---- server integration: hot-swap retires the old version family -----------
