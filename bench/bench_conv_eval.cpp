@@ -12,10 +12,10 @@
 //     fused path additionally re-run at 1 and 4 pool lanes and memcmp'd
 //     against itself (the blocking/threading-invariance contract of
 //     gemm_packed's ascending-p micro-kernel).
-//   * models: two same-seed instances of each conv classifier (MiniVGG,
-//     MiniResNet, MiniWRN) — one lowered via prepare_fused_eval(), one left
-//     on the layer-by-layer path — compared logit-for-logit AND tap-for-tap
-//     across batch sizes under NoGradGuard.
+//   * models: each conv classifier (MiniVGG, MiniResNet, MiniWRN) lowered
+//     to its InferencePlan (models/plan.hpp, what a ModelSnapshot runs) and
+//     compared logit-for-logit AND tap-for-tap with the model's own
+//     layer-by-layer eval forward across batch sizes under NoGradGuard.
 //
 // The layer rows double as the per-layer eval breakdown: each vgg16 trunk
 // conv gets its own fused/reference timing pair (ns_per_op is per conv call,
@@ -42,6 +42,7 @@
 #include "autograd/ops.hpp"
 #include "autograd/var.hpp"
 #include "common.hpp"
+#include "models/plan.hpp"
 #include "models/registry.hpp"
 #include "obs/profile.hpp"
 #include "runtime/thread_pool.hpp"
@@ -134,11 +135,6 @@ int main(int argc, char** argv) {
   }
   print_header(smoke ? "bench_conv_eval --smoke: bit-identity gates, tiny load"
                      : "bench_conv_eval: fused inference conv A/B");
-  if (!fused_eval_enabled()) {
-    std::printf("IBRAR_EVAL_FUSED=0 — nothing to A/B; skipping.\n");
-    return 0;
-  }
-
   JsonReporter reporter(env::get_string(
       "IBRAR_BENCH_OUT",
       smoke ? "BENCH_smoke_conv_eval.json" : "BENCH_pr8_conv.json"));
@@ -240,10 +236,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- full-model fused-vs-reference (logits AND taps) ---------------------
-  // Same Rng seed => bit-identical weights, so the only difference between
-  // the pair is the execution path. The reference instance never gets
-  // prepare_fused_eval(), pinning it to the layer-by-layer eval.
+  // ---- full-model plan-vs-reference (logits AND taps) ----------------------
+  // One model, two execution paths: its lowered plan and its layer-by-layer
+  // eval forward.
   const std::vector<std::string> model_names =
       smoke ? std::vector<std::string>{"vgg16"}
             : std::vector<std::string>{"vgg16", "resnet18", "wrn28"};
@@ -253,14 +248,12 @@ int main(int argc, char** argv) {
   for (const auto& name : model_names) {
     models::ModelSpec spec;
     spec.name = name;
-    Rng rng_ref(97), rng_fused(97);
-    auto m_ref = models::make_model(spec, rng_ref);
-    auto m_fused = models::make_model(spec, rng_fused);
-    m_ref->set_training(false);
-    m_fused->set_training(false);
-    m_fused->prepare_fused_eval();
-    if (!m_fused->fused_eval_ready()) {
-      std::fprintf(stderr, "FAIL: %s fused plans not ready after prepare\n",
+    Rng rng(97);
+    auto model = models::make_model(spec, rng);
+    model->set_training(false);
+    const models::InferencePlan plan = model->lower();
+    if (plan.empty()) {
+      std::fprintf(stderr, "FAIL: %s lowered to an empty plan\n",
                    name.c_str());
       ++failures;
       continue;
@@ -271,13 +264,12 @@ int main(int argc, char** argv) {
       const Tensor x = randn({n, spec.in_channels, spec.image_size,
                               spec.image_size}, xrng);
       const ag::Var xv = ag::Var::constant(x);
-      const auto ref = m_ref->eval_forward_with_taps(xv);
-      const auto fused = m_fused->eval_forward_with_taps(xv);
+      const auto ref = model->eval_forward_with_taps(xv);
+      const auto fused = plan.run(x);
       const bool bits = taps_bits_equal(ref, fused);
       const double ref_ms =
-          time_best_ms([&] { m_ref->eval_forward_with_taps(xv); }, reps);
-      const double fused_ms =
-          time_best_ms([&] { m_fused->eval_forward_with_taps(xv); }, reps);
+          time_best_ms([&] { model->eval_forward_with_taps(xv); }, reps);
+      const double fused_ms = time_best_ms([&] { plan.run(x); }, reps);
       const double speedup = fused_ms > 0.0 ? ref_ms / fused_ms : 0.0;
       std::printf("  model %-8s batch %2lld : ref %8.3f ms  fused %8.3f ms  "
                   "speedup %5.2fx  logits+taps %s\n",

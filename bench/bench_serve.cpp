@@ -13,8 +13,8 @@
 //     server's logits for the same input (the determinism contract of
 //     serve/batcher.hpp and serve/model_registry.hpp). The batch=1 baseline
 //     is a same-seed model published with prepack=false (the layer-by-layer
-//     eval path), so this gate also pins the fused conv plans (tensor/
-//     conv_eval) to the reference numerics end-to-end;
+//     eval path), so this gate also pins the snapshot's inference plan
+//     (models/plan, tensor/conv_eval) to the reference numerics end-to-end;
 //   * backpressure contract: under a flood into a tiny queue, rejects carry
 //     kBusyRetryAfter with a clamped retry-after hint (no other status
 //     appears), every accepted request is served, and accepted + rejected ==
@@ -227,20 +227,23 @@ struct OpenLoopResult {
 /// under saturation stays flat instead of exploding). A receiver thread
 /// drains replies off the same pipelined connection and stamps per-request
 /// latency by correlation id. Arrival times are pre-drawn from a fixed seed,
-/// so two runs at the same rate offer identical traffic.
+/// so two runs at the same rate offer identical traffic; `offered_rps` <= 0
+/// sends the whole schedule as one unpaced burst.
 OpenLoopResult run_open_loop(std::uint16_t port, const std::vector<Tensor>& rows,
                              double offered_rps, std::int64_t total) {
   using clock = std::chrono::steady_clock;
   serve::net::Client client("127.0.0.1", port);
   const std::int64_t n = static_cast<std::int64_t>(rows.size());
 
-  std::mt19937_64 rng(0x9e3779b97f4a7c15ull);
-  std::exponential_distribution<double> gap(offered_rps);
-  std::vector<double> arrival_s(static_cast<std::size_t>(total));
-  double t = 0.0;
-  for (auto& a : arrival_s) {
-    t += gap(rng);
-    a = t;
+  std::vector<double> arrival_s(static_cast<std::size_t>(total), 0.0);
+  if (offered_rps > 0.0) {
+    std::mt19937_64 rng(0x9e3779b97f4a7c15ull);
+    std::exponential_distribution<double> gap(offered_rps);
+    double t = 0.0;
+    for (auto& a : arrival_s) {
+      t += gap(rng);
+      a = t;
+    }
   }
 
   std::vector<clock::time_point> sent_at(static_cast<std::size_t>(total));
@@ -408,15 +411,16 @@ int main(int argc, char** argv) {
   // comes from).
   struct ModelUnderTest {
     std::string label;
-    models::TapClassifierPtr model;      ///< published normally (fused eval)
+    models::TapClassifierPtr model;      ///< published normally (plan)
     models::TapClassifierPtr reference;  ///< same seed, layer-by-layer path
   };
   // Each entry is a PAIR of same-seed instances (bit-identical weights): the
   // serving registry publishes one with the default snapshot-time prepack
-  // (fused conv plans), while the serial-baseline registry publishes the
-  // other with prepack=false, pinning it to the layer-by-layer eval. The
-  // batched-vs-serial speedups below therefore include the fused-kernel win,
-  // and the bit gates check fused-vs-reference on every single request.
+  // (the lowered inference plan), while the serial-baseline registry
+  // publishes the other with prepack=false, pinning it to the layer-by-layer
+  // eval. The batched-vs-serial speedups below therefore include the
+  // fused-kernel win, and the bit gates check plan-vs-reference on every
+  // single request.
   std::vector<ModelUnderTest> models_under_test;
   {
     Rng rng_a(42), rng_b(42);
@@ -842,10 +846,11 @@ int main(int argc, char** argv) {
   }
 
   // ---- open-loop saturation: busy-retry-after must dominate overload -------
-  // A deliberately small queue behind an offered rate several times measured
-  // capacity: the overload answer the socket sees must be kBusyRetryAfter
-  // with a usable hint on EVERY reject — a hint-less reject would force
-  // clients back to blind exponential backoff.
+  // A deliberately small queue behind the whole schedule sent as one unpaced
+  // burst (three times the queue, whatever the host's speed or load): the
+  // overload answer the socket sees must be kBusyRetryAfter with a usable
+  // hint on EVERY reject — a hint-less reject would force clients back to
+  // blind exponential backoff.
   if (full_sections) {
     serve::ServeConfig cfg;
     cfg.max_batch = 4;
@@ -853,31 +858,28 @@ int main(int argc, char** argv) {
     cfg.queue_capacity = 32;
     serve::Server server(telemetry_registry, cfg);
     serve::net::TcpFrontend frontend(server);
-    const auto probe = run_closed_loop(server, data.test, rows,
-                                       smoke ? 64 : 256, /*clients=*/8);
-    const double offered = std::max(3.0 * probe.throughput, 200.0);
     const std::int64_t n_requests = smoke ? 96 : 512;
-    const auto r = run_open_loop(frontend.port(), rows, offered, n_requests);
+    const auto r = run_open_loop(frontend.port(), rows, /*offered_rps=*/0.0,
+                                 n_requests);
     const bool saturated_ok = r.accounted && r.busy > 0 &&
                               r.busy == r.rejected &&
                               r.busy_hinted == r.busy;
-    std::printf("  openloop saturation  : offered %8.1f req/s  ok %llu  busy "
-                "%llu (hinted %llu)  %s\n",
-                r.offered_rps, static_cast<unsigned long long>(r.ok),
+    std::printf("  openloop saturation  : burst %lld  ok %llu  busy %llu "
+                "(hinted %llu)  %s\n",
+                static_cast<long long>(n_requests),
+                static_cast<unsigned long long>(r.ok),
                 static_cast<unsigned long long>(r.busy),
                 static_cast<unsigned long long>(r.busy_hinted),
                 saturated_ok ? "OK" : "VIOLATED");
     BenchRecord rec;
     rec.kernel = "serve/openloop_saturation";
-    rec.shape = "offered_rps=" +
-                std::to_string(static_cast<long long>(offered)) +
+    rec.shape = "burst=" + std::to_string(n_requests) +
                 ",queue_cap=32,max_batch=4,deadline_us=1000";
     rec.ns_per_op = r.achieved_rps > 0.0 ? 1e9 / r.achieved_rps : 0.0;
     rec.threads = runtime::num_threads();
     rec.checksum = static_cast<double>(r.busy);
     rec.bit_identical = saturated_ok;
     rec.extra = {{"p99_ms", r.p99_ms},
-                 {"offered_rps", r.offered_rps},
                  {"achieved_rps", r.achieved_rps},
                  {"busy", static_cast<double>(r.busy)},
                  {"busy_hinted", static_cast<double>(r.busy_hinted)}};

@@ -10,6 +10,8 @@
 
 namespace ibrar::models {
 
+class InferencePlan;
+
 /// Output of a tapped forward pass: final logits plus one Var per tap point
 /// (tap order matches tap_names()).
 struct TapsOutput {
@@ -33,16 +35,11 @@ class TapClassifier : public nn::Module {
   /// grad mode, so gradient attacks can differentiate through it.
   virtual TapsOutput eval_forward_with_taps(const ag::Var& x) const = 0;
 
-  /// Build the fused inference plans (tensor/conv_eval.hpp): prepacked
-  /// weight panels + folded BN per conv layer. Called once at ModelSnapshot
-  /// publish time, before the model is frozen behind a const pointer; no-op
-  /// for dense models, when plans already exist, or when IBRAR_EVAL_FUSED=0.
-  /// After this, eval_forward_with_taps takes the fused tensor path whenever
-  /// gradient recording is off — bit-identical logits and taps by contract.
-  virtual void prepare_fused_eval() {}
-
-  /// True once prepare_fused_eval() has built plans.
-  virtual bool fused_eval_ready() const { return false; }
+  /// The eval forward lowered, once per ModelSnapshot publish, into an
+  /// InferencePlan (models/plan.hpp) with the same bits. The default, for
+  /// dense models, is an empty plan: the snapshot then runs
+  /// eval_forward_with_taps itself.
+  virtual InferencePlan lower() const;
 
   /// Names of tap points, e.g. {"conv_block1", ..., "fc1", "fc2"}.
   virtual const std::vector<std::string>& tap_names() const = 0;
@@ -79,10 +76,6 @@ class TapClassifier : public nn::Module {
   /// Multiply an (N,C,H,W) feature map by the installed mask (identity when
   /// no mask is set).
   ag::Var apply_channel_mask(const ag::Var& feat) const;
-
-  /// Tensor-level twin of apply_channel_mask for the fused eval path — the
-  /// same ibrar::mul broadcast ag::mul evaluates, so values are bit-equal.
-  Tensor apply_channel_mask_eval(const Tensor& feat) const;
 
   /// Add the VIB reparameterization noise in training mode (identity else).
   ag::Var maybe_noise(const ag::Var& h);

@@ -1,0 +1,63 @@
+#pragma once
+// InferencePlan: the one inference executor. TapClassifier::lower() emits a
+// conv classifier once, at snapshot publish, as a flat list of tensor steps:
+// prepacked convs (tensor/conv_eval.hpp) whose epilogue applies bias, folded
+// BN, the residual skip and ReLU; BN+ReLU; maxpool; global average pool; the
+// Eq. 3 channel mask; linear layers through their own eval_forward; and tap
+// markers. Values live in numbered slots: slot 0 is the running activation
+// (a copy of the input when run starts), and residual blocks park a branch
+// in higher slots. run() reproduces the model's eval_forward_with_taps
+// logits and taps memcmp-exactly at any batch size (tests/test_conv_eval.cpp
+// gates it).
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <vector>
+
+#include "models/classifier.hpp"
+
+namespace ibrar::models {
+
+/// Slots a step reads and writes; `skip`, when set, is added in the conv
+/// epilogue (after BN, before ReLU).
+struct StepIo {
+  int in = 0;
+  int out = 0;
+  int skip = -1;
+};
+
+class InferencePlan {
+ public:
+  /// conv(+bias)(+bn)(+skip)(+relu), weights prepacked here.
+  void conv(const nn::Conv2d& layer, const nn::BatchNorm2d* bn, bool relu,
+            StepIo io = {});
+  void bn_relu(const nn::BatchNorm2d& bn, StepIo io = {});
+  // The remaining steps read and write slot 0.
+  void maxpool(std::int64_t kernel);
+  void global_avg_pool();
+  /// Adds nothing when `mask` is empty (no mask installed).
+  void mask(const Tensor& mask);
+  /// Flatten to (N, -1), then `layer`'s eval_forward (+ReLU).
+  void linear(std::shared_ptr<const nn::Linear> layer, bool relu);
+  void tap() { steps_.emplace_back(); }
+
+  bool empty() const { return steps_.empty(); }
+
+  /// Run on x (N,C,H,W) under a NoGradGuard; slot 0 ends as the logits.
+  TapsOutput run(const Tensor& x) const;
+
+ private:
+  using Fn = std::function<Tensor(const Tensor& x, const Tensor* skip)>;
+  struct Step {
+    StepIo io;
+    Fn fn;  ///< empty: a tap of slot io.in
+  };
+
+  void add(StepIo io, Fn fn);
+
+  std::vector<Step> steps_;
+  int slots_ = 1;
+};
+
+}  // namespace ibrar::models

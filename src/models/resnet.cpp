@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "autograd/var.hpp"
+#include "models/plan.hpp"
 
 namespace ibrar::models {
 
@@ -42,27 +43,17 @@ ag::Var BasicBlock::eval_forward(const ag::Var& x) const {
   return ag::relu(ag::add(h, skip));
 }
 
-void BasicBlock::prepare_fused_eval() {
-  if (fconv1_) return;
-  fconv1_ = std::make_unique<ConvEvalPlan>(conv1_->weight_value(), nullptr,
-                                           conv1_->spec(), bn1_->folded(),
-                                           /*relu=*/true);
-  fconv2_ = std::make_unique<ConvEvalPlan>(conv2_->weight_value(), nullptr,
-                                           conv2_->spec(), bn2_->folded(),
-                                           /*relu=*/true);
+void BasicBlock::lower(InferencePlan& plan) const {
+  // The block input stays in slot 0 for the skip; conv1 writes slot 1 and
+  // the projection, when there is one, slot 2.
+  plan.conv(*conv1_, bn1_.get(), /*relu=*/true, {.out = 1});
+  int skip = 0;
   if (proj_) {
-    fproj_ = std::make_unique<ConvEvalPlan>(proj_->weight_value(), nullptr,
-                                            proj_->spec(), proj_bn_->folded(),
-                                            /*relu=*/false);
+    plan.conv(*proj_, proj_bn_.get(), /*relu=*/false, {.out = 2});
+    skip = 2;
   }
-}
-
-Tensor BasicBlock::fused_eval(const Tensor& x) const {
-  Tensor h = fconv1_->run(x);                       // relu(bn1(conv1(x)))
-  const Tensor skip = fproj_ ? fproj_->run(x) : x;  // proj_bn(proj(x)) | x
-  // conv2+bn2 with the residual add and final relu fused into the epilogue:
   // relu(add(bn2(conv2(h)), skip)) in the reference element order.
-  return fconv2_->run(h, &skip);
+  plan.conv(*conv2_, bn2_.get(), /*relu=*/true, {.in = 1, .skip = skip});
 }
 
 MiniResNet::MiniResNet(const ResNetConfig& cfg, Rng& rng) : cfg_(cfg) {
@@ -117,9 +108,6 @@ TapsOutput MiniResNet::forward_with_taps(const ag::Var& x) {
 }
 
 TapsOutput MiniResNet::eval_forward_with_taps(const ag::Var& x) const {
-  if (fstem_ != nullptr && !ag::grad_enabled()) {
-    return fused_eval_with_taps(x.value());
-  }
   TapsOutput out;
   ag::Var h = ag::relu(stem_bn_->eval_forward(stem_->eval_forward(x)));
   for (std::size_t s = 0; s < stages_.size(); ++s) {
@@ -133,30 +121,18 @@ TapsOutput MiniResNet::eval_forward_with_taps(const ag::Var& x) const {
   return out;
 }
 
-void MiniResNet::prepare_fused_eval() {
-  if (fstem_ != nullptr || !fused_eval_enabled()) return;
-  for (auto& stage : stage_blocks_) {
-    for (auto& block : stage) block->prepare_fused_eval();
-  }
-  // Built last: fstem_ doubles as the "plans ready" flag the eval gate reads.
-  fstem_ = std::make_unique<ConvEvalPlan>(stem_->weight_value(), nullptr,
-                                          stem_->spec(), stem_bn_->folded(),
-                                          /*relu=*/true);
-}
-
-TapsOutput MiniResNet::fused_eval_with_taps(const Tensor& x) const {
-  TapsOutput out;
-  Tensor h = fstem_->run(x);  // relu(stem_bn(stem(x)))
+InferencePlan MiniResNet::lower() const {
+  InferencePlan plan;
+  plan.conv(*stem_, stem_bn_.get(), /*relu=*/true);
   for (std::size_t s = 0; s < stage_blocks_.size(); ++s) {
-    for (const auto& block : stage_blocks_[s]) h = block->fused_eval(h);
-    if (s == 3) h = apply_channel_mask_eval(h);
-    out.taps.push_back(ag::Var::constant(h));
+    for (const auto& block : stage_blocks_[s]) block->lower(plan);
+    if (s == 3) plan.mask(mask_);
+    plan.tap();
   }
-  const Tensor gap = global_avg_pool(h);
-  ag::Var hv = ag::Var::constant(gap);
-  out.taps.push_back(hv);  // gap features
-  out.logits = head_->eval_forward(hv);
-  return out;
+  plan.global_avg_pool();
+  plan.tap();  // gap features
+  plan.linear(head_, /*relu=*/false);
+  return plan;
 }
 
 }  // namespace ibrar::models

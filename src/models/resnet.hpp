@@ -21,11 +21,9 @@ class BasicBlock : public nn::Module {
   ag::Var forward(const ag::Var& x) override;
   ag::Var eval_forward(const ag::Var& x) const override;
 
-  /// Lower the block to fused plans: conv1+bn1+relu, proj+proj_bn, and
-  /// conv2+bn2 with the residual add and final relu in its epilogue.
-  void prepare_fused_eval();
-  bool fused_ready() const { return fconv1_ != nullptr; }
-  Tensor fused_eval(const Tensor& x) const;
+  /// Lower into `plan`, reading and writing slot 0: conv1+bn1+relu,
+  /// proj+proj_bn, then conv2+bn2 with the skip add and relu fused.
+  void lower(InferencePlan& plan) const;
 
  private:
   std::shared_ptr<nn::Conv2d> conv1_;
@@ -34,9 +32,6 @@ class BasicBlock : public nn::Module {
   std::shared_ptr<nn::BatchNorm2d> bn2_;
   std::shared_ptr<nn::Conv2d> proj_;       ///< 1x1 shortcut when shape changes
   std::shared_ptr<nn::BatchNorm2d> proj_bn_;
-  std::unique_ptr<ConvEvalPlan> fconv1_;
-  std::unique_ptr<ConvEvalPlan> fconv2_;
-  std::unique_ptr<ConvEvalPlan> fproj_;
 };
 
 class MiniResNet : public TapClassifier {
@@ -45,8 +40,7 @@ class MiniResNet : public TapClassifier {
 
   TapsOutput forward_with_taps(const ag::Var& x) override;
   TapsOutput eval_forward_with_taps(const ag::Var& x) const override;
-  void prepare_fused_eval() override;
-  bool fused_eval_ready() const override { return fstem_ != nullptr; }
+  InferencePlan lower() const override;
   const std::vector<std::string>& tap_names() const override { return tap_names_; }
   std::int64_t last_conv_channels() const override { return cfg_.channels.back(); }
   std::int64_t num_classes() const override { return cfg_.num_classes; }
@@ -55,14 +49,11 @@ class MiniResNet : public TapClassifier {
   const ResNetConfig& config() const { return cfg_; }
 
  private:
-  TapsOutput fused_eval_with_taps(const Tensor& x) const;
-
   ResNetConfig cfg_;
   std::shared_ptr<nn::Conv2d> stem_;
   std::shared_ptr<nn::BatchNorm2d> stem_bn_;
   std::vector<std::shared_ptr<nn::Sequential>> stages_;
   std::vector<std::vector<std::shared_ptr<BasicBlock>>> stage_blocks_;
-  std::unique_ptr<ConvEvalPlan> fstem_;  ///< null until prepare_fused_eval()
   std::shared_ptr<nn::Linear> head_;
   std::vector<std::string> tap_names_;
 };

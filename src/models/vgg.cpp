@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "autograd/var.hpp"
-#include "tensor/ops.hpp"
+#include "models/plan.hpp"
 
 namespace ibrar::models {
 
@@ -20,12 +20,6 @@ ag::Var TapClassifier::apply_channel_mask(const ag::Var& feat) const {
   if (mask_.numel() == 0 || mask_.rank() == 0) return feat;
   const auto c = mask_.numel();
   return ag::mul(feat, ag::Var::constant(mask_.reshape({1, c, 1, 1})));
-}
-
-Tensor TapClassifier::apply_channel_mask_eval(const Tensor& feat) const {
-  if (mask_.numel() == 0 || mask_.rank() == 0) return feat;
-  const auto c = mask_.numel();
-  return ibrar::mul(feat, mask_.reshape({1, c, 1, 1}));
 }
 
 ag::Var TapClassifier::maybe_noise(const ag::Var& h) {
@@ -112,11 +106,6 @@ TapsOutput MiniVGG::forward_with_taps(const ag::Var& x) {
 }
 
 TapsOutput MiniVGG::eval_forward_with_taps(const ag::Var& x) const {
-  // Fused tensor path: only when plans exist and nobody is recording a graph
-  // (gradient attacks differentiate through the layer-by-layer path below).
-  if (!fused_.empty() && !ag::grad_enabled()) {
-    return fused_eval_with_taps(x.value());
-  }
   TapsOutput out;
   ag::Var h = x;
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
@@ -124,11 +113,7 @@ TapsOutput MiniVGG::eval_forward_with_taps(const ag::Var& x) const {
     if (b == 4) h = apply_channel_mask(h);  // Eq. (3): mask last conv output
     out.taps.push_back(h);
   }
-  return fc_tail(h, std::move(out));
-}
-
-TapsOutput MiniVGG::fc_tail(const ag::Var& hin, TapsOutput out) const {
-  ag::Var h = ag::flatten2d(hin);
+  h = ag::flatten2d(h);
   h = ag::relu(fc1_->eval_forward(h));  // dropout is identity in eval
   out.taps.push_back(h);                // fc1
   h = ag::relu(fc2_->eval_forward(h));
@@ -137,35 +122,24 @@ TapsOutput MiniVGG::fc_tail(const ag::Var& hin, TapsOutput out) const {
   return out;
 }
 
-void MiniVGG::prepare_fused_eval() {
-  if (!fused_.empty() || !fused_eval_enabled()) return;
-  std::vector<FusedBlock> plans;
+InferencePlan MiniVGG::lower() const {
+  InferencePlan plan;
   for (std::size_t b = 0; b < conv_layers_.size(); ++b) {
-    FusedBlock fb;
-    fb.pool = pool_after_[b] != 0;
     for (std::size_t k = 0; k < conv_layers_[b].size(); ++k) {
-      const auto& conv = *conv_layers_[b][k];
-      FoldedBn bn;
-      if (cfg_.batch_norm) bn = bn_layers_[b][k]->folded();
-      fb.convs.emplace_back(conv.weight_value(),
-                            conv.has_bias() ? &conv.bias_value() : nullptr,
-                            conv.spec(), std::move(bn), /*relu=*/true);
+      plan.conv(*conv_layers_[b][k],
+                cfg_.batch_norm ? bn_layers_[b][k].get() : nullptr,
+                /*relu=*/true);
     }
-    plans.push_back(std::move(fb));
+    if (pool_after_[b] != 0) plan.maxpool(2);
+    if (b == 4) plan.mask(mask_);
+    plan.tap();
   }
-  fused_ = std::move(plans);
-}
-
-TapsOutput MiniVGG::fused_eval_with_taps(const Tensor& x) const {
-  TapsOutput out;
-  Tensor h = x;
-  for (std::size_t b = 0; b < fused_.size(); ++b) {
-    for (const ConvEvalPlan& plan : fused_[b].convs) h = plan.run(h);
-    if (fused_[b].pool) h = maxpool2d_eval(h, 2, 2);
-    if (b == 4) h = apply_channel_mask_eval(h);
-    out.taps.push_back(ag::Var::constant(h));
-  }
-  return fc_tail(ag::Var::constant(h), std::move(out));
+  plan.linear(fc1_, /*relu=*/true);
+  plan.tap();
+  plan.linear(fc2_, /*relu=*/true);
+  plan.tap();
+  plan.linear(head_, /*relu=*/false);
+  return plan;
 }
 
 }  // namespace ibrar::models

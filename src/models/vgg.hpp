@@ -28,8 +28,7 @@ class MiniVGG : public TapClassifier {
 
   TapsOutput forward_with_taps(const ag::Var& x) override;
   TapsOutput eval_forward_with_taps(const ag::Var& x) const override;
-  void prepare_fused_eval() override;
-  bool fused_eval_ready() const override { return !fused_.empty(); }
+  InferencePlan lower() const override;
   const std::vector<std::string>& tap_names() const override { return tap_names_; }
   std::int64_t last_conv_channels() const override { return cfg_.channels.back(); }
   std::int64_t num_classes() const override { return cfg_.num_classes; }
@@ -38,23 +37,11 @@ class MiniVGG : public TapClassifier {
   const VGGConfig& config() const { return cfg_; }
 
  private:
-  /// One conv block lowered for fused eval: conv(+bias)+BN+ReLU plans, then
-  /// the ctor's pool decision replayed on tensors.
-  struct FusedBlock {
-    std::vector<ConvEvalPlan> convs;
-    bool pool = false;
-  };
-
-  TapsOutput fused_eval_with_taps(const Tensor& x) const;
-  /// Shared flatten/fc1/fc2/head tail of both eval paths (dropout identity).
-  TapsOutput fc_tail(const ag::Var& h, TapsOutput out) const;
-
   VGGConfig cfg_;
   std::vector<std::shared_ptr<nn::Sequential>> blocks_;
   std::vector<std::vector<std::shared_ptr<nn::Conv2d>>> conv_layers_;
   std::vector<std::vector<std::shared_ptr<nn::BatchNorm2d>>> bn_layers_;
   std::vector<char> pool_after_;
-  std::vector<FusedBlock> fused_;  ///< empty until prepare_fused_eval()
   std::shared_ptr<nn::Linear> fc1_;
   std::shared_ptr<nn::Linear> fc2_;
   std::shared_ptr<nn::Linear> head_;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "autograd/var.hpp"
+#include "models/plan.hpp"
 
 namespace ibrar::models {
 
@@ -42,32 +43,19 @@ ag::Var PreActBlock::eval_forward(const ag::Var& x) const {
   return ag::add(h, skip);
 }
 
-void PreActBlock::prepare_fused_eval() {
-  if (fconv1_) return;
-  fbn1_ = bn1_->folded();
-  fbn2_ = bn2_->folded();
-  // Pre-activation order: BN runs before each conv, so the convs themselves
-  // carry no BN epilogue; conv2 fuses the residual add (no relu — WRN blocks
-  // end on the plain sum).
-  fconv1_ = std::make_unique<ConvEvalPlan>(conv1_->weight_value(), nullptr,
-                                           conv1_->spec(), FoldedBn{},
-                                           /*relu=*/false);
-  fconv2_ = std::make_unique<ConvEvalPlan>(conv2_->weight_value(), nullptr,
-                                           conv2_->spec(), FoldedBn{},
-                                           /*relu=*/false);
-  if (proj_) {
-    fproj_ = std::make_unique<ConvEvalPlan>(proj_->weight_value(), nullptr,
-                                            proj_->spec(), FoldedBn{},
-                                            /*relu=*/false);
+void PreActBlock::lower(InferencePlan& plan) const {
+  // The block input stays in slot 0 for an identity skip. Pre-activation
+  // order: BN runs before each conv, so the convs carry no BN epilogue and
+  // no relu (WRN blocks end on the plain sum).
+  plan.bn_relu(*bn1_, {.out = 1});  // pre
+  plan.conv(*conv1_, nullptr, /*relu=*/false, {.in = 1, .out = 2});
+  plan.bn_relu(*bn2_, {.in = 2, .out = 2});
+  int skip = 0;
+  if (proj_) {  // WRN projects the pre-activated input
+    plan.conv(*proj_, nullptr, /*relu=*/false, {.in = 1, .out = 3});
+    skip = 3;
   }
-}
-
-Tensor PreActBlock::fused_eval(const Tensor& x) const {
-  const Tensor pre = batch_norm_relu_eval(x, fbn1_, /*relu=*/true);
-  Tensor h = fconv1_->run(pre);
-  h = batch_norm_relu_eval(h, fbn2_, /*relu=*/true);
-  const Tensor skip = fproj_ ? fproj_->run(pre) : x;
-  return fconv2_->run(h, &skip);  // add(conv2(h), skip) in the epilogue
+  plan.conv(*conv2_, nullptr, /*relu=*/false, {.in = 2, .skip = skip});
 }
 
 MiniWRN::MiniWRN(const WRNConfig& cfg, Rng& rng) : cfg_(cfg) {
@@ -122,9 +110,6 @@ TapsOutput MiniWRN::forward_with_taps(const ag::Var& x) {
 }
 
 TapsOutput MiniWRN::eval_forward_with_taps(const ag::Var& x) const {
-  if (fstem_ != nullptr && !ag::grad_enabled()) {
-    return fused_eval_with_taps(x.value());
-  }
   TapsOutput out;
   ag::Var h = stem_->eval_forward(x);
   for (std::size_t g = 0; g < groups_.size(); ++g) {
@@ -141,34 +126,21 @@ TapsOutput MiniWRN::eval_forward_with_taps(const ag::Var& x) const {
   return out;
 }
 
-void MiniWRN::prepare_fused_eval() {
-  if (fstem_ != nullptr || !fused_eval_enabled()) return;
-  for (auto& group : group_blocks_) {
-    for (auto& block : group) block->prepare_fused_eval();
-  }
-  ffinal_bn_ = final_bn_->folded();
-  // Built last: fstem_ doubles as the "plans ready" flag the eval gate reads.
-  fstem_ = std::make_unique<ConvEvalPlan>(stem_->weight_value(), nullptr,
-                                          stem_->spec(), FoldedBn{},
-                                          /*relu=*/false);
-}
-
-TapsOutput MiniWRN::fused_eval_with_taps(const Tensor& x) const {
-  TapsOutput out;
-  Tensor h = fstem_->run(x);
+InferencePlan MiniWRN::lower() const {
+  InferencePlan plan;
+  plan.conv(*stem_, nullptr, /*relu=*/false);
   for (std::size_t g = 0; g < group_blocks_.size(); ++g) {
-    for (const auto& block : group_blocks_[g]) h = block->fused_eval(h);
+    for (const auto& block : group_blocks_[g]) block->lower(plan);
     if (g == 2) {
-      h = batch_norm_relu_eval(h, ffinal_bn_, /*relu=*/true);
-      h = apply_channel_mask_eval(h);
+      plan.bn_relu(*final_bn_);
+      plan.mask(mask_);
     }
-    out.taps.push_back(ag::Var::constant(h));
+    plan.tap();
   }
-  const Tensor gap = global_avg_pool(h);
-  ag::Var hv = ag::Var::constant(gap);
-  out.taps.push_back(hv);
-  out.logits = head_->eval_forward(hv);
-  return out;
+  plan.global_avg_pool();
+  plan.tap();
+  plan.linear(head_, /*relu=*/false);
+  return plan;
 }
 
 }  // namespace ibrar::models

@@ -22,11 +22,9 @@ class PreActBlock : public nn::Module {
   ag::Var eval_forward(const ag::Var& x) const override;
   ag::Var forward(const ag::Var& x) override;
 
-  /// Lower to fused plans: the pre-activation BNs become one-pass
-  /// batch_norm_relu_eval folds, conv2 fuses the residual add.
-  void prepare_fused_eval();
-  bool fused_ready() const { return fconv1_ != nullptr; }
-  Tensor fused_eval(const Tensor& x) const;
+  /// Lower into `plan`, reading and writing slot 0: the pre-activation BNs
+  /// become one-pass BN+ReLU steps, conv2 fuses the residual add.
+  void lower(InferencePlan& plan) const;
 
  private:
   std::shared_ptr<nn::BatchNorm2d> bn1_;
@@ -34,11 +32,6 @@ class PreActBlock : public nn::Module {
   std::shared_ptr<nn::BatchNorm2d> bn2_;
   std::shared_ptr<nn::Conv2d> conv2_;
   std::shared_ptr<nn::Conv2d> proj_;
-  FoldedBn fbn1_;
-  FoldedBn fbn2_;
-  std::unique_ptr<ConvEvalPlan> fconv1_;
-  std::unique_ptr<ConvEvalPlan> fconv2_;
-  std::unique_ptr<ConvEvalPlan> fproj_;
 };
 
 class MiniWRN : public TapClassifier {
@@ -47,24 +40,19 @@ class MiniWRN : public TapClassifier {
 
   TapsOutput forward_with_taps(const ag::Var& x) override;
   TapsOutput eval_forward_with_taps(const ag::Var& x) const override;
-  void prepare_fused_eval() override;
-  bool fused_eval_ready() const override { return fstem_ != nullptr; }
+  InferencePlan lower() const override;
   const std::vector<std::string>& tap_names() const override { return tap_names_; }
   std::int64_t last_conv_channels() const override { return widths_.back(); }
   std::int64_t num_classes() const override { return cfg_.num_classes; }
   std::size_t last_conv_tap_index() const override { return 2; }
 
  private:
-  TapsOutput fused_eval_with_taps(const Tensor& x) const;
-
   WRNConfig cfg_;
   std::vector<std::int64_t> widths_;
   std::shared_ptr<nn::Conv2d> stem_;
   std::vector<std::shared_ptr<nn::Sequential>> groups_;
   std::vector<std::vector<std::shared_ptr<PreActBlock>>> group_blocks_;
   std::shared_ptr<nn::BatchNorm2d> final_bn_;
-  FoldedBn ffinal_bn_;
-  std::unique_ptr<ConvEvalPlan> fstem_;  ///< null until prepare_fused_eval()
   std::shared_ptr<nn::Linear> head_;
   std::vector<std::string> tap_names_;
 };

@@ -1,6 +1,7 @@
 #include "serve/model_registry.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "nn/module.hpp"
 
@@ -16,19 +17,18 @@ std::uint64_t ModelRegistry::publish(models::TapClassifierPtr model,
         shape_str(input_shape));
   }
   model->set_training(false);
-  // Snapshot-time weight prepack: the last mutation before the model goes
-  // const. prepare_fused_eval is a no-op for dense models, already-prepared
-  // models, and under IBRAR_EVAL_FUSED=0.
-  if (prepack) model->prepare_fused_eval();
   auto snap = std::make_shared<ModelSnapshot>();
+  // Snapshot-time lowering and weight prepack, off to the side of the swap.
+  if (prepack) snap->plan = model->lower();
   snap->model = std::move(model);
-  snap->version = next_version_.fetch_add(1, std::memory_order_relaxed);
   snap->tag = std::move(tag);
   snap->input_shape = std::move(input_shape);
   snap->num_classes = snap->model->num_classes();
-  current_.store(std::shared_ptr<const ModelSnapshot>(std::move(snap)),
-                 std::memory_order_release);
-  return version();
+  std::shared_ptr<const ModelSnapshot> old;  // released after the lock
+  std::lock_guard<std::mutex> lock(mu_);
+  snap->version = current_ ? current_->version + 1 : 1;
+  old = std::exchange(current_, std::move(snap));
+  return current_->version;
 }
 
 std::uint64_t ModelRegistry::publish_checkpoint(const models::ModelSpec& spec,
@@ -46,12 +46,8 @@ std::uint64_t ModelRegistry::publish_checkpoint(const models::ModelSpec& spec,
 }
 
 std::shared_ptr<const ModelSnapshot> ModelRegistry::current() const {
-  return current_.load(std::memory_order_acquire);
-}
-
-std::uint64_t ModelRegistry::version() const {
-  const auto snap = current();
-  return snap ? snap->version : 0;
+  std::lock_guard<std::mutex> lock(mu_);
+  return current_;
 }
 
 }  // namespace ibrar::serve

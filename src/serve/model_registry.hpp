@@ -1,14 +1,15 @@
 #pragma once
-// Versioned model registry: immutable snapshots behind an atomic swap.
+// Versioned model registry: immutable snapshots behind a pointer swap.
 //
 // Serving must never lock the forward path against checkpoint reloads. The
 // registry therefore holds the live model inside an immutable ModelSnapshot
-// published through std::atomic<std::shared_ptr<...>>: workers load the
-// pointer once per micro-batch (an atomic ref-count bump, no mutex held
-// across the forward) and keep the snapshot alive for exactly as long as
-// their in-flight batch needs it. publish() swaps in a new version while old
-// versions finish serving the batches that already grabbed them — the
-// classic read-copy-update shape of hot-swappable servers.
+// published through a shared_ptr that a mutex guards only while it is
+// copied or swapped: workers copy the pointer once per micro-batch (a
+// ref-count bump, no lock held across the forward) and keep the snapshot
+// alive for exactly as long as their in-flight batch needs it. publish()
+// swaps in a new version while old versions finish serving the batches that
+// already grabbed them — the classic read-copy-update shape of
+// hot-swappable servers.
 //
 // Snapshots are immutable BY TYPE: publish() puts the model into eval mode
 // once and then hands it over as shared_ptr<const TapClassifier>, so the only
@@ -20,11 +21,12 @@
 // from a ModelSpec and loads util/serialize checkpoint bytes into it before
 // the swap.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 
+#include "models/plan.hpp"
 #include "models/registry.hpp"
 
 namespace ibrar::serve {
@@ -34,15 +36,24 @@ namespace ibrar::serve {
 /// compile time, not by convention.
 struct ModelSnapshot {
   std::shared_ptr<const models::TapClassifier> model;  ///< eval mode, immutable
+  models::InferencePlan plan;      ///< model->lower(); empty if prepack=false
   std::uint64_t version = 0;       ///< monotonically increasing from 1
   std::string tag;                 ///< human label ("v2-finetuned", path, ...)
   Shape input_shape;               ///< per-sample (C, H, W) the model expects
   std::int64_t num_classes = 0;
 
-  /// Batched eval forward: (N, C, H, W) -> (N, num_classes) logits. Const
-  /// through and through; safe to call from any number of threads at once.
+  /// Batched tapped forward without a graph, bit-identical to
+  /// model->eval_forward_with_taps: through the plan unless it is empty.
+  /// Const through and through; safe from any number of threads at once.
+  models::TapsOutput forward_with_taps(const Tensor& x) const {
+    if (!plan.empty()) return plan.run(x);
+    ag::NoGradGuard ng;
+    return model->eval_forward_with_taps(ag::Var::constant(x));
+  }
+
+  /// (N, C, H, W) -> (N, num_classes) logits.
   Tensor forward(const Tensor& x) const {
-    return model->eval_forward(ag::Var::constant(x)).value();
+    return forward_with_taps(x).logits.value();
   }
 };
 
@@ -56,10 +67,10 @@ class ModelRegistry {
   /// eval mode here; `input_shape` is the per-sample (C, H, W) layout used to
   /// validate submissions. Returns the assigned version number.
   ///
-  /// Unless `prepack` is false (or IBRAR_EVAL_FUSED=0), the model's fused
-  /// inference plans are built here — weights are packed into micro-kernel
-  /// panels exactly once per published version, then shared read-only by
-  /// every worker and micro-batch. The panel bytes are accounted in the
+  /// Unless `prepack` is false, the model is lowered here into the
+  /// snapshot's InferencePlan — weights are packed into micro-kernel panels
+  /// exactly once per published version, then shared read-only by every
+  /// worker and micro-batch. The panel bytes are accounted in the
   /// `serve.snapshot_bytes` gauge and released when the last pinned snapshot
   /// of the version dies.
   std::uint64_t publish(models::TapClassifierPtr model, Shape input_shape,
@@ -73,16 +84,13 @@ class ModelRegistry {
                                    const std::string& path,
                                    std::string tag = "");
 
-  /// The current snapshot (nullptr before the first publish). Lock-free on
-  /// the caller side: one atomic shared_ptr load.
+  /// The current snapshot (nullptr before the first publish): a pointer
+  /// copy under a lock held for nothing else.
   std::shared_ptr<const ModelSnapshot> current() const;
 
-  /// Version of the current snapshot (0 before the first publish).
-  std::uint64_t version() const;
-
  private:
-  std::atomic<std::shared_ptr<const ModelSnapshot>> current_{nullptr};
-  std::atomic<std::uint64_t> next_version_{1};
+  mutable std::mutex mu_;  ///< guards current_ while it is copied or swapped
+  std::shared_ptr<const ModelSnapshot> current_;
 };
 
 }  // namespace ibrar::serve

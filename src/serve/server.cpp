@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "autograd/var.hpp"
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
 #include "tensor/reduce.hpp"
@@ -231,9 +230,6 @@ std::future<Reply> Server::submit(Tensor input, std::uint64_t client_id) {
 }
 
 void Server::worker_loop() {
-  // Serving never builds autograd graphs; the guard is thread_local, so each
-  // worker sets its own.
-  ag::NoGradGuard ng;
   Batcher batcher(queue_, cfg_.max_batch, cfg_.deadline_us);
   MicroBatch batch;
   while (batcher.next(batch)) {
@@ -305,7 +301,7 @@ void Server::serve_batch(MicroBatch& batch) {
   }
   // The batch's one forward: it computes every tap anyway, so telemetry
   // below reads the sampled riders' last-conv rows from it.
-  const auto out = snap->model->eval_forward_with_taps(ag::Var::constant(x));
+  const auto out = snap->forward_with_taps(x);
   const Tensor& logits = out.logits.value();
   const Tensor& tap = out.taps[snap->model->last_conv_tap_index()].value();
   const std::int64_t t1 = now_ns();

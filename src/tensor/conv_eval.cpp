@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <stdexcept>
@@ -89,11 +88,6 @@ void pack_b_cols(const float* x, std::int64_t c, std::int64_t in_h,
 }
 
 }  // namespace
-
-bool fused_eval_enabled() {
-  const char* env = std::getenv("IBRAR_EVAL_FUSED");
-  return env == nullptr || std::strcmp(env, "0") != 0;
-}
 
 FoldedBn fold_batch_norm(const Tensor& gamma, const Tensor& beta,
                          const Tensor& running_mean, const Tensor& running_var,
@@ -251,29 +245,6 @@ ConvEvalPlan::ConvEvalPlan(const Tensor& weight, const Tensor* bias,
 }
 
 ConvEvalPlan::~ConvEvalPlan() { account(-1.0); }
-
-ConvEvalPlan::ConvEvalPlan(ConvEvalPlan&& other) noexcept {
-  *this = std::move(other);
-}
-
-ConvEvalPlan& ConvEvalPlan::operator=(ConvEvalPlan&& other) noexcept {
-  if (this != &other) {
-    account(-1.0);  // release panels this plan currently owns
-    f_ = other.f_;
-    c_ = other.c_;
-    ckk_ = other.ckk_;
-    spec_ = other.spec_;
-    packed_ = std::move(other.packed_);
-    blocks_ = std::move(other.blocks_);
-    crow_of_f_ = std::move(other.crow_of_f_);
-    c_rows_ = other.c_rows_;
-    bias_ = std::move(other.bias_);
-    bn_ = std::move(other.bn_);
-    relu_ = other.relu_;
-    other.packed_.clear();  // gauge ownership moved with the panels
-  }
-  return *this;
-}
 
 Tensor ConvEvalPlan::run(const Tensor& x, const Tensor* skip) const {
   static obs::ProfileSite& prof = obs::profile_site("tensor/conv_eval/fused");

@@ -37,10 +37,9 @@
 // eval path at any batch size, lane count, and blocking (tests/
 // test_conv_eval.cpp gates this).
 //
-// The path is eval-only: models take it only when gradient recording is off
-// (ag::grad_enabled() == false) and a plan exists; training and the attack
-// loops never see it. `IBRAR_EVAL_FUSED=0` is the escape hatch that disables
-// plan construction entirely.
+// The path is eval-only: TapClassifier::lower() builds these plans into the
+// InferencePlan a ModelSnapshot runs (models/plan.hpp); training, the attack
+// loops and a model's own eval forward never see them.
 
 #include <cstddef>
 #include <cstdint>
@@ -50,10 +49,6 @@
 #include "tensor/tensor.hpp"
 
 namespace ibrar {
-
-/// True unless the environment sets IBRAR_EVAL_FUSED=0 (read per call; the
-/// serve publish path and tests flip it at runtime).
-bool fused_eval_enabled();
 
 /// Frozen-stat batch norm folded for the fused epilogue. Kept as the four
 /// per-channel constants batch_norm2d_apply actually uses — NOT a two-term
@@ -79,8 +74,9 @@ FoldedBn fold_batch_norm(const Tensor& gamma, const Tensor& beta,
 /// One-pass eval batch norm (+ optional ReLU) on x (N,C,H,W). Replays
 /// batch_norm2d_apply's per-element expression on the folded constants, so
 /// the result is bit-identical to batch_norm2d_eval (then relu) without the
-/// xhat tensor, the autograd node, or the second activation pass. Used by the
-/// pre-activation WideResNet fused path, where BN runs before the conv.
+/// xhat tensor, the autograd node, or the second activation pass. Backs the
+/// InferencePlan's BN+ReLU step (pre-activation WideResNet blocks, where BN
+/// runs before the conv).
 Tensor batch_norm_relu_eval(const Tensor& x, const FoldedBn& bn, bool relu);
 
 /// maxpool2d without the argmax vector (eval never routes gradients). Same
@@ -92,7 +88,8 @@ Tensor maxpool2d_eval(const Tensor& x, std::int64_t kernel,
 ///
 /// Construction packs the weights and registers the panel bytes in the
 /// process-global `serve.snapshot_bytes` gauge; destruction releases them
-/// (so the gauge tracks live prepack memory across model hot-swaps).
+/// (so the gauge tracks live prepack memory across model hot-swaps). Plans
+/// are neither copied nor moved: holders keep them by pointer.
 class ConvEvalPlan {
  public:
   /// weight (F,C,K,K); bias (F) or nullptr; bn folded stats or a
@@ -101,8 +98,6 @@ class ConvEvalPlan {
   ConvEvalPlan(const Tensor& weight, const Tensor* bias, const Conv2dSpec& spec,
                FoldedBn bn, bool relu);
   ~ConvEvalPlan();
-  ConvEvalPlan(ConvEvalPlan&& other) noexcept;
-  ConvEvalPlan& operator=(ConvEvalPlan&& other) noexcept;
   ConvEvalPlan(const ConvEvalPlan&) = delete;
   ConvEvalPlan& operator=(const ConvEvalPlan&) = delete;
 

@@ -1,19 +1,20 @@
 // Fused inference conv path: bit-identity against the layer-by-layer eval
 // pipeline (the contract in src/tensor/conv_eval.hpp), BN-fold exactness,
-// lane-count invariance, model-level logit/tap equality for all three conv
-// classifiers, the grad-enabled fallback, the IBRAR_EVAL_FUSED escape hatch,
-// and the serve.snapshot_bytes gauge accounting of plan lifetimes.
+// lane-count invariance, model-level logit/tap equality of each conv
+// classifier's lowered InferencePlan (masked and unmasked, grad mode on and
+// off), the MLP's empty plan, and the serve.snapshot_bytes gauge accounting
+// of plan lifetimes.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "autograd/ops.hpp"
 #include "autograd/var.hpp"
+#include "models/plan.hpp"
 #include "models/registry.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
@@ -174,80 +175,63 @@ TEST(ConvEvalPlan, LaneCountDoesNotChangeBits) {
   EXPECT_TRUE(bits_equal(r1, plan.run(x)));
 }
 
-TEST(ConvEvalModels, FusedLogitsAndTapsMatchLayerByLayer) {
+TEST(ConvEvalModels, PlanLogitsAndTapsMatchLayerByLayer) {
   for (const std::string name : {"vgg16", "resnet18", "wrn28"}) {
-    models::ModelSpec spec;
-    spec.name = name;
-    Rng rng_a(77), rng_b(77);  // same seed => bit-identical weights
-    auto reference_model = models::make_model(spec, rng_a);
-    auto fused_model = models::make_model(spec, rng_b);
-    reference_model->set_training(false);
-    fused_model->set_training(false);
-    EXPECT_FALSE(fused_model->fused_eval_ready());
-    fused_model->prepare_fused_eval();
-    ASSERT_TRUE(fused_model->fused_eval_ready()) << name;
+    for (const bool masked : {false, true}) {
+      models::ModelSpec spec;
+      spec.name = name;
+      Rng rng(77);
+      auto model = models::make_model(spec, rng);
+      model->set_training(false);
+      if (masked) {
+        // An Eq. 3 mask that drops every third last-conv channel, as an
+        // IB-RAR-trained model carries one.
+        Tensor mask({model->last_conv_channels()}, 1.0f);
+        for (std::int64_t c = 0; c < mask.numel(); c += 3) mask[c] = 0.0f;
+        model->set_channel_mask(mask);
+      }
+      const models::InferencePlan plan = model->lower();
+      ASSERT_FALSE(plan.empty()) << name;
 
-    ag::NoGradGuard ng;
-    for (const std::int64_t n : {1, 5}) {
-      Rng xrng(3 + static_cast<std::uint64_t>(n));
-      const ag::Var x = ag::Var::constant(
-          randn({n, spec.in_channels, spec.image_size, spec.image_size},
-                xrng));
-      const auto ref = reference_model->eval_forward_with_taps(x);
-      const auto fused = fused_model->eval_forward_with_taps(x);
-      EXPECT_TRUE(bits_equal(ref.logits.value(), fused.logits.value()))
-          << name << " logits batch=" << n;
-      ASSERT_EQ(ref.taps.size(), fused.taps.size()) << name;
-      for (std::size_t t = 0; t < ref.taps.size(); ++t) {
-        EXPECT_TRUE(bits_equal(ref.taps[t].value(), fused.taps[t].value()))
-            << name << " tap " << t << " batch=" << n;
+      for (const bool grad : {true, false}) {
+        // Grad on is the attack loops' mode: the model's eval forward must
+        // stay differentiable while the plan, which always runs without a
+        // graph, still reproduces its bits.
+        std::optional<ag::NoGradGuard> ng;
+        if (!grad) ng.emplace();
+        ASSERT_EQ(ag::grad_enabled(), grad);
+        for (const std::int64_t n : {1, 5}) {
+          const std::string where = name + (masked ? " masked" : "") +
+                                    (grad ? " grad" : " no-grad") +
+                                    " batch=" + std::to_string(n);
+          Rng xrng(3 + static_cast<std::uint64_t>(n));
+          const Tensor x = randn(
+              {n, spec.in_channels, spec.image_size, spec.image_size}, xrng);
+          const auto ref = model->eval_forward_with_taps(ag::Var::constant(x));
+          const auto out = plan.run(x);
+          EXPECT_EQ(ref.logits.requires_grad(), grad) << where;
+          EXPECT_FALSE(out.logits.requires_grad()) << where;
+          EXPECT_TRUE(bits_equal(ref.logits.value(), out.logits.value()))
+              << where << " logits";
+          ASSERT_EQ(ref.taps.size(), out.taps.size()) << where;
+          for (std::size_t t = 0; t < ref.taps.size(); ++t) {
+            EXPECT_TRUE(bits_equal(ref.taps[t].value(), out.taps[t].value()))
+                << where << " tap " << t;
+          }
+        }
       }
     }
   }
 }
 
-TEST(ConvEvalModels, GradEnabledFallsBackToDifferentiablePath) {
-  models::ModelSpec spec;  // vgg16
-  Rng rng(99);
-  auto model = models::make_model(spec, rng);
-  model->set_training(false);
-  model->prepare_fused_eval();
-  ASSERT_TRUE(model->fused_eval_ready());
-  Rng xrng(5);
-  const Tensor x = randn({2, spec.in_channels, spec.image_size,
-                          spec.image_size}, xrng);
-
-  // Gradients on (the attack loops' mode): the reference path must run so the
-  // logits stay reachable-by-backward from the weights.
-  ASSERT_TRUE(ag::grad_enabled());
-  const auto traced = model->eval_forward_with_taps(ag::Var::constant(x));
-  EXPECT_TRUE(traced.logits.requires_grad());
-
-  // Gradients off (the serving path): the fused plans run, no graph is built,
-  // and the values are bit-identical to the traced forward.
-  ag::NoGradGuard ng;
-  const auto fused = model->eval_forward_with_taps(ag::Var::constant(x));
-  EXPECT_FALSE(fused.logits.requires_grad());
-  EXPECT_TRUE(bits_equal(traced.logits.value(), fused.logits.value()));
-}
-
-TEST(ConvEvalModels, EnvKnobDisablesPlanConstruction) {
-  ASSERT_EQ(setenv("IBRAR_EVAL_FUSED", "0", 1), 0);
-  EXPECT_FALSE(fused_eval_enabled());
+TEST(ConvEvalModels, DenseModelLowersToEmptyPlan) {
   models::ModelSpec spec;
-  Rng rng(7);
-  auto model = models::make_model(spec, rng);
-  model->set_training(false);
-  model->prepare_fused_eval();
-  EXPECT_FALSE(model->fused_eval_ready());
-  ASSERT_EQ(unsetenv("IBRAR_EVAL_FUSED"), 0);
-  EXPECT_TRUE(fused_eval_enabled());
-  // With the knob back off, the same model lowers fine.
-  model->prepare_fused_eval();
-  EXPECT_TRUE(model->fused_eval_ready());
+  spec.name = "mlp";
+  Rng rng(5);
+  EXPECT_TRUE(models::make_model(spec, rng)->lower().empty());
 }
 
-TEST(ConvEvalPlan, GaugeAccountsPackedBytesAcrossMoveAndDestroy) {
+TEST(ConvEvalPlan, GaugeAccountsPackedBytesUntilDestroy) {
   auto& gauge = obs::registry().gauge("serve.snapshot_bytes");
   const double base = gauge.value();
   Rng rng(41);
@@ -257,10 +241,6 @@ TEST(ConvEvalPlan, GaugeAccountsPackedBytesAcrossMoveAndDestroy) {
     const double bytes = static_cast<double>(plan.packed_bytes());
     EXPECT_GT(bytes, 0.0);
     EXPECT_EQ(gauge.value(), base + bytes);
-    ConvEvalPlan moved = std::move(plan);
-    // Ownership (and accounting) moved with the panels — no double count.
-    EXPECT_EQ(gauge.value(), base + bytes);
-    EXPECT_EQ(static_cast<double>(moved.packed_bytes()), bytes);
   }
   EXPECT_EQ(gauge.value(), base);
 }

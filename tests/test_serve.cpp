@@ -1,5 +1,6 @@
 // Serving runtime: queue backpressure + drain, dual batch triggers,
-// batched-vs-singleton bit-identity, versioned hot-swap under live load,
+// batched-vs-singleton bit-identity, masked conv models' inference plans
+// served with layer-by-layer bits, versioned hot-swap under live load,
 // telemetry sampling cadence, and telemetry riding the batch's one forward
 // with the bits of a batch-1 capture.
 
@@ -169,7 +170,6 @@ TEST(Batcher, DrainTriggerFlushesImmediatelyOnClose) {
 
 TEST(ModelRegistry, PublishBumpsVersionAndSwapsSnapshot) {
   serve::ModelRegistry reg;
-  EXPECT_EQ(reg.version(), 0u);
   EXPECT_EQ(reg.current(), nullptr);
   const auto v1 = reg.publish(tiny_model(1), sample_shape(), "v1");
   EXPECT_EQ(v1, 1u);
@@ -221,7 +221,7 @@ TEST(ModelRegistry, CheckpointLoadFailureLeavesCurrentVersionServing) {
   spec.in_channels = kChannels;
   EXPECT_THROW(reg.publish_checkpoint(spec, "does_not_exist.bin"),
                std::runtime_error);
-  EXPECT_EQ(reg.version(), 1u);
+  EXPECT_EQ(reg.current()->version, 1u);
 }
 
 TEST(ModelRegistry, SnapshotBytesGaugeTracksPrepackAcrossHotSwap) {
@@ -240,7 +240,7 @@ TEST(ModelRegistry, SnapshotBytesGaugeTracksPrepackAcrossHotSwap) {
     reg.publish(models::make_model(spec, rng1), {3, 8, 8}, "v1");
     const double v1_bytes = gauge.value() - base;
     EXPECT_GT(v1_bytes, 0.0);
-    EXPECT_TRUE(reg.current()->model->fused_eval_ready());
+    EXPECT_TRUE(!reg.current()->plan.empty());
 
     // Pin v1 like an in-flight batch would, then hot-swap to v2: both
     // versions' panels are live until the pin drops.
@@ -265,7 +265,7 @@ TEST(ModelRegistry, PublishWithoutPrepackBuildsNoPlans) {
   reg.publish(models::make_model(spec, rng), {3, 8, 8}, "ref",
               /*prepack=*/false);
   EXPECT_EQ(gauge.value(), base);
-  EXPECT_FALSE(reg.current()->model->fused_eval_ready());
+  EXPECT_TRUE(reg.current()->plan.empty());
 }
 
 // ---- server -----------------------------------------------------------------
@@ -417,6 +417,65 @@ TEST(Server, BatchedLogitsBitIdenticalToSingleton) {
                           sizeof(float) * static_cast<std::size_t>(a.numel())),
               0)
         << "logits differ for request " << i;
+  }
+}
+
+TEST(Server, MaskedConvPlansServeLayerByLayerBits) {
+  // Every IB-RAR-trained conv model carries an Eq. 3 mask. Served through
+  // micro-batches, each conv model's plan must reply with the logits a
+  // prepack=false snapshot (the layer-by-layer eval) computes for the row
+  // alone.
+  for (const char* name : {"vgg16", "resnet18", "wrn28"}) {
+    SCOPED_TRACE(name);
+    constexpr std::int64_t kSide = 8;
+    const Shape chw = {kChannels, kSide, kSide};
+    models::ModelSpec spec;
+    spec.name = name;
+    spec.num_classes = kClasses;
+    spec.image_size = kSide;
+    spec.in_channels = kChannels;
+    Rng rng(13);
+    auto model = models::make_model(spec, rng);
+    Tensor mask({model->last_conv_channels()}, 1.0f);
+    for (std::int64_t c = 1; c < mask.numel(); c += 2) mask[c] = 0.0f;
+    model->set_channel_mask(mask);
+    serve::ModelRegistry reg;
+    reg.publish(model, chw);
+    ASSERT_FALSE(reg.current()->plan.empty());
+    serve::ModelRegistry ref_reg;
+    ref_reg.publish(model, chw, "ref", /*prepack=*/false);
+    const auto ref = ref_reg.current();
+
+    serve::ServeConfig cfg = quick_config();
+    cfg.max_batch = 8;
+    cfg.deadline_us = 50'000;  // long enough that the burst coalesces
+    constexpr int kReqs = 16;
+    std::vector<Tensor> inputs;
+    Rng in_rng(17);
+    for (int i = 0; i < kReqs; ++i) {
+      inputs.push_back(rand_uniform(chw, in_rng, 0.0f, 1.0f));
+    }
+    std::vector<serve::Reply> replies;
+    {
+      serve::Server server(reg, cfg);
+      std::vector<std::future<serve::Reply>> futures;
+      for (const auto& x : inputs) futures.push_back(server.submit(x));
+      for (auto& f : futures) replies.push_back(f.get());
+      EXPECT_GT(server.stats().max_batch_observed, 1u);
+    }
+    for (int i = 0; i < kReqs; ++i) {
+      const auto& got = replies[static_cast<std::size_t>(i)];
+      ASSERT_EQ(got.status, serve::ReplyStatus::kOk);
+      const Tensor want = ref->forward(
+          inputs[static_cast<std::size_t>(i)].reshape({1, kChannels, kSide,
+                                                       kSide}));
+      ASSERT_EQ(got.logits.numel(), want.numel());
+      EXPECT_EQ(std::memcmp(got.logits.data().data(), want.data().data(),
+                            sizeof(float) *
+                                static_cast<std::size_t>(want.numel())),
+                0)
+          << "logits differ for request " << i;
+    }
   }
 }
 
@@ -754,8 +813,6 @@ class ForwardCountingModel final : public models::TapClassifier {
     forwards_.fetch_add(1, std::memory_order_relaxed);
     return inner_->eval_forward_with_taps(x);
   }
-  void prepare_fused_eval() override { inner_->prepare_fused_eval(); }
-  bool fused_eval_ready() const override { return inner_->fused_eval_ready(); }
   const std::vector<std::string>& tap_names() const override {
     return inner_->tap_names();
   }
