@@ -7,11 +7,14 @@
 //   * layers: every vgg16-shaped trunk conv plus a set of ragged shapes
 //     (non-square input, stride-2, 1x1 stride-2 projection, kernel == input)
 //     through ConvEvalPlan (prepacked weights, implicit-im2col B panels,
-//     fused bias+BN+ReLU epilogue) vs the reference eval pipeline
-//     relu(batch_norm2d_eval(conv2d(x))) — swept over batch sizes, with the
-//     fused path additionally re-run at 1 and 4 pool lanes and memcmp'd
-//     against itself (the blocking/threading-invariance contract of
-//     gemm_packed's ascending-p micro-kernel).
+//     fused bias+BN+ReLU epilogue) and through the reference eval pipeline
+//     relu(batch_norm2d_eval(ag::conv2d(x))), swept over batch sizes. Both
+//     run the one conv driver, so each is memcmp'd against the independent
+//     lowering of tests/conv_reference.hpp (materialized im2col, naive GEMM,
+//     transpose, bias pass) followed by the same BN and ReLU. The fused path
+//     is additionally re-run at 1 and 4 pool lanes and memcmp'd against
+//     itself (the blocking/threading-invariance contract of gemm_packed's
+//     ascending-p micro-kernel). The reference pipeline is the timed A side.
 //   * models: each conv classifier (MiniVGG, MiniResNet, MiniWRN) lowered
 //     to its InferencePlan (models/plan.hpp, what a ModelSnapshot runs) and
 //     compared logit-for-logit AND tap-for-tap with the model's own
@@ -49,6 +52,8 @@
 #include "tensor/conv_eval.hpp"
 #include "tensor/random.hpp"
 
+#include "../tests/conv_reference.hpp"
+
 using namespace ibrar;
 using namespace ibrar::bench;
 
@@ -85,16 +90,32 @@ LayerOperands make_operands(const LayerCase& lc, std::uint64_t salt) {
 
 constexpr float kEps = 1e-5f;
 
-/// The layer-by-layer eval pipeline the fused plan must reproduce bit-exactly.
+/// BN (eval) then ReLU over a conv output, as the layer-by-layer path runs it.
+Tensor bn_relu(const ag::Var& h, const LayerOperands& ops) {
+  return ag::relu(ag::batch_norm2d_eval(h, ag::Var::constant(ops.gamma),
+                                        ag::Var::constant(ops.beta), ops.rm,
+                                        ops.rv, kEps))
+      .value();
+}
+
+/// The layer-by-layer eval pipeline: the timed A side.
 Tensor reference_layer(const Tensor& x, const LayerCase& lc,
                        const LayerOperands& ops) {
   ag::NoGradGuard ng;
-  ag::Var h = ag::conv2d(ag::Var::constant(x), ag::Var::constant(ops.w),
-                         lc.bias ? ag::Var::constant(ops.bias) : ag::Var(),
-                         lc.spec);
-  h = ag::batch_norm2d_eval(h, ag::Var::constant(ops.gamma),
-                            ag::Var::constant(ops.beta), ops.rm, ops.rv, kEps);
-  return ag::relu(h).value();
+  return bn_relu(ag::conv2d(ag::Var::constant(x), ag::Var::constant(ops.w),
+                            lc.bias ? ag::Var::constant(ops.bias) : ag::Var(),
+                            lc.spec),
+                 ops);
+}
+
+/// The bit gate's ground truth: the conv through the independent lowering,
+/// then the same BN and ReLU.
+Tensor independent_layer(const Tensor& x, const LayerCase& lc,
+                         const LayerOperands& ops) {
+  ag::NoGradGuard ng;
+  return bn_relu(ag::Var::constant(reference_conv2d(
+                     x, ops.w, lc.bias ? &ops.bias : nullptr, lc.spec)),
+                 ops);
 }
 
 double conv_gflops(const LayerCase& lc, std::int64_t n, double ms) {
@@ -179,9 +200,11 @@ int main(int argc, char** argv) {
     for (const auto n : batches) {
       Rng xrng(0xabcdef01u ^ static_cast<std::uint64_t>(n));
       const Tensor x = randn({n, lc.c, lc.h, lc.w}, xrng);
+      const Tensor truth = independent_layer(x, lc, ops);
       const Tensor ref = reference_layer(x, lc, ops);
       const Tensor fused = plan.run(x);
-      bool bits = tensor_bits_equal(ref, fused);
+      const bool ref_bits = tensor_bits_equal(truth, ref);
+      bool fused_bits = tensor_bits_equal(truth, fused);
 
       // Lane-count invariance: the same call at 1 and 4 pool lanes must
       // reproduce the same bytes (the micro-kernel's ascending-p contract).
@@ -190,8 +213,9 @@ int main(int argc, char** argv) {
       runtime::set_num_threads(4);
       const Tensor fused4 = plan.run(x);
       runtime::set_num_threads(lanes0);
-      bits = bits && tensor_bits_equal(fused, fused1) &&
-             tensor_bits_equal(fused, fused4);
+      fused_bits = fused_bits && tensor_bits_equal(fused, fused1) &&
+                   tensor_bits_equal(fused, fused4);
+      const bool bits = ref_bits && fused_bits;
 
       const double ref_ms = time_best_ms([&] { reference_layer(x, lc, ops); },
                                          reps);
@@ -202,7 +226,9 @@ int main(int argc, char** argv) {
                   static_cast<long long>(n), ref_ms, fused_ms, speedup, gf,
                   bits ? "OK" : "MISMATCH");
       if (!bits) {
-        std::fprintf(stderr, "FAIL: %s batch=%lld fused bits differ\n",
+        std::fprintf(stderr,
+                     "FAIL: %s batch=%lld bits differ from the independent "
+                     "lowering\n",
                      lc.name, static_cast<long long>(n));
         ++failures;
       }
@@ -222,7 +248,7 @@ int main(int argc, char** argv) {
       rr.gflops = conv_gflops(lc, n, ref_ms);
       rr.threads = lanes0;
       rr.checksum = tensor_checksum(ref);
-      rr.bit_identical = true;
+      rr.bit_identical = ref_bits;
       rr.extra = {{"batch", static_cast<double>(n)}};
       reporter.add(rr);
       BenchRecord fr = rr;
@@ -231,7 +257,7 @@ int main(int argc, char** argv) {
       fr.gflops = gf;
       fr.checksum = tensor_checksum(fused);
       fr.speedup_vs_naive = speedup;
-      fr.bit_identical = bits;
+      fr.bit_identical = fused_bits;
       reporter.add(fr);
     }
   }

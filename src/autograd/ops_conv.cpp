@@ -15,17 +15,10 @@ Var conv2d(const Var& x, const Var& w, const Var& bias, const Conv2dSpec& spec) 
   std::vector<Var> parents = {x, w};
   if (has_bias) parents.push_back(bias);
 
-  // The im2col columns are read only by the weight gradient, so the forward's
-  // own columns move into the closure when that gradient will be recorded.
-  // NoGradGuard and paused-weight (attack) forwards keep none.
-  const bool keep_cols = will_record(parents) && w.requires_grad();
-  Tensor cols;
   Tensor out = ibrar::conv2d(x.value(), w.value(),
-                             has_bias ? &bias.value() : nullptr, spec,
-                             keep_cols ? &cols : nullptr);
+                             has_bias ? &bias.value() : nullptr, spec);
 
-  return make_op(std::move(out), std::move(parents),
-                 [cols = std::move(cols), keep_cols, spec, has_bias](Node& n) {
+  return make_op(std::move(out), std::move(parents), [spec, has_bias](Node& n) {
     const Tensor& xv = n.parents[0]->value;
     const Tensor& wv = n.parents[1]->value;
     const auto nN = n.value.shape()[0];
@@ -57,12 +50,10 @@ Var conv2d(const Var& x, const Var& w, const Var& bias, const Conv2dSpec& spec) 
       n.parents[0]->accumulate(col2im(gcols, xv.shape(), spec));
     }
     if (n.parents[1]->requires_grad) {
-      // A weight un-paused after the forward finds no kept columns; lower the
-      // input again rather than return a wrong gradient.
-      Tensor lowered;
-      if (!keep_cols) lowered = im2col(xv, spec);
-      const Tensor& c = keep_cols ? cols : lowered;
-      n.parents[1]->accumulate(ibrar::matmul_tn(gprod, c).reshape(wv.shape()));
+      // The weight gradient is the only reader of the im2col columns, so they
+      // exist only here, one layer at a time.
+      n.parents[1]->accumulate(
+          ibrar::matmul_tn(gprod, im2col(xv, spec)).reshape(wv.shape()));
     }
     if (has_bias && n.parents[2]->requires_grad) {
       n.parents[2]->accumulate(ibrar::sum_axis(gprod, 0));

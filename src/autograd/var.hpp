@@ -10,21 +10,21 @@
 // Ownership contract (what a backward closure may read):
 //  * Closures read their parents' values as n.parents[i]->value and their own
 //    output as n.value; they keep no private copy of either. What only the
-//    backward needs (conv's im2col columns, batch norm's xhat, maxpool's
-//    argmax, the dropout mask, log_softmax's probabilities) is moved into the
-//    closure, never copied.
+//    backward needs (batch norm's xhat, maxpool's argmax, the dropout mask,
+//    log_softmax's probabilities) is moved into the closure, never copied.
 //  * A node's value must not be mutated between the forward that used it and
 //    its backward. The four mutable_value() writers all run outside that
 //    window: the optimizer step (after backward), Module load/copy (between
 //    graphs), gradcheck (perturbs its inputs only after the analytic
 //    backward, then runs forwards without backward), and CW's Adam step on
 //    its w (after the step's backward; the next step builds a new graph).
-//  * conv2d keeps its columns only for a recorded weight gradient
-//    (will_record and the weight requires grad); under NoGradGuard or with
-//    paused parameters it keeps none. Batch norm likewise keeps xhat only
-//    when gamma's gradient or a training-mode input gradient is recorded.
-//    A parameter un-paused between forward and backward gets what it needs
-//    recomputed from the parents' values, never a wrong gradient.
+//  * conv2d keeps nothing: its forward builds no im2col columns, and the
+//    weight gradient lowers n.parents[0]->value inside the backward, so a
+//    recorded step holds one layer's columns at a time. Batch norm keeps
+//    xhat only when gamma's gradient or a training-mode input gradient is
+//    recorded (will_record); a parameter un-paused between forward and
+//    backward gets xhat recomputed from the parents' values, never a wrong
+//    gradient.
 
 #include <functional>
 #include <memory>

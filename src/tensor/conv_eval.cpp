@@ -87,7 +87,163 @@ void pack_b_cols(const float* x, std::int64_t c, std::int64_t in_h,
   }
 }
 
+/// Floats of a conv's packed weight panels: F rows padded up to MR, times
+/// the reduction depth.
+std::size_t panel_floats(std::int64_t f, std::int64_t ckk) {
+  return static_cast<std::size_t>(round_up(f, kGemmMR) * ckk);
+}
+
+/// Pack weight (F,C,K,K), read as the (F, CKK) row-major matrix it already
+/// is, as gemm_packed packs A: depth block pc becomes one panel of MR-row
+/// strips at offset pc * round_up(F, MR), its strip for rows [ir, ir+MR) at
+/// ir * kc within the panel, rows past F zero-filled.
+void pack_weights(const Tensor& w, float* panels) {
+  const std::int64_t f = w.dim(0);
+  const std::int64_t ckk = w.dim(1) * w.dim(2) * w.dim(3);
+  const std::int64_t fp = round_up(f, kGemmMR);
+  for (std::int64_t pc = 0; pc < ckk; pc += kGemmKC) {
+    const std::int64_t kc = std::min(kGemmKC, ckk - pc);
+    gemm_detail::pack_a(w.data().data(), ckk, /*trans=*/false, 0, f, pc, kc,
+                        panels + pc * fp);
+  }
+}
+
+/// What the driver's scatter applies after the GEMM; null/false parts are
+/// skipped. conv2d sets only the bias.
+struct Epilogue {
+  const float* bias = nullptr;    ///< (F)
+  const FoldedBn* bn = nullptr;
+  const Tensor* skip = nullptr;   ///< residual, output-shaped
+  bool relu = false;
+};
+
+/// The conv driver: x (N,C,H,W) against weight panels packed by
+/// pack_weights for f filters -> (N,F,OH,OW) with the epilogue applied.
+Tensor run_conv(const Tensor& x, const float* panels, std::int64_t f,
+                const Conv2dSpec& spec, const Epilogue& ep) {
+  const auto n = x.dim(0), c = x.dim(1), in_h = x.dim(2), in_w = x.dim(3);
+  const std::int64_t ckk = c * spec.kernel * spec.kernel;
+  const std::int64_t fp = round_up(f, kGemmMR);
+  const auto oh = conv_out_dim(in_h, spec.kernel, spec.stride, spec.pad);
+  const auto ow = conv_out_dim(in_w, spec.kernel, spec.stride, spec.pad);
+  const std::int64_t spatial = oh * ow;
+  const std::int64_t total_cols = n * spatial;
+  Tensor out({n, f, oh, ow});
+  if (ep.skip != nullptr && ep.skip->shape() != out.shape()) {
+    throw std::invalid_argument("conv: skip shape mismatch");
+  }
+  if (total_cols == 0) return out;
+
+  const float* px = x.data().data();
+  const float* psk = ep.skip != nullptr ? ep.skip->data().data() : nullptr;
+  const float* pbias = ep.bias;
+  float* po = out.data().data();
+  const bool has_bn = ep.bn != nullptr;
+  const float* pmu = has_bn ? ep.bn->mean.data().data() : nullptr;
+  const float* pis = has_bn ? ep.bn->inv_std.data().data() : nullptr;
+  const float* pg = has_bn ? ep.bn->gamma.data().data() : nullptr;
+  const float* pbeta = has_bn ? ep.bn->beta.data().data() : nullptr;
+
+  // Column tasks: tc_max global columns (pooled across the batch) per unit of
+  // work, mirroring gemm_packed's NC panel width. Each task owns its own
+  // C accumulator block and B strips, so tasks split across lanes freely;
+  // every output element is produced by exactly one task with the same
+  // micro-kernel chain regardless of the split.
+  const std::int64_t tc_max = kGemmNC;
+  const std::int64_t ntasks = (total_cols + tc_max - 1) / tc_max;
+  runtime::parallel_for(0, ntasks, 1, [&](std::int64_t t0, std::int64_t t1) {
+    runtime::ScratchArena& arena = runtime::lane_arena();
+    for (std::int64_t t = t0; t < t1; ++t) {
+      const std::int64_t j0 = t * tc_max;
+      const std::int64_t cols = std::min(tc_max, total_cols - j0);
+      const std::int64_t tc = round_up(cols, kGemmNR);
+      float* acc = arena.floats(runtime::Scratch::kConvAccC,
+                                static_cast<std::size_t>(fp * tc));
+      std::memset(acc, 0, static_cast<std::size_t>(fp * tc) * sizeof(float));
+      float* bp = arena.floats(runtime::Scratch::kConvPackB,
+                               static_cast<std::size_t>(kGemmKC * tc));
+      for (std::int64_t pc = 0; pc < ckk; pc += kGemmKC) {
+        const std::int64_t kc = std::min(kGemmKC, ckk - pc);
+        pack_b_cols(px, c, in_h, in_w, spec, ow, spatial, total_cols, pc, kc,
+                    j0, tc, bp);
+        static obs::ProfileSite& kprof =
+            obs::profile_site("tensor/conv_eval/kernel");
+        obs::ProfileScope kscope(kprof);
+        const float* panel = panels + pc * fp;
+        for (std::int64_t ic = 0; ic < fp; ic += kGemmMC) {
+          const std::int64_t ie = std::min(ic + kGemmMC, fp);
+          for (std::int64_t jr = 0; jr < tc; jr += kGemmNR) {
+            const float* bstrip = bp + jr * kc;
+            for (std::int64_t ir = ic; ir < ie; ir += kGemmMR) {
+              // Rows are MR-padded and columns NR-padded in the scratch
+              // block, so the full-size kernel always applies.
+              gemm_detail::micro_kernel(kc, panel + ir * kc, bstrip,
+                                        acc + ir * tc + jr, tc);
+            }
+          }
+        }
+      }
+      // Epilogue: single scatter to NCHW, applying the reference
+      // per-element expressions in reference order (bias -> BN -> skip ->
+      // ReLU). The padded accumulator rows/columns are simply never read.
+      for (std::int64_t of = 0; of < f; ++of) {
+        const float* crow = acc + of * tc;
+        const float bf = pbias != nullptr ? pbias[of] : 0.0f;
+        const float mu = has_bn ? pmu[of] : 0.0f;
+        const float is = has_bn ? pis[of] : 0.0f;
+        const float g = has_bn ? pg[of] : 0.0f;
+        const float bb = has_bn ? pbeta[of] : 0.0f;
+        std::int64_t jj = 0;
+        while (jj < cols) {
+          const std::int64_t j = j0 + jj;
+          const std::int64_t in_n = j / spatial;
+          const std::int64_t s = j % spatial;
+          const std::int64_t run = std::min(cols - jj, spatial - s);
+          const std::int64_t base = (in_n * f + of) * spatial + s;
+          for (std::int64_t r = 0; r < run; ++r) {
+            float v = crow[jj + r];
+            if (pbias != nullptr) v += bf;       // the bias pass
+            if (has_bn) {
+              const float xh = (v - mu) * is;    // batch_norm2d_apply
+              v = g * xh + bb;
+            }
+            if (psk != nullptr) v = v + psk[base + r];  // ag::add(h, skip)
+            if (ep.relu) v = v > 0.0f ? v : 0.0f;  // ag::relu
+            po[base + r] = v;
+          }
+          jj += run;
+        }
+      }
+    }
+  });
+  return out;
+}
+
 }  // namespace
+
+Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor* bias,
+              const Conv2dSpec& spec) {
+  static obs::ProfileSite& prof = obs::profile_site("tensor/conv2d");
+  obs::ProfileScope prof_scope(prof);
+  if (x.rank() != 4 || w.rank() != 4) {
+    throw std::invalid_argument("conv2d: x and w must be rank 4");
+  }
+  if (x.dim(1) != w.dim(1)) throw std::invalid_argument("conv2d: channel mismatch");
+  if (w.dim(2) != spec.kernel || w.dim(3) != spec.kernel) {
+    throw std::invalid_argument("conv2d: weight/spec kernel mismatch");
+  }
+  const auto f = w.dim(0);
+  if (bias != nullptr && bias->numel() != f) {
+    throw std::invalid_argument("conv2d: bias size");
+  }
+  float* panels = runtime::lane_arena().floats(
+      runtime::Scratch::kConvPackA,
+      panel_floats(f, w.dim(1) * spec.kernel * spec.kernel));
+  pack_weights(w, panels);
+  Epilogue ep;
+  ep.bias = bias != nullptr ? bias->data().data() : nullptr;
+  return run_conv(x, panels, f, spec, ep);
+}
 
 FoldedBn fold_batch_norm(const Tensor& gamma, const Tensor& beta,
                          const Tensor& running_mean, const Tensor& running_var,
@@ -151,8 +307,8 @@ Tensor maxpool2d_eval(const Tensor& x, std::int64_t kernel,
   obs::ProfileScope prof_scope(prof);
   if (x.rank() != 4) throw std::invalid_argument("maxpool2d_eval: NCHW only");
   const auto n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const auto oh = (h - kernel) / stride + 1;
-  const auto ow = (w - kernel) / stride + 1;
+  const auto oh = conv_out_dim(h, kernel, stride, 0);
+  const auto ow = conv_out_dim(w, kernel, stride, 0);
   Tensor out({n, c, oh, ow});
   const float* px = x.data().data();
   float* po = out.data().data();
@@ -198,7 +354,6 @@ ConvEvalPlan::ConvEvalPlan(const Tensor& weight, const Tensor* bias,
   }
   f_ = weight.dim(0);
   c_ = weight.dim(1);
-  ckk_ = weight.numel() / f_;
   if (weight.dim(2) != spec.kernel || weight.dim(3) != spec.kernel) {
     throw std::invalid_argument("ConvEvalPlan: weight/spec kernel mismatch");
   }
@@ -210,37 +365,8 @@ ConvEvalPlan::ConvEvalPlan(const Tensor& weight, const Tensor* bias,
     throw std::invalid_argument("ConvEvalPlan: BN channel mismatch");
   }
 
-  // Block the (F, CKK) weight matrix exactly like gemm_packed blocks A:
-  // MC-row blocks, KC-depth panels, MR-row strips inside each panel.
-  std::size_t total = 0;
-  crow_of_f_.resize(static_cast<std::size_t>(f_));
-  for (std::int64_t ic = 0; ic < f_; ic += kGemmMC) {
-    IcBlock b;
-    b.ic = ic;
-    b.mc = std::min(kGemmMC, f_ - ic);
-    b.mcp = round_up(b.mc, kGemmMR);
-    b.c_off = c_rows_;
-    c_rows_ += b.mcp;
-    for (std::int64_t pc = 0; pc < ckk_; pc += kGemmKC) {
-      const std::int64_t kc = std::min(kGemmKC, ckk_ - pc);
-      b.a_off.push_back(total);
-      total += static_cast<std::size_t>(kc * b.mcp);
-    }
-    for (std::int64_t r = 0; r < b.mc; ++r) {
-      crow_of_f_[static_cast<std::size_t>(ic + r)] = b.c_off + r;
-    }
-    blocks_.push_back(std::move(b));
-  }
-  packed_.resize(total);
-  const float* wm = weight.data().data();  // (F, CKK) row-major view
-  for (const IcBlock& b : blocks_) {
-    std::size_t pb = 0;
-    for (std::int64_t pc = 0; pc < ckk_; pc += kGemmKC, ++pb) {
-      const std::int64_t kc = std::min(kGemmKC, ckk_ - pc);
-      gemm_detail::pack_a(wm, ckk_, /*trans=*/false, b.ic, b.mc, pc, kc,
-                          packed_.data() + b.a_off[pb]);
-    }
-  }
+  packed_.resize(panel_floats(f_, c_ * spec.kernel * spec.kernel));
+  pack_weights(weight, packed_.data());
   account(+1.0);
 }
 
@@ -253,101 +379,13 @@ Tensor ConvEvalPlan::run(const Tensor& x, const Tensor* skip) const {
   if (x.dim(1) != c_) {
     throw std::invalid_argument("ConvEvalPlan::run: channel mismatch");
   }
-  const auto n = x.dim(0), in_h = x.dim(2), in_w = x.dim(3);
-  const auto oh = conv_out_dim(in_h, spec_.kernel, spec_.stride, spec_.pad);
-  const auto ow = conv_out_dim(in_w, spec_.kernel, spec_.stride, spec_.pad);
-  const std::int64_t spatial = oh * ow;
-  const std::int64_t total_cols = n * spatial;
-  Tensor out({n, f_, oh, ow});
-  if (total_cols == 0) return out;
-  if (skip != nullptr && skip->shape() != out.shape()) {
-    throw std::invalid_argument("ConvEvalPlan::run: skip shape mismatch");
-  }
-
-  const float* px = x.data().data();
-  const float* psk = skip != nullptr ? skip->data().data() : nullptr;
-  float* po = out.data().data();
+  Epilogue ep;
   // rank check, not numel: a default Tensor is a rank-0 scalar (numel 1).
-  const float* pbias = bias_.rank() > 0 ? bias_.data().data() : nullptr;
-  const bool has_bn = bn_.defined();
-  const float* pmu = has_bn ? bn_.mean.data().data() : nullptr;
-  const float* pis = has_bn ? bn_.inv_std.data().data() : nullptr;
-  const float* pg = has_bn ? bn_.gamma.data().data() : nullptr;
-  const float* pbeta = has_bn ? bn_.beta.data().data() : nullptr;
-
-  // Column tasks: tc_max global columns (pooled across the batch) per unit of
-  // work, mirroring gemm_packed's NC panel width. Each task owns its own
-  // C accumulator block and B strips, so tasks split across lanes freely;
-  // every output element is produced by exactly one task with the same
-  // micro-kernel chain regardless of the split.
-  const std::int64_t tc_max = kGemmNC;
-  const std::int64_t ntasks = (total_cols + tc_max - 1) / tc_max;
-  runtime::parallel_for(0, ntasks, 1, [&](std::int64_t t0, std::int64_t t1) {
-    runtime::ScratchArena& arena = runtime::lane_arena();
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t j0 = t * tc_max;
-      const std::int64_t cols = std::min(tc_max, total_cols - j0);
-      const std::int64_t tc = round_up(cols, kGemmNR);
-      float* acc = arena.floats(runtime::Scratch::kConvAccC,
-                                static_cast<std::size_t>(c_rows_ * tc));
-      std::memset(acc, 0, static_cast<std::size_t>(c_rows_ * tc) * sizeof(float));
-      float* bp = arena.floats(runtime::Scratch::kConvPackB,
-                               static_cast<std::size_t>(kGemmKC * tc));
-      std::size_t pb_idx = 0;
-      for (std::int64_t pc = 0; pc < ckk_; pc += kGemmKC, ++pb_idx) {
-        const std::int64_t kc = std::min(kGemmKC, ckk_ - pc);
-        pack_b_cols(px, c_, in_h, in_w, spec_, ow, spatial, total_cols, pc, kc,
-                    j0, tc, bp);
-        static obs::ProfileSite& kprof =
-            obs::profile_site("tensor/conv_eval/kernel");
-        obs::ProfileScope kscope(kprof);
-        for (const IcBlock& b : blocks_) {
-          const float* ap = packed_.data() + b.a_off[pb_idx];
-          for (std::int64_t jr = 0; jr < tc; jr += kGemmNR) {
-            const float* bstrip = bp + jr * kc;
-            for (std::int64_t ir = 0; ir < b.mcp; ir += kGemmMR) {
-              // Rows are MR-padded and columns NR-padded in the scratch
-              // block, so the full-size kernel always applies.
-              gemm_detail::micro_kernel(kc, ap + ir * kc, bstrip,
-                                        acc + (b.c_off + ir) * tc + jr, tc);
-            }
-          }
-        }
-      }
-      // Fused epilogue: single scatter to NCHW, applying the reference
-      // per-element expressions in reference order (bias -> BN -> skip ->
-      // ReLU). The padded accumulator rows/columns are simply never read.
-      for (std::int64_t f = 0; f < f_; ++f) {
-        const float* crow = acc + crow_of_f_[static_cast<std::size_t>(f)] * tc;
-        const float bf = pbias != nullptr ? pbias[f] : 0.0f;
-        const float mu = has_bn ? pmu[f] : 0.0f;
-        const float is = has_bn ? pis[f] : 0.0f;
-        const float g = has_bn ? pg[f] : 0.0f;
-        const float bb = has_bn ? pbeta[f] : 0.0f;
-        std::int64_t jj = 0;
-        while (jj < cols) {
-          const std::int64_t j = j0 + jj;
-          const std::int64_t in_n = j / spatial;
-          const std::int64_t s = j % spatial;
-          const std::int64_t run = std::min(cols - jj, spatial - s);
-          const std::int64_t base = (in_n * f_ + f) * spatial + s;
-          for (std::int64_t r = 0; r < run; ++r) {
-            float v = crow[jj + r];
-            if (pbias != nullptr) v += bf;       // conv2d's bias pass
-            if (has_bn) {
-              const float xh = (v - mu) * is;    // batch_norm2d_apply
-              v = g * xh + bb;
-            }
-            if (psk != nullptr) v = v + psk[base + r];  // ag::add(h, skip)
-            if (relu_) v = v > 0.0f ? v : 0.0f;  // ag::relu
-            po[base + r] = v;
-          }
-          jj += run;
-        }
-      }
-    }
-  });
-  return out;
+  ep.bias = bias_.rank() > 0 ? bias_.data().data() : nullptr;
+  ep.bn = bn_.defined() ? &bn_ : nullptr;
+  ep.skip = skip;
+  ep.relu = relu_;
+  return run_conv(x, packed_.data(), f_, spec_, ep);
 }
 
 }  // namespace ibrar

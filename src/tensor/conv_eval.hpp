@@ -1,45 +1,42 @@
 #pragma once
-// Fused inference convolution path (eval-only, bit-identical by contract).
+// The one conv forward: implicit-im2col GEMM with a fused NCHW epilogue.
 //
-// The training conv (tensor/im2col.cpp) lowers every call to GEMM by
-// materializing a full im2col matrix, multiplying, transposing the
-// (spatial, filter) product back to NCHW, and then making three more full
-// activation passes for bias, batch norm, and ReLU. That is the right shape
-// for autograd (the columns are reused by backward) but it is pure overhead
-// for serving, where weights are frozen and nobody asks for gradients.
+// Every conv in the library runs the driver in conv_eval.cpp: ibrar::conv2d
+// (tensor/im2col.hpp), which is the forward of training, of every attack
+// step and of a model's layer-by-layer eval, and ConvEvalPlan, which a
+// snapshot's InferencePlan runs. The driver computes out = W * cols(x)
+// without ever materializing cols:
 //
-// ConvEvalPlan is the serving-side lowering of one conv(+bias)(+BN)(+skip)
-// (+ReLU) block:
-//
-//  * A-side (weights): the (F, C*K*K) weight matrix is packed ONCE, at plan
-//    construction (ModelSnapshot publish time), into the exact MR-row strips
-//    gemm_packed's micro-kernel consumes. Every micro-batch on every worker
-//    reuses the same panels.
+//  * A-side (weights): the (F, C*K*K) weight matrix packed into the MR-row
+//    strips gemm_packed's micro-kernel consumes, one KC-deep panel per depth
+//    block. conv2d packs them per call into the caller's scratch arena
+//    (Scratch::kConvPackA); ConvEvalPlan packs them once, at construction
+//    (ModelSnapshot publish time), and every micro-batch on every worker
+//    reuses them. Only the plan's panels count in serve.snapshot_bytes.
 //  * B-side (activations): packed directly from the NCHW input into KC x NR
 //    column strips in the per-lane scratch arena (Scratch::kConvPackB) — the
-//    im2col gather happens inside the pack, so no (N*OH*OW, C*K*K) columns
-//    tensor is ever materialized. Columns are pooled across the whole batch
-//    (global column index j = image * OH*OW + spatial), so small feature maps
-//    (deep VGG layers have OH*OW = 16) still fill complete NR=16 strips once
-//    batch >= 2 — this is where micro-batching starts paying for conv.
+//    im2col gather happens inside the pack. Columns are pooled across the
+//    whole batch (global column index j = image * OH*OW + spatial), so small
+//    feature maps (deep VGG layers have OH*OW = 4) still fill complete NR=16
+//    strips once the batch is large enough.
 //  * Epilogue: the C accumulator block (Scratch::kConvAccC) is scattered to
-//    NCHW exactly once, applying bias, the folded frozen-stat batch norm,
-//    an optional residual add, and optional ReLU per element in flight —
-//    replacing the transpose pass plus three full tensor passes.
+//    NCHW exactly once, adding the bias in flight. ConvEvalPlan adds the
+//    folded frozen-stat batch norm, an optional residual add and an
+//    optional ReLU to the same scatter.
 //
-// Bit-identity contract: every output element is produced by the same
-// compiled micro-kernel (tensor/gemm_packed.cpp, gemm_detail) extending the
-// same ascending-p fma chain over the same operand values as the reference
-// path, and the epilogue replays the reference per-element expressions
-// (conv2d's `plane[s] += b`, batch_norm2d_apply's `(x - mu) * is` /
-// `g * xh + b`, ag::add's `h + skip`, relu's `x > 0 ? x : 0`) in the same
-// order. Logits and taps are therefore memcmp-identical to the layer-by-layer
-// eval path at any batch size, lane count, and blocking (tests/
-// test_conv_eval.cpp gates this).
+// The (N*OH*OW, C*K*K) columns of im2col exist only inside the weight
+// gradient of ag::conv2d's backward.
 //
-// The path is eval-only: TapClassifier::lower() builds these plans into the
-// InferencePlan a ModelSnapshot runs (models/plan.hpp); training, the attack
-// loops and a model's own eval forward never see them.
+// Bit-identity contract: every output element is the same ascending-p fma
+// chain over the same operand values as im2col -> GEMM (columns as A, the
+// transposed weight as B) -> NCHW transpose -> bias pass, extended by the one
+// compiled micro-kernel (tensor/gemm_packed.cpp, gemm_detail), and the
+// epilogue replays the reference per-element expressions (`v += bias`,
+// batch_norm2d_apply's `(x - mu) * is` / `g * xh + b`, ag::add's
+// `h + skip`, relu's `x > 0 ? x : 0`) in the same order. Outputs are
+// therefore memcmp-identical to that lowering, and a snapshot's logits and
+// taps to the layer-by-layer eval, at any batch size, lane count and
+// blocking (tests/test_conv_eval.cpp gates both).
 
 #include <cstddef>
 #include <cstdint>
@@ -84,7 +81,7 @@ Tensor batch_norm_relu_eval(const Tensor& x, const FoldedBn& bn, bool relu);
 Tensor maxpool2d_eval(const Tensor& x, std::int64_t kernel,
                       std::int64_t stride);
 
-/// Prepacked fused conv block: conv(+bias)(+BN)(+skip)(+ReLU).
+/// Prepacked conv block: conv(+bias)(+BN)(+skip)(+ReLU) on the one driver.
 ///
 /// Construction packs the weights and registers the panel bytes in the
 /// process-global `serve.snapshot_bytes` gauge; destruction releases them
@@ -108,34 +105,16 @@ class ConvEvalPlan {
 
   std::int64_t in_channels() const { return c_; }
   std::int64_t out_channels() const { return f_; }
-  const Conv2dSpec& spec() const { return spec_; }
-  bool has_relu() const { return relu_; }
   /// Bytes held by the packed weight panels (what the gauge accounts).
   std::size_t packed_bytes() const { return packed_.size() * sizeof(float); }
 
  private:
   void account(double sign) const;
 
-  // Row blocking of the (F, CKK) weight matrix: one entry per MC block of
-  // filters; `c_off` is the block's first row in the C accumulator scratch
-  // (rows are MR-padded per block so the micro-kernel never needs the row
-  // edge), `a_off[pb]` its packed panel offset for depth block pb.
-  struct IcBlock {
-    std::int64_t ic;    ///< first filter row
-    std::int64_t mc;    ///< real rows in this block
-    std::int64_t mcp;   ///< rows padded up to MR
-    std::int64_t c_off; ///< row offset into the C scratch block
-    std::vector<std::size_t> a_off;  ///< packed offset per KC depth block
-  };
-
-  std::int64_t f_ = 0;    ///< filters
-  std::int64_t c_ = 0;    ///< input channels
-  std::int64_t ckk_ = 0;  ///< reduction depth C*K*K
+  std::int64_t f_ = 0;  ///< filters
+  std::int64_t c_ = 0;  ///< input channels
   Conv2dSpec spec_;
-  std::vector<float> packed_;      ///< weight panels, MR-strip layout
-  std::vector<IcBlock> blocks_;
-  std::vector<std::int64_t> crow_of_f_;  ///< filter -> C scratch row
-  std::int64_t c_rows_ = 0;              ///< total padded scratch rows
+  std::vector<float> packed_;  ///< weight panels (conv_eval.cpp's layout)
   Tensor bias_;  ///< (F) or empty
   FoldedBn bn_;
   bool relu_ = false;

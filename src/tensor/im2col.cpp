@@ -2,15 +2,21 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "obs/profile.hpp"
 #include "runtime/parallel_for.hpp"
-#include "tensor/gemm_packed.hpp"
 
 namespace ibrar {
 
 std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel, std::int64_t stride,
                           std::int64_t pad) {
+  if (kernel < 1 || stride < 1 || pad < 0 || in + 2 * pad < kernel) {
+    throw std::invalid_argument(
+        "conv_out_dim: no output for input " + std::to_string(in) +
+        ", kernel " + std::to_string(kernel) + ", stride " +
+        std::to_string(stride) + ", pad " + std::to_string(pad));
+  }
   return (in + 2 * pad - kernel) / stride + 1;
 }
 
@@ -90,62 +96,11 @@ Tensor col2im(const Tensor& cols, const Shape& x_shape, const Conv2dSpec& spec) 
   return x;
 }
 
-Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor* bias,
-              const Conv2dSpec& spec, Tensor* cols_out) {
-  static obs::ProfileSite& prof = obs::profile_site("tensor/conv2d");
-  obs::ProfileScope prof_scope(prof);
-  if (x.rank() != 4 || w.rank() != 4) {
-    throw std::invalid_argument("conv2d: x and w must be rank 4");
-  }
-  if (x.dim(1) != w.dim(1)) throw std::invalid_argument("conv2d: channel mismatch");
-  const auto n = x.dim(0);
-  const auto f = w.dim(0);
-  if (bias != nullptr && bias->numel() != f) {
-    throw std::invalid_argument("conv2d: bias size");
-  }
-  const auto oh = conv_out_dim(x.dim(2), spec.kernel, spec.stride, spec.pad);
-  const auto ow = conv_out_dim(x.dim(3), spec.kernel, spec.stride, spec.pad);
-  const std::int64_t spatial = oh * ow;
-
-  // prod (N*OH*OW, F) = cols (N*OH*OW, CKK) * w^T, with w read in place as
-  // (F, CKK): the same gemm_packed call matmul_nt makes, without a reshape.
-  Tensor cols = im2col(x, spec);
-  Tensor prod({n * spatial, f});
-  gemm_packed(cols.data().data(), GemmLayout::kRowMajor, w.data().data(),
-              GemmLayout::kTransposed, prod.data().data(), n * spatial,
-              w.numel() / f, f);
-
-  // Transpose the (spatial, filter) layout into NCHW.
-  Tensor out({n, f, oh, ow});
-  const float* pp = prod.data().data();
-  float* po = out.data().data();
-  const float* pb = bias != nullptr ? bias->data().data() : nullptr;
-  runtime::parallel_for(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-    for (std::int64_t in_n = n0; in_n < n1; ++in_n) {
-      for (std::int64_t s = 0; s < spatial; ++s) {
-        const float* row = pp + (in_n * spatial + s) * f;
-        for (std::int64_t of = 0; of < f; ++of) {
-          po[(in_n * f + of) * spatial + s] = row[of];
-        }
-      }
-      if (pb != nullptr) {
-        for (std::int64_t of = 0; of < f; ++of) {
-          float* plane = po + (in_n * f + of) * spatial;
-          const float b = pb[of];
-          for (std::int64_t s = 0; s < spatial; ++s) plane[s] += b;
-        }
-      }
-    }
-  });
-  if (cols_out != nullptr) *cols_out = std::move(cols);
-  return out;
-}
-
 PoolResult maxpool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride) {
   if (x.rank() != 4) throw std::invalid_argument("maxpool2d: x must be NCHW");
   const auto n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const auto oh = (h - kernel) / stride + 1;
-  const auto ow = (w - kernel) / stride + 1;
+  const auto oh = conv_out_dim(h, kernel, stride, 0);
+  const auto ow = conv_out_dim(w, kernel, stride, 0);
   PoolResult r{Tensor({n, c, oh, ow}), {}};
   r.argmax.resize(static_cast<std::size_t>(n * c * oh * ow));
   const float* px = x.data().data();

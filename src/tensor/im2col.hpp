@@ -1,8 +1,11 @@
 #pragma once
 // Convolution & pooling kernels on NCHW tensors.
 //
-// conv2d is lowered to GEMM via im2col; col2im is its adjoint. Max/avg pooling
-// store argmax indices so autograd can route gradients.
+// conv2d runs the one conv driver (tensor/conv_eval.hpp), which gathers its
+// GEMM operand straight from the input and never builds im2col columns.
+// im2col and col2im serve ag::conv2d's backward: im2col lowers the input for
+// the weight gradient, col2im (its adjoint) scatters the input gradient.
+// Max/avg pooling store argmax indices so autograd can route gradients.
 
 #include <vector>
 
@@ -16,7 +19,10 @@ struct Conv2dSpec {
   std::int64_t pad = 1;
 };
 
-/// Output spatial size for one dimension.
+/// Output spatial size for one dimension, (in + 2*pad - kernel) / stride + 1.
+/// Every conv and pool sizes its output here. Throws std::invalid_argument
+/// when kernel < 1, stride < 1, pad < 0, or the window is larger than the
+/// padded input.
 std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel, std::int64_t stride,
                           std::int64_t pad);
 
@@ -27,12 +33,12 @@ Tensor im2col(const Tensor& x, const Conv2dSpec& spec);
 Tensor col2im(const Tensor& cols, const Shape& x_shape, const Conv2dSpec& spec);
 
 /// Forward conv: x (N,C,H,W), w (F,C,K,K), bias (F) optional -> (N,F,OH,OW).
-/// One im2col feeds the GEMM, which reads w in place as the (F, C*K*K)
-/// matrix it already is. When `cols_out` is non-null the columns are moved
-/// into it, so a caller that needs them for a weight gradient does not lower
-/// x a second time.
+/// Packs w per call into the caller's scratch arena and runs the one conv
+/// driver, which adds the bias in its NCHW scatter. memcmp-equal to
+/// im2col -> GEMM (columns as A, w transposed as B) -> NCHW transpose ->
+/// bias pass. Defined in tensor/conv_eval.cpp beside the driver.
 Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor* bias,
-              const Conv2dSpec& spec, Tensor* cols_out = nullptr);
+              const Conv2dSpec& spec);
 
 struct PoolResult {
   Tensor out;                      ///< (N,C,OH,OW)

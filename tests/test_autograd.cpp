@@ -11,6 +11,7 @@
 
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
+#include "conv_reference.hpp"
 #include "obs/profile.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
@@ -518,7 +519,7 @@ TEST_P(ConvOwnership, ForwardMatchesTensorConvInEveryMode) {
   const Tensor w = randn({4, 3, 3, 3}, rng, 0, 0.3f);
   const Tensor b = randn({4}, rng);
   const Conv2dSpec spec{3, c.stride, c.pad};
-  const Tensor expect = ibrar::conv2d(x, w, c.bias ? &b : nullptr, spec);
+  const Tensor expect = reference_conv2d(x, w, c.bias ? &b : nullptr, spec);
   auto run = [&](bool weight_grad) {
     Var wv(w, weight_grad);
     return conv2d(Var::param(x), wv, c.bias ? Var(b, weight_grad) : Var(), spec)
@@ -543,7 +544,16 @@ TEST_P(ConvOwnership, GradientsMatchReferenceWithOneIm2col) {
   const bool was_profiling = obs::profiling_enabled();
   obs::set_profiling_enabled(true);
 
-  // Weight requires grad: the forward's own columns feed the weight grad.
+  // The forward builds no columns in any mode.
+  obs::reset_profile();
+  {
+    NoGradGuard ng;
+    (void)conv2d(Var::param(x), Var::param(w), c.bias ? Var::param(b) : Var(),
+                 spec);
+  }
+  EXPECT_EQ(profile_calls("tensor/im2col"), 0u) << "NoGradGuard forward";
+
+  // Weight requires grad: its gradient lowers the input once, in backward.
   obs::reset_profile();
   Var xa = Var::param(x), wa = Var::param(w), ba = Var::param(b);
   backward_with(conv2d(xa, wa, c.bias ? ba : Var(), spec), r);
@@ -553,13 +563,12 @@ TEST_P(ConvOwnership, GradientsMatchReferenceWithOneIm2col) {
     EXPECT_TRUE(same_bits(ba.grad(), ref.gb));
   }
 
-  // Weight paused: no columns are kept and none are recomputed; the input
-  // gradient does not depend on them.
+  // Weight paused: no columns at all; the input gradient does not read them.
   obs::reset_profile();
   Var xp = Var::param(x);
   backward_with(conv2d(xp, Var(w, false), c.bias ? Var(b, false) : Var(), spec),
                 r);
-  EXPECT_EQ(profile_calls("tensor/im2col"), 1u);
+  EXPECT_EQ(profile_calls("tensor/im2col"), 0u) << "weight paused";
   EXPECT_TRUE(same_bits(xp.grad(), xa.grad()));
 
   obs::set_profiling_enabled(was_profiling);

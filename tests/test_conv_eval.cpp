@@ -1,9 +1,10 @@
-// Fused inference conv path: bit-identity against the layer-by-layer eval
-// pipeline (the contract in src/tensor/conv_eval.hpp), BN-fold exactness,
-// lane-count invariance, model-level logit/tap equality of each conv
-// classifier's lowered InferencePlan (masked and unmasked, grad mode on and
-// off), the MLP's empty plan, and the serve.snapshot_bytes gauge accounting
-// of plan lifetimes.
+// The one conv driver (the contract in src/tensor/conv_eval.hpp): conv2d and
+// ConvEvalPlan bit-identical to an independent im2col -> GEMM -> transpose
+// lowering across ragged shapes and blockings, BN-fold exactness, lane-count
+// invariance, model-level logit/tap equality of each conv classifier's
+// lowered InferencePlan (masked and unmasked, grad mode on and off), the
+// MLP's empty plan, and the serve.snapshot_bytes gauge accounting of plan
+// lifetimes (and of nothing else).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 
 #include "autograd/ops.hpp"
 #include "autograd/var.hpp"
+#include "conv_reference.hpp"
 #include "models/plan.hpp"
 #include "models/registry.hpp"
 #include "obs/metrics.hpp"
@@ -44,14 +46,13 @@ BnParams make_bn(std::int64_t c, Rng& rng) {
   return bn;
 }
 
-/// relu(bn(conv(x) + bias) [+ skip]) through the layer-by-layer eval ops.
+/// relu(bn(conv(x) + bias) [+ skip]): the independent conv lowering, then
+/// the layer-by-layer eval ops.
 Tensor reference(const Tensor& x, const Tensor& w, const Tensor* bias,
                  const Conv2dSpec& spec, const BnParams* bn,
                  const Tensor* skip, bool relu) {
   ag::NoGradGuard ng;
-  ag::Var h = ag::conv2d(ag::Var::constant(x), ag::Var::constant(w),
-                         bias != nullptr ? ag::Var::constant(*bias) : ag::Var(),
-                         spec);
+  ag::Var h = ag::Var::constant(reference_conv2d(x, w, bias, spec));
   if (bn != nullptr) {
     h = ag::batch_norm2d_eval(h, ag::Var::constant(bn->gamma),
                               ag::Var::constant(bn->beta), bn->rm, bn->rv,
@@ -89,6 +90,50 @@ TEST(MaxPoolEval, MatchesMaxPool2d) {
   Rng rng(12);
   const Tensor x = randn({2, 3, 8, 6}, rng);
   EXPECT_TRUE(bits_equal(maxpool2d_eval(x, 2, 2), maxpool2d(x, 2, 2).out));
+}
+
+TEST(Conv2d, MatchesIndependentLoweringAcrossShapes) {
+  struct Case {
+    std::string name;
+    std::int64_t n, c, h, w, f;
+    Conv2dSpec spec;
+  };
+  std::vector<Case> cases;
+  // Kernel 1, 3 and 4 at stride 1 and 2, pad 0 and 1, on a non-square input
+  // with F = 5 (not a multiple of MR = 4).
+  for (const std::int64_t k : {1, 3, 4}) {
+    for (const std::int64_t stride : {1, 2}) {
+      for (const std::int64_t pad : {0, 1}) {
+        cases.push_back({"k" + std::to_string(k) + "s" +
+                             std::to_string(stride) + "p" + std::to_string(pad),
+                         2, 3, 7, 6, 5, {k, stride, pad}});
+      }
+    }
+  }
+  cases.push_back({"f24", 2, 8, 8, 8, 24, {3, 1, 1}});
+  cases.push_back({"f130_crosses_mc", 2, 6, 6, 5, 130, {3, 1, 1}});
+  cases.push_back({"ckk288_crosses_kc", 2, 32, 5, 5, 7, {3, 1, 1}});
+  cases.push_back({"cols768_crosses_nc", 3, 4, 16, 16, 6, {3, 1, 1}});
+  // vgg16's second block-1 conv (8 -> 8 at 16x16) at the training batch.
+  cases.push_back({"vgg16_block1_b100", 100, 8, 16, 16, 8, {3, 1, 1}});
+
+  const std::int64_t lanes0 = runtime::num_threads();
+  for (const auto& tc : cases) {
+    Rng rng(0xc0u + static_cast<std::uint64_t>(tc.f * 131 + tc.c));
+    const Tensor x = randn({tc.n, tc.c, tc.h, tc.w}, rng);
+    const Tensor w = randn({tc.f, tc.c, tc.spec.kernel, tc.spec.kernel}, rng);
+    const Tensor bias = randn({tc.f}, rng);
+    for (const bool with_bias : {false, true}) {
+      const Tensor* b = with_bias ? &bias : nullptr;
+      const Tensor ref = reference_conv2d(x, w, b, tc.spec);
+      for (const std::int64_t lanes : {1, 4}) {
+        runtime::set_num_threads(lanes);
+        EXPECT_TRUE(bits_equal(ref, conv2d(x, w, b, tc.spec)))
+            << tc.name << (with_bias ? " bias" : "") << " lanes=" << lanes;
+      }
+    }
+  }
+  runtime::set_num_threads(lanes0);
 }
 
 TEST(ConvEvalPlan, BitIdenticalAcrossRaggedShapesAndBatches) {
@@ -229,6 +274,23 @@ TEST(ConvEvalModels, DenseModelLowersToEmptyPlan) {
   spec.name = "mlp";
   Rng rng(5);
   EXPECT_TRUE(models::make_model(spec, rng)->lower().empty());
+}
+
+TEST(Conv2d, LeavesSnapshotBytesGaugeUnchanged) {
+  // conv2d packs its weights per call; only a snapshot's plans are counted.
+  auto& gauge = obs::registry().gauge("serve.snapshot_bytes");
+  const double base = gauge.value();
+  Rng rng(43);
+  const Tensor x = randn({2, 4, 6, 6}, rng);
+  const Tensor w = randn({8, 4, 3, 3}, rng);
+  const Tensor b = randn({8}, rng);
+  const Conv2dSpec spec{3, 1, 1};
+  (void)conv2d(x, w, &b, spec);
+  EXPECT_EQ(gauge.value(), base);
+  ag::Var xv = ag::Var::param(x), wv = ag::Var::param(w),
+          bv = ag::Var::param(b);
+  ag::sum(ag::conv2d(xv, wv, bv, spec)).backward();
+  EXPECT_EQ(gauge.value(), base);
 }
 
 TEST(ConvEvalPlan, GaugeAccountsPackedBytesUntilDestroy) {

@@ -271,11 +271,12 @@ TEST(Profile, Conv2dIsBitIdenticalWithProfilingOn) {
   EXPECT_EQ(std::memcmp(off.data().data(), on.data().data(),
                         sizeof(float) * static_cast<std::size_t>(off.numel())),
             0);
-  // The profiled run attributed time to the instrumented kernels.
+  // The profiled run attributed time to the instrumented kernels: conv2d
+  // and the driver's implicit-im2col pack inside it.
   std::set<std::string> names;
   for (const auto& e : obs::profile_table()) names.insert(e.name);
   EXPECT_TRUE(names.count("tensor/conv2d")) << "profile table missing conv2d";
-  EXPECT_TRUE(names.count("tensor/im2col"));
+  EXPECT_TRUE(names.count("tensor/conv_eval/pack_b"));
 }
 
 // ---- server integration -----------------------------------------------------

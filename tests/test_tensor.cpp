@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
+#include "tensor/conv_eval.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
@@ -246,6 +248,38 @@ TEST(Conv, OutDim) {
   EXPECT_EQ(conv_out_dim(16, 3, 1, 1), 16);
   EXPECT_EQ(conv_out_dim(16, 3, 2, 1), 8);
   EXPECT_EQ(conv_out_dim(4, 1, 1, 0), 4);
+}
+
+TEST(Conv, OutDimRejectsWindowsThatDoNotFit) {
+  EXPECT_EQ(conv_out_dim(3, 3, 2, 0), 1);  // exact fit
+  EXPECT_EQ(conv_out_dim(2, 3, 2, 1), 1);  // fits once padded
+  EXPECT_EQ(conv_out_dim(5, 2, 2, 0), 2);  // a ragged tail is dropped
+  // A window larger than the padded input has no output element.
+  EXPECT_THROW(conv_out_dim(2, 3, 2, 0), std::invalid_argument);
+  EXPECT_THROW(conv_out_dim(1, 2, 2, 0), std::invalid_argument);
+  EXPECT_THROW(conv_out_dim(16, 3, 0, 1), std::invalid_argument);  // stride 0
+  EXPECT_THROW(conv_out_dim(16, 0, 1, 0), std::invalid_argument);  // kernel 0
+  EXPECT_THROW(conv_out_dim(16, 3, 1, -1), std::invalid_argument);
+}
+
+TEST(Conv, KernelsRejectGeometryOutsideTheInput) {
+  // A 2x2 pool window does not fit a (1,1,1,1) input, an unpadded 3x3
+  // window does not fit a 2x2 input, and stride 0 has no output size: each
+  // kernel must refuse rather than read outside the input or divide by 0.
+  const Tensor tiny({1, 1, 1, 1}, 1.0f);
+  EXPECT_THROW(maxpool2d(tiny, 2, 2), std::invalid_argument);
+  EXPECT_THROW(maxpool2d_eval(tiny, 2, 2), std::invalid_argument);
+  EXPECT_THROW(maxpool2d(Tensor({1, 1, 4, 4}), 2, 0), std::invalid_argument);
+  const Tensor x({1, 1, 2, 2}, 1.0f);
+  const Tensor w({1, 1, 3, 3}, 1.0f);
+  const Conv2dSpec too_big{3, 2, 0};
+  EXPECT_THROW(conv2d(x, w, nullptr, too_big), std::invalid_argument);
+  EXPECT_THROW(conv2d(x, w, nullptr, {3, 0, 1}), std::invalid_argument);
+  EXPECT_THROW(im2col(x, too_big), std::invalid_argument);
+  EXPECT_THROW(col2im(Tensor({1, 9}), x.shape(), too_big),
+               std::invalid_argument);
+  const ConvEvalPlan plan(w, nullptr, too_big, FoldedBn{}, false);
+  EXPECT_THROW(plan.run(x), std::invalid_argument);
 }
 
 TEST(Conv, IdentityKernelPreservesInput) {
