@@ -216,11 +216,11 @@ inline std::vector<AttackResults> run_attack_table(
   return measured;
 }
 
-// ---- serving-load helpers (bench_serve + ibrar_serve) -----------------------
+// ---- serving-load helpers (ibrar_serve) ------------------------------------
 
 /// q-quantile (0 <= q <= 1) of a latency sample in milliseconds; sorts in
-/// place (nearest-rank with rounding, the convention both serving drivers
-/// report p50/p99 under).
+/// place (nearest-rank with rounding, the convention ibrar_serve reports
+/// p50/p99 under).
 inline double percentile(std::vector<double>& ms, double q) {
   if (ms.empty()) return 0.0;
   std::sort(ms.begin(), ms.end());

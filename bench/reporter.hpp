@@ -1,85 +1,42 @@
 #pragma once
-// Structured perf-regression reporter.
+// Structured result records for the paper benches and the tools.
 //
-// Benches append BenchRecord rows and write one JSON document per run
-// (default BENCH_pr2.json, override with IBRAR_BENCH_OUT). The schema is flat
-// on purpose — one record per (kernel, shape, threads) — so future sessions
-// can diff trajectories with nothing fancier than python -m json.tool:
+// Callers append BenchRecord rows and write one JSON document per run to
+// the path they name (each defaults its own, overridable with
+// IBRAR_BENCH_OUT). The schema is flat on purpose — one record per (kernel,
+// shape, threads) — so runs diff with nothing fancier than
+// python -m json.tool:
 //
 //   {"schema": "ibrar-bench-v1", "records": [
-//     {"kernel": "gemm_packed", "shape": "256x256x256", "ns_per_op": ...,
-//      "gflops": ..., "threads": 1, "checksum": ..., "speedup_vs_naive": ...},
+//     {"kernel": "fig2/pgd", "shape": "steps=10", "ns_per_op": ...,
+//      "threads": 1, "checksum": ...},
 //     ...]}
 //
-// Checksums are the full sum of the output buffer, printed with %.9g so
-// numeric drift shows up as a JSON diff. (A single-ulp change in one element
-// can still round away in the sum — the benches' bit_identical gates, which
-// memcmp whole buffers, are the exact check; the checksum is the greppable
-// trail.)
+// `checksum` carries each record's headline number, printed with %.9g so
+// numeric drift shows up as a JSON diff.
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
-
-#include "tensor/tensor.hpp"
-#include "util/env.hpp"
-#include "util/stopwatch.hpp"
 
 namespace ibrar::bench {
 
-/// Best-of-reps wall time of fn() in milliseconds.
-template <typename F>
-double time_best_ms(F&& fn, int reps = 3) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    Stopwatch sw;
-    fn();
-    best = std::min(best, sw.seconds() * 1e3);
-  }
-  return best;
-}
-
-/// Full-buffer sum in double (the `checksum` field of a record).
-inline double tensor_checksum(const Tensor& t) {
-  double s = 0.0;
-  for (std::int64_t i = 0; i < t.numel(); ++i) s += t[i];
-  return s;
-}
-
-/// Exact bit equality (memcmp, so identical NaN payloads compare equal) —
-/// the determinism gate behind every `bit_identical` field.
-inline bool tensor_bits_equal(const Tensor& a, const Tensor& b) {
-  return a.same_shape(b) &&
-         std::memcmp(a.data().data(), b.data().data(),
-                     sizeof(float) * static_cast<std::size_t>(a.numel())) == 0;
-}
-
 struct BenchRecord {
   std::string kernel;
-  std::string shape;            ///< "MxKxN" or kernel-specific
+  std::string shape;  ///< the sweep point, e.g. "steps=10"
   double ns_per_op = 0.0;
-  double gflops = 0.0;
   std::int64_t threads = 1;
   double checksum = 0.0;
-  double speedup_vs_naive = 0.0;  ///< 0 = not an A/B row
-  bool bit_identical = true;      ///< vs the 1-thread / naive reference
-  /// Additional named numeric fields appended to the JSON object (e.g. the
-  /// serving benches' p50_ms/p95_ms/p99_ms latency percentiles). Additive
-  /// over the ibrar-bench-v1 schema — absent keys mean "not recorded".
-  std::vector<std::pair<std::string, double>> extra;
 };
 
 class JsonReporter {
  public:
-  /// `path` empty = IBRAR_BENCH_OUT or "BENCH_pr2.json".
-  explicit JsonReporter(std::string path = "")
-      : path_(path.empty() ? env::get_string("IBRAR_BENCH_OUT", "BENCH_pr2.json")
-                           : std::move(path)) {}
+  /// Writes to `path` exactly as given.
+  explicit JsonReporter(std::string path) : path_(std::move(path)) {}
 
   void add(BenchRecord rec) { records_.push_back(std::move(rec)); }
 
@@ -97,18 +54,10 @@ class JsonReporter {
       std::fprintf(
           f,
           "%s\n  {\"kernel\": \"%s\", \"shape\": \"%s\", \"ns_per_op\": %s, "
-          "\"gflops\": %s, \"threads\": %lld, \"checksum\": %s, "
-          "\"speedup_vs_naive\": %s, \"bit_identical\": %s",
+          "\"threads\": %lld, \"checksum\": %s}",
           i == 0 ? "" : ",", escape(r.kernel).c_str(), escape(r.shape).c_str(),
-          num(r.ns_per_op, "%.1f").c_str(), num(r.gflops, "%.3f").c_str(),
-          static_cast<long long>(r.threads), num(r.checksum, "%.9g").c_str(),
-          num(r.speedup_vs_naive, "%.3f").c_str(),
-          r.bit_identical ? "true" : "false");
-      for (const auto& [key, value] : r.extra) {
-        std::fprintf(f, ", \"%s\": %s", escape(key).c_str(),
-                     num(value, "%.6g").c_str());
-      }
-      std::fprintf(f, "}");
+          num(r.ns_per_op, "%.1f").c_str(), static_cast<long long>(r.threads),
+          num(r.checksum, "%.9g").c_str());
     }
     std::fprintf(f, "\n]}\n");
     if (std::fclose(f) != 0) {

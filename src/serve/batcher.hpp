@@ -13,8 +13,9 @@
 // batch norm reads frozen running stats; dropout is identity) and every
 // tensor kernel in the stack guarantees a per-element instruction sequence
 // independent of the batch row count, so a request's logits are bit-identical
-// whichever micro-batch it lands in — including a batch of one. bench_serve
-// gates on exactly this.
+// whichever micro-batch it lands in — including a batch of one.
+// Server.BatchedLogitsBitIdenticalToSingleton in tests/test_serve.cpp gates
+// on exactly this.
 
 #include <cstdint>
 #include <vector>

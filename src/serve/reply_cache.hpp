@@ -12,7 +12,7 @@
 //     stored reply IS a recompute's reply (same snapshot version, and the
 //     serving path is bit-deterministic at any batch/worker count), so
 //     returning it verbatim cannot differ by even one bit. Gated in
-//     tests/test_reply_cache.cpp and bench_serve.
+//     tests/test_reply_cache.cpp, over duplicate schedules too.
 //   * A lookup that finds an IN-FLIGHT entry joins it: the caller's promise
 //     is parked on the entry and the eventual leader reply fans out to every
 //     joiner — N concurrent identical requests ride ONE compute.

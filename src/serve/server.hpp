@@ -16,7 +16,8 @@
 // shared mutable state; see serve/model_registry.hpp), so any worker count
 // is safe. Bit-identity contract: a request's logits are
 // memcmp-identical whichever worker or micro-batch serves it, telemetry on or
-// off — gated in tests/test_serve.cpp and bench_serve.
+// off — gated in tests/test_serve.cpp (Server.BatchedLogitsBitIdentical*,
+// Server.MultiWorkerLogitsBitIdenticalToSingleWorker).
 //
 // A TCP front-end for out-of-process clients lives in serve/net/ (deep-
 // backlog listener, length-prefixed framing, client helper); it feeds this

@@ -44,7 +44,7 @@ std::vector<EpochStats> Trainer::fit(const data::Dataset& train,
       loss_sum += loss.value().item();
       ++batches;
 
-      if (cfg_.track_train_acc) {
+      {
         // Track train accuracy on the fly (cheap forward reuse is not
         // possible for AT objectives, so sample a prediction pass).
         ag::NoGradGuard ng;
@@ -65,9 +65,7 @@ std::vector<EpochStats> Trainer::fit(const data::Dataset& train,
     EpochStats s;
     s.epoch = epoch;
     s.mean_loss = batches > 0 ? loss_sum / batches : 0.0;
-    s.train_acc = cfg_.track_train_acc
-                      ? (seen > 0 ? static_cast<double>(correct) / seen : 0.0)
-                      : -1.0;
+    s.train_acc = seen > 0 ? static_cast<double>(correct) / seen : 0.0;
     if (test != nullptr) {
       s.test_acc = evaluate_clean(*model_, *test, cfg_.batch_size);
       if (eval_attack != nullptr) {

@@ -22,16 +22,13 @@ struct TrainConfig {
   float lr_gamma = 0.2f;
   std::uint64_t seed = 42;
   bool verbose = false;
-  /// Per-batch train accuracy needs one extra eval-mode forward per batch;
-  /// adversarial-training runs can switch it off to skip that inference.
-  bool track_train_acc = true;
 };
 
 struct EpochStats {
   std::int64_t epoch = 0;
   double mean_loss = 0.0;
   double train_acc = 0.0;   ///< accuracy on training batches (post-hoc
-                            ///< logits); -1 when track_train_acc is off
+                            ///< logits)
   double test_acc = -1.0;   ///< -1 when no eval requested
   double adv_acc = -1.0;
   double seconds = 0.0;

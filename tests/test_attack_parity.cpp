@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "attacks/engine.hpp"
 #include "attacks/fgsm.hpp"
@@ -24,6 +26,7 @@
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
 #include "tensor/reduce.hpp"
+#include "train/evaluate.hpp"
 #include "train/trades.hpp"
 #include "train/trainer.hpp"
 
@@ -316,6 +319,27 @@ TEST(ActiveSet, RobustAccuracyUnchangedPGDRestarts) {
   cfg_as.active_set = true;
   PGD compact(cfg_as);
   EXPECT_DOUBLE_EQ(robust_acc(full, b), robust_acc(compact, b));
+}
+
+TEST(ActiveSet, RobustAccuracyUnchangedFgsmThenPgdComposite) {
+  // The composite through evaluate_robust's spec strings, with active_set=1
+  // on each stage against none. best=step returns the min-margin iterate,
+  // the mode under which accuracy equality is exact by construction.
+  for (const std::string pgd : {"pgd:steps=5,best=step",
+                                "pgd:steps=20,best=step"}) {
+    const std::string fgsm = "fgsm:best=step";
+    const auto full = train::evaluate_robust(
+        *setup().model, setup().data.test,
+        std::vector<std::string>{fgsm + "->" + pgd}, {40});
+    const auto active = train::evaluate_robust(
+        *setup().model, setup().data.test,
+        std::vector<std::string>{fgsm + ",active_set=1->" + pgd +
+                                 ",active_set=1"},
+        {40});
+    EXPECT_DOUBLE_EQ(full.per_attack.front().robust_acc,
+                     active.per_attack.front().robust_acc)
+        << pgd;
+  }
 }
 
 TEST(ActiveSet, SurvivorRowsBitExact) {

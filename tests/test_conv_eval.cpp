@@ -46,6 +46,19 @@ BnParams make_bn(std::int64_t c, Rng& rng) {
   return bn;
 }
 
+/// vgg16's conv trunk at image 16 (channels 8/12/16/24/24, pools after
+/// blocks 1-3): every distinct 3x3 pad-1 conv, as (C, H = W, F).
+struct TrunkConv {
+  const char* name;
+  std::int64_t c, hw, f;
+};
+constexpr TrunkConv kVgg16Trunk[] = {
+    {"vgg.b1c0", 3, 16, 8},   {"vgg.b1c1", 8, 16, 8},
+    {"vgg.b2c0", 8, 8, 12},   {"vgg.b2c1", 12, 8, 12},
+    {"vgg.b3c0", 12, 4, 16},  {"vgg.b3c1", 16, 4, 16},
+    {"vgg.b4c0", 16, 2, 24},  {"vgg.b5c0", 24, 2, 24},
+};
+
 /// relu(bn(conv(x) + bias) [+ skip]): the independent conv lowering, then
 /// the layer-by-layer eval ops.
 Tensor reference(const Tensor& x, const Tensor& w, const Tensor* bias,
@@ -116,6 +129,13 @@ TEST(Conv2d, MatchesIndependentLoweringAcrossShapes) {
   cases.push_back({"cols768_crosses_nc", 3, 4, 16, 16, 6, {3, 1, 1}});
   // vgg16's second block-1 conv (8 -> 8 at 16x16) at the training batch.
   cases.push_back({"vgg16_block1_b100", 100, 8, 16, 16, 8, {3, 1, 1}});
+  // The whole vgg16 trunk at the serving batch sizes.
+  for (const auto& t : kVgg16Trunk) {
+    for (const std::int64_t n : {1, 2, 4, 8, 16, 32}) {
+      cases.push_back({std::string(t.name) + "_b" + std::to_string(n), n,
+                       t.c, t.hw, t.hw, t.f, {3, 1, 1}});
+    }
+  }
 
   const std::int64_t lanes0 = runtime::num_threads();
   for (const auto& tc : cases) {
@@ -143,10 +163,11 @@ TEST(ConvEvalPlan, BitIdenticalAcrossRaggedShapesAndBatches) {
     Conv2dSpec spec;
     bool bias;
   };
-  // Non-square, stride-2, 1x1 stride-2 projection, kernel == input, plus a
+  // Non-square, stride-2, 1x1 stride-2 projection, kernel == input, a
   // deep-VGG shape whose spatial size (4) leaves NR=16 strips mostly empty
-  // at batch 1 and full at batch >= 4.
-  const std::vector<Case> cases = {
+  // at batch 1 and full at batch >= 4, then the whole vgg16 trunk. Each at
+  // 1 and 4 lanes.
+  std::vector<Case> cases = {
       {"square3x3", 5, 9, 9, 7, {3, 1, 1}, true},
       {"nonsquare", 4, 6, 10, 9, {3, 1, 1}, true},
       {"stride2", 6, 11, 7, 8, {3, 2, 1}, true},
@@ -154,7 +175,11 @@ TEST(ConvEvalPlan, BitIdenticalAcrossRaggedShapesAndBatches) {
       {"kernel_eq_input", 5, 4, 4, 6, {4, 1, 0}, false},
       {"deep_vgg", 16, 4, 4, 24, {3, 1, 1}, true},
   };
-  const std::vector<std::int64_t> batches = {1, 2, 3, 5, 8, 32};
+  for (const auto& t : kVgg16Trunk) {
+    cases.push_back({t.name, t.c, t.hw, t.hw, t.f, {3, 1, 1}, true});
+  }
+  const std::vector<std::int64_t> batches = {1, 2, 3, 4, 5, 8, 16, 32};
+  const std::int64_t lanes0 = runtime::num_threads();
   for (const auto& tc : cases) {
     Rng rng(0x5eedu + static_cast<std::uint64_t>(tc.f));
     const Tensor w = randn({tc.f, tc.c, tc.spec.kernel, tc.spec.kernel}, rng);
@@ -171,10 +196,14 @@ TEST(ConvEvalPlan, BitIdenticalAcrossRaggedShapesAndBatches) {
       const Tensor ref =
           reference(x, w, tc.bias ? &bias : nullptr, tc.spec, &bn, nullptr,
                     true);
-      EXPECT_TRUE(bits_equal(ref, plan.run(x)))
-          << tc.name << " batch=" << n;
+      for (const std::int64_t lanes : {1, 4}) {
+        runtime::set_num_threads(lanes);
+        EXPECT_TRUE(bits_equal(ref, plan.run(x)))
+            << tc.name << " batch=" << n << " lanes=" << lanes;
+      }
     }
   }
+  runtime::set_num_threads(lanes0);
 }
 
 TEST(ConvEvalPlan, ConvOnlyAndResidualSkipVariants) {
@@ -245,7 +274,7 @@ TEST(ConvEvalModels, PlanLogitsAndTapsMatchLayerByLayer) {
         std::optional<ag::NoGradGuard> ng;
         if (!grad) ng.emplace();
         ASSERT_EQ(ag::grad_enabled(), grad);
-        for (const std::int64_t n : {1, 5}) {
+        for (const std::int64_t n : {1, 5, 32}) {
           const std::string where = name + (masked ? " masked" : "") +
                                     (grad ? " grad" : " no-grad") +
                                     " batch=" + std::to_string(n);

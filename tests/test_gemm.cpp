@@ -67,7 +67,12 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{47, 300, 19},   // k crosses one KC block
                       GemmShape{40, 513, 31},   // k crosses two KC blocks
                       GemmShape{129, 40, 140},  // m crosses MC
-                      GemmShape{1, 100, 1}, GemmShape{200, 1, 50}));
+                      GemmShape{1, 100, 1}, GemmShape{200, 1, 50},
+                      // Square, k > KC, a vgg conv's im2col product, ragged,
+                      // and an MLP layer.
+                      GemmShape{256, 256, 256}, GemmShape{384, 384, 384},
+                      GemmShape{4096, 288, 64}, GemmShape{250, 301, 70},
+                      GemmShape{100, 48, 32}));
 
 TEST(PackedGemm, TransposedVariantsBitExact) {
   // matmul_tn / matmul_nt read the operand through its transposed layout;
@@ -190,8 +195,10 @@ TEST(GemmIeee, SpecialValuesThroughThePackedPath) {
 // ---- thread-count bit identity ---------------------------------------------
 
 TEST(GemmDeterminism, OneVsManyThreadsBitIdentical) {
-  // Ragged sizes (not multiples of MR/NR, k crossing KC) at 1 vs 4 lanes.
-  const GemmShape shapes[] = {{130, 300, 67}, {257, 65, 31}, {1000, 37, 16}};
+  // Ragged sizes (not multiples of MR/NR, k crossing KC), a square with
+  // k > KC and a vgg conv's im2col product, at 1 vs 4 lanes.
+  const GemmShape shapes[] = {{130, 300, 67}, {257, 65, 31}, {1000, 37, 16},
+                              {384, 384, 384}, {4096, 288, 64}};
   for (const auto& s : shapes) {
     Rng rng(static_cast<std::uint64_t>(s.m));
     const Tensor a = randn({s.m, s.k}, rng);

@@ -1,7 +1,8 @@
 // Property/invariant sweep for the rebuilt MI core: the symmetric blocked
-// Gram driver, the fused-centering HSIC (plain + differentiable), CKA, and
-// the streaming estimators. Complements tests/test_mi.cpp, which covers the
-// estimators' statistical behavior.
+// Gram driver, the fused-centering HSIC (plain + differentiable) and its
+// >= 5x floor over the seed pipeline, CKA, and the streaming estimators.
+// Complements tests/test_mi.cpp, which covers the estimators' statistical
+// behavior.
 
 #include <gtest/gtest.h>
 
@@ -14,27 +15,33 @@
 #include "mi/hsic.hpp"
 #include "mi/streaming.hpp"
 #include "runtime/thread_pool.hpp"
+#include "tensor/gemm_packed.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
+#include "timing.hpp"
 
 namespace ibrar::mi {
 namespace {
 
-/// O(n^2 d) reference Gram: per-pair distance accumulated in double.
+/// O(n^2 d) reference Gram, the seed's construction: per-pair distance
+/// accumulated in double, no GEMM, no symmetry. Serial.
 Tensor naive_gram_gaussian(const Tensor& x, float sigma) {
   const auto n = x.dim(0);
   const auto d = x.dim(1);
   const float scale = -1.0f / (2.0f * sigma * sigma);
+  const float* px = x.data().data();
   Tensor k({n, n});
   for (std::int64_t i = 0; i < n; ++i) {
+    const float* xi = px + i * d;
     for (std::int64_t j = 0; j < n; ++j) {
+      const float* xj = px + j * d;
       double s = 0.0;
       for (std::int64_t t = 0; t < d; ++t) {
-        const double diff = static_cast<double>(x.at(i, t)) - x.at(j, t);
+        const double diff = static_cast<double>(xi[t]) - xj[t];
         s += diff * diff;
       }
-      k.at(i, j) = std::exp(static_cast<float>(s) * scale);
+      k[i * n + j] = std::exp(static_cast<float>(s) * scale);
     }
   }
   return k;
@@ -76,6 +83,36 @@ double explicit_center_hsic(const Tensor& kx, const Tensor& ky) {
   return tr / (static_cast<double>(m - 1) * static_cast<double>(m - 1));
 }
 
+/// The seed's HSIC, the baseline the 5x floor is timed against: H
+/// materialized in float, centered with two naive GEMMs, then the trace. The
+/// double-precision reference above would be slower and ease the floor.
+float seed_hsic(const Tensor& kx, const Tensor& ky) {
+  const auto m = kx.dim(0);
+  Tensor h = Tensor::eye(m);
+  const float inv_m = 1.0f / static_cast<float>(m);
+  for (std::int64_t i = 0; i < m * m; ++i) h[i] -= inv_m;
+  Tensor hk({m, m}), hkh({m, m});
+  gemm_naive(h.data().data(), GemmLayout::kRowMajor, kx.data().data(),
+             GemmLayout::kRowMajor, hk.data().data(), m, m, m);
+  gemm_naive(hk.data().data(), GemmLayout::kRowMajor, h.data().data(),
+             GemmLayout::kRowMajor, hkh.data().data(), m, m, m);
+  double tr = 0.0;
+  for (std::int64_t i = 0; i < m * m; ++i) {
+    tr += static_cast<double>(hkh[i]) * ky[i];
+  }
+  return static_cast<float>(
+      tr / (static_cast<double>(m - 1) * static_cast<double>(m - 1)));
+}
+
+/// A dependent y for x: its first `cols` columns.
+Tensor first_columns(const Tensor& x, std::int64_t cols) {
+  Tensor y({x.dim(0), cols});
+  for (std::int64_t i = 0; i < x.dim(0); ++i) {
+    for (std::int64_t j = 0; j < cols; ++j) y.at(i, j) = x.at(i, j);
+  }
+  return y;
+}
+
 TEST(MatmulNtSym, BitIdenticalToMatmulNtAtRaggedSizes) {
   const std::int64_t shapes[][2] = {{1, 3},   {2, 1},   {3, 5},    {5, 17},
                                     {17, 33}, {33, 64}, {64, 130}, {127, 63},
@@ -107,8 +144,8 @@ TEST(MatmulNtSym, ThreadCountBitIdentical) {
 }
 
 TEST(GramBlocked, MatchesNaiveReferenceAtRaggedSizes) {
-  const std::int64_t shapes[][2] = {{2, 1},  {3, 7},   {5, 64},
-                                    {33, 9}, {65, 33}, {130, 257}};
+  const std::int64_t shapes[][2] = {{2, 1},   {3, 7},     {5, 64},  {33, 9},
+                                    {65, 33}, {130, 257}, {64, 128}};
   for (const auto& s : shapes) {
     Rng rng(static_cast<std::uint64_t>(s[0] * 17 + s[1]));
     const Tensor x = randn({s[0], s[1]}, rng);
@@ -146,6 +183,72 @@ TEST(HsicFused, MatchesExplicitCenterReference) {
     const float got = hsic(kx, ky);
     EXPECT_NEAR(got, ref, std::max(1e-4 * std::fabs(ref), 1e-7)) << "m=" << m;
   }
+  // The composed pipeline, both Grams included: n=64, d=128, y = the first
+  // 16 columns of x, each side at its scaled bandwidth.
+  const Tensor x = randn({64, 128}, rng);
+  const Tensor y = first_columns(x, 16);
+  const float sx = scaled_sigma(128), sy = scaled_sigma(16);
+  const double ref = explicit_center_hsic(naive_gram_gaussian(x, sx),
+                                          naive_gram_gaussian(y, sy));
+  const float got = hsic(gram_gaussian(x, sx), gram_gaussian(y, sy));
+  EXPECT_NEAR(got, ref, std::max(1e-4 * std::fabs(ref), 1e-7))
+      << "composed n=64 d=128";
+}
+
+TEST(HsicFused, BlockedPipelineAtLeastFiveTimesTheSeedAtN512D4096) {
+  // Single lane: blocked Grams + fused HSIC against the seed's pairwise
+  // Grams + explicit-H HSIC, best of three each, at n=512 samples of a
+  // d=4096 tap with y = its first 64 columns.
+  Rng rng(0x1b2a4u);
+  const Tensor x = randn({512, 4096}, rng);
+  const Tensor y = first_columns(x, 64);
+  const float sx = scaled_sigma(4096), sy = scaled_sigma(64);
+
+  const std::int64_t lanes0 = runtime::num_threads();
+  runtime::set_num_threads(1);
+  Tensor kx, ky;
+  float h = 0.0f;
+  const double blocked_ns = best_wall_ns(3, [&] {
+    kx = gram_gaussian(x, sx);
+    ky = gram_gaussian(y, sy);
+    h = hsic(kx, ky);
+  });
+  // The same pipeline at 4 lanes is bit-identical; d crosses KC 16 times.
+  runtime::set_num_threads(4);
+  const Tensor kx4 = gram_gaussian(x, sx);
+  const Tensor ky4 = gram_gaussian(y, sy);
+  const float h4 = hsic(kx4, ky4);
+  runtime::set_num_threads(lanes0);
+  EXPECT_EQ(std::memcmp(kx.data().data(), kx4.data().data(),
+                        sizeof(float) * static_cast<std::size_t>(kx.numel())),
+            0);
+  EXPECT_EQ(std::memcmp(ky.data().data(), ky4.data().data(),
+                        sizeof(float) * static_cast<std::size_t>(ky.numel())),
+            0);
+  EXPECT_EQ(std::memcmp(&h, &h4, sizeof(float)), 0);
+  SKIP_UNLESS_TIMING_BUILD() << blocked_ns * 1e-6
+                             << " ms for the blocked pipeline (seed not run)";
+
+  Tensor kx0, ky0;
+  float h0 = 0.0f;
+  const double seed_ns = best_wall_ns(3, [&] {
+    kx0 = naive_gram_gaussian(x, sx);
+    ky0 = naive_gram_gaussian(y, sy);
+    h0 = seed_hsic(kx0, ky0);
+  });
+  EXPECT_NEAR(h, h0, std::max(1e-4 * std::max(std::fabs(h), std::fabs(h0)),
+                              1e-7));
+  double sum = 0.0, sum0 = 0.0;
+  for (std::int64_t i = 0; i < kx.numel(); ++i) {
+    sum += kx[i];
+    sum0 += kx0[i];
+  }
+  EXPECT_NEAR(sum, sum0,
+              std::max(1e-4 * std::max(std::fabs(sum), std::fabs(sum0)),
+                       1e-6 * 512.0 * 512.0));
+  EXPECT_GE(seed_ns / blocked_ns, 5.0)
+      << "seed " << seed_ns * 1e-6 << " ms, blocked " << blocked_ns * 1e-6
+      << " ms";
 }
 
 TEST(HsicFused, SymmetricInArguments) {

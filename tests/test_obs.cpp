@@ -1,7 +1,8 @@
 // Observability layer: sharded-metric exactness, histogram percentile
 // bracketing vs a sorted reference, snapshot determinism, span
 // nesting/sampling, the observation-never-changes-computation bit-identity
-// contract, and the server's five-stage trace integration.
+// contract, the < 100 ns cost of a disabled profile scope, and the server's
+// five-stage trace integration.
 //
 // Tracing and profiling flags are process-global; every test that flips one
 // restores it through ObsStateGuard so test order never matters.
@@ -25,11 +26,14 @@
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
+#include "runtime/thread_pool.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/net/admin.hpp"
 #include "serve/server.hpp"
+#include "tensor/gemm_packed.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/random.hpp"
+#include "timing.hpp"
 #include "util/rng.hpp"
 
 namespace ibrar {
@@ -277,6 +281,43 @@ TEST(Profile, Conv2dIsBitIdenticalWithProfilingOn) {
   for (const auto& e : obs::profile_table()) names.insert(e.name);
   EXPECT_TRUE(names.count("tensor/conv2d")) << "profile table missing conv2d";
   EXPECT_TRUE(names.count("tensor/conv_eval/pack_b"));
+}
+
+TEST(Profile, GemmPackedIsBitIdenticalWithProfilingOn) {
+  ObsStateGuard guard;
+  const std::int64_t lanes0 = runtime::num_threads();
+  runtime::set_num_threads(1);
+  Rng rng(0x0b5e70b5u);
+  const Tensor a = randn({256, 256}, rng);
+  const Tensor b = randn({256, 256}, rng);
+  Tensor off({256, 256}), on({256, 256});
+  obs::set_profiling_enabled(false);
+  gemm_packed(a.data().data(), GemmLayout::kRowMajor, b.data().data(),
+              GemmLayout::kRowMajor, off.data().data(), 256, 256, 256);
+  obs::set_profiling_enabled(true);
+  gemm_packed(a.data().data(), GemmLayout::kRowMajor, b.data().data(),
+              GemmLayout::kRowMajor, on.data().data(), 256, 256, 256);
+  runtime::set_num_threads(lanes0);
+  EXPECT_EQ(std::memcmp(off.data().data(), on.data().data(),
+                        sizeof(float) * static_cast<std::size_t>(off.numel())),
+            0);
+}
+
+TEST(Profile, DisabledScopeCostsUnder100Ns) {
+  // The permanent hook every kernel pays: with profiling off a scope is one
+  // relaxed flag load. Best of five runs of 4M scopes.
+  ObsStateGuard guard;
+  obs::set_profiling_enabled(false);
+  obs::ProfileSite& site = obs::profile_site("test/disabled_site");
+  constexpr std::int64_t kScopes = 4'000'000;
+  const double ns = best_wall_ns(5, [&site] {
+                      for (std::int64_t i = 0; i < kScopes; ++i) {
+                        obs::ProfileScope scope(site);
+                      }
+                    }) /
+                    static_cast<double>(kScopes);
+  SKIP_UNLESS_TIMING_BUILD() << ns << " ns per disabled scope";
+  EXPECT_LT(ns, 100.0);
 }
 
 // ---- server integration -----------------------------------------------------

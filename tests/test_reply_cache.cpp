@@ -1,9 +1,10 @@
 // Duplicate-request reply cache: hit bit-identity vs recompute (telemetry
 // on/off, workers 1/4), LRU eviction order under byte-budget pressure,
 // hot-swap invalidation, concurrent in-flight dedup (N threads, one
-// compute), the serve.cache.bytes gauge-freshness contract, and a
-// fixed-seed randomized op-sequence sweep against a naive map+recompute
-// reference model.
+// compute), fixed-seed duplicate schedules through a live server (cache-off
+// bits, exact counts, and the vgg16 throughput floor at 90% repeats), the
+// serve.cache.bytes gauge-freshness contract, and a fixed-seed randomized
+// op-sequence sweep against a naive map+recompute reference model.
 
 #include <gtest/gtest.h>
 
@@ -12,16 +13,20 @@
 #include <future>
 #include <map>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "models/mlp.hpp"
 #include "models/registry.hpp"
 #include "obs/metrics.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/reply_cache.hpp"
 #include "serve/server.hpp"
 #include "tensor/random.hpp"
+#include "timing.hpp"
 #include "util/rng.hpp"
+#include "util/stopwatch.hpp"
 
 namespace ibrar {
 namespace {
@@ -339,6 +344,151 @@ TEST(ReplyCache, ConcurrentIdenticalRequestsRideOneCompute) {
   EXPECT_EQ(stats.served, 1u);   // one row computed
   EXPECT_EQ(stats.batches, 1u);  // in one batch
   EXPECT_EQ(stats.accepted, 1u);  // joiners never touched the queue
+}
+
+// ---- duplicate traffic through a live server --------------------------------
+
+constexpr std::int64_t kCifarClasses = 10;
+const Shape kCifarShape = {3, 32, 32};
+
+/// The served models duplicate traffic runs through, at CIFAR shape: a
+/// 256-wide MLP and vgg16.
+models::TapClassifierPtr cifar_model(const std::string& label) {
+  if (label == "mlp256") {
+    Rng rng(42);
+    models::MLPConfig cfg;
+    cfg.in_features = 3 * 32 * 32;
+    cfg.hidden = {256, 256};
+    cfg.num_classes = kCifarClasses;
+    return std::make_shared<models::MLP>(cfg, rng);
+  }
+  models::ModelSpec spec;
+  spec.name = label;
+  spec.num_classes = kCifarClasses;
+  spec.image_size = 32;
+  spec.in_channels = 3;
+  Rng rng(43);
+  return models::make_model(spec, rng);
+}
+
+std::vector<Tensor> cifar_rows(std::int64_t n) {
+  Rng rng(0x5eed);
+  std::vector<Tensor> rows;
+  for (std::int64_t i = 0; i < n; ++i) {
+    rows.push_back(rand_uniform(kCifarShape, rng, 0.0f, 1.0f));
+  }
+  return rows;
+}
+
+/// Fixed-seed duplicate schedule over `total` requests: entry i names the
+/// row request i submits, a fresh row with probability 1 - dup_fraction,
+/// otherwise a repeat of an already-used one. Each distinct row is computed
+/// exactly once (its first occurrence leads, every repeat hits the entry or
+/// joins it in flight), so the cache counts are known up front however the
+/// clients interleave.
+std::vector<std::int64_t> make_dup_schedule(std::int64_t total,
+                                            double dup_fraction,
+                                            std::uint64_t seed,
+                                            std::int64_t* distinct_out) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> coin(0.0, 1.0);
+  std::vector<std::int64_t> schedule;
+  std::int64_t distinct = 0;
+  for (std::int64_t i = 0; i < total; ++i) {
+    const bool fresh = distinct == 0 || coin(rng) >= dup_fraction;
+    schedule.push_back(fresh ? distinct++
+                             : static_cast<std::int64_t>(
+                                   rng() % static_cast<std::uint64_t>(distinct)));
+  }
+  *distinct_out = distinct;
+  return schedule;
+}
+
+struct ScheduleRun {
+  std::vector<Tensor> logits;  ///< per request; empty when not served
+  serve::ServerStats stats;
+  double seconds = 0.0;        ///< first submit to last reply
+};
+
+/// The schedule through a 2-worker server by 8 closed-loop clients (client c
+/// owns requests c, c + 8, ...). cache_bytes 0 turns the cache off.
+ScheduleRun run_schedule(serve::ModelRegistry& reg,
+                         const std::vector<Tensor>& rows,
+                         const std::vector<std::int64_t>& schedule,
+                         std::size_t cache_bytes) {
+  serve::ServeConfig cfg;
+  cfg.max_batch = 8;
+  cfg.deadline_us = 500;
+  cfg.queue_capacity = 2048;
+  cfg.workers = 2;
+  cfg.cache_bytes = cache_bytes;
+  serve::Server server(reg, cfg);
+  constexpr std::size_t kClients = 8;
+  ScheduleRun run;
+  run.logits.resize(schedule.size());
+  Stopwatch wall;
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (std::size_t r = c; r < schedule.size(); r += kClients) {
+        auto reply =
+            server.submit(rows[static_cast<std::size_t>(schedule[r])]).get();
+        if (reply.ok()) run.logits[r] = std::move(reply.logits);
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+  run.seconds = wall.seconds();
+  run.stats = server.stats();
+  return run;
+}
+
+constexpr std::int64_t kScheduleRequests = 256;
+
+std::uint64_t schedule_seed(const std::string& label) {
+  return 0xcafef00du + label.size();
+}
+
+TEST(ReplyCache, DuplicateScheduleServesCacheOffBitsWithExactCounts) {
+  // The same schedule cache off, then cache on: every request's logits are
+  // memcmp-equal across the runs, lookups equal requests, hits equal
+  // repeats, and misses and computed rows equal distinct rows exactly. The
+  // vgg16 pass at 90% repeats also serves at least twice the cache-off
+  // throughput.
+  const auto rows = cifar_rows(kScheduleRequests);
+  double vgg16_off_s = 0.0, vgg16_on_s = 0.0;  // the pass at 90% repeats
+  for (const std::string label : {"mlp256", "vgg16"}) {
+    serve::ModelRegistry reg;
+    reg.publish(cifar_model(label), kCifarShape, label);
+    for (const double dup : {0.0, 0.5, 0.9}) {
+      SCOPED_TRACE(label + " dup=" + std::to_string(dup));
+      std::int64_t distinct = 0;
+      const auto schedule = make_dup_schedule(kScheduleRequests, dup,
+                                              schedule_seed(label), &distinct);
+      const auto off = run_schedule(reg, rows, schedule, 0);
+      const auto on = run_schedule(reg, rows, schedule, std::size_t{64} << 20);
+      for (std::size_t r = 0; r < schedule.size(); ++r) {
+        ASSERT_EQ(off.logits[r].numel(), kCifarClasses) << "request " << r;
+        EXPECT_TRUE(bits_equal(on.logits[r], off.logits[r]))
+            << "request " << r;
+      }
+      const auto requests = static_cast<std::uint64_t>(kScheduleRequests);
+      const auto rows_computed = static_cast<std::uint64_t>(distinct);
+      EXPECT_EQ(on.stats.cache_lookups, requests);
+      EXPECT_EQ(on.stats.cache_hits, requests - rows_computed);
+      EXPECT_EQ(on.stats.cache_misses, rows_computed);
+      EXPECT_EQ(on.stats.served, rows_computed);
+      if (label == "vgg16" && dup == 0.9) {
+        vgg16_off_s = off.seconds;
+        vgg16_on_s = on.seconds;
+      }
+    }
+  }
+  const double speedup = vgg16_off_s / vgg16_on_s;
+  SKIP_UNLESS_TIMING_BUILD() << speedup
+                             << "x the cache-off throughput for vgg16";
+  EXPECT_GE(speedup, 2.0) << "cache off " << vgg16_off_s * 1e3
+                          << " ms, cache on " << vgg16_on_s * 1e3 << " ms";
 }
 
 // ---- gauge freshness (the PR 7 queue_depth contract, for cache bytes) -------

@@ -364,6 +364,7 @@ TEST(Server, BackpressureRejectsWithStatusUnderFlood) {
   EXPECT_GT(rejected, 0u);  // the bounded queue really pushed back
   const auto stats = server.stats();
   EXPECT_EQ(stats.accepted, ok);
+  EXPECT_EQ(stats.served, ok);  // every accepted request was served
   EXPECT_EQ(stats.rejected_full, rejected);
   EXPECT_EQ(stats.admission_busy, rejected);
 }

@@ -1,6 +1,7 @@
 // TCP front-end: wire framing round-trips (bit-exact floats), malformed /
 // truncated / oversized frame handling, and end-to-end serving through a real
-// socket — including pipelining and the multi-worker bit-identity contract.
+// socket — including pipelining, the multi-worker bit-identity contract, and
+// an unpaced burst past the queue answered one reply per request.
 
 #include <gtest/gtest.h>
 
@@ -400,6 +401,63 @@ TEST(TcpFrontend, BusyRetryAfterRoundTripsWithItsHint) {
   const auto exhausted = retrier.submit(sample_input(44));
   EXPECT_EQ(exhausted.status, net::WireStatus::kBusyRetryAfter);
   EXPECT_EQ(fe.server->stats().admission_throttled, 4u);  // 1 + 3 attempts
+}
+
+TEST(TcpFrontend, UnpacedBurstGetsOneReplyEachAndOnlyHintedBusyRejects) {
+  // One pipelined connection sends three times the queue's 32 slots as an
+  // unpaced burst at a model slow enough to fall behind: every request gets
+  // exactly one reply, and every reject is kBusyRetryAfter with a usable
+  // hint (a hint-less reject would leave clients to blind backoff).
+  constexpr std::int64_t kSide = 8;
+  models::ModelSpec spec;
+  spec.name = "vgg16";
+  spec.num_classes = kClasses;
+  spec.image_size = kSide;
+  spec.in_channels = kChannels;
+  Rng rng(5);
+  serve::ModelRegistry reg;
+  reg.publish(models::make_model(spec, rng), {kChannels, kSide, kSide});
+  serve::ServeConfig cfg;
+  cfg.max_batch = 4;
+  cfg.deadline_us = 1000;
+  cfg.queue_capacity = 32;
+  serve::Server server(reg, cfg);
+  net::TcpFrontend tcp(server);
+
+  constexpr std::size_t kBurst = 3 * 32;
+  Rng in_rng(17);
+  std::vector<Tensor> inputs;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    inputs.push_back(rand_uniform({kChannels, kSide, kSide}, in_rng, 0.0f,
+                                  1.0f));
+  }
+  net::Client client("127.0.0.1", tcp.port());
+  std::vector<std::uint64_t> sent;
+  for (const auto& x : inputs) sent.push_back(client.send(x));
+
+  std::vector<int> replies_per_id(kBurst, 0);
+  std::size_t ok = 0, busy = 0;
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    const auto reply = client.recv();
+    ASSERT_LT(reply.id, kBurst);
+    ++replies_per_id[reply.id];
+    if (reply.ok()) {
+      ++ok;
+      continue;
+    }
+    EXPECT_EQ(reply.status, net::WireStatus::kBusyRetryAfter) << "id "
+                                                              << reply.id;
+    EXPECT_GE(reply.retry_after_ms, 1u) << "id " << reply.id;
+    EXPECT_LE(reply.retry_after_ms, 5000u) << "id " << reply.id;
+    ++busy;
+  }
+  for (std::size_t i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(sent[i], i);
+    EXPECT_EQ(replies_per_id[i], 1) << "id " << i;
+  }
+  EXPECT_EQ(ok + busy, kBurst);
+  EXPECT_GT(busy, 0u);  // the burst really overran the queue
+  tcp.stop();
 }
 
 TEST(TcpFrontend, OversizedDimsInSubmitFrameDropTheConnection) {

@@ -91,6 +91,10 @@ int main(int argc, char** argv) {
       return arg == "--help" ? 0 : 2;
     }
   }
+  if (out_path.empty()) {
+    std::fprintf(stderr, "--out (or IBRAR_BENCH_OUT) must name a file\n");
+    return 2;
+  }
 
   print_header("ibrar_analyze: unified Fig. 2-6 artifact driver");
   const auto s = default_scale();

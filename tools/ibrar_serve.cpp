@@ -160,6 +160,10 @@ int main(int argc, char** argv) {
       return arg == "--help" ? 0 : 2;
     }
   }
+  if (out_path.empty()) {
+    std::fprintf(stderr, "--out (or IBRAR_BENCH_OUT) must name a file\n");
+    return 2;
+  }
   if (cache_mb >= 0 && cache_mb > (std::int64_t{1} << 20)) {
     std::fprintf(stderr, "--cache-mb %lld is implausibly large\n",
                  static_cast<long long>(cache_mb));
