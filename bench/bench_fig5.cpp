@@ -1,11 +1,11 @@
 // Figure 5 reproduction: the information plane of VGG16's 4th conv block
 // during training, with the MI loss vs plain CE.
 //
-// Estimator note: the Shwartz-Ziv binning estimator (mi::binned_mi, kept and
-// unit-tested in the library) saturates at log2(n) for representations this
-// wide — every sample's binned code is unique — so the bench records the
-// quantities the paper actually optimizes: HSIC(X, T4) and HSIC(Y, T4)
-// (the Gaussian-kernel realization of I(X;T) / I(T;Y) used in Eq. 1).
+// Estimator note: a Shwartz-Ziv binning estimator saturates at log2(n) for
+// representations this wide (every sample's binned code is unique), so the
+// bench records the quantities the paper actually optimizes: HSIC(X, T4) and
+// HSIC(Y, T4), the Gaussian-kernel realization of I(X;T) / I(T;Y) used in
+// Eq. 1.
 //
 // Expected shape (paper): with the MI loss, I(X;T) is driven down
 // (compression) while I(T;Y) stays high; with CE only there is no

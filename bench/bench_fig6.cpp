@@ -36,33 +36,33 @@ void sweep(JsonReporter& reporter, const char* title,
         env::get_double("IBRAR_FIG6_ALPHA_RATIO", 4.0) * beta);
     auto model = train_method(base, /*ibrar=*/true, spec, data, s, 42, nullptr,
                               mi);
-    std::vector<std::string> row = {Table::num(beta, 3)};
-    for (const auto* a : attack_names) {
+    std::vector<attacks::AttackPtr> owned;
+    std::vector<attacks::Attack*> suite;
+    for (const std::string a : attack_names) {
       attacks::AttackConfig c;
-      double acc = 0;
-      if (std::string(a) == "PGD") {
+      if (a == "PGD") {
         c.steps = s.attack_steps;
-        attacks::PGD atk(c);
-        acc = train::evaluate_adversarial(*model, data.test, atk, s.batch,
-                                          s.eval_samples);
-      } else if (std::string(a) == "CW") {
+        owned.push_back(std::make_unique<attacks::PGD>(c));
+      } else if (a == "CW") {
         c.steps = s.cw_steps;
-        attacks::CW atk(c);
-        acc = train::evaluate_adversarial(*model, data.test, atk, s.batch,
-                                          s.eval_samples);
-      } else if (std::string(a) == "FAB") {
+        owned.push_back(std::make_unique<attacks::CW>(c));
+      } else if (a == "FAB") {
         c.steps = s.fab_steps;
-        attacks::FAB atk(c);
-        acc = train::evaluate_adversarial(*model, data.test, atk, s.batch,
-                                          s.eval_samples);
+        owned.push_back(std::make_unique<attacks::FAB>(c));
       } else {
-        attacks::FGSM atk(c);
-        acc = train::evaluate_adversarial(*model, data.test, atk, s.batch,
-                                          s.eval_samples);
+        owned.push_back(std::make_unique<attacks::FGSM>(c));
       }
+      suite.push_back(owned.back().get());
+    }
+    const auto adv = train::evaluate_robust(
+        *model, data.test, suite,
+        {s.batch, s.eval_samples, /*with_clean=*/false});
+    std::vector<std::string> row = {Table::num(beta, 3)};
+    for (std::size_t i = 0; i < attack_names.size(); ++i) {
+      const double acc = adv.per_attack[i].robust_acc;
       row.push_back(Table::num(100 * acc, 2));
       BenchRecord rec;
-      rec.kernel = std::string("fig6/") + title + "/" + a;
+      rec.kernel = std::string("fig6/") + title + "/" + attack_names[i];
       rec.shape = "beta=" + Table::num(beta, 3);
       rec.checksum = acc;
       reporter.add(rec);

@@ -58,21 +58,22 @@ void run_ablation(const char* title, const std::string& model_name,
   Stopwatch sw;
   for (const auto& row : rows) {
     auto model = train_ablation(row, spec, data, s);
-    const double natural = train::evaluate_clean(*model, data.test, s.batch);
+    const double natural =
+        train::evaluate_robust(*model, data.test,
+                               std::vector<attacks::Attack*>{}, {s.batch, -1})
+            .clean_acc;
     attacks::AttackConfig pc;
     pc.steps = s.attack_steps;
     attacks::PGD pgd(pc);
     attacks::NIFGSM ni(pc);
     attacks::FGSM fgsm(attacks::AttackConfig{});
-    const double a_pgd = train::evaluate_adversarial(*model, data.test, pgd,
-                                                     s.batch, s.eval_samples);
-    const double a_ni = train::evaluate_adversarial(*model, data.test, ni,
-                                                    s.batch, s.eval_samples);
-    const double a_fg = train::evaluate_adversarial(*model, data.test, fgsm,
-                                                    s.batch, s.eval_samples);
+    const auto adv = train::evaluate_robust(
+        *model, data.test, {&pgd, &ni, &fgsm},
+        {s.batch, s.eval_samples, /*with_clean=*/false});
     table.add_row({row.name, pct_vs(natural, row.ref[0]),
-                   pct_vs(a_pgd, row.ref[1]), pct_vs(a_ni, row.ref[2]),
-                   pct_vs(a_fg, row.ref[3])});
+                   pct_vs(adv.per_attack[0].robust_acc, row.ref[1]),
+                   pct_vs(adv.per_attack[1].robust_acc, row.ref[2]),
+                   pct_vs(adv.per_attack[2].robust_acc, row.ref[3])});
     std::fprintf(stderr, "[bench] %s / %s done (%.1fs)\n", title, row.name,
                  sw.reset());
   }

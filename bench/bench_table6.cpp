@@ -46,24 +46,19 @@ int main() {
     auto model = train_method(row.base, row.ibrar, spec, data, s);
     const mi::IBObjectiveConfig ib = core::to_ib_config(default_mi(), *model);
 
-    auto eval_at_steps = [&](std::int64_t steps, bool adaptive) {
-      attacks::AttackConfig c;
-      c.steps = steps;
-      if (adaptive) {
-        attacks::AdaptivePGD a(c, ib);
-        return train::evaluate_adversarial(*model, data.test, a, s.batch,
-                                           s.eval_samples);
-      }
-      attacks::PGD a(c);
-      return train::evaluate_adversarial(*model, data.test, a, s.batch,
-                                         s.eval_samples);
-    };
-    const double p10 = eval_at_steps(10, false);
-    const double a10 = eval_at_steps(10, true);
-    const double p100 = eval_at_steps(long_steps, false);
-    const double a100 = eval_at_steps(long_steps, true);
-    table.add_row({row.name, pct_vs(p10, row.ref[0]), pct_vs(a10, row.ref[1]),
-                   pct_vs(p100, row.ref[2]), pct_vs(a100, row.ref[3])});
+    attacks::AttackConfig c10, c_long;
+    c10.steps = 10;
+    c_long.steps = long_steps;
+    attacks::PGD p10(c10), p_long(c_long);
+    attacks::AdaptivePGD a10(c10, ib), a_long(c_long, ib);
+    const auto adv = train::evaluate_robust(
+        *model, data.test, {&p10, &a10, &p_long, &a_long},
+        {s.batch, s.eval_samples, /*with_clean=*/false});
+    std::vector<std::string> cells = {row.name};
+    for (std::size_t i = 0; i < adv.per_attack.size(); ++i) {
+      cells.push_back(pct_vs(adv.per_attack[i].robust_acc, row.ref[i]));
+    }
+    table.add_row(std::move(cells));
     std::fprintf(stderr, "[bench] table6 %s done (%.1fs)\n", row.name,
                  sw.reset());
   }

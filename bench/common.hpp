@@ -127,40 +127,34 @@ struct AttackResults {
   double natural = 0, pgd = 0, cw = 0, fgsm = 0, fab = 0, nifgsm = 0;
 };
 
+/// Clean accuracy over the whole test set, then the five attacks over
+/// eval_samples of it as one evaluate_robust suite.
 inline AttackResults eval_all_attacks(models::TapClassifier& model,
                                       const data::Dataset& test,
                                       const Scale& s) {
+  attacks::AttackConfig step_cfg, cw_cfg, fab_cfg;
+  step_cfg.steps = s.attack_steps;
+  cw_cfg.steps = s.cw_steps;
+  fab_cfg.steps = s.fab_steps;
+  attacks::PGD pgd(step_cfg);
+  attacks::CW cw(cw_cfg);
+  attacks::FGSM fgsm(attacks::AttackConfig{});
+  attacks::FAB fab(fab_cfg);
+  attacks::NIFGSM nifgsm(step_cfg);
+
   AttackResults r;
-  r.natural = train::evaluate_clean(model, test, s.batch);
-  {
-    attacks::AttackConfig c;
-    c.steps = s.attack_steps;
-    attacks::PGD a(c);
-    r.pgd = train::evaluate_adversarial(model, test, a, s.batch, s.eval_samples);
-  }
-  {
-    attacks::AttackConfig c;
-    c.steps = s.cw_steps;
-    attacks::CW a(c);
-    r.cw = train::evaluate_adversarial(model, test, a, s.batch, s.eval_samples);
-  }
-  {
-    attacks::FGSM a(attacks::AttackConfig{});
-    r.fgsm = train::evaluate_adversarial(model, test, a, s.batch, s.eval_samples);
-  }
-  {
-    attacks::AttackConfig c;
-    c.steps = s.fab_steps;
-    attacks::FAB a(c);
-    r.fab = train::evaluate_adversarial(model, test, a, s.batch, s.eval_samples);
-  }
-  {
-    attacks::AttackConfig c;
-    c.steps = s.attack_steps;
-    attacks::NIFGSM a(c);
-    r.nifgsm = train::evaluate_adversarial(model, test, a, s.batch,
-                                           s.eval_samples);
-  }
+  r.natural = train::evaluate_robust(model, test,
+                                     std::vector<attacks::Attack*>{},
+                                     {s.batch, -1})
+                  .clean_acc;
+  const auto report = train::evaluate_robust(
+      model, test, {&pgd, &cw, &fgsm, &fab, &nifgsm},
+      {s.batch, s.eval_samples, /*with_clean=*/false});
+  r.pgd = report.per_attack[0].robust_acc;
+  r.cw = report.per_attack[1].robust_acc;
+  r.fgsm = report.per_attack[2].robust_acc;
+  r.fab = report.per_attack[3].robust_acc;
+  r.nifgsm = report.per_attack[4].robust_acc;
   return r;
 }
 

@@ -72,12 +72,16 @@ int main(int argc, char** argv) {
     pc.steps = 10;
     attacks::PGD pgd(pc);
     attacks::FGSM fgsm(attacks::AttackConfig{});
-    const double natural = train::evaluate_clean(m, data.test);
-    const double a_pgd = train::evaluate_adversarial(m, data.test, pgd, 100, 200);
-    const double a_fgsm =
-        train::evaluate_adversarial(m, data.test, fgsm, 100, 200);
+    // Clean accuracy over the whole test set; the attacks over its first 200.
+    const double natural =
+        train::evaluate_robust(m, data.test, std::vector<attacks::Attack*>{})
+            .clean_acc;
+    const auto adv = train::evaluate_robust(m, data.test, {&pgd, &fgsm},
+                                            {100, 200, /*with_clean=*/false});
     std::printf("%-18s natural %.2f%%  PGD10 %.2f%%  FGSM %.2f%%\n",
-                name.c_str(), 100 * natural, 100 * a_pgd, 100 * a_fgsm);
+                name.c_str(), 100 * natural,
+                100 * adv.per_attack[0].robust_acc,
+                100 * adv.per_attack[1].robust_acc);
   };
   report(method, *base_model);
   report(method + " (IB-RAR)", *ib_model);

@@ -7,6 +7,7 @@
 //   ./build/examples/quickstart
 
 #include <cstdio>
+#include <utility>
 
 #include "core/ibrar.hpp"
 #include "data/registry.hpp"
@@ -59,15 +60,23 @@ int main() {
   }
   std::printf("[%.1fs] IB-RAR model trained\n", sw.reset());
 
-  // 4. Evaluate both under clean data and PGD-10.
-  const double ce_clean = train::evaluate_clean(*ce_model, data.test);
-  const double ce_adv = train::evaluate_adversarial(*ce_model, data.test, pgd,
-                                                    100, 200);
+  // 4. Evaluate both: clean accuracy over the whole test set, PGD-10 over
+  //    its first 200 examples.
+  auto evaluate = [&](models::TapClassifier& m) {
+    const double clean =
+        train::evaluate_robust(m, data.test, std::vector<attacks::Attack*>{})
+            .clean_acc;
+    const double adv =
+        train::evaluate_robust(m, data.test, {&pgd},
+                               {100, 200, /*with_clean=*/false})
+            .per_attack.front()
+            .robust_acc;
+    return std::make_pair(clean, adv);
+  };
+  const auto [ce_clean, ce_adv] = evaluate(*ce_model);
   std::printf("[%.1fs] CE      : clean %.2f%%  PGD10 %.2f%%\n", sw.reset(),
               100 * ce_clean, 100 * ce_adv);
-  const double ib_clean = train::evaluate_clean(*ib_model, data.test);
-  const double ib_adv = train::evaluate_adversarial(*ib_model, data.test, pgd,
-                                                    100, 200);
+  const auto [ib_clean, ib_adv] = evaluate(*ib_model);
   std::printf("[%.1fs] IB-RAR  : clean %.2f%%  PGD10 %.2f%%\n", sw.reset(),
               100 * ib_clean, 100 * ib_adv);
   std::printf("IB-RAR should retain noticeably more accuracy under attack.\n");

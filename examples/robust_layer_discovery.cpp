@@ -63,7 +63,9 @@ int main() {
   // the worst case across both.
   // Clean accuracy over the whole test set (comparable with the CE-baseline
   // figure above); the attack suite samples 150 examples like the probes did.
-  const double clean = train::evaluate_clean(*model, data.test);
+  const double clean =
+      train::evaluate_robust(*model, data.test, std::vector<attacks::Attack*>{})
+          .clean_acc;
   const auto robust = train::evaluate_robust(
       *model, data.test,
       std::vector<std::string>{"pgd:steps=10,active_set=1,best=step", "fgsm"},

@@ -3,8 +3,7 @@
 // mode, no autograd) and collect every tap as a flattened (n, d_l) matrix
 // plus inputs, logits, predictions, and labels. The figure benches
 // (bench_fig2-6) and the ibrar_analyze CLI all used to hand-roll this loop;
-// they now share this one, and the streaming MI estimators consume the dump
-// chunk by chunk.
+// they now share this one, and info_plane reads the dump in row chunks.
 
 #include <string>
 #include <vector>

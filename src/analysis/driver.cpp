@@ -7,13 +7,12 @@
 
 #include "attacks/registry.hpp"
 #include "mi/channel_score.hpp"
-#include "mi/streaming.hpp"
+#include "mi/hsic.hpp"
 #include "tensor/ops.hpp"
 #include "train/hbar.hpp"
 #include "train/mart.hpp"
 #include "train/trades.hpp"
 #include "train/vib.hpp"
-#include "util/stopwatch.hpp"
 
 namespace ibrar::analysis {
 
@@ -89,14 +88,19 @@ StepSweep attack_step_sweep(models::TapClassifier& model,
   StepSweep sweep;
   sweep.attack = attack;
   sweep.steps = steps;
+  std::vector<attacks::AttackPtr> owned;
+  std::vector<attacks::Attack*> suite;
   for (const auto st : steps) {
     attacks::AttackConfig cfg = defaults;
     cfg.steps = st;
-    const auto atk = attacks::make(attack, cfg);
-    Stopwatch sw;
-    sweep.robust_acc.push_back(
-        train::evaluate_adversarial(model, ds, *atk, batch, max_samples));
-    sweep.seconds.push_back(sw.seconds());
+    owned.push_back(attacks::make(attack, cfg));
+    suite.push_back(owned.back().get());
+  }
+  const auto report = train::evaluate_robust(
+      model, ds, suite, {batch, max_samples, /*with_clean=*/false});
+  for (const auto& point : report.per_attack) {
+    sweep.robust_acc.push_back(point.robust_acc);
+    sweep.seconds.push_back(point.seconds);
   }
   return sweep;
 }
@@ -141,10 +145,9 @@ InfoPlane info_plane(const TapDump& dump, std::vector<std::size_t> layers,
   const float sig_y = mi::scaled_sigma(num_classes, cfg.sigma_mult_y);
 
   // Gram-level chunk loop: per chunk, build the X / Y / tap Grams once each
-  // and reuse them across both HSIC pairs (the estimator-level convenience
-  // wrappers would rebuild the tap Gram for I(X;T) and again for I(Y;T), and
-  // the X Gram once per layer). Per-chunk HSICs average sample-weighted,
-  // exactly like mi::StreamingHsic; chunk <= 0 is one chunk == the plain
+  // and reuse them across both HSIC pairs and every layer. Each chunk's
+  // biased estimator targets the same population HSIC, so the per-chunk
+  // values average sample-weighted; chunk <= 0 is one chunk == the plain
   // batch estimator.
   const auto n = dump.size();
   const std::int64_t chunk = cfg.chunk > 0 && cfg.chunk < n ? cfg.chunk : n;

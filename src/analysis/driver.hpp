@@ -4,7 +4,7 @@
 // One trained model + one captured TapDump is enough to emit every Fig. 2-6
 // artifact: robust-accuracy step sweeps (Fig. 2), t-SNE cluster structure of
 // a tap (Fig. 3), convergence traces (Fig. 4, from training history),
-// information-plane HSIC coordinates per layer (Fig. 5, streamed in chunks),
+// information-plane HSIC coordinates per layer (Fig. 5, HSIC in row chunks),
 // and the Eq. (3) channel scores. bench_fig2-6 and the ibrar_analyze CLI are
 // thin compositions over these; bench/common.hpp's training helpers delegate
 // here too, so the objective wiring lives in exactly one place.
@@ -61,9 +61,10 @@ struct StepSweep {
   std::string attack;                 ///< registry name ("pgd", "cw", ...)
   std::vector<std::int64_t> steps;
   std::vector<double> robust_acc;     ///< one value per entry of `steps`
-  std::vector<double> seconds;        ///< wall time per sweep point
+  std::vector<double> seconds;        ///< perturb+predict time per point
 };
 
+/// One evaluate_robust sweep whose suite holds `attack` at every step count.
 StepSweep attack_step_sweep(models::TapClassifier& model,
                             const data::Dataset& ds, const std::string& attack,
                             const std::vector<std::int64_t>& steps,
@@ -80,8 +81,8 @@ struct ClusterReport {
 ClusterReport cluster_report(const TapDump& dump, std::size_t tap_index,
                              const mi::TSNEConfig& cfg = {});
 
-/// Fig. 5: HSIC information-plane coordinates per selected layer, estimated
-/// by the streaming chunked estimator over the dump.
+/// Fig. 5: HSIC information-plane coordinates per selected layer: Gaussian
+/// HSIC over row chunks of the dump, averaged sample-weighted across chunks.
 struct InfoPlaneConfig {
   std::int64_t chunk = 0;       ///< rows per HSIC chunk; <= 0 = one chunk
   float sigma_mult = 5.0f;      ///< bandwidth rule for X and T

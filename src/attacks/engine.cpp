@@ -36,20 +36,6 @@ LossBuilder ce_loss() {
   };
 }
 
-LossBuilder margin_loss() {
-  return [](models::TapClassifier& model, const ag::Var& input,
-            const std::vector<std::int64_t>& y,
-            const std::vector<std::int64_t>& /*rows*/, ag::Var* logits_out) {
-    ag::Var logits = model.forward(input);
-    *logits_out = logits;
-    const auto wrong = best_wrong_class(logits.value(), y);
-    ag::Var m = ag::sub(ag::gather_cols(logits, y),
-                        ag::gather_cols(logits, wrong));
-    // The engine maximizes; minimizing the margin drives misclassification.
-    return ag::neg(ag::mean(m));
-  };
-}
-
 LossBuilder kl_vs_clean_loss(Tensor p_clean) {
   return [p = std::move(p_clean)](models::TapClassifier& model,
                                   const ag::Var& input,

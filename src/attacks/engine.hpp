@@ -8,9 +8,9 @@
 //
 //   init      : where the trajectory starts (clean point / uniform-in-ball /
 //               Gaussian, as TRADES uses)
-//   loss      : what the inner maximization climbs (CE / logit margin /
-//               KL against the clean predictive distribution / any custom
-//               LossBuilder, e.g. the adaptive IB objective)
+//   loss      : what the inner maximization climbs (CE / KL against the
+//               clean predictive distribution / any custom LossBuilder,
+//               e.g. the adaptive IB objective)
 //   step      : how the gradient becomes a move (plain sign / momentum sign /
 //               Nesterov look-ahead sign)
 //   project   : Linf eps-ball intersected with the [clip_lo, clip_hi] box
@@ -67,9 +67,6 @@ using LossBuilder = std::function<ag::Var(
 
 /// Mean cross-entropy against the true labels (FGSM/PGD/MI/NI family).
 LossBuilder ce_loss();
-
-/// Negative mean logit margin z_y - max_{j != y} z_j (margin-descent variant).
-LossBuilder margin_loss();
 
 /// KL(p_clean || p(x')) with p_clean treated as a constant — TRADES' inner
 /// maximization. `p_clean` holds FULL-batch clean probabilities; rows are

@@ -5,6 +5,34 @@
 #include "util/logging.hpp"
 
 namespace ibrar::core {
+namespace {
+
+struct ProbeAccuracy {
+  double adv = 0.0;
+  double clean = 0.0;
+};
+
+/// PGD accuracy on cfg.eval_samples test examples, then clean accuracy on
+/// the whole test set: two sweeps, because the sample counts differ.
+ProbeAccuracy probe_accuracy(models::TapClassifier& model,
+                             const data::Dataset& test_set,
+                             const RobustLayerConfig& cfg) {
+  attacks::PGD pgd(cfg.eval_attack);
+  const std::int64_t batch = cfg.train.batch_size;
+  ProbeAccuracy acc;
+  acc.adv = train::evaluate_robust(model, test_set, {&pgd},
+                                   {batch, cfg.eval_samples,
+                                    /*with_clean=*/false})
+                .per_attack.front()
+                .robust_acc;
+  acc.clean = train::evaluate_robust(model, test_set,
+                                     std::vector<attacks::Attack*>{},
+                                     {batch, -1})
+                  .clean_acc;
+  return acc;
+}
+
+}  // namespace
 
 RobustLayerReport RobustLayerSelector::select(const data::Dataset& train_set,
                                               const data::Dataset& test_set) {
@@ -17,11 +45,9 @@ RobustLayerReport RobustLayerSelector::select(const data::Dataset& train_set,
     train::Trainer trainer(model, std::make_shared<train::CEObjective>(),
                            cfg_.train);
     trainer.fit(train_set);
-    attacks::PGD pgd(cfg_.eval_attack);
-    report.baseline_adv_acc = train::evaluate_adversarial(
-        *model, test_set, pgd, cfg_.train.batch_size, cfg_.eval_samples);
-    report.baseline_test_acc =
-        train::evaluate_clean(*model, test_set, cfg_.train.batch_size);
+    const auto acc = probe_accuracy(*model, test_set, cfg_);
+    report.baseline_adv_acc = acc.adv;
+    report.baseline_test_acc = acc.clean;
     logging::info("robust-layers baseline: adv=", report.baseline_adv_acc,
               " clean=", report.baseline_test_acc);
   }
@@ -44,13 +70,11 @@ RobustLayerReport RobustLayerSelector::select(const data::Dataset& train_set,
     train::Trainer trainer(model, obj, cfg_.train);
     trainer.fit(train_set);
 
-    attacks::PGD pgd(cfg_.eval_attack);
+    const auto acc = probe_accuracy(*model, test_set, cfg_);
     LayerProbeResult r;
     r.layer = layer;
-    r.adv_acc = train::evaluate_adversarial(*model, test_set, pgd,
-                                            cfg_.train.batch_size,
-                                            cfg_.eval_samples);
-    r.test_acc = train::evaluate_clean(*model, test_set, cfg_.train.batch_size);
+    r.adv_acc = acc.adv;
+    r.test_acc = acc.clean;
     r.robust = r.adv_acc >= report.baseline_adv_acc + cfg_.margin;
     logging::info("robust-layers probe ", layer, ": adv=", r.adv_acc,
               " clean=", r.test_acc, r.robust ? "  [ROBUST]" : "");

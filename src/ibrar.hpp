@@ -1,11 +1,13 @@
 #pragma once
-// Umbrella header: the full public API of the IB-RAR reproduction library.
+// Umbrella header for the IB-RAR training and attack library.
 //
 //   #include "ibrar.hpp"
 //
-// pulls in every subsystem. Individual headers remain includable for faster
-// incremental builds; this file exists for downstream consumers who prefer a
-// single entry point.
+// pulls in the runtime, utilities, numerics, autograd, models, data, MI,
+// attacks, training and IB-RAR core headers. The serving (serve/),
+// observability (obs/) and figure-analysis (analysis/) subsystems are not
+// included; include their headers directly. Individual headers also remain
+// includable for faster incremental builds.
 
 // Parallel execution runtime
 #include "runtime/parallel_for.hpp"  // deterministic parallel_for / reduce
@@ -50,7 +52,6 @@
 #include "data/synthetic.hpp"
 
 // Mutual information machinery
-#include "mi/binned_mi.hpp"
 #include "mi/channel_score.hpp"
 #include "mi/hsic.hpp"
 #include "mi/kernels.hpp"
@@ -79,9 +80,8 @@
 #include "train/trainer.hpp"
 #include "train/vib.hpp"
 
-// IB-RAR (the paper's contribution + future-work extension)
+// IB-RAR (the paper's contribution)
 #include "core/feature_mask.hpp"
 #include "core/ibrar.hpp"
 #include "core/mi_loss.hpp"
 #include "core/robust_layers.hpp"
-#include "core/shared_features.hpp"

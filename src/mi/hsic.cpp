@@ -1,7 +1,5 @@
 #include "mi/hsic.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -153,16 +151,6 @@ float hsic_gaussian(const Tensor& x, const Tensor& y, float sigma_x,
   const float sx = sigma_x > 0 ? sigma_x : scaled_sigma(x.dim(1));
   const float sy = sigma_y > 0 ? sigma_y : scaled_sigma(y.dim(1));
   return hsic(gram_gaussian(x, sx), gram_gaussian(y, sy));
-}
-
-float cka(const Tensor& x, const Tensor& y) {
-  const Tensor kx = gram_gaussian(x, scaled_sigma(x.dim(1)));
-  const Tensor ky = gram_gaussian(y, scaled_sigma(y.dim(1)));
-  const float hxy = hsic(kx, ky);
-  const float hxx = hsic(kx, kx);
-  const float hyy = hsic(ky, ky);
-  const float denom = std::sqrt(std::max(hxx * hyy, 1e-20f));
-  return hxy / denom;
 }
 
 }  // namespace ibrar::mi

@@ -26,7 +26,4 @@ ag::Var hsic(const ag::Var& kx, const ag::Var& ky);
 float hsic_gaussian(const Tensor& x, const Tensor& y, float sigma_x = -1.0f,
                     float sigma_y = -1.0f);
 
-/// Normalized HSIC (CKA): HSIC(K,L)/sqrt(HSIC(K,K) HSIC(L,L)) in [0,1].
-float cka(const Tensor& x, const Tensor& y);
-
 }  // namespace ibrar::mi

@@ -122,8 +122,4 @@ ag::Var gram_gaussian(const ag::Var& x, float sigma) {
   return ag::exp(ag::mul_scalar(d, -1.0f / (2.0f * sigma * sigma)));
 }
 
-ag::Var gram_linear(const ag::Var& x) {
-  return ag::matmul(x, ag::transpose(x));
-}
-
 }  // namespace ibrar::mi

@@ -38,7 +38,4 @@ Tensor gram_gaussian(const Tensor& x, float sigma);
 /// Differentiable version (gradient flows into x; sigma is a constant).
 ag::Var gram_gaussian(const ag::Var& x, float sigma);
 
-/// Linear kernel K = X X^T (differentiable); used for one-hot labels.
-ag::Var gram_linear(const ag::Var& x);
-
 }  // namespace ibrar::mi

@@ -49,26 +49,4 @@ ag::Var ib_objective(const ag::Var& x, const std::vector<ag::Var>& taps,
   return total;
 }
 
-std::pair<float, float> ib_objective_terms(const Tensor& x,
-                                           const std::vector<Tensor>& taps,
-                                           const std::vector<std::int64_t>& labels,
-                                           std::int64_t num_classes,
-                                           const IBObjectiveConfig& cfg) {
-  const auto layers = resolve_layers(cfg, taps.size());
-  const Tensor x2 = x.reshape({x.dim(0), x.numel() / x.dim(0)});
-  const Tensor kx = gram_gaussian(x2, scaled_sigma(x2.dim(1), cfg.sigma_mult));
-  const Tensor y = one_hot(labels, num_classes);
-  const Tensor ky = gram_gaussian(y, scaled_sigma(num_classes, cfg.sigma_mult_y));
-
-  float sx = 0.0f, sy = 0.0f;
-  for (const auto li : layers) {
-    const Tensor t2 = taps[li].reshape({taps[li].dim(0),
-                                        taps[li].numel() / taps[li].dim(0)});
-    const Tensor kt = gram_gaussian(t2, scaled_sigma(t2.dim(1), cfg.sigma_mult));
-    sx += hsic(kx, kt);
-    sy += hsic(ky, kt);
-  }
-  return {sx, sy};
-}
-
 }  // namespace ibrar::mi

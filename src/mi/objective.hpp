@@ -27,12 +27,4 @@ ag::Var ib_objective(const ag::Var& x, const std::vector<ag::Var>& taps,
                      const std::vector<std::int64_t>& labels,
                      std::int64_t num_classes, const IBObjectiveConfig& cfg);
 
-/// The two sums separately (for logging / the Fig. 5 style diagnostics):
-/// first = sum_l HSIC(X, T_l), second = sum_l HSIC(Y, T_l).
-std::pair<float, float> ib_objective_terms(const Tensor& x,
-                                           const std::vector<Tensor>& taps,
-                                           const std::vector<std::int64_t>& labels,
-                                           std::int64_t num_classes,
-                                           const IBObjectiveConfig& cfg);
-
 }  // namespace ibrar::mi

@@ -60,7 +60,7 @@ class TapClassifier : public nn::Module {
   /// Install the Eq. (3) binary mask over last-conv channels (empty = off).
   void set_channel_mask(Tensor mask);
   void clear_channel_mask() { mask_ = Tensor({0}); }
-  bool has_channel_mask() const { return mask_.numel() > 1 || mask_.rank() == 1; }
+  bool has_channel_mask() const { return mask_.numel() > 0; }
   const Tensor& channel_mask() const { return mask_; }
 
   /// Index of the tap that the mask applies to (the last conv block).

@@ -25,7 +25,7 @@ TapsOutput MLP::forward_with_taps(const ag::Var& x) {
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     h = ag::relu(layers_[i]->forward(h));
     if (i + 1 == layers_.size()) {
-      if (mask_.numel() > 0 && mask_.rank() == 1) {
+      if (has_channel_mask()) {
         h = ag::mul(h, ag::Var::constant(mask_.reshape({1, mask_.numel()})));
       }
       h = maybe_noise(h);
@@ -41,7 +41,7 @@ TapsOutput MLP::eval_forward_with_taps(const ag::Var& x) const {
   ag::Var h = x.shape().size() > 2 ? ag::flatten2d(x) : x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     h = ag::relu(layers_[i]->eval_forward(h));
-    if (i + 1 == layers_.size() && mask_.numel() > 0 && mask_.rank() == 1) {
+    if (i + 1 == layers_.size() && has_channel_mask()) {
       h = ag::mul(h, ag::Var::constant(mask_.reshape({1, mask_.numel()})));
     }
     out.taps.push_back(h);

@@ -43,9 +43,10 @@ void InferencePlan::global_avg_pool() {
   });
 }
 
-void InferencePlan::mask(const Tensor& mask) {
+void InferencePlan::mask(const TapClassifier& model) {
   // apply_channel_mask's "installed" test and (1, C, 1, 1) broadcast.
-  if (mask.numel() == 0 || mask.rank() == 0) return;
+  if (!model.has_channel_mask()) return;
+  const Tensor& mask = model.channel_mask();
   add({}, [m = mask.reshape({1, mask.numel(), 1, 1})](const Tensor& x,
                                                       const Tensor*) {
     return mul(x, m);

@@ -36,8 +36,8 @@ class InferencePlan {
   // The remaining steps read and write slot 0.
   void maxpool(std::int64_t kernel);
   void global_avg_pool();
-  /// Adds nothing when `mask` is empty (no mask installed).
-  void mask(const Tensor& mask);
+  /// `model`'s Eq. 3 channel mask; adds nothing when none is installed.
+  void mask(const TapClassifier& model);
   /// Flatten to (N, -1), then `layer`'s eval_forward (+ReLU).
   void linear(std::shared_ptr<const nn::Linear> layer, bool relu);
   void tap() { steps_.emplace_back(); }

@@ -126,7 +126,7 @@ InferencePlan MiniResNet::lower() const {
   plan.conv(*stem_, stem_bn_.get(), /*relu=*/true);
   for (std::size_t s = 0; s < stage_blocks_.size(); ++s) {
     for (const auto& block : stage_blocks_[s]) block->lower(plan);
-    if (s == 3) plan.mask(mask_);
+    if (s == 3) plan.mask(*this);
     plan.tap();
   }
   plan.global_avg_pool();

@@ -17,7 +17,7 @@ void TapClassifier::set_channel_mask(Tensor mask) {
 }
 
 ag::Var TapClassifier::apply_channel_mask(const ag::Var& feat) const {
-  if (mask_.numel() == 0 || mask_.rank() == 0) return feat;
+  if (!has_channel_mask()) return feat;
   const auto c = mask_.numel();
   return ag::mul(feat, ag::Var::constant(mask_.reshape({1, c, 1, 1})));
 }
@@ -131,7 +131,7 @@ InferencePlan MiniVGG::lower() const {
                 /*relu=*/true);
     }
     if (pool_after_[b] != 0) plan.maxpool(2);
-    if (b == 4) plan.mask(mask_);
+    if (b == 4) plan.mask(*this);
     plan.tap();
   }
   plan.linear(fc1_, /*relu=*/true);

@@ -133,7 +133,7 @@ InferencePlan MiniWRN::lower() const {
     for (const auto& block : group_blocks_[g]) block->lower(plan);
     if (g == 2) {
       plan.bn_relu(*final_bn_);
-      plan.mask(mask_);
+      plan.mask(*this);
     }
     plan.tap();
   }

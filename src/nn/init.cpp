@@ -9,11 +9,6 @@ void kaiming_normal(Tensor& w, std::int64_t fan_in, Rng& rng) {
   for (auto& x : w.vec()) x = rng.normal(0.0f, stddev);
 }
 
-void xavier_uniform(Tensor& w, std::int64_t fan_in, std::int64_t fan_out, Rng& rng) {
-  const float a = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-  for (auto& x : w.vec()) x = rng.uniform(-a, a);
-}
-
 void uniform_init(Tensor& w, float bound, Rng& rng) {
   for (auto& x : w.vec()) x = rng.uniform(-bound, bound);
 }

@@ -9,9 +9,6 @@ namespace ibrar::nn {
 /// He/Kaiming normal: N(0, sqrt(2/fan_in)) — the right scale for ReLU nets.
 void kaiming_normal(Tensor& w, std::int64_t fan_in, Rng& rng);
 
-/// Glorot/Xavier uniform: U(-a, a), a = sqrt(6/(fan_in+fan_out)).
-void xavier_uniform(Tensor& w, std::int64_t fan_in, std::int64_t fan_out, Rng& rng);
-
 /// Uniform in [-bound, bound] (bias init).
 void uniform_init(Tensor& w, float bound, Rng& rng);
 

@@ -101,26 +101,4 @@ void load_model(Module& m, const std::string& path) {
   }
 }
 
-void copy_state(Module& src, Module& dst) {
-  auto sp = src.named_parameters();
-  auto dp = dst.named_parameters();
-  if (sp.size() != dp.size()) {
-    throw std::invalid_argument("copy_state: parameter count mismatch");
-  }
-  for (std::size_t i = 0; i < sp.size(); ++i) {
-    if (!(sp[i].second.value().shape() == dp[i].second.value().shape())) {
-      throw std::invalid_argument("copy_state: shape mismatch at " + sp[i].first);
-    }
-    dp[i].second.mutable_value().vec() = sp[i].second.value().vec();
-  }
-  auto sb = src.named_buffers();
-  auto db = dst.named_buffers();
-  if (sb.size() != db.size()) {
-    throw std::invalid_argument("copy_state: buffer count mismatch");
-  }
-  for (std::size_t i = 0; i < sb.size(); ++i) {
-    db[i].second->vec() = sb[i].second->vec();
-  }
-}
-
 }  // namespace ibrar::nn

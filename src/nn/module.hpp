@@ -80,8 +80,4 @@ void save_model(Module& m, const std::string& path);
 /// Load a checkpoint produced by save_model into `m` (shapes must match).
 void load_model(Module& m, const std::string& path);
 
-/// Deep-copy the parameter/buffer state of `src` into `dst` (architectures
-/// must match). Used to snapshot models for comparison benches.
-void copy_state(Module& src, Module& dst);
-
 }  // namespace ibrar::nn

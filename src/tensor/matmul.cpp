@@ -11,11 +11,6 @@
 
 namespace ibrar {
 
-void gemm_accumulate(const float* a, const float* b, float* c, std::int64_t m,
-                     std::int64_t k, std::int64_t n) {
-  gemm_packed(a, GemmLayout::kRowMajor, b, GemmLayout::kRowMajor, c, m, k, n);
-}
-
 Tensor matmul(const Tensor& a, const Tensor& b) {
   if (a.rank() != 2 || b.rank() != 2 || a.dim(1) != b.dim(0)) {
     throw std::invalid_argument("matmul: bad shapes " + shape_str(a.shape()) +

@@ -29,8 +29,4 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);  ///< A * B^T, B is (n,k)
 /// pairs in the same order (float multiplication commutes bitwise).
 Tensor matmul_nt_sym(const Tensor& a);
 
-/// Raw kernel: c[m,n] += a[m,k] * b[k,n] (row-major, preallocated).
-void gemm_accumulate(const float* a, const float* b, float* c, std::int64_t m,
-                     std::int64_t k, std::int64_t n);
-
 }  // namespace ibrar

@@ -91,11 +91,6 @@ Tensor broadcast_apply(const Tensor& a, const Tensor& b, F&& f) {
 
 }  // namespace
 
-Tensor binary_op(const Tensor& a, const Tensor& b,
-                 const std::function<float(float, float)>& f) {
-  return broadcast_apply(a, b, f);
-}
-
 Tensor add(const Tensor& a, const Tensor& b) {
   return broadcast_apply(a, b, [](float x, float y) { return x + y; });
 }
@@ -116,9 +111,6 @@ Tensor minimum(const Tensor& a, const Tensor& b) {
 }
 Tensor greater(const Tensor& a, const Tensor& b) {
   return broadcast_apply(a, b, [](float x, float y) { return x > y ? 1.0f : 0.0f; });
-}
-Tensor equal_mask(const Tensor& a, const Tensor& b) {
-  return broadcast_apply(a, b, [](float x, float y) { return x == y ? 1.0f : 0.0f; });
 }
 
 Tensor unary_op(const Tensor& a, const std::function<float(float)>& f) {

@@ -20,10 +20,6 @@ Tensor div(const Tensor& a, const Tensor& b);
 Tensor maximum(const Tensor& a, const Tensor& b);
 Tensor minimum(const Tensor& a, const Tensor& b);
 
-/// Generic broadcast binary op (used by the named ops above and by tests).
-Tensor binary_op(const Tensor& a, const Tensor& b,
-                 const std::function<float(float, float)>& f);
-
 // ---- scalar variants --------------------------------------------------------
 
 Tensor add_scalar(const Tensor& a, float s);
@@ -50,7 +46,6 @@ Tensor unary_op(const Tensor& a, const std::function<float(float)>& f);
 // ---- comparisons (result is 0/1 float mask) ---------------------------------
 
 Tensor greater(const Tensor& a, const Tensor& b);
-Tensor equal_mask(const Tensor& a, const Tensor& b);
 
 // ---- shape / assembly -------------------------------------------------------
 

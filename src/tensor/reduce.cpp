@@ -49,18 +49,6 @@ Tensor mean_axis(const Tensor& a, std::int64_t axis, bool keepdim) {
   return mul_scalar(sum_axis(a, axis, keepdim), 1.0f / denom);
 }
 
-Tensor rowmax(const Tensor& a) {
-  if (a.rank() != 2) throw std::invalid_argument("rowmax: rank != 2");
-  const auto m = a.dim(0), n = a.dim(1);
-  Tensor out({m});
-  for (std::int64_t i = 0; i < m; ++i) {
-    float best = -std::numeric_limits<float>::infinity();
-    for (std::int64_t j = 0; j < n; ++j) best = std::max(best, a.at(i, j));
-    out[i] = best;
-  }
-  return out;
-}
-
 std::vector<std::int64_t> argmax_rows(const Tensor& a) {
   if (a.rank() != 2) throw std::invalid_argument("argmax_rows: rank != 2");
   const auto m = a.dim(0), n = a.dim(1);
@@ -114,24 +102,6 @@ Tensor log_softmax_rows(const Tensor& a) {
       for (std::int64_t j = 0; j < n; ++j) denom += std::exp(a.at(i, j) - mx);
       const float lse = mx + static_cast<float>(std::log(denom));
       for (std::int64_t j = 0; j < n; ++j) out.at(i, j) = a.at(i, j) - lse;
-    }
-  });
-  return out;
-}
-
-Tensor row_sq_norm(const Tensor& a) {
-  if (a.rank() != 2) throw std::invalid_argument("row_sq_norm: rank != 2");
-  const auto m = a.dim(0), n = a.dim(1);
-  Tensor out({m, 1});
-  const std::int64_t grain = runtime::grain_for(n);
-  runtime::parallel_for(0, m, grain, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      double s = 0.0;
-      for (std::int64_t j = 0; j < n; ++j) {
-        const double v = a.at(i, j);
-        s += v * v;
-      }
-      out.at(i, 0) = static_cast<float>(s);
     }
   });
   return out;

@@ -19,9 +19,6 @@ Tensor sum_axis(const Tensor& a, std::int64_t axis, bool keepdim = false);
 /// Mean along `axis`.
 Tensor mean_axis(const Tensor& a, std::int64_t axis, bool keepdim = false);
 
-/// Row-wise max of a 2-D tensor -> (rows).
-Tensor rowmax(const Tensor& a);
-
 /// Row-wise argmax of a 2-D tensor.
 std::vector<std::int64_t> argmax_rows(const Tensor& a);
 
@@ -30,9 +27,6 @@ Tensor softmax_rows(const Tensor& a);
 
 /// Row-wise log-softmax of a 2-D tensor.
 Tensor log_softmax_rows(const Tensor& a);
-
-/// Per-row squared L2 norm -> (rows, 1).
-Tensor row_sq_norm(const Tensor& a);
 
 /// Pairwise squared Euclidean distances between rows: (m, m).
 Tensor pairwise_sq_dists(const Tensor& a);

@@ -45,11 +45,6 @@ Tensor::Tensor(Shape shape, std::vector<float> data)
   }
 }
 
-Tensor Tensor::from_vector(std::vector<float> v) {
-  const auto n = static_cast<std::int64_t>(v.size());
-  return Tensor({n}, std::move(v));
-}
-
 Tensor Tensor::eye(std::int64_t n) {
   Tensor t({n, n});
   for (std::int64_t i = 0; i < n; ++i) t.at(i, i) = 1.0f;

@@ -43,9 +43,6 @@ class Tensor {
   static Tensor full(Shape shape, float v) { return Tensor(std::move(shape), v); }
   static Tensor scalar(float v) { return Tensor({}, {v}); }
 
-  /// 1-D tensor from values.
-  static Tensor from_vector(std::vector<float> v);
-
   /// Identity-like matrix (n x n).
   static Tensor eye(std::int64_t n);
 

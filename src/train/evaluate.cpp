@@ -1,6 +1,7 @@
 #include "train/evaluate.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "attacks/registry.hpp"
 #include "util/stopwatch.hpp"
@@ -8,7 +9,13 @@
 namespace ibrar::train {
 namespace {
 
-std::int64_t clamp_samples(const data::Dataset& ds, std::int64_t max_samples) {
+/// Examples a sweep covers; rejects the batch sizes its loop could never
+/// finish with.
+std::int64_t sweep_size(const data::Dataset& ds, std::int64_t batch_size,
+                        std::int64_t max_samples, const char* who) {
+  if (batch_size <= 0) {
+    throw std::invalid_argument(std::string(who) + ": batch_size must be > 0");
+  }
   return max_samples <= 0 ? ds.size() : std::min(max_samples, ds.size());
 }
 
@@ -20,7 +27,8 @@ RobustReport evaluate_robust(models::TapClassifier& model,
                              const RobustEvalConfig& cfg) {
   Stopwatch total_sw;
   RobustReport report;
-  report.examples = clamp_samples(ds, cfg.max_samples);
+  report.examples =
+      sweep_size(ds, cfg.batch_size, cfg.max_samples, "evaluate_robust");
   report.worst_case_correct.assign(
       static_cast<std::size_t>(report.examples), 1);
   report.per_attack.resize(suite.size());
@@ -130,26 +138,11 @@ RobustReport evaluate_robust(models::TapClassifier& model,
   return evaluate_robust(model, ds, suite, cfg);
 }
 
-double evaluate_clean(models::TapClassifier& model, const data::Dataset& ds,
-                      std::int64_t batch_size) {
-  return evaluate_robust(model, ds, std::vector<attacks::Attack*>{},
-                         {batch_size, -1})
-      .clean_acc;
-}
-
-double evaluate_adversarial(models::TapClassifier& model, const data::Dataset& ds,
-                            attacks::Attack& attack, std::int64_t batch_size,
-                            std::int64_t max_samples) {
-  std::vector<attacks::Attack*> suite{&attack};
-  const auto report = evaluate_robust(
-      model, ds, suite, {batch_size, max_samples, /*with_clean=*/false});
-  return report.per_attack.empty() ? 0.0 : report.per_attack.front().robust_acc;
-}
-
 std::vector<std::int64_t> adversarial_predictions(
     models::TapClassifier& model, const data::Dataset& ds,
     attacks::Attack& attack, std::int64_t batch_size, std::int64_t max_samples) {
-  const auto n = clamp_samples(ds, max_samples);
+  const auto n =
+      sweep_size(ds, batch_size, max_samples, "adversarial_predictions");
   std::vector<std::int64_t> out;
   out.reserve(static_cast<std::size_t>(n));
   for (std::int64_t start = 0; start < n; start += batch_size) {

@@ -5,8 +5,8 @@
 // attack suite over the dataset in a single batched sweep and returns a
 // RobustReport: clean accuracy, per-attack robust accuracy and timing, the
 // per-example worst-case mask across the whole suite, and (for composite
-// specs like "fgsm→pgd→cw") per-stage statistics. The legacy scalar helpers
-// below are thin wrappers over the same driver.
+// specs like "fgsm→pgd→cw") per-stage statistics. An empty suite scores clean
+// accuracy alone.
 
 #include <string>
 
@@ -43,15 +43,17 @@ struct RobustReport {
 };
 
 struct RobustEvalConfig {
-  std::int64_t batch_size = 100;
+  std::int64_t batch_size = 100;  ///< must be > 0
   std::int64_t max_samples = -1;  ///< <= 0 = whole dataset
   /// Run the clean prediction pass (clean_acc + its contribution to the
-  /// worst-case mask). The evaluate_adversarial wrapper turns it off so
-  /// per-epoch training evals don't pay a discarded forward pass.
+  /// worst-case mask). Callers that score clean accuracy on a different
+  /// sample count than the attacks turn it off and make a separate
+  /// empty-suite call, so no forward pass is discarded.
   bool with_clean = true;
 };
 
 /// Run the suite over (at most max_samples of) `ds` in one batched sweep.
+/// Throws std::invalid_argument when cfg.batch_size <= 0.
 RobustReport evaluate_robust(models::TapClassifier& model,
                              const data::Dataset& ds,
                              const std::vector<attacks::Attack*>& suite,
@@ -65,17 +67,8 @@ RobustReport evaluate_robust(models::TapClassifier& model,
                              const RobustEvalConfig& cfg = {},
                              const attacks::AttackConfig& defaults = {});
 
-/// Top-1 accuracy on clean examples.
-double evaluate_clean(models::TapClassifier& model, const data::Dataset& ds,
-                      std::int64_t batch_size = 100);
-
-/// Top-1 accuracy on adversarial examples produced by `attack`; at most
-/// `max_samples` examples are attacked (<=0 = all).
-double evaluate_adversarial(models::TapClassifier& model, const data::Dataset& ds,
-                            attacks::Attack& attack, std::int64_t batch_size = 100,
-                            std::int64_t max_samples = -1);
-
 /// Predictions on adversarial examples (for Table 5 confusion analysis).
+/// Throws std::invalid_argument when batch_size <= 0.
 std::vector<std::int64_t> adversarial_predictions(
     models::TapClassifier& model, const data::Dataset& ds,
     attacks::Attack& attack, std::int64_t batch_size = 100,

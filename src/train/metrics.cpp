@@ -1,22 +1,8 @@
 #include "train/metrics.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace ibrar::train {
-
-double accuracy_from_predictions(const std::vector<std::int64_t>& pred,
-                                 const std::vector<std::int64_t>& truth) {
-  if (pred.size() != truth.size()) {
-    throw std::invalid_argument("accuracy: size mismatch");
-  }
-  if (pred.empty()) return 0.0;
-  std::int64_t correct = 0;
-  for (std::size_t i = 0; i < pred.size(); ++i) {
-    if (pred[i] == truth[i]) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(pred.size());
-}
 
 std::vector<std::vector<std::int64_t>> confusion_counts(
     const std::vector<std::int64_t>& pred, const std::vector<std::int64_t>& truth,

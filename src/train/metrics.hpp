@@ -1,15 +1,11 @@
 #pragma once
-// Classification metrics shared by the evaluation loop and the benches.
+// Confusion statistics over predictions (paper Table 5, bench_table5).
 
 #include <vector>
 
 #include "tensor/tensor.hpp"
 
 namespace ibrar::train {
-
-/// Fraction of matching entries.
-double accuracy_from_predictions(const std::vector<std::int64_t>& pred,
-                                 const std::vector<std::int64_t>& truth);
 
 /// counts[t][p] = number of samples with true class t predicted as p.
 std::vector<std::vector<std::int64_t>> confusion_counts(

@@ -67,10 +67,18 @@ std::vector<EpochStats> Trainer::fit(const data::Dataset& train,
     s.mean_loss = batches > 0 ? loss_sum / batches : 0.0;
     s.train_acc = seen > 0 ? static_cast<double>(correct) / seen : 0.0;
     if (test != nullptr) {
-      s.test_acc = evaluate_clean(*model_, *test, cfg_.batch_size);
+      // Clean accuracy covers the whole test set and the attack only
+      // eval_adv_samples of it, so they are two sweeps.
+      const std::vector<attacks::Attack*> no_attacks;
+      s.test_acc =
+          evaluate_robust(*model_, *test, no_attacks, {cfg_.batch_size, -1})
+              .clean_acc;
       if (eval_attack != nullptr) {
-        s.adv_acc = evaluate_adversarial(*model_, *test, *eval_attack,
-                                         cfg_.batch_size, eval_adv_samples);
+        s.adv_acc = evaluate_robust(*model_, *test, {eval_attack},
+                                    {cfg_.batch_size, eval_adv_samples,
+                                     /*with_clean=*/false})
+                        .per_attack.front()
+                        .robust_acc;
       }
     }
     s.seconds = sw.seconds();

@@ -34,8 +34,4 @@ long scaled_int(const char* override_name, long quick, long paper) {
   return get_int(override_name, profile() == Profile::kPaper ? paper : quick);
 }
 
-double scaled_double(const char* override_name, double quick, double paper) {
-  return get_double(override_name, profile() == Profile::kPaper ? paper : quick);
-}
-
 }  // namespace ibrar::env

@@ -27,6 +27,5 @@ Profile profile();
 
 /// Convenience: pick a value by profile, then apply an env override.
 long scaled_int(const char* override_name, long quick, long paper);
-double scaled_double(const char* override_name, double quick, double paper);
 
 }  // namespace ibrar::env

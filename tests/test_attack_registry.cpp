@@ -233,17 +233,32 @@ TEST(Driver, RobustReportSingleAttacks) {
   EXPECT_LE(report.worst_case_acc, report.clean_acc + 1e-9);
 }
 
-TEST(Driver, MatchesLegacyWrappers) {
-  AttackConfig cfg;
-  cfg.steps = 5;
-  auto a = make("pgd", cfg);
-  const double legacy = train::evaluate_adversarial(
-      *setup().model, setup().data.test, *a, 50, 100);
-  auto b = make("pgd", cfg);
-  std::vector<Attack*> suite{b.get()};
-  const auto report =
-      train::evaluate_robust(*setup().model, setup().data.test, suite, {50, 100});
-  EXPECT_DOUBLE_EQ(legacy, report.per_attack.front().robust_acc);
+TEST(Driver, SuiteMatchesOneAttackSweeps) {
+  // Every attack owns its RNG stream, so a five-attack sweep, which
+  // interleaves the attacks batch by batch, must score each attack exactly
+  // as a sweep of that attack alone does, and its worst case must be the
+  // AND of the one-attack masks.
+  const std::vector<std::string> specs = {"pgd:steps=5", "cw:steps=5", "fgsm",
+                                          "fab:steps=3", "nifgsm:steps=5"};
+  const train::RobustEvalConfig cfg{50, 100};
+  const auto suite = train::evaluate_robust(*setup().model, setup().data.test,
+                                            specs, cfg);
+  ASSERT_EQ(suite.per_attack.size(), specs.size());
+  std::vector<std::uint8_t> all_correct(100, 1);
+  for (std::size_t a = 0; a < specs.size(); ++a) {
+    const auto one = train::evaluate_robust(
+        *setup().model, setup().data.test, std::vector<std::string>{specs[a]},
+        cfg);
+    EXPECT_EQ(suite.per_attack[a].robust_acc,
+              one.per_attack.front().robust_acc)
+        << specs[a];
+    EXPECT_EQ(suite.clean_acc, one.clean_acc);
+    ASSERT_EQ(one.worst_case_correct.size(), all_correct.size());
+    for (std::size_t i = 0; i < all_correct.size(); ++i) {
+      all_correct[i] &= one.worst_case_correct[i];
+    }
+  }
+  EXPECT_EQ(suite.worst_case_correct, all_correct);
 }
 
 TEST(Driver, CompositeEndToEndOnePass) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "attacks/adaptive.hpp"
 #include "attacks/cw.hpp"
@@ -243,11 +244,29 @@ TEST(Evaluate, AdversarialLowerThanClean) {
   AttackConfig cfg;
   cfg.steps = 5;
   PGD pgd(cfg);
-  const double clean =
-      train::evaluate_clean(*setup().model, setup().data.test, 50);
-  const double adv = train::evaluate_adversarial(*setup().model,
-                                                 setup().data.test, pgd, 50, 100);
-  EXPECT_LT(adv, clean);
+  const auto report = train::evaluate_robust(*setup().model,
+                                             setup().data.test, {&pgd},
+                                             {50, 100});
+  EXPECT_LT(report.per_attack.front().robust_acc, report.clean_acc);
+}
+
+TEST(Evaluate, RejectsNonPositiveBatchSize) {
+  // A sweep that steps by batch_size could never finish.
+  PGD pgd(AttackConfig{});
+  for (const std::int64_t batch : {std::int64_t{0}, std::int64_t{-1}}) {
+    EXPECT_THROW(train::evaluate_robust(*setup().model, setup().data.test,
+                                        {&pgd}, {batch, 10}),
+                 std::invalid_argument)
+        << batch;
+    EXPECT_THROW(train::evaluate_robust(*setup().model, setup().data.test,
+                                        std::vector<Attack*>{}, {batch, 10}),
+                 std::invalid_argument)
+        << batch;
+    EXPECT_THROW(train::adversarial_predictions(
+                     *setup().model, setup().data.test, pgd, batch, 10),
+                 std::invalid_argument)
+        << batch;
+  }
 }
 
 TEST(Evaluate, PredictionsCountMatchesRequest) {

@@ -1,6 +1,5 @@
-// Extension features beyond the paper's evaluated battery: MI-FGSM, the
-// black-box Square attack (gradient-masking control), and the shared-feature
-// distillation pipeline the paper proposes as future work.
+// Extension attacks beyond the paper's evaluated battery: MI-FGSM and the
+// black-box Square attack (gradient-masking control).
 
 #include <gtest/gtest.h>
 
@@ -9,11 +8,9 @@
 #include "attacks/mifgsm.hpp"
 #include "attacks/pgd.hpp"
 #include "attacks/square.hpp"
-#include "core/shared_features.hpp"
 #include "data/registry.hpp"
 #include "ibrar.hpp"  // umbrella header must compile standalone
 #include "models/registry.hpp"
-#include "train/evaluate.hpp"
 #include "train/trainer.hpp"
 
 namespace ibrar {
@@ -124,103 +121,6 @@ TEST(SquareTest, NoGradientMaskingInIBRAR) {
   const double square_acc = attacks::accuracy(
       *setup().model, square.perturb(*setup().model, b.x, b.y), b.y);
   EXPECT_LE(pgd_acc, square_acc + 0.10);
-}
-
-TEST(SharedFeatures, PlantedPairsRankMostSimilar) {
-  const auto report = core::analyze_shared_features(*setup().model,
-                                                    setup().data.train);
-  ASSERT_FALSE(report.ranked_pairs.empty());
-  // The generator plants car<->truck (1,9), cat<->dog (3,5), bird<->deer
-  // (2,4), plane<->ship (0,8), deer<->horse (4,7), cat<->frog (3,6). At
-  // least two of the top-4 ranked pairs should be planted ones.
-  const std::vector<std::pair<std::int64_t, std::int64_t>> planted = {
-      {1, 9}, {3, 5}, {2, 4}, {0, 8}, {4, 7}, {3, 6}};
-  // Statistical form of the claim (robust at miniature training scale): the
-  // planted pairs' mean similarity exceeds the non-planted pairs' mean.
-  auto is_planted = [&](std::int64_t a, std::int64_t b) {
-    for (const auto& q : planted) {
-      if ((q.first == a && q.second == b) || (q.first == b && q.second == a)) {
-        return true;
-      }
-    }
-    return false;
-  };
-  double planted_sum = 0, other_sum = 0;
-  int planted_n = 0, other_n = 0;
-  const auto& sim = report.class_similarity;
-  for (std::int64_t a = 0; a < sim.dim(0); ++a) {
-    for (std::int64_t b = a + 1; b < sim.dim(1); ++b) {
-      if (is_planted(a, b)) {
-        planted_sum += sim.at(a, b);
-        ++planted_n;
-      } else {
-        other_sum += sim.at(a, b);
-        ++other_n;
-      }
-    }
-  }
-  EXPECT_GT(planted_sum / planted_n, other_sum / other_n);
-}
-
-TEST(SharedFeatures, SimilarityMatrixIsSymmetricWithUnitDiagonal) {
-  const auto report = core::analyze_shared_features(*setup().model,
-                                                    setup().data.train);
-  const auto& s = report.class_similarity;
-  for (std::int64_t a = 0; a < s.dim(0); ++a) {
-    EXPECT_NEAR(s.at(a, a), 1.0f, 1e-4);
-    for (std::int64_t b = 0; b < s.dim(1); ++b) {
-      EXPECT_NEAR(s.at(a, b), s.at(b, a), 1e-5);
-      EXPECT_LE(std::fabs(s.at(a, b)), 1.0f + 1e-5);
-    }
-  }
-}
-
-TEST(SharedFeatures, MaskDropsHighestSharedChannels) {
-  const auto report = core::analyze_shared_features(*setup().model,
-                                                    setup().data.train);
-  const Tensor mask = core::shared_feature_mask(report, 0.25f);
-  ASSERT_EQ(mask.numel(),
-            static_cast<std::int64_t>(report.channel_shared_score.size()));
-  float max_kept = -1e30f, min_dropped = 1e30f;
-  for (std::int64_t i = 0; i < mask.numel(); ++i) {
-    const float score = report.channel_shared_score[static_cast<std::size_t>(i)];
-    if (mask[i] == 0.0f) {
-      min_dropped = std::min(min_dropped, score);
-    } else {
-      max_kept = std::max(max_kept, score);
-    }
-  }
-  // Dropped = highest shared scores.
-  EXPECT_GE(min_dropped, max_kept - 1e-6f);
-}
-
-TEST(SharedFeatures, CombineMasksIsConjunction) {
-  Tensor a({4}, {1, 0, 1, 1});
-  Tensor b({4}, {1, 1, 0, 1});
-  const Tensor c = core::combine_masks(a, b);
-  EXPECT_FLOAT_EQ(c[0], 1);
-  EXPECT_FLOAT_EQ(c[1], 0);
-  EXPECT_FLOAT_EQ(c[2], 0);
-  EXPECT_FLOAT_EQ(c[3], 1);
-  // All-zero conjunction keeps one channel alive.
-  Tensor z({2}, {1.0f, 0.0f});
-  Tensor z2({2}, {0.0f, 1.0f});
-  const Tensor kept = core::combine_masks(z, z2);
-  EXPECT_FLOAT_EQ(kept[0] + kept[1], 1.0f);
-  EXPECT_THROW(core::combine_masks(a, Tensor({3}, 1.0f)),
-               std::invalid_argument);
-}
-
-TEST(SharedFeatures, MaskedModelStillClassifies) {
-  // Applying the shared-feature mask must not collapse accuracy (the paper's
-  // anticipated trade-off: discard shared features, keep enough information).
-  auto& model = *setup().model;
-  const double before = train::evaluate_clean(model, setup().data.test, 100);
-  const auto report = core::analyze_shared_features(model, setup().data.train);
-  model.set_channel_mask(core::shared_feature_mask(report, 0.10f));
-  const double after = train::evaluate_clean(model, setup().data.test, 100);
-  model.clear_channel_mask();
-  EXPECT_GT(after, before - 0.25);
 }
 
 }  // namespace

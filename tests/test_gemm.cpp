@@ -88,7 +88,7 @@ TEST(PackedGemm, TransposedVariantsBitExact) {
 }
 
 TEST(PackedGemm, AccumulatesIntoExistingC) {
-  // gemm_accumulate's contract is +=, not =.
+  // gemm_packed's contract is +=, not =.
   Rng rng(11);
   const Tensor a = randn({20, 30}, rng);
   const Tensor b = randn({30, 40}, rng);
@@ -96,7 +96,8 @@ TEST(PackedGemm, AccumulatesIntoExistingC) {
   Tensor ref = c;
   gemm_naive(a.data().data(), GemmLayout::kRowMajor, b.data().data(),
              GemmLayout::kRowMajor, ref.data().data(), 20, 30, 40);
-  gemm_accumulate(a.data().data(), b.data().data(), c.data().data(), 20, 30, 40);
+  gemm_packed(a.data().data(), GemmLayout::kRowMajor, b.data().data(),
+              GemmLayout::kRowMajor, c.data().data(), 20, 30, 40);
   expect_bits_equal(ref, c, "accumulate into nonzero C");
 }
 
@@ -143,7 +144,7 @@ TEST(GemmIeee, SignedZeroAccumulation) {
   float b[1] = {5.0f};
   float c[1] = {-0.0f};
   ASSERT_TRUE(std::signbit(c[0]));
-  gemm_accumulate(a, b, c, 1, 1, 1);
+  gemm_packed(a, GemmLayout::kRowMajor, b, GemmLayout::kRowMajor, c, 1, 1, 1);
   EXPECT_FLOAT_EQ(c[0], 0.0f);
   EXPECT_FALSE(std::signbit(c[0]));
 }

@@ -37,12 +37,21 @@ Env& env() {
   return e;
 }
 
+double clean_acc(models::TapClassifier& m) {
+  return train::evaluate_robust(m, env().data.test,
+                                std::vector<attacks::Attack*>{})
+      .clean_acc;
+}
+
 double pgd_acc(models::TapClassifier& m, std::int64_t steps = 10,
                std::int64_t samples = 150) {
   attacks::AttackConfig c;
   c.steps = steps;
   attacks::PGD pgd(c);
-  return train::evaluate_adversarial(m, env().data.test, pgd, 100, samples);
+  return train::evaluate_robust(m, env().data.test, {&pgd},
+                                {100, samples, /*with_clean=*/false})
+      .per_attack.front()
+      .robust_acc;
 }
 
 /// Claim 1 (Table 4 / Fig. 2): IB-RAR without adversarial training is more
@@ -71,8 +80,8 @@ TEST(Integration, IBRARBeatsCEUnderPGD) {
                                           env().data.train);
       t.fit(env().data.train);
     }
-    ce_clean += train::evaluate_clean(*ce, env().data.test);
-    ib_clean += train::evaluate_clean(*ib, env().data.test);
+    ce_clean += clean_acc(*ce);
+    ib_clean += clean_acc(*ib);
     ce_adv += pgd_acc(*ce);
     ib_adv += pgd_acc(*ib);
   }
@@ -151,8 +160,11 @@ TEST(Integration, AdaptiveAttackDoesNotCollapseATIBRAR) {
   attacks::AttackConfig ac;
   ac.steps = 10;
   attacks::AdaptivePGD adaptive(ac, core::to_ib_config(mi, *model));
-  const double adaptive_acc = train::evaluate_adversarial(
-      *model, env().data.test, adaptive, 100, 120);
+  const double adaptive_acc =
+      train::evaluate_robust(*model, env().data.test, {&adaptive},
+                             {100, 120, /*with_clean=*/false})
+          .per_attack.front()
+          .robust_acc;
   const double pgd = pgd_acc(*model, 10, 120);
   EXPECT_GT(adaptive_acc, pgd - 0.15);
   EXPECT_GT(adaptive_acc, 0.10);

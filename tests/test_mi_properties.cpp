@@ -1,6 +1,7 @@
 // Property/invariant sweep for the rebuilt MI core: the symmetric blocked
 // Gram driver, the fused-centering HSIC (plain + differentiable) and its
-// >= 5x floor over the seed pipeline, CKA, and the streaming estimators.
+// >= 5x floor over the seed pipeline, the sampled median bandwidth, and the
+// parallel channel scores.
 // Complements tests/test_mi.cpp, which covers the estimators' statistical
 // behavior.
 
@@ -10,10 +11,8 @@
 #include <cstring>
 
 #include "autograd/gradcheck.hpp"
-#include "mi/binned_mi.hpp"
 #include "mi/channel_score.hpp"
 #include "mi/hsic.hpp"
-#include "mi/streaming.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/gemm_packed.hpp"
 #include "tensor/matmul.hpp"
@@ -284,98 +283,6 @@ TEST(HsicFused, GradcheckOnGramInputs) {
   const auto r =
       ag::gradcheck(fn, {ag::Var::param(kx), ag::Var::param(ky)}, 1e-3, 5e-2);
   EXPECT_TRUE(r.ok) << r.max_rel_err;
-}
-
-TEST(Cka, BoundsAndSelfSimilarity) {
-  Rng rng(15);
-  for (int trial = 0; trial < 5; ++trial) {
-    const Tensor x = randn({25, 4}, rng);
-    const Tensor y = randn({25, 6}, rng);
-    const float c = cka(x, y);
-    EXPECT_GE(c, -1e-4f);
-    EXPECT_LE(c, 1.0f + 1e-4f);
-    EXPECT_NEAR(cka(x, x), 1.0f, 1e-4f);
-  }
-}
-
-TEST(StreamingHsic, SingleChunkEqualsBatch) {
-  Rng rng(16);
-  const Tensor x = randn({48, 6}, rng);
-  const Tensor y = randn({48, 3}, rng);
-  StreamingHsic acc(2.0f, 2.0f);
-  acc.add(x, y);
-  EXPECT_EQ(acc.chunks(), 1);
-  EXPECT_EQ(acc.samples(), 48);
-  EXPECT_FLOAT_EQ(static_cast<float>(acc.value()),
-                  hsic_gaussian(x, y, 2.0f, 2.0f));
-  EXPECT_FLOAT_EQ(static_cast<float>(hsic_gaussian_chunked(x, y, 0, 2.0f, 2.0f)),
-                  hsic_gaussian(x, y, 2.0f, 2.0f));
-}
-
-TEST(StreamingHsic, ChunkedAgreesWithBatchOnDependentData) {
-  // Chunked and batch are both biased estimators of the same population
-  // quantity; on strongly dependent iid rows they must land close.
-  Rng rng(17);
-  const std::int64_t n = 240;
-  const Tensor x = randn({n, 8}, rng);
-  Tensor y({n, 8});
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t j = 0; j < 8; ++j) y.at(i, j) = 0.5f * x.at(i, j);
-  }
-  const double batch = hsic_gaussian(x, y, 3.0f, 3.0f);
-  const double chunked = hsic_gaussian_chunked(x, y, 60, 3.0f, 3.0f);
-  ASSERT_GT(batch, 0.0);
-  EXPECT_NEAR(chunked, batch, 0.5 * batch);
-}
-
-TEST(StreamingHsic, RejectsBadChunks) {
-  Rng rng(18);
-  StreamingHsic acc;
-  EXPECT_THROW(acc.add(randn({4, 2}, rng), randn({5, 2}, rng)),
-               std::invalid_argument);
-  EXPECT_THROW(acc.add(randn({1, 2}, rng), randn({1, 2}, rng)),
-               std::invalid_argument);
-  EXPECT_EQ(acc.value(), 0.0);
-}
-
-TEST(StreamingBinnedMi, ChunkedIsExactlyBatchWithPinnedRange) {
-  Rng rng(19);
-  const std::int64_t n = 90;
-  const Tensor t = rand_uniform({n, 3}, rng);
-  std::vector<std::int64_t> labels(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) labels[static_cast<std::size_t>(i)] = i % 4;
-  const auto batch = binned_mi(t, labels, 4, 12, 0.0f, 1.0f);
-
-  StreamingBinnedMi acc(4, 12, 0.0f, 1.0f);
-  // Ragged chunking: 90 = 31 + 31 + 28.
-  for (std::int64_t b = 0; b < n; b += 31) {
-    const std::int64_t e = std::min<std::int64_t>(n, b + 31);
-    Tensor chunk({e - b, 3});
-    std::vector<std::int64_t> chunk_labels;
-    for (std::int64_t i = b; i < e; ++i) {
-      for (std::int64_t j = 0; j < 3; ++j) chunk.at(i - b, j) = t.at(i, j);
-      chunk_labels.push_back(labels[static_cast<std::size_t>(i)]);
-    }
-    acc.add(chunk, chunk_labels);
-  }
-  const auto streamed = acc.value();
-  EXPECT_DOUBLE_EQ(streamed.i_xt, batch.i_xt);
-  EXPECT_DOUBLE_EQ(streamed.i_ty, batch.i_ty);
-  EXPECT_EQ(acc.samples(), n);
-}
-
-TEST(StreamingBinnedMi, AutoRangeOverloadUnchanged) {
-  // The two-arg batch form must keep its empirical-range behavior.
-  const std::int64_t n = 32;
-  Tensor t({n, 1});
-  std::vector<std::int64_t> y(static_cast<std::size_t>(n));
-  for (std::int64_t i = 0; i < n; ++i) {
-    y[static_cast<std::size_t>(i)] = i % 2;
-    t.at(i, 0) = static_cast<float>(i % 2);
-  }
-  const auto p = binned_mi(t, y, 2, 10);
-  EXPECT_NEAR(p.i_xt, 1.0, 1e-6);
-  EXPECT_NEAR(p.i_ty, 1.0, 1e-6);
 }
 
 // ---- median_sigma (sampled vs exact) ---------------------------------------

@@ -94,6 +94,18 @@ TEST_P(ModelSweep, MaskChangesLogits) {
   }
 }
 
+TEST_P(ModelSweep, HasChannelMaskTracksSetAndClear) {
+  Rng rng(5);
+  ModelSpec spec;
+  spec.name = GetParam();
+  auto model = make_model(spec, rng);
+  EXPECT_FALSE(model->has_channel_mask());
+  model->set_channel_mask(Tensor({model->last_conv_channels()}, 1.0f));
+  EXPECT_TRUE(model->has_channel_mask());
+  model->clear_channel_mask();
+  EXPECT_FALSE(model->has_channel_mask());
+}
+
 INSTANTIATE_TEST_SUITE_P(Architectures, ModelSweep,
                          ::testing::Values("vgg16", "resnet18", "wrn28", "mlp"));
 

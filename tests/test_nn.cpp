@@ -62,15 +62,6 @@ TEST(Init, KaimingScalesWithFanIn) {
   EXPECT_NEAR(stddev, std::sqrt(2.0 / 50.0), 0.03);
 }
 
-TEST(Init, XavierBounds) {
-  Rng rng(6);
-  Tensor w({1000});
-  xavier_uniform(w, 10, 20, rng);
-  const float bound = std::sqrt(6.0f / 30.0f);
-  EXPECT_GE(min_all(w), -bound);
-  EXPECT_LE(max_all(w), bound);
-}
-
 TEST(BatchNormLayer, NormalizesBatchInTraining) {
   Rng rng(7);
   BatchNorm2d bn(4);
@@ -188,20 +179,6 @@ TEST(Checkpoint, LoadRejectsShapeMismatch) {
   Linear b(4, 5, rng);
   EXPECT_THROW(load_model(b, path), std::runtime_error);
   std::remove(path.c_str());
-}
-
-TEST(Checkpoint, CopyState) {
-  Rng rng(17);
-  Linear a(4, 3, rng);
-  Linear b(4, 3, rng);
-  copy_state(a, b);
-  const auto pa = a.parameters();
-  const auto pb = b.parameters();
-  for (std::size_t i = 0; i < pa.size(); ++i) {
-    for (std::int64_t k = 0; k < pa[i].numel(); ++k) {
-      EXPECT_FLOAT_EQ(pa[i].value()[k], pb[i].value()[k]);
-    }
-  }
 }
 
 }  // namespace

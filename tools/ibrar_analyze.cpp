@@ -7,7 +7,7 @@
 //   Fig. 2  robust accuracy vs attack steps (PGD / CW / NIFGSM)
 //   Fig. 3  t-SNE cluster separation of the penultimate tap
 //   Fig. 4  per-epoch convergence trace (clean + PGD accuracy)
-//   Fig. 5  information-plane coordinates per layer (streamed HSIC + binned MI)
+//   Fig. 5  information-plane coordinates per layer (HSIC over row chunks)
 //   Eq. 3   per-channel HSIC(f_c, Y) scores of the last conv tap
 //
 // Every artifact is also recorded to an ibrar-bench-v1 JSON document
@@ -209,7 +209,7 @@ int main(int argc, char** argv) {
   // ---- fig5: information plane ----------------------------------------------
   {
     analysis::InfoPlaneConfig ip;
-    ip.chunk = s.batch;  // streamed: full capture, one Gram per batch-chunk
+    ip.chunk = s.batch;  // full capture, one Gram per batch-sized chunk
     const auto plane = analysis::info_plane(dump, {}, model->num_classes(), ip);
     std::printf("-- fig5: information plane (chunked HSIC x 1e3) --\n");
     for (std::size_t i = 0; i < plane.layer.size(); ++i) {
@@ -272,8 +272,11 @@ int main(int argc, char** argv) {
     attacks::AttackConfig c;
     c.steps = s.attack_steps;
     attacks::PGD atk(c);
-    const double acc = train::evaluate_adversarial(*bmodel, data.test, atk,
-                                                   s.batch, s.eval_samples);
+    const double acc =
+        train::evaluate_robust(*bmodel, data.test, {&atk},
+                               {s.batch, s.eval_samples, /*with_clean=*/false})
+            .per_attack.front()
+            .robust_acc;
     std::printf("-- fig6: beta=%.3f -> PGD %.2f%% --\n", beta, 100 * acc);
     record(reporter, "fig6/pgd", "beta=" + std::to_string(beta), acc,
            sw.reset());
