@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "autograd/var.hpp"
-#include "tensor/im2col.hpp"
+#include "tensor/conv.hpp"
 #include "util/rng.hpp"
 
 namespace ibrar::ag {

@@ -1,12 +1,7 @@
 #include <stdexcept>
 
 #include "autograd/ops.hpp"
-#include "runtime/parallel_for.hpp"
-#include "tensor/gemm_packed.hpp"
-#include "tensor/im2col.hpp"
-#include "tensor/matmul.hpp"
-#include "tensor/ops.hpp"
-#include "tensor/reduce.hpp"
+#include "tensor/conv.hpp"
 
 namespace ibrar::ag {
 
@@ -21,42 +16,16 @@ Var conv2d(const Var& x, const Var& w, const Var& bias, const Conv2dSpec& spec) 
   return make_op(std::move(out), std::move(parents), [spec, has_bias](Node& n) {
     const Tensor& xv = n.parents[0]->value;
     const Tensor& wv = n.parents[1]->value;
-    const auto nN = n.value.shape()[0];
-    const auto nf = n.value.shape()[1];
-    const auto spatial = n.value.shape()[2] * n.value.shape()[3];
-    const auto ckk = wv.numel() / nf;
-    // NCHW grad -> (N*OH*OW, F) spatial-major layout used by the GEMM.
-    Tensor gprod({nN * spatial, nf});
-    {
-      const float* pg = n.grad.data().data();
-      float* pp = gprod.data().data();
-      ibrar::runtime::parallel_for(0, nN, 1, [&](std::int64_t n0, std::int64_t n1) {
-        for (std::int64_t in_n = n0; in_n < n1; ++in_n) {
-          for (std::int64_t of = 0; of < nf; ++of) {
-            const float* plane = pg + (in_n * nf + of) * spatial;
-            for (std::int64_t s = 0; s < spatial; ++s) {
-              pp[(in_n * spatial + s) * nf + of] = plane[s];
-            }
-          }
-        }
-      });
-    }
     if (n.parents[0]->requires_grad) {
-      // gcols (N*OH*OW, CKK) = gprod * w, w read in place as (F, CKK).
-      Tensor gcols({nN * spatial, ckk});
-      gemm_packed(gprod.data().data(), GemmLayout::kRowMajor, wv.data().data(),
-                  GemmLayout::kRowMajor, gcols.data().data(), nN * spatial, nf,
-                  ckk);
-      n.parents[0]->accumulate(col2im(gcols, xv.shape(), spec));
+      n.parents[0]->accumulate(
+          conv2d_input_grad(n.grad, xv.shape(), wv, spec));
     }
     if (n.parents[1]->requires_grad) {
-      // The weight gradient is the only reader of the im2col columns, so they
-      // exist only here, one layer at a time.
       n.parents[1]->accumulate(
-          ibrar::matmul_tn(gprod, im2col(xv, spec)).reshape(wv.shape()));
+          conv2d_weight_grad(n.grad, xv, wv.shape(), spec));
     }
     if (has_bias && n.parents[2]->requires_grad) {
-      n.parents[2]->accumulate(ibrar::sum_axis(gprod, 0));
+      n.parents[2]->accumulate(conv2d_bias_grad(n.grad));
     }
   });
 }

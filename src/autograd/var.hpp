@@ -18,9 +18,10 @@
 //    graphs), gradcheck (perturbs its inputs only after the analytic
 //    backward, then runs forwards without backward), and CW's Adam step on
 //    its w (after the step's backward; the next step builds a new graph).
-//  * conv2d keeps nothing: its forward builds no im2col columns, and the
-//    weight gradient lowers n.parents[0]->value inside the backward, so a
-//    recorded step holds one layer's columns at a time. Batch norm keeps
+//  * conv2d keeps nothing: no pass builds im2col columns. Its backward
+//    reads n.parents[0]->value and n.parents[1]->value in place; the
+//    weight-gradient kernel gathers the input's taps straight from
+//    n.parents[0]->value into per-lane scratch strips. Batch norm keeps
 //    xhat only when gamma's gradient or a training-mode input gradient is
 //    recorded (will_record); a parameter un-paused between forward and
 //    backward gets xhat recomputed from the parents' values, never a wrong

@@ -22,7 +22,7 @@
 #include "util/table.hpp"      // aligned ASCII tables
 
 // Numerics
-#include "tensor/im2col.hpp"
+#include "tensor/conv.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"

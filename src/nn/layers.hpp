@@ -6,8 +6,8 @@
 #include <vector>
 
 #include "nn/module.hpp"
+#include "tensor/conv.hpp"
 #include "tensor/conv_eval.hpp"
-#include "tensor/im2col.hpp"
 #include "util/rng.hpp"
 
 namespace ibrar::nn {

@@ -34,8 +34,11 @@ enum class Scratch : std::size_t {
   kGemmPackB,       ///< shared packed B (tensor/gemm_packed.cpp)
   kSymGramTile,     ///< C block of matmul_nt_sym, held across gemm_packed
   kServeTelemetry,  ///< per-channel energies, held across channel scoring
-  kConvPackA,       ///< conv2d's per-call weight panels (tensor/conv_eval.cpp)
-  kConvPackB,       ///< implicit-im2col B strips (tensor/conv_eval.cpp)
+  kConvPackA,       ///< a conv kernel's shared A panels, per call: conv2d's
+                    ///< weights, w^T for the input gradient, g for the weight
+                    ///< gradient (tensor/conv_eval.cpp)
+  kConvPackB,       ///< a conv task's B strips, gathered from NCHW
+                    ///< (tensor/conv_eval.cpp)
   kConvAccC,        ///< conv C accumulator block (tensor/conv_eval.cpp)
   kCount,
 };

@@ -1,10 +1,9 @@
-#include "tensor/im2col.hpp"
+#include "tensor/conv.hpp"
 
 #include <limits>
 #include <stdexcept>
 #include <string>
 
-#include "obs/profile.hpp"
 #include "runtime/parallel_for.hpp"
 
 namespace ibrar {
@@ -18,82 +17,6 @@ std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel, std::int64_t str
         std::to_string(stride) + ", pad " + std::to_string(pad));
   }
   return (in + 2 * pad - kernel) / stride + 1;
-}
-
-Tensor im2col(const Tensor& x, const Conv2dSpec& spec) {
-  static obs::ProfileSite& prof = obs::profile_site("tensor/im2col");
-  obs::ProfileScope prof_scope(prof);
-  if (x.rank() != 4) throw std::invalid_argument("im2col: x must be NCHW");
-  const auto n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const auto k = spec.kernel;
-  const auto oh = conv_out_dim(h, k, spec.stride, spec.pad);
-  const auto ow = conv_out_dim(w, k, spec.stride, spec.pad);
-  Tensor cols({n * oh * ow, c * k * k});
-  const float* px = x.data().data();
-  float* pc = cols.data().data();
-  const std::int64_t row_len = c * k * k;
-  // Every output row is an independent gather; split the flat
-  // (image, oy, ox) row index across the pool.
-  const std::int64_t grain = runtime::grain_for(row_len);
-  runtime::parallel_for(0, n * oh * ow, grain, [&](std::int64_t r0, std::int64_t r1) {
-    for (std::int64_t r = r0; r < r1; ++r) {
-      const std::int64_t in_n = r / (oh * ow);
-      const std::int64_t oy = (r / ow) % oh;
-      const std::int64_t ox = r % ow;
-      float* row = pc + r * row_len;
-      const std::int64_t iy0 = oy * spec.stride - spec.pad;
-      const std::int64_t ix0 = ox * spec.stride - spec.pad;
-      for (std::int64_t ic = 0; ic < c; ++ic) {
-        const float* plane = px + (in_n * c + ic) * h * w;
-        for (std::int64_t ky = 0; ky < k; ++ky) {
-          const std::int64_t iy = iy0 + ky;
-          for (std::int64_t kx = 0; kx < k; ++kx) {
-            const std::int64_t ix = ix0 + kx;
-            const bool in_bounds = iy >= 0 && iy < h && ix >= 0 && ix < w;
-            *row++ = in_bounds ? plane[iy * w + ix] : 0.0f;
-          }
-        }
-      }
-    }
-  });
-  return cols;
-}
-
-Tensor col2im(const Tensor& cols, const Shape& x_shape, const Conv2dSpec& spec) {
-  if (x_shape.size() != 4) throw std::invalid_argument("col2im: x_shape must be NCHW");
-  const auto n = x_shape[0], c = x_shape[1], h = x_shape[2], w = x_shape[3];
-  const auto k = spec.kernel;
-  const auto oh = conv_out_dim(h, k, spec.stride, spec.pad);
-  const auto ow = conv_out_dim(w, k, spec.stride, spec.pad);
-  Tensor x(x_shape);
-  const float* pc = cols.data().data();
-  float* px = x.data().data();
-  const std::int64_t row_len = c * k * k;
-  // Columns scatter-add into their source image only, so images parallelize
-  // cleanly; within one image the accumulation order matches the serial loop.
-  runtime::parallel_for(0, n, 1, [&](std::int64_t n0, std::int64_t n1) {
-  for (std::int64_t in_n = n0; in_n < n1; ++in_n) {
-    for (std::int64_t oy = 0; oy < oh; ++oy) {
-      for (std::int64_t ox = 0; ox < ow; ++ox) {
-        const float* row = pc + ((in_n * oh + oy) * ow + ox) * row_len;
-        const std::int64_t iy0 = oy * spec.stride - spec.pad;
-        const std::int64_t ix0 = ox * spec.stride - spec.pad;
-        for (std::int64_t ic = 0; ic < c; ++ic) {
-          float* plane = px + (in_n * c + ic) * h * w;
-          for (std::int64_t ky = 0; ky < k; ++ky) {
-            const std::int64_t iy = iy0 + ky;
-            for (std::int64_t kx = 0; kx < k; ++kx) {
-              const std::int64_t ix = ix0 + kx;
-              const float v = *row++;
-              if (iy >= 0 && iy < h && ix >= 0 && ix < w) plane[iy * w + ix] += v;
-            }
-          }
-        }
-      }
-    }
-  }
-  });
-  return x;
 }
 
 PoolResult maxpool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride) {
@@ -116,8 +39,10 @@ PoolResult maxpool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride) 
       std::size_t oi = static_cast<std::size_t>(plane_idx * out_spatial);
       for (std::int64_t oy = 0; oy < oh; ++oy) {
         for (std::int64_t ox = 0; ox < ow; ++ox) {
+          // best_idx starts at the window's first element: the element the
+          // first-maximum-wins chain picks when nothing beats -inf.
           float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = 0;
+          std::int64_t best_idx = (oy * stride) * w + ox * stride;
           for (std::int64_t ky = 0; ky < kernel; ++ky) {
             for (std::int64_t kx = 0; kx < kernel; ++kx) {
               const std::int64_t iy = oy * stride + ky;

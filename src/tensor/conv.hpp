@@ -1,0 +1,79 @@
+#pragma once
+// Convolution & pooling kernels on NCHW tensors.
+//
+// conv2d and its three gradients run on the one conv driver
+// (tensor/conv_eval.hpp): each gathers its GEMM operand straight from the
+// NCHW tensors into packed strips, so no (N*OH*OW, C*K*K) im2col matrix and
+// no transposed copy of the output gradient is ever built. Max/avg pooling
+// store argmax indices so autograd can route gradients.
+
+#include <vector>
+
+#include "tensor/tensor.hpp"
+
+namespace ibrar {
+
+struct Conv2dSpec {
+  std::int64_t kernel = 3;
+  std::int64_t stride = 1;
+  std::int64_t pad = 1;
+};
+
+/// Output spatial size for one dimension, (in + 2*pad - kernel) / stride + 1.
+/// Every conv and pool sizes its output here. Throws std::invalid_argument
+/// when kernel < 1, stride < 1, pad < 0, or the window is larger than the
+/// padded input.
+std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel, std::int64_t stride,
+                          std::int64_t pad);
+
+/// Forward conv: x (N,C,H,W), w (F,C,K,K), bias (F) optional -> (N,F,OH,OW).
+/// Packs w per call into the caller's scratch arena and runs the one conv
+/// driver, which adds the bias in its NCHW scatter. memcmp-equal to
+/// im2col -> GEMM (columns as A, w transposed as B) -> NCHW transpose ->
+/// bias pass. Defined in tensor/conv_eval.cpp beside the driver, as are the
+/// three gradients below.
+Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor* bias,
+              const Conv2dSpec& spec);
+
+/// Input gradient of conv2d: g (N,F,OH,OW) -> (N,C,H,W) for an input of
+/// shape x_shape. memcmp-equal to col2im(gprod * w), gprod being g as the
+/// (N*OH*OW, F) matrix: each column of w^T * g is the ascending-F chain, and
+/// each input element sums its contributors in ascending (oy, ox) order.
+/// Throws std::invalid_argument when g's shape disagrees with x_shape, w
+/// and spec.
+Tensor conv2d_input_grad(const Tensor& g, const Shape& x_shape,
+                         const Tensor& w, const Conv2dSpec& spec);
+
+/// Weight gradient of conv2d: g (N,F,OH,OW), x (N,C,H,W) -> (F,C,K,K) of
+/// shape w_shape. memcmp-equal to gprod^T * im2col(x): each element is one
+/// chain over (image, oy, ox) in ascending order. Throws
+/// std::invalid_argument when g's shape disagrees with x, w_shape and spec.
+Tensor conv2d_weight_grad(const Tensor& g, const Tensor& x,
+                          const Shape& w_shape, const Conv2dSpec& spec);
+
+/// Bias gradient of conv2d: g (N,F,OH,OW) -> (F), each channel's planes
+/// summed in (image, spatial) order, as sum_axis(gprod, 0) adds them.
+Tensor conv2d_bias_grad(const Tensor& g);
+
+struct PoolResult {
+  Tensor out;                      ///< (N,C,OH,OW)
+  std::vector<std::int64_t> argmax;  ///< flat input index per output element
+};
+
+/// 2-D max pooling (kernel=stride window, no padding). The first maximum of
+/// a window, in row-major order, wins. A window in which no element beats
+/// -inf (all NaN or all -inf) pools to -inf, and its argmax is the window's
+/// first element, so its gradient stays inside the window.
+PoolResult maxpool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride);
+
+/// Scatter pooled gradients back through stored argmax indices.
+Tensor maxpool2d_backward(const Tensor& grad_out, const Shape& x_shape,
+                          const std::vector<std::int64_t>& argmax);
+
+/// Global average pool (N,C,H,W) -> (N,C).
+Tensor global_avg_pool(const Tensor& x);
+
+/// Adjoint of global_avg_pool.
+Tensor global_avg_pool_backward(const Tensor& grad_out, const Shape& x_shape);
+
+}  // namespace ibrar

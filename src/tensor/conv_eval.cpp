@@ -4,13 +4,16 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/scratch_arena.hpp"
+#include "runtime/thread_pool.hpp"
 #include "tensor/gemm_packed.hpp"
 
 namespace ibrar {
@@ -20,19 +23,105 @@ inline std::int64_t round_up(std::int64_t v, std::int64_t to) {
   return (v + to - 1) / to * to;
 }
 
+/// One block of a conv GEMM's output columns: [j0, j0 + cols).
+struct ColBlock {
+  std::int64_t j0;
+  std::int64_t cols;
+};
+
+/// The task, pack and kernel loop every conv kernel runs: C = A * B, with A
+/// the shared `panels` (pack_panels' layout for `rows` rows and `depth`
+/// reduction steps) and B gathered per column block by
+/// pack(pc, kc, blk, tc, bp) into the lane's KC x tc strips. Blocks
+/// [t * per_task, (t + 1) * per_task) form task t and run in ascending order
+/// on one lane. Each block's C (rows padded to MR, tc = cols padded to NR,
+/// row-major with leading dimension tc) starts at zero in the lane's
+/// accumulator and goes to store(blk, acc, tc). Every C element is one
+/// ascending-depth chain on the one micro-kernel whatever the split, so the
+/// bits do not depend on the lane count.
+template <typename BlockOf, typename Pack, typename Store>
+void run_blocks(const float* panels, std::int64_t rows, std::int64_t depth,
+                std::int64_t nblocks, std::int64_t per_task,
+                obs::ProfileSite* kernel_site, const BlockOf& block_of,
+                const Pack& pack, const Store& store) {
+  const std::int64_t rp = round_up(rows, kGemmMR);
+  const std::int64_t ntasks = (nblocks + per_task - 1) / per_task;
+  runtime::parallel_for(0, ntasks, 1, [&](std::int64_t t0, std::int64_t t1) {
+    runtime::ScratchArena& arena = runtime::lane_arena();
+    const std::int64_t b1 = std::min(nblocks, t1 * per_task);
+    for (std::int64_t b = t0 * per_task; b < b1; ++b) {
+      const ColBlock blk = block_of(b);
+      const std::int64_t tc = round_up(blk.cols, kGemmNR);
+      float* acc = arena.floats(runtime::Scratch::kConvAccC,
+                                static_cast<std::size_t>(rp * tc));
+      std::memset(acc, 0, static_cast<std::size_t>(rp * tc) * sizeof(float));
+      float* bp = arena.floats(runtime::Scratch::kConvPackB,
+                               static_cast<std::size_t>(kGemmKC * tc));
+      for (std::int64_t pc = 0; pc < depth; pc += kGemmKC) {
+        const std::int64_t kc = std::min(kGemmKC, depth - pc);
+        pack(pc, kc, blk, tc, bp);
+        std::optional<obs::ProfileScope> kscope;
+        if (kernel_site != nullptr) kscope.emplace(*kernel_site);
+        const float* panel = panels + pc * rp;
+        for (std::int64_t ic = 0; ic < rp; ic += kGemmMC) {
+          const std::int64_t ie = std::min(ic + kGemmMC, rp);
+          for (std::int64_t jr = 0; jr < tc; jr += kGemmNR) {
+            const float* bstrip = bp + jr * kc;
+            for (std::int64_t ir = ic; ir < ie; ir += kGemmMR) {
+              // Rows are MR-padded and columns NR-padded in the scratch
+              // block, so the full-size kernel always applies.
+              gemm_detail::micro_kernel(kc, panel + ir * kc, bstrip,
+                                        acc + ir * tc + jr, tc);
+            }
+          }
+        }
+      }
+      store(blk, acc, tc);
+    }
+  });
+}
+
+/// (N, F, OH, OW) of conv2d for an input of shape x and a weight of shape w;
+/// throws std::invalid_argument when x, w and spec do not form a conv.
+Shape conv_out_shape(const Shape& x, const Shape& w, const Conv2dSpec& spec,
+                     const char* who) {
+  auto fail = [who](const char* what) {
+    throw std::invalid_argument(std::string(who) + ": " + what);
+  };
+  if (x.size() != 4 || w.size() != 4) fail("x and w must be rank 4");
+  if (x[1] != w[1]) fail("channel mismatch");
+  if (w[2] != spec.kernel || w[3] != spec.kernel) {
+    fail("weight/spec kernel mismatch");
+  }
+  return {x[0], w[0], conv_out_dim(x[2], spec.kernel, spec.stride, spec.pad),
+          conv_out_dim(x[3], spec.kernel, spec.stride, spec.pad)};
+}
+
+/// Throws std::invalid_argument unless g has conv2d's output shape for x, w
+/// and spec.
+void check_grad_shape(const Tensor& g, const Shape& x, const Shape& w,
+                      const Conv2dSpec& spec, const char* who) {
+  const Shape expect = conv_out_shape(x, w, spec, who);
+  if (g.shape() != expect) {
+    throw std::invalid_argument(std::string(who) + ": g is " +
+                                shape_str(g.shape()) + ", expected " +
+                                shape_str(expect));
+  }
+}
+
 /// Implicit-im2col B pack: fill the packed block for depth rows [pc, pc+kc)
-/// and global columns [j0, j0+tc) straight from the NCHW input, in the exact
+/// and the block's columns straight from the NCHW input, in the exact
 /// NR-column-strip p-major layout gemm_detail::micro_kernel consumes
-/// (dst[jr*kc + p*NR + jj] = cols(j0+jr+jj, pc+p)). Global column
+/// (dst[jr*kc + p*NR + jj] = cols(blk.j0+jr+jj, pc+p)). Global column
 /// j = image * OH*OW + (oy*OW + ox); the gathered value is exactly what
 /// im2col would have written for that (row, p) — including the zero padding
 /// ring — so the micro-kernel sees the same operand values as the reference
-/// path without the columns tensor ever existing. Columns past `total_cols`
-/// are zero-filled (they land in padded output the epilogue never reads).
+/// path without the columns tensor ever existing. Columns past blk.cols are
+/// zero-filled (they land in padded output the epilogue never reads).
 void pack_b_cols(const float* x, std::int64_t c, std::int64_t in_h,
                  std::int64_t in_w, const Conv2dSpec& spec, std::int64_t ow,
-                 std::int64_t spatial, std::int64_t total_cols, std::int64_t pc,
-                 std::int64_t kc, std::int64_t j0, std::int64_t tc, float* bp) {
+                 std::int64_t spatial, std::int64_t pc, std::int64_t kc,
+                 const ColBlock& blk, std::int64_t tc, float* bp) {
   static obs::ProfileSite& prof = obs::profile_site("tensor/conv_eval/pack_b");
   obs::ProfileScope prof_scope(prof);
   const std::int64_t k = spec.kernel;
@@ -44,8 +133,8 @@ void pack_b_cols(const float* x, std::int64_t c, std::int64_t in_h,
     std::int64_t iy0[kGemmNR];
     std::int64_t ix0[kGemmNR];
     for (std::int64_t jj = 0; jj < kGemmNR; ++jj) {
-      const std::int64_t col = j0 + jr + jj;
-      if (col < total_cols) {
+      if (jr + jj < blk.cols) {
+        const std::int64_t col = blk.j0 + jr + jj;
         const std::int64_t in_n = col / spatial;
         const std::int64_t s = col % spatial;
         xbase[jj] = x + in_n * c * plane;
@@ -87,24 +176,189 @@ void pack_b_cols(const float* x, std::int64_t c, std::int64_t in_h,
   }
 }
 
-/// Floats of a conv's packed weight panels: F rows padded up to MR, times
-/// the reduction depth.
-std::size_t panel_floats(std::int64_t f, std::int64_t ckk) {
-  return static_cast<std::size_t>(round_up(f, kGemmMR) * ckk);
+/// Input-gradient B pack: depth rows [pc, pc+kc) (output channels) of the
+/// block's columns, copied straight from the NCHW gradient g (N,F,OH,OW):
+/// element (p, jj) of strip jr is g[image, pc + p, s] for column
+/// blk.j0 + jr + jj = image * OH*OW + s. Columns past blk.cols are zero.
+void pack_b_planes(const float* g, std::int64_t f, std::int64_t spatial,
+                   std::int64_t pc, std::int64_t kc, const ColBlock& blk,
+                   std::int64_t tc, float* bp) {
+  for (std::int64_t jr = 0; jr < tc; jr += kGemmNR) {
+    float* dst = bp + jr * kc;
+    const float* src[kGemmNR];
+    for (std::int64_t jj = 0; jj < kGemmNR; ++jj) {
+      const std::int64_t j = blk.j0 + jr + jj;
+      src[jj] = jr + jj < blk.cols
+                    ? g + ((j / spatial) * f + pc) * spatial + j % spatial
+                    : nullptr;
+    }
+    for (std::int64_t p = 0; p < kc; ++p) {
+      float* row = dst + p * kGemmNR;
+      for (std::int64_t jj = 0; jj < kGemmNR; ++jj) {
+        row[jj] = src[jj] != nullptr ? src[jj][p * spatial] : 0.0f;
+      }
+    }
+  }
 }
 
-/// Pack weight (F,C,K,K), read as the (F, CKK) row-major matrix it already
-/// is, as gemm_packed packs A: depth block pc becomes one panel of MR-row
-/// strips at offset pc * round_up(F, MR), its strip for rows [ir, ir+MR) at
-/// ir * kc within the panel, rows past F zero-filled.
-void pack_weights(const Tensor& w, float* panels) {
-  const std::int64_t f = w.dim(0);
-  const std::int64_t ckk = w.dim(1) * w.dim(2) * w.dim(3);
+/// First output index whose tap at offset `t` lands inside an input of
+/// length `in` (0 <= o*st - pad + t < in), and one past the last, capped at
+/// `out`.
+inline std::int64_t first_inside(std::int64_t t, std::int64_t st,
+                                 std::int64_t pad) {
+  return t < pad ? (pad - t + st - 1) / st : 0;
+}
+inline std::int64_t end_inside(std::int64_t t, std::int64_t st,
+                               std::int64_t pad, std::int64_t in,
+                               std::int64_t out) {
+  const std::int64_t last = in - 1 + pad - t;
+  return last < 0 ? 0 : std::min(out, last / st + 1);
+}
+
+/// Input-gradient scatter: add the block's C, whose rows are the input taps
+/// (ic, ky, kx) and whose columns are output positions, into gx (N,C,H,W).
+/// An input element takes at most one contribution per tap (ky, kx), from
+/// the output position (oy, ox) that tap maps onto it; walking the taps in
+/// descending order therefore adds its contributors in ascending (oy, ox)
+/// order, the order of col2im's row walk. Blocks of one image run in
+/// ascending order on one lane, so the order holds across them.
+void scatter_input_grad(const float* acc, std::int64_t tc, const ColBlock& blk,
+                        std::int64_t c, std::int64_t in_h, std::int64_t in_w,
+                        const Conv2dSpec& spec, std::int64_t oh,
+                        std::int64_t ow, float* gx) {
+  const std::int64_t k = spec.kernel, st = spec.stride, pad = spec.pad;
+  const std::int64_t spatial = oh * ow;
+  const std::int64_t plane = in_h * in_w;
+  for (std::int64_t ky = k - 1; ky >= 0; --ky) {
+    const std::int64_t y_lo = first_inside(ky, st, pad);
+    const std::int64_t y_hi = end_inside(ky, st, pad, in_h, oh);
+    for (std::int64_t kx = k - 1; kx >= 0; --kx) {
+      const std::int64_t x_lo = first_inside(kx, st, pad);
+      const std::int64_t x_hi = end_inside(kx, st, pad, in_w, ow);
+      if (y_lo >= y_hi || x_lo >= x_hi) continue;
+      // Input offset of output position (0, 0) under this tap.
+      const std::int64_t tap_off = (ky - pad) * in_w + (kx - pad);
+      std::int64_t jj = 0;
+      while (jj < blk.cols) {
+        // One image's columns [s0, s1) of the block.
+        const std::int64_t in_n = (blk.j0 + jj) / spatial;
+        const std::int64_t s0 = (blk.j0 + jj) % spatial;
+        const std::int64_t s1 = std::min(spatial, s0 + blk.cols - jj);
+        const std::int64_t oy0 = std::max(y_lo, s0 / ow);
+        const std::int64_t oy1 = std::min(y_hi, (s1 - 1) / ow + 1);
+        for (std::int64_t ic = 0; ic < c; ++ic) {
+          // crow[s - s0] is this tap's value at output position s.
+          const float* crow = acc + ((ic * k + ky) * k + kx) * tc + jj;
+          const std::int64_t base = (in_n * c + ic) * plane + tap_off;
+          for (std::int64_t oy = oy0; oy < oy1; ++oy) {
+            const std::int64_t lo = std::max(x_lo, s0 - oy * ow);
+            const std::int64_t hi = std::min(x_hi, s1 - oy * ow);
+            const std::int64_t xrow = base + oy * st * in_w;
+            const std::int64_t crow_off = oy * ow - s0;
+            for (std::int64_t ox = lo; ox < hi; ++ox) {
+              gx[xrow + ox * st] += crow[crow_off + ox];
+            }
+          }
+        }
+        jj += s1 - s0;
+      }
+    }
+  }
+}
+
+/// Weight-gradient A pack: depth block [pc, pc+kc) of g read as the
+/// (F, N*OH*OW) matrix (row f, column p = image * OH*OW + s), in pack_a's
+/// MR-row strip layout. Rows past f are zero-filled.
+void pack_a_planes(const float* g, std::int64_t f, std::int64_t spatial,
+                   std::int64_t pc, std::int64_t kc, float* ap) {
   const std::int64_t fp = round_up(f, kGemmMR);
-  for (std::int64_t pc = 0; pc < ckk; pc += kGemmKC) {
-    const std::int64_t kc = std::min(kGemmKC, ckk - pc);
-    gemm_detail::pack_a(w.data().data(), ckk, /*trans=*/false, 0, f, pc, kc,
-                        panels + pc * fp);
+  std::int64_t in_n = pc / spatial;
+  std::int64_t s = pc % spatial;
+  for (std::int64_t p = 0; p < kc; ++p) {
+    const float* col = g + in_n * f * spatial + s;
+    for (std::int64_t ir = 0; ir < fp; ir += kGemmMR) {
+      float* dst = ap + ir * kc + p * kGemmMR;
+      for (std::int64_t r = 0; r < kGemmMR; ++r) {
+        dst[r] = ir + r < f ? col[(ir + r) * spatial] : 0.0f;
+      }
+    }
+    if (++s == spatial) {
+      s = 0;
+      ++in_n;
+    }
+  }
+}
+
+/// Weight-gradient B pack: depth rows [pc, pc+kc) (p = image * OH*OW +
+/// oy*OW + ox) of the block's columns, the input taps q = (ic, ky, kx),
+/// gathered straight from the NCHW input: element (p, jj) of strip jr is
+/// im2col(x)[p, blk.j0 + jr + jj], zero in the padding ring and past
+/// blk.cols.
+void pack_b_taps(const float* x, std::int64_t c, std::int64_t in_h,
+                 std::int64_t in_w, const Conv2dSpec& spec, std::int64_t ow,
+                 std::int64_t spatial, std::int64_t pc, std::int64_t kc,
+                 const ColBlock& blk, std::int64_t tc, float* bp) {
+  const std::int64_t k = spec.kernel;
+  const std::int64_t plane = in_h * in_w;
+  const std::int64_t oh = spatial / ow;
+  for (std::int64_t jr = 0; jr < tc; jr += kGemmNR) {
+    float* dst = bp + jr * kc;
+    // Per-tap source geometry, hoisted out of the depth walk. A tap past
+    // blk.cols gets an offset no window reaches, so it always reads zero.
+    std::int64_t off[kGemmNR];
+    std::int64_t ty[kGemmNR];
+    std::int64_t tx[kGemmNR];
+    for (std::int64_t jj = 0; jj < kGemmNR; ++jj) {
+      const std::int64_t q = blk.j0 + jr + jj;
+      const bool valid = jr + jj < blk.cols;
+      ty[jj] = valid ? (q % (k * k)) / k : -in_h - spec.pad - 1;
+      tx[jj] = valid ? q % k : 0;
+      off[jj] = valid ? (q / (k * k)) * plane + ty[jj] * in_w + tx[jj] : 0;
+    }
+    std::int64_t in_n = pc / spatial;
+    std::int64_t oy = (pc % spatial) / ow;
+    std::int64_t ox = (pc % spatial) % ow;
+    for (std::int64_t p = 0; p < kc; ++p) {
+      float* row = dst + p * kGemmNR;
+      const float* xb = x + in_n * c * plane;
+      const std::int64_t iy0 = oy * spec.stride - spec.pad;
+      const std::int64_t ix0 = ox * spec.stride - spec.pad;
+      const std::int64_t base = iy0 * in_w + ix0;
+      for (std::int64_t jj = 0; jj < kGemmNR; ++jj) {
+        const bool in_bounds = static_cast<std::uint64_t>(iy0 + ty[jj]) <
+                                   static_cast<std::uint64_t>(in_h) &&
+                               static_cast<std::uint64_t>(ix0 + tx[jj]) <
+                                   static_cast<std::uint64_t>(in_w);
+        row[jj] = in_bounds ? xb[off[jj] + base] : 0.0f;
+      }
+      if (++ox == ow) {
+        ox = 0;
+        if (++oy == oh) {
+          oy = 0;
+          ++in_n;
+        }
+      }
+    }
+  }
+}
+
+/// Floats of packed A panels: rows padded up to MR, times the depth.
+std::size_t panel_floats(std::int64_t rows, std::int64_t depth) {
+  return static_cast<std::size_t>(round_up(rows, kGemmMR) * depth);
+}
+
+/// Pack op(A) (rows x depth, read from `a` with leading dimension lda,
+/// transposed when `trans`) as gemm_packed packs A: depth block pc becomes
+/// one panel of MR-row strips at offset pc * round_up(rows, MR), its strip
+/// for rows [ir, ir+MR) at ir * kc within the panel, rows past `rows`
+/// zero-filled. A weight (F,C,K,K) is the (F, C*K*K) row-major matrix as
+/// it is; its transpose is the same buffer read with trans = true.
+void pack_panels(const float* a, std::int64_t lda, bool trans,
+                 std::int64_t rows, std::int64_t depth, float* panels) {
+  const std::int64_t rp = round_up(rows, kGemmMR);
+  for (std::int64_t pc = 0; pc < depth; pc += kGemmKC) {
+    const std::int64_t kc = std::min(kGemmKC, depth - pc);
+    gemm_detail::pack_a(a, lda, trans, 0, rows, pc, kc, panels + pc * rp);
   }
 }
 
@@ -117,13 +371,12 @@ struct Epilogue {
   bool relu = false;
 };
 
-/// The conv driver: x (N,C,H,W) against weight panels packed by
-/// pack_weights for f filters -> (N,F,OH,OW) with the epilogue applied.
+/// The conv forward: x (N,C,H,W) against weight panels packed by
+/// pack_panels for f filters -> (N,F,OH,OW) with the epilogue applied.
 Tensor run_conv(const Tensor& x, const float* panels, std::int64_t f,
                 const Conv2dSpec& spec, const Epilogue& ep) {
   const auto n = x.dim(0), c = x.dim(1), in_h = x.dim(2), in_w = x.dim(3);
   const std::int64_t ckk = c * spec.kernel * spec.kernel;
-  const std::int64_t fp = round_up(f, kGemmMR);
   const auto oh = conv_out_dim(in_h, spec.kernel, spec.stride, spec.pad);
   const auto ow = conv_out_dim(in_w, spec.kernel, spec.stride, spec.pad);
   const std::int64_t spatial = oh * ow;
@@ -144,78 +397,53 @@ Tensor run_conv(const Tensor& x, const float* panels, std::int64_t f,
   const float* pg = has_bn ? ep.bn->gamma.data().data() : nullptr;
   const float* pbeta = has_bn ? ep.bn->beta.data().data() : nullptr;
 
-  // Column tasks: tc_max global columns (pooled across the batch) per unit of
-  // work, mirroring gemm_packed's NC panel width. Each task owns its own
-  // C accumulator block and B strips, so tasks split across lanes freely;
-  // every output element is produced by exactly one task with the same
-  // micro-kernel chain regardless of the split.
-  const std::int64_t tc_max = kGemmNC;
-  const std::int64_t ntasks = (total_cols + tc_max - 1) / tc_max;
-  runtime::parallel_for(0, ntasks, 1, [&](std::int64_t t0, std::int64_t t1) {
-    runtime::ScratchArena& arena = runtime::lane_arena();
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t j0 = t * tc_max;
-      const std::int64_t cols = std::min(tc_max, total_cols - j0);
-      const std::int64_t tc = round_up(cols, kGemmNR);
-      float* acc = arena.floats(runtime::Scratch::kConvAccC,
-                                static_cast<std::size_t>(fp * tc));
-      std::memset(acc, 0, static_cast<std::size_t>(fp * tc) * sizeof(float));
-      float* bp = arena.floats(runtime::Scratch::kConvPackB,
-                               static_cast<std::size_t>(kGemmKC * tc));
-      for (std::int64_t pc = 0; pc < ckk; pc += kGemmKC) {
-        const std::int64_t kc = std::min(kGemmKC, ckk - pc);
-        pack_b_cols(px, c, in_h, in_w, spec, ow, spatial, total_cols, pc, kc,
-                    j0, tc, bp);
-        static obs::ProfileSite& kprof =
-            obs::profile_site("tensor/conv_eval/kernel");
-        obs::ProfileScope kscope(kprof);
-        const float* panel = panels + pc * fp;
-        for (std::int64_t ic = 0; ic < fp; ic += kGemmMC) {
-          const std::int64_t ie = std::min(ic + kGemmMC, fp);
-          for (std::int64_t jr = 0; jr < tc; jr += kGemmNR) {
-            const float* bstrip = bp + jr * kc;
-            for (std::int64_t ir = ic; ir < ie; ir += kGemmMR) {
-              // Rows are MR-padded and columns NR-padded in the scratch
-              // block, so the full-size kernel always applies.
-              gemm_detail::micro_kernel(kc, panel + ir * kc, bstrip,
-                                        acc + ir * tc + jr, tc);
+  // NC global columns (pooled across the batch) per block, mirroring
+  // gemm_packed's NC panel width; every output element is produced by
+  // exactly one block.
+  static obs::ProfileSite& kprof = obs::profile_site("tensor/conv_eval/kernel");
+  run_blocks(
+      panels, f, ckk, (total_cols + kGemmNC - 1) / kGemmNC, 1, &kprof,
+      [&](std::int64_t b) {
+        return ColBlock{b * kGemmNC,
+                        std::min(kGemmNC, total_cols - b * kGemmNC)};
+      },
+      [&](std::int64_t pc, std::int64_t kc, const ColBlock& blk,
+          std::int64_t tc, float* bp) {
+        pack_b_cols(px, c, in_h, in_w, spec, ow, spatial, pc, kc, blk, tc, bp);
+      },
+      [&](const ColBlock& blk, const float* acc, std::int64_t tc) {
+        // Epilogue: single scatter to NCHW, applying the reference
+        // per-element expressions in reference order (bias -> BN -> skip ->
+        // ReLU). The padded accumulator rows/columns are simply never read.
+        for (std::int64_t of = 0; of < f; ++of) {
+          const float* crow = acc + of * tc;
+          const float bf = pbias != nullptr ? pbias[of] : 0.0f;
+          const float mu = has_bn ? pmu[of] : 0.0f;
+          const float is = has_bn ? pis[of] : 0.0f;
+          const float g = has_bn ? pg[of] : 0.0f;
+          const float bb = has_bn ? pbeta[of] : 0.0f;
+          std::int64_t jj = 0;
+          while (jj < blk.cols) {
+            const std::int64_t j = blk.j0 + jj;
+            const std::int64_t in_n = j / spatial;
+            const std::int64_t s = j % spatial;
+            const std::int64_t run = std::min(blk.cols - jj, spatial - s);
+            const std::int64_t base = (in_n * f + of) * spatial + s;
+            for (std::int64_t r = 0; r < run; ++r) {
+              float v = crow[jj + r];
+              if (pbias != nullptr) v += bf;       // the bias pass
+              if (has_bn) {
+                const float xh = (v - mu) * is;    // batch_norm2d_apply
+                v = g * xh + bb;
+              }
+              if (psk != nullptr) v = v + psk[base + r];  // ag::add(h, skip)
+              if (ep.relu) v = v > 0.0f ? v : 0.0f;  // ag::relu
+              po[base + r] = v;
             }
+            jj += run;
           }
         }
-      }
-      // Epilogue: single scatter to NCHW, applying the reference
-      // per-element expressions in reference order (bias -> BN -> skip ->
-      // ReLU). The padded accumulator rows/columns are simply never read.
-      for (std::int64_t of = 0; of < f; ++of) {
-        const float* crow = acc + of * tc;
-        const float bf = pbias != nullptr ? pbias[of] : 0.0f;
-        const float mu = has_bn ? pmu[of] : 0.0f;
-        const float is = has_bn ? pis[of] : 0.0f;
-        const float g = has_bn ? pg[of] : 0.0f;
-        const float bb = has_bn ? pbeta[of] : 0.0f;
-        std::int64_t jj = 0;
-        while (jj < cols) {
-          const std::int64_t j = j0 + jj;
-          const std::int64_t in_n = j / spatial;
-          const std::int64_t s = j % spatial;
-          const std::int64_t run = std::min(cols - jj, spatial - s);
-          const std::int64_t base = (in_n * f + of) * spatial + s;
-          for (std::int64_t r = 0; r < run; ++r) {
-            float v = crow[jj + r];
-            if (pbias != nullptr) v += bf;       // the bias pass
-            if (has_bn) {
-              const float xh = (v - mu) * is;    // batch_norm2d_apply
-              v = g * xh + bb;
-            }
-            if (psk != nullptr) v = v + psk[base + r];  // ag::add(h, skip)
-            if (ep.relu) v = v > 0.0f ? v : 0.0f;  // ag::relu
-            po[base + r] = v;
-          }
-          jj += run;
-        }
-      }
-    }
-  });
+      });
   return out;
 }
 
@@ -225,24 +453,143 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor* bias,
               const Conv2dSpec& spec) {
   static obs::ProfileSite& prof = obs::profile_site("tensor/conv2d");
   obs::ProfileScope prof_scope(prof);
-  if (x.rank() != 4 || w.rank() != 4) {
-    throw std::invalid_argument("conv2d: x and w must be rank 4");
-  }
-  if (x.dim(1) != w.dim(1)) throw std::invalid_argument("conv2d: channel mismatch");
-  if (w.dim(2) != spec.kernel || w.dim(3) != spec.kernel) {
-    throw std::invalid_argument("conv2d: weight/spec kernel mismatch");
-  }
+  (void)conv_out_shape(x.shape(), w.shape(), spec, "conv2d");
   const auto f = w.dim(0);
   if (bias != nullptr && bias->numel() != f) {
     throw std::invalid_argument("conv2d: bias size");
   }
-  float* panels = runtime::lane_arena().floats(
-      runtime::Scratch::kConvPackA,
-      panel_floats(f, w.dim(1) * spec.kernel * spec.kernel));
-  pack_weights(w, panels);
+  const std::int64_t ckk = w.dim(1) * spec.kernel * spec.kernel;
+  float* panels = runtime::lane_arena().floats(runtime::Scratch::kConvPackA,
+                                               panel_floats(f, ckk));
+  pack_panels(w.data().data(), ckk, /*trans=*/false, f, ckk, panels);
   Epilogue ep;
   ep.bias = bias != nullptr ? bias->data().data() : nullptr;
   return run_conv(x, panels, f, spec, ep);
+}
+
+Tensor conv2d_input_grad(const Tensor& g, const Shape& x_shape,
+                         const Tensor& w, const Conv2dSpec& spec) {
+  static obs::ProfileSite& prof = obs::profile_site("tensor/conv2d_input_grad");
+  obs::ProfileScope prof_scope(prof);
+  check_grad_shape(g, x_shape, w.shape(), spec, "conv2d_input_grad");
+  const std::int64_t n = x_shape[0], c = x_shape[1], in_h = x_shape[2],
+                     in_w = x_shape[3];
+  const std::int64_t f = w.dim(0);
+  const std::int64_t ckk = c * spec.kernel * spec.kernel;
+  const std::int64_t ow = g.dim(3);
+  const std::int64_t spatial = g.dim(2) * ow;
+  Tensor gx(x_shape);
+  if (n * spatial == 0 || f == 0 || ckk == 0) return gx;
+
+  // C (C*K*K, columns) = w^T * g: w^T as MR-row A panels, shared by every
+  // task; each column's chain runs over the filters in ascending order.
+  float* panels = runtime::lane_arena().floats(runtime::Scratch::kConvPackA,
+                                               panel_floats(ckk, f));
+  pack_panels(w.data().data(), ckk, /*trans=*/true, ckk, f, panels);
+
+  // A task owns whole images, so no two lanes add into one input element.
+  // Maps of at most NC columns pool whole images into one block, at most an
+  // even share of the batch per lane so that small maps still fan out; a
+  // wider image is one task of consecutive NC-column chunks.
+  const std::int64_t chunks = (spatial + kGemmNC - 1) / kGemmNC;
+  const std::int64_t lanes = runtime::num_threads();
+  const std::int64_t width =
+      std::clamp((n + lanes - 1) / lanes, std::int64_t{1},
+                 std::max<std::int64_t>(1, kGemmNC / spatial)) *
+      spatial;
+  const std::int64_t nblocks =
+      chunks == 1 ? (n * spatial + width - 1) / width : n * chunks;
+  const float* pg = g.data().data();
+  float* pgx = gx.data().data();
+  run_blocks(
+      panels, ckk, f, nblocks, chunks, nullptr,
+      [&](std::int64_t b) {
+        if (chunks == 1) {
+          return ColBlock{b * width, std::min(width, n * spatial - b * width)};
+        }
+        const std::int64_t s0 = (b % chunks) * kGemmNC;
+        return ColBlock{(b / chunks) * spatial + s0,
+                        std::min(kGemmNC, spatial - s0)};
+      },
+      [&](std::int64_t pc, std::int64_t kc, const ColBlock& blk,
+          std::int64_t tc, float* bp) {
+        pack_b_planes(pg, f, spatial, pc, kc, blk, tc, bp);
+      },
+      [&](const ColBlock& blk, const float* acc, std::int64_t tc) {
+        scatter_input_grad(acc, tc, blk, c, in_h, in_w, spec, g.dim(2), ow,
+                           pgx);
+      });
+  return gx;
+}
+
+Tensor conv2d_weight_grad(const Tensor& g, const Tensor& x,
+                          const Shape& w_shape, const Conv2dSpec& spec) {
+  static obs::ProfileSite& prof =
+      obs::profile_site("tensor/conv2d_weight_grad");
+  obs::ProfileScope prof_scope(prof);
+  check_grad_shape(g, x.shape(), w_shape, spec, "conv2d_weight_grad");
+  const std::int64_t c = x.dim(1), in_h = x.dim(2), in_w = x.dim(3);
+  const std::int64_t f = w_shape[0];
+  const std::int64_t ckk = c * spec.kernel * spec.kernel;
+  const std::int64_t ow = g.dim(3);
+  const std::int64_t spatial = g.dim(2) * ow;
+  const std::int64_t depth = x.dim(0) * spatial;
+  Tensor gw(w_shape);
+  if (depth == 0 || f == 0 || ckk == 0) return gw;
+
+  // C (F, C*K*K) = g * im2col(x), reduced over p = (image, oy, ox) in
+  // ascending order. g as (F, p) MR-row A panels, packed once and shared
+  // by every task; each task gathers the input taps of NR columns.
+  const std::int64_t fp = round_up(f, kGemmMR);
+  float* panels = runtime::lane_arena().floats(runtime::Scratch::kConvPackA,
+                                               panel_floats(f, depth));
+  const float* pg = g.data().data();
+  runtime::parallel_for(
+      0, (depth + kGemmKC - 1) / kGemmKC, runtime::grain_for(fp * kGemmKC),
+      [&](std::int64_t d0, std::int64_t d1) {
+        for (std::int64_t d = d0; d < d1; ++d) {
+          const std::int64_t pc = d * kGemmKC;
+          pack_a_planes(pg, f, spatial, pc, std::min(kGemmKC, depth - pc),
+                        panels + pc * fp);
+        }
+      });
+  const float* px = x.data().data();
+  float* pgw = gw.data().data();
+  run_blocks(
+      panels, f, depth, (ckk + kGemmNR - 1) / kGemmNR, 1, nullptr,
+      [&](std::int64_t b) {
+        return ColBlock{b * kGemmNR, std::min(kGemmNR, ckk - b * kGemmNR)};
+      },
+      [&](std::int64_t pc, std::int64_t kc, const ColBlock& blk,
+          std::int64_t tc, float* bp) {
+        pack_b_taps(px, c, in_h, in_w, spec, ow, spatial, pc, kc, blk, tc, bp);
+      },
+      [&](const ColBlock& blk, const float* acc, std::int64_t tc) {
+        for (std::int64_t of = 0; of < f; ++of) {
+          std::memcpy(pgw + of * ckk + blk.j0, acc + of * tc,
+                      static_cast<std::size_t>(blk.cols) * sizeof(float));
+        }
+      });
+  return gw;
+}
+
+Tensor conv2d_bias_grad(const Tensor& g) {
+  if (g.rank() != 4) throw std::invalid_argument("conv2d_bias_grad: NCHW only");
+  const std::int64_t n = g.dim(0), f = g.dim(1);
+  const std::int64_t spatial = g.dim(2) * g.dim(3);
+  Tensor gb({f});
+  const float* pg = g.data().data();
+  float* pb = gb.data().data();
+  // Channels are independent chains; interleaving them keeps each chain in
+  // (image, spatial) order.
+  for (std::int64_t in_n = 0; in_n < n; ++in_n) {
+    for (std::int64_t s = 0; s < spatial; ++s) {
+      for (std::int64_t of = 0; of < f; ++of) {
+        pb[of] += pg[(in_n * f + of) * spatial + s];
+      }
+    }
+  }
+  return gb;
 }
 
 FoldedBn fold_batch_norm(const Tensor& gamma, const Tensor& beta,
@@ -365,8 +712,10 @@ ConvEvalPlan::ConvEvalPlan(const Tensor& weight, const Tensor* bias,
     throw std::invalid_argument("ConvEvalPlan: BN channel mismatch");
   }
 
-  packed_.resize(panel_floats(f_, c_ * spec.kernel * spec.kernel));
-  pack_weights(weight, packed_.data());
+  const std::int64_t ckk = c_ * spec.kernel * spec.kernel;
+  packed_.resize(panel_floats(f_, ckk));
+  pack_panels(weight.data().data(), ckk, /*trans=*/false, f_, ckk,
+              packed_.data());
   account(+1.0);
 }
 

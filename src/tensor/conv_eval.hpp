@@ -1,8 +1,9 @@
 #pragma once
-// The one conv forward: implicit-im2col GEMM with a fused NCHW epilogue.
+// The one conv driver: implicit-im2col GEMM with a fused NCHW epilogue, and
+// the conv backward on the same task, pack and kernel loop.
 //
 // Every conv in the library runs the driver in conv_eval.cpp: ibrar::conv2d
-// (tensor/im2col.hpp), which is the forward of training, of every attack
+// (tensor/conv.hpp), which is the forward of training, of every attack
 // step and of a model's layer-by-layer eval, and ConvEvalPlan, which a
 // snapshot's InferencePlan runs. The driver computes out = W * cols(x)
 // without ever materializing cols:
@@ -24,8 +25,28 @@
 //    folded frozen-stat batch norm, an optional residual add and an
 //    optional ReLU to the same scatter.
 //
-// The (N*OH*OW, C*K*K) columns of im2col exist only inside the weight
-// gradient of ag::conv2d's backward.
+// ag::conv2d's backward runs three kernels on the same loop (declared in
+// tensor/conv.hpp), given g = dL/dout (N,F,OH,OW):
+//
+//  * Input gradient: C (C*K*K, columns) = W^T * g. W^T is packed once per
+//    call as the shared A panels; B strips are copied straight from g's
+//    planes. A task owns whole images, so no two lanes add into one input
+//    element: a block pools up to NC columns of whole images, at most an
+//    even share of the batch per lane, and an image wider than NC columns
+//    is one task of consecutive chunks. The C block, whose rows are the
+//    input taps (ic, ky, kx), is scattered channel-major into dL/dx with
+//    (ky, kx) descending, so each input element sums its contributors in
+//    ascending (oy, ox) order.
+//  * Weight gradient: C (F, C*K*K) = g * cols(x), reduced over
+//    p = (image, oy, ox) in ascending order. g as (F, p) is packed once as
+//    the shared A panels; each task gathers the input taps of NR columns
+//    straight from x, so tasks split C*K*K, not F.
+//  * Bias gradient: each channel's planes of g summed in (image, spatial)
+//    order, no GEMM.
+//
+// No (N*OH*OW, C*K*K) column matrix and no transposed copy of g exists
+// anywhere; tests/conv_reference.hpp keeps the materialized lowering as the
+// reference the gates compare with.
 //
 // Bit-identity contract: every output element is the same ascending-p fma
 // chain over the same operand values as im2col -> GEMM (columns as A, the
@@ -36,13 +57,17 @@
 // `h + skip`, relu's `x > 0 ? x : 0`) in the same order. Outputs are
 // therefore memcmp-identical to that lowering, and a snapshot's logits and
 // taps to the layer-by-layer eval, at any batch size, lane count and
-// blocking (tests/test_conv_eval.cpp gates both).
+// blocking (tests/test_conv_eval.cpp gates both). The gradients hold the
+// same contract against the materialized backward — gprod * W then a
+// row-major col2im, gprod^T * im2col(x), and sum_axis(gprod, 0) — because
+// IEEE products commute and every chain and scatter keeps the reference's
+// order (tests/test_autograd.cpp gates all three at 1 and 4 lanes).
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "tensor/im2col.hpp"
+#include "tensor/conv.hpp"
 #include "tensor/tensor.hpp"
 
 namespace ibrar {

@@ -160,8 +160,9 @@ void gemm_packed(const float* a, GemmLayout la, const float* b, GemmLayout lb,
   // read the shared packed B (packing copies values without rounding, so a
   // shared pack is exactly as bit-deterministic as a per-lane one) — with T
   // lanes this does 1x the packing traffic instead of Tx, which matters for
-  // short-m GEMMs like the conv weight-gradient matmul_tn. Total size is
-  // n (NR-padded per jc block) x k floats — the same order as B itself.
+  // short-m GEMMs like a small-batch Linear forward (m = the batch).
+  // Total size is n (NR-padded per jc block) x k floats — the same order as
+  // B itself.
   const std::int64_t n_padded = round_up(n % kGemmNC == 0 ? 0 : n % kGemmNC,
                                          kGemmNR) +
                                 (n / kGemmNC) * kGemmNC;

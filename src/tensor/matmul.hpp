@@ -1,10 +1,11 @@
 #pragma once
 // GEMM entry points, backed by the cache-blocked packed micro-kernel in
-// gemm_packed.*. Conv-as-im2col makes matmul the hot loop of every workload
-// (training, the attack suite, the HSIC/Gram MI estimators), so all three
-// variants lower onto one panel-packed kernel that reuses per-lane scratch
-// buffers and splits C row-panels across the pool with per-element arithmetic
-// identical to the serial loop (bit-reproducible at any thread count).
+// gemm_packed.*. The dense layers and the HSIC/Gram MI estimators run on
+// them (convs run the same micro-kernel through tensor/conv_eval.cpp), so
+// all three variants lower onto one panel-packed kernel that reuses
+// per-lane scratch buffers and splits C row-panels across the pool with
+// per-element arithmetic identical to the serial loop (bit-reproducible at
+// any thread count).
 //
 // No zero-skip shortcuts: IEEE special values (NaN, Inf, signed zero)
 // propagate exactly as in the textbook triple loop.

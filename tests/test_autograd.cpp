@@ -1,18 +1,22 @@
 // Autograd: backward rules for every op, finite-difference gradient checks
 // (parameterized sweeps), graph mechanics (accumulation, detach, no-grad),
 // and the ownership contract: closures that read the graph's own values give
-// the same bits as the copy-capturing formulas, and conv lowers its input
-// once, keeping the columns only for a recorded weight gradient.
+// the same bits as the copy-capturing formulas, and conv's backward runs its
+// weight-gradient kernel only for a recorded weight gradient. Every conv
+// gradient is memcmp-equal to an independent lowering at real sizes.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "autograd/gradcheck.hpp"
 #include "autograd/ops.hpp"
 #include "conv_reference.hpp"
 #include "obs/profile.hpp"
+#include "runtime/thread_pool.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
@@ -272,7 +276,7 @@ TEST(ConvGrad, StrideTwoNonSquareIndivisible) {
 
 TEST(ConvGrad, KernelLargerThanInput) {
   // 5x5 kernel over a 3x4 image with pad 2: every window hangs off at least
-  // one edge, so im2col's zero-fill and col2im's bounds checks carry the
+  // one edge, so the gathers' zero padding and the scatter's bounds carry the
   // whole gradient.
   Rng rng(67);
   Tensor x = randn({1, 1, 3, 4}, rng, 0, 0.5f);
@@ -485,29 +489,12 @@ std::string conv_case_name(const ConvCase& c) {
          (c.bias ? "b" : "");
 }
 
-struct ConvRef {
-  Tensor gw;
-  Tensor gb;
-};
-
-/// Reference gradients of L = sum(conv2d(x, w, b) * r), built from im2col
-/// and matmul_tn: gprod is r in the GEMM's (N*OH*OW, F) layout.
-ConvRef conv_reference(const Tensor& x, const Tensor& w, const Tensor& r,
-                       const Conv2dSpec& spec) {
-  const auto n = r.dim(0), f = r.dim(1), spatial = r.dim(2) * r.dim(3);
-  Tensor gprod({n * spatial, f});
-  for (std::int64_t i = 0; i < n; ++i) {
-    for (std::int64_t of = 0; of < f; ++of) {
-      for (std::int64_t s = 0; s < spatial; ++s) {
-        gprod.at(i * spatial + s, of) = r[(i * f + of) * spatial + s];
-      }
-    }
-  }
-  ConvRef ref;
-  ref.gw = accumulated(matmul_tn(gprod, im2col(x, spec)).reshape(w.shape()));
-  ref.gb = accumulated(
-      matmul_tn(gprod, Tensor({n * spatial, 1}, 1.0f)).reshape({f}));
-  return ref;
+/// Reference gradients of L = sum(conv2d(x, w, b) * r) as a first
+/// accumulate leaves them in the leaves' grads (0 + g).
+ConvGrads conv_reference(const Tensor& x, const Tensor& w, const Tensor& r,
+                         const Conv2dSpec& spec) {
+  const ConvGrads raw = reference_conv2d_grads(x, w, r, spec);
+  return {accumulated(raw.gx), accumulated(raw.gw), accumulated(raw.gb)};
 }
 
 class ConvOwnership : public ::testing::TestWithParam<ConvCase> {};
@@ -531,7 +518,7 @@ TEST_P(ConvOwnership, ForwardMatchesTensorConvInEveryMode) {
   EXPECT_TRUE(same_bits(run(true), expect)) << "NoGradGuard";
 }
 
-TEST_P(ConvOwnership, GradientsMatchReferenceWithOneIm2col) {
+TEST_P(ConvOwnership, GradientsMatchReferenceWithOneKernelEach) {
   const auto& c = GetParam();
   Rng rng(103);
   const Tensor x = randn({2, 3, 6, 5}, rng);
@@ -539,49 +526,55 @@ TEST_P(ConvOwnership, GradientsMatchReferenceWithOneIm2col) {
   const Tensor b = randn({4}, rng);
   const Conv2dSpec spec{3, c.stride, c.pad};
   const Tensor r = randn(ibrar::conv2d(x, w, nullptr, spec).shape(), rng);
-  const ConvRef ref = conv_reference(x, w, r, spec);
+  const ConvGrads ref = conv_reference(x, w, r, spec);
 
   const bool was_profiling = obs::profiling_enabled();
   obs::set_profiling_enabled(true);
 
-  // The forward builds no columns in any mode.
+  // The forward enters no gradient kernel.
   obs::reset_profile();
   {
     NoGradGuard ng;
     (void)conv2d(Var::param(x), Var::param(w), c.bias ? Var::param(b) : Var(),
                  spec);
   }
-  EXPECT_EQ(profile_calls("tensor/im2col"), 0u) << "NoGradGuard forward";
+  EXPECT_EQ(profile_calls("tensor/conv2d_weight_grad"), 0u)
+      << "NoGradGuard forward";
+  EXPECT_EQ(profile_calls("tensor/conv2d_input_grad"), 0u)
+      << "NoGradGuard forward";
 
-  // Weight requires grad: its gradient lowers the input once, in backward.
+  // Weight requires grad: one input- and one weight-gradient kernel.
   obs::reset_profile();
   Var xa = Var::param(x), wa = Var::param(w), ba = Var::param(b);
   backward_with(conv2d(xa, wa, c.bias ? ba : Var(), spec), r);
-  EXPECT_EQ(profile_calls("tensor/im2col"), 1u) << "one im2col per conv";
+  EXPECT_EQ(profile_calls("tensor/conv2d_weight_grad"), 1u)
+      << "one weight-gradient kernel per conv";
+  EXPECT_EQ(profile_calls("tensor/conv2d_input_grad"), 1u);
   EXPECT_TRUE(same_bits(wa.grad(), ref.gw));
   if (c.bias) {
     EXPECT_TRUE(same_bits(ba.grad(), ref.gb));
   }
 
-  // Weight paused: no columns at all; the input gradient does not read them.
+  // Weight paused: no weight-gradient kernel; the input gradient is the same.
   obs::reset_profile();
   Var xp = Var::param(x);
   backward_with(conv2d(xp, Var(w, false), c.bias ? Var(b, false) : Var(), spec),
                 r);
-  EXPECT_EQ(profile_calls("tensor/im2col"), 0u) << "weight paused";
+  EXPECT_EQ(profile_calls("tensor/conv2d_weight_grad"), 0u) << "weight paused";
+  EXPECT_EQ(profile_calls("tensor/conv2d_input_grad"), 1u) << "weight paused";
   EXPECT_TRUE(same_bits(xp.grad(), xa.grad()));
 
   obs::set_profiling_enabled(was_profiling);
 }
 
-TEST_P(ConvOwnership, WeightUnpausedBeforeBackwardRecomputesColumns) {
+TEST_P(ConvOwnership, WeightUnpausedBeforeBackwardGetsItsGradient) {
   const auto& c = GetParam();
   Rng rng(107);
   const Tensor x = randn({2, 3, 6, 5}, rng);
   const Tensor w = randn({4, 3, 3, 3}, rng, 0, 0.3f);
   const Conv2dSpec spec{3, c.stride, c.pad};
   const Tensor r = randn(ibrar::conv2d(x, w, nullptr, spec).shape(), rng);
-  const ConvRef ref = conv_reference(x, w, r, spec);
+  const ConvGrads ref = conv_reference(x, w, r, spec);
 
   Var xv = Var::param(x);
   Var wv(w, /*requires_grad=*/false);  // paused at forward time
@@ -598,6 +591,89 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{2, 0, false}, ConvCase{2, 0, true},
                       ConvCase{2, 1, false}, ConvCase{2, 1, true}),
     [](const auto& info) { return conv_case_name(info.param); });
+
+// ---- conv backward: every gradient against the independent lowering --------
+
+struct ConvGateCase {
+  std::string name;
+  std::int64_t n, c, h, w, f;
+  Conv2dSpec spec;
+};
+
+/// ConvOwnership's grid, vgg16's ten trunk convs at the training batch, and
+/// ragged shapes that reach every blocking edge of the backward kernels:
+/// K = 1 and 5, stride 2, pad 0 and 2, F off the MR and NR multiples,
+/// C*K*K and F past kGemmKC, images wider than kGemmNC columns (evenly and
+/// unevenly chunked), image groups that do not fill kGemmNC, and batch 1.
+std::vector<ConvGateCase> conv_gate_cases() {
+  std::vector<ConvGateCase> cases;
+  for (const std::int64_t stride : {1, 2}) {
+    for (const std::int64_t pad : {0, 1}) {
+      cases.push_back({"grid_s" + std::to_string(stride) + "p" +
+                           std::to_string(pad),
+                       2, 3, 6, 5, 4, {3, stride, pad}});
+    }
+  }
+  // vgg16 at image 16: channels 8/12/16/24/24, two convs a block, a 2x2
+  // pool after blocks 1-3.
+  struct Vgg {
+    const char* name;
+    std::int64_t c, hw, f;
+  };
+  constexpr Vgg kVgg16[] = {
+      {"vgg.b1c0", 3, 16, 8},   {"vgg.b1c1", 8, 16, 8},
+      {"vgg.b2c0", 8, 8, 12},   {"vgg.b2c1", 12, 8, 12},
+      {"vgg.b3c0", 12, 4, 16},  {"vgg.b3c1", 16, 4, 16},
+      {"vgg.b4c0", 16, 2, 24},  {"vgg.b4c1", 24, 2, 24},
+      {"vgg.b5c0", 24, 2, 24},  {"vgg.b5c1", 24, 2, 24},
+  };
+  for (const auto& v : kVgg16) {
+    cases.push_back({v.name, 100, v.c, v.hw, v.hw, v.f, {3, 1, 1}});
+  }
+  cases.push_back({"k1s1p0_f5", 3, 5, 7, 6, 5, {1, 1, 0}});
+  cases.push_back({"k1s2p0_proj", 3, 8, 8, 8, 12, {1, 2, 0}});
+  cases.push_back({"k5s1p2_f7", 2, 3, 9, 7, 7, {5, 1, 2}});
+  cases.push_back({"k5s2p2_f6", 2, 4, 11, 9, 6, {5, 2, 2}});
+  cases.push_back({"k3s2p0_f9", 4, 6, 11, 7, 9, {3, 2, 0}});
+  cases.push_back({"k4s2p1_f13", 3, 5, 10, 10, 13, {4, 2, 1}});
+  cases.push_back({"ckk288_past_kc", 3, 32, 5, 5, 7, {3, 1, 1}});
+  cases.push_back({"k5_ckk275_f17", 2, 11, 6, 6, 17, {5, 1, 2}});
+  cases.push_back({"f260_past_kc", 2, 3, 5, 5, 260, {3, 1, 1}});
+  cases.push_back({"map32_past_nc", 2, 3, 32, 32, 8, {3, 1, 1}});
+  cases.push_back({"map30_uneven_nc", 3, 4, 30, 30, 5, {3, 1, 1}});
+  cases.push_back({"map7x6_groups", 30, 4, 7, 6, 6, {3, 1, 1}});
+  cases.push_back({"batch1", 1, 8, 16, 16, 8, {3, 1, 1}});
+  cases.push_back({"batch1_deep", 1, 24, 2, 2, 24, {3, 1, 1}});
+  return cases;
+}
+
+TEST(ConvBackward, GradientsMatchIndependentLoweringAtOneAndFourLanes) {
+  const std::int64_t lanes0 = runtime::num_threads();
+  std::uint64_t seed = 0x9a7e;
+  for (const auto& tc : conv_gate_cases()) {
+    Rng rng(++seed);
+    const Tensor x = randn({tc.n, tc.c, tc.h, tc.w}, rng);
+    const Tensor w =
+        randn({tc.f, tc.c, tc.spec.kernel, tc.spec.kernel}, rng, 0, 0.3f);
+    const Tensor b = randn({tc.f}, rng);
+    Tensor g = randn(ibrar::conv2d(x, w, nullptr, tc.spec).shape(), rng);
+    // Signed zeros in the upstream gradient: 0 + (-0) must round alike.
+    for (std::int64_t i = 0; i < g.numel(); i += 7) g[i] = -0.0f;
+    const ConvGrads ref = conv_reference(x, w, g, tc.spec);
+    for (const std::int64_t lanes : {1, 4}) {
+      runtime::set_num_threads(lanes);
+      Var xv = Var::param(x), wv = Var::param(w), bv = Var::param(b);
+      backward_with(conv2d(xv, wv, bv, tc.spec), g);
+      EXPECT_TRUE(same_bits(xv.grad(), ref.gx))
+          << tc.name << " lanes=" << lanes;
+      EXPECT_TRUE(same_bits(wv.grad(), ref.gw))
+          << tc.name << " lanes=" << lanes;
+      EXPECT_TRUE(same_bits(bv.grad(), ref.gb))
+          << tc.name << " lanes=" << lanes;
+    }
+  }
+  runtime::set_num_threads(lanes0);
+}
 
 struct UnaryRule {
   const char* name;

@@ -31,7 +31,7 @@
 #include "serve/net/admin.hpp"
 #include "serve/server.hpp"
 #include "tensor/gemm_packed.hpp"
-#include "tensor/im2col.hpp"
+#include "tensor/conv.hpp"
 #include "tensor/random.hpp"
 #include "timing.hpp"
 #include "util/rng.hpp"

@@ -1,13 +1,14 @@
 // Tensor layer: construction, broadcasting arithmetic, reductions, matmul,
-// im2col/conv kernels, pooling, and the broadcast-adjoint reduce_to_shape.
+// conv kernels and their gradients, pooling, and the broadcast-adjoint
+// reduce_to_shape.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <stdexcept>
 
+#include "tensor/conv.hpp"
 #include "tensor/conv_eval.hpp"
-#include "tensor/im2col.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
@@ -275,11 +276,42 @@ TEST(Conv, KernelsRejectGeometryOutsideTheInput) {
   const Conv2dSpec too_big{3, 2, 0};
   EXPECT_THROW(conv2d(x, w, nullptr, too_big), std::invalid_argument);
   EXPECT_THROW(conv2d(x, w, nullptr, {3, 0, 1}), std::invalid_argument);
-  EXPECT_THROW(im2col(x, too_big), std::invalid_argument);
-  EXPECT_THROW(col2im(Tensor({1, 9}), x.shape(), too_big),
+  EXPECT_THROW(conv2d_input_grad(Tensor({1, 1, 1, 1}), x.shape(), w, too_big),
+               std::invalid_argument);
+  EXPECT_THROW(conv2d_weight_grad(Tensor({1, 1, 1, 1}), x, w.shape(), too_big),
                std::invalid_argument);
   const ConvEvalPlan plan(w, nullptr, too_big, FoldedBn{}, false);
   EXPECT_THROW(plan.run(x), std::invalid_argument);
+}
+
+TEST(Conv, GradientKernelsRejectAGradientOfTheWrongShape) {
+  // conv2d of a (2,3,6,5) input with a (4,3,3,3) weight at stride 1, pad 1
+  // is (2,4,6,5); every other g shape is refused, as is the right g under
+  // a spec or weight it does not come from.
+  const Tensor x({2, 3, 6, 5});
+  const Tensor w({4, 3, 3, 3});
+  const Conv2dSpec spec{3, 1, 1};
+  EXPECT_NO_THROW(conv2d_input_grad(Tensor({2, 4, 6, 5}), x.shape(), w, spec));
+  EXPECT_NO_THROW(conv2d_weight_grad(Tensor({2, 4, 6, 5}), x, w.shape(), spec));
+  for (const Shape& bad : {Shape{2, 4, 6, 4}, Shape{1, 4, 6, 5},
+                           Shape{2, 5, 6, 5}, Shape{2, 4, 30}}) {
+    EXPECT_THROW(conv2d_input_grad(Tensor(bad), x.shape(), w, spec),
+                 std::invalid_argument);
+    EXPECT_THROW(conv2d_weight_grad(Tensor(bad), x, w.shape(), spec),
+                 std::invalid_argument);
+  }
+  const Tensor g({2, 4, 6, 5});
+  const Conv2dSpec stride2{3, 2, 1};
+  EXPECT_THROW(conv2d_input_grad(g, x.shape(), w, stride2),
+               std::invalid_argument);
+  EXPECT_THROW(conv2d_weight_grad(g, x, w.shape(), stride2),
+               std::invalid_argument);
+  const Tensor w_c2({4, 2, 3, 3});
+  EXPECT_THROW(conv2d_input_grad(g, x.shape(), w_c2, spec),
+               std::invalid_argument);
+  EXPECT_THROW(conv2d_weight_grad(g, x, w_c2.shape(), spec),
+               std::invalid_argument);
+  EXPECT_THROW(conv2d_bias_grad(Tensor({2, 4})), std::invalid_argument);
 }
 
 TEST(Conv, IdentityKernelPreservesInput) {
@@ -309,15 +341,20 @@ TEST(Conv, BiasIsAddedPerFilter) {
   EXPECT_FLOAT_EQ(y.at(0, 1, 1, 1), -3.0f);
 }
 
-TEST(Conv, Col2ImIsAdjointOfIm2Col) {
-  // <im2col(x), c> == <x, col2im(c)> for random x, c (adjoint identity).
-  Rng rng(3);
-  const Conv2dSpec spec{3, 1, 1};
-  const Tensor x = randn({2, 3, 5, 5}, rng);
-  const Tensor cols = im2col(x, spec);
-  const Tensor c = randn(cols.shape(), rng);
-  const Tensor back = col2im(c, x.shape(), spec);
-  EXPECT_NEAR(dot(cols, c), dot(x, back), 1e-2);
+TEST(Conv, GradientKernelsAreAdjointsOfTheForward) {
+  // conv2d is bilinear in (x, w), so for random x, w, g:
+  // <conv2d(x, w), g> == <x, dL/dx> == <w, dL/dw> (adjoint identities).
+  for (const Conv2dSpec spec : {Conv2dSpec{3, 1, 1}, Conv2dSpec{3, 2, 0}}) {
+    Rng rng(3);
+    const Tensor x = randn({2, 3, 5, 5}, rng);
+    const Tensor w = randn({4, 3, 3, 3}, rng);
+    const Tensor y = conv2d(x, w, nullptr, spec);
+    const Tensor g = randn(y.shape(), rng);
+    const float inner = dot(y, g);
+    EXPECT_NEAR(inner, dot(x, conv2d_input_grad(g, x.shape(), w, spec)), 1e-2);
+    EXPECT_NEAR(inner, dot(w, conv2d_weight_grad(g, x, w.shape(), spec)),
+                1e-2);
+  }
 }
 
 TEST(Pool, MaxPoolValuesAndArgmax) {
@@ -333,6 +370,27 @@ TEST(Pool, MaxPoolValuesAndArgmax) {
   EXPECT_FLOAT_EQ(gx[5], 1.0f);   // value 6
   EXPECT_FLOAT_EQ(gx[0], 0.0f);
   EXPECT_FLOAT_EQ(gx[15], 1.0f);  // value 16
+}
+
+TEST(Pool, WindowWithNothingAboveMinusInfRoutesItsGradientInside) {
+  // No element of the bottom-right window beats -inf (all NaN, then all
+  // -inf): it pools to -inf, and its argmax is the window's own first
+  // element, (2, 2), so the gradient never lands outside the window.
+  for (const float fill : {std::nanf(""), -INFINITY}) {
+    Tensor x({1, 1, 4, 4},
+             {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16});
+    for (const std::int64_t i : {10, 11, 14, 15}) x[i] = fill;
+    const auto r = maxpool2d(x, 2, 2);
+    EXPECT_EQ(r.argmax[3], 10);
+    EXPECT_EQ(r.out[3], -INFINITY);
+    const Tensor eval = maxpool2d_eval(x, 2, 2);
+    EXPECT_EQ(eval[3], -INFINITY);
+    const Tensor gx = maxpool2d_backward(Tensor({1, 1, 2, 2}, 1.0f),
+                                         x.shape(), r.argmax);
+    EXPECT_FLOAT_EQ(gx[0], 0.0f);
+    EXPECT_FLOAT_EQ(gx[5], 1.0f);   // value 6, top-left window
+    EXPECT_FLOAT_EQ(gx[10], 1.0f);  // the all-NaN/-inf window's first element
+  }
 }
 
 TEST(Pool, GlobalAvgPool) {

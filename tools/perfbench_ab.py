@@ -2,8 +2,8 @@
 """A/B runner for the repository benchmark: parent vs change, alternating pairs.
 
     python3 tools/perfbench_ab.py --parent DIR --workload NAME
-        [--pairs 10] [--seed 11] [--out FILE]
-    python3 tools/perfbench_ab.py --from FILE
+        [--pairs 10] [--seed 11] [--out FILE] [--bench-out FILE]
+    python3 tools/perfbench_ab.py --from FILE [--bench-out FILE]
     python3 tools/perfbench_ab.py --self-test
 
 Runs perfbench/run.py --trace 0 at BENCHMARK.json's run_seconds from two
@@ -39,7 +39,18 @@ It also prints how many runs reported correct and the failed/attempted
 totals of each side. The exit status is 1 when a verdict is regression or
 unresolved or a run failed, 2 when the file is inconsistent. The script
 reads perfbench/ and BENCHMARK.json and writes neither. --self-test checks
-the verdicts, the pair numbering and the grouping on canned lines.
+the verdicts, the pair numbering, the grouping and the --bench-out document
+on canned lines.
+
+--bench-out FILE (with a run or with --from) also writes the summary as an
+ibrar-bench-v1 document, the form a perf claim is committed in: one record
+per workload, seed, seconds and end-to-end metric, whose kernel is
+perfbench/<workload>/<metric>, shape "seed=S seconds=T" and checksum the
+change's median; each record adds unit, better, bound, both sides'
+quartiles, wins, pairs, delta and verdict, numbers at 9 significant
+digits. A "totals" list carries the runs, correct runs and
+failed/attempted totals of each side per workload, seed and seconds. The
+printed summary and the exit status do not change.
 """
 
 import argparse
@@ -299,6 +310,50 @@ def print_report(report):
     return 1 if bad else 0
 
 
+def sig9(value):
+    """`value` at 9 significant digits, as bench/reporter.hpp prints them."""
+    return float("%.9g" % value)
+
+
+def bench_document(report, metrics):
+    """The summary as an ibrar-bench-v1 document (see --bench-out)."""
+    spec = {m["name"]: m for m in metrics}
+    records, totals = [], []
+    for (workload, seed, seconds), w in report.items():
+        for row in w["rows"]:
+            m = spec[row["name"]]
+            rec = {"kernel": "perfbench/%s/%s" % (workload, row["name"]),
+                   "shape": "seed=%s seconds=%s" % (seed, seconds),
+                   "ns_per_op": 0.0, "threads": 0, "checksum": None,
+                   "unit": row["unit"], "better": m["better"],
+                   "bound": float(m["bound"]), "pairs": row["pairs"],
+                   "verdict": row["verdict"]}
+            if "quartiles" in row:
+                rec["checksum"] = sig9(row["quartiles"]["change"][1])
+                for side in SIDES:
+                    rec[side] = dict(zip(("q1", "median", "q3"),
+                                         map(sig9, row["quartiles"][side])))
+                rec["wins"] = row["wins"]
+                rec["delta"] = (None if math.isnan(row["delta"])
+                                else sig9(row["delta"]))
+            records.append(rec)
+        totals.append({"workload": workload, "seed": seed,
+                       "seconds": seconds,
+                       **{k: w[k] for k in ("runs", "correct", "failed",
+                                            "attempted")}})
+    return {"schema": "ibrar-bench-v1", "records": records, "totals": totals}
+
+
+def write_bench(path, report, metrics):
+    doc = bench_document(report, metrics)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write('{"schema": "ibrar-bench-v1", "records": [')
+        f.write(",".join("\n  " + json.dumps(r) for r in doc["records"]))
+        f.write('],\n "totals": [')
+        f.write(",".join("\n  " + json.dumps(t) for t in doc["totals"]))
+        f.write("]}\n")
+
+
 # ---- self-test --------------------------------------------------------------
 
 SELF_TEST_METRICS = [
@@ -433,6 +488,41 @@ def self_test():
             info["cpu.sys_s"]["lower"] != 0):
         failures.append("info rows: %r" % (sorted(info),))
 
+    # --bench-out: a canned file round-trips through the document, which
+    # reads back as the summary it came from.
+    checks += 1
+    lines = (canned("bench", series(base, "cpu"),
+                    series([v * 0.8 for v in base], "cpu")) +
+             canned("bench2", series(base[:4], "rss"),
+                    series(base[:4], "rss"),
+                    extra={(3, "parent"): {"failed": 2}}))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ab.jsonl")
+        with open(path, "w", encoding="utf-8") as f:
+            f.writelines(json.dumps(ln) + "\n" for ln in lines)
+        report = summarize(read_lines(path), SELF_TEST_METRICS[:2])
+        out = os.path.join(tmp, "BENCH.json")
+        write_bench(out, report, SELF_TEST_METRICS[:2])
+        with open(out, encoding="utf-8") as f:
+            doc = json.load(f)
+    rec = {r["kernel"]: r for r in doc.get("records", [])}
+    cpu = rec.get("perfbench/bench/cpu", {})
+    got = (doc.get("schema"), sorted(rec), cpu.get("shape"),
+           cpu.get("checksum"), cpu.get("parent", {}).get("median"),
+           cpu.get("wins"), cpu.get("pairs"), round(cpu.get("delta", 0), 6),
+           cpu.get("verdict"), rec.get("perfbench/bench2/rss", {}).get(
+               "verdict"),
+           [(t["workload"], t["failed"]["parent"], t["attempted"]["change"])
+            for t in doc.get("totals", [])])
+    expect = ("ibrar-bench-v1",
+              ["perfbench/bench/cpu", "perfbench/bench/rss",
+               "perfbench/bench2/cpu", "perfbench/bench2/rss"],
+              "seed=11 seconds=20", quartiles([v * 0.8 for v in base])[1],
+              quartiles(base)[1], 10, 10, -0.2, "gain", "no change",
+              [("bench", 0, 1000), ("bench2", 2, 400)])
+    if got != expect:
+        failures.append("bench document: %r" % (got,))
+
     # A file holding one (workload, seed, seconds, pair, side) twice, as two
     # separately numbered runs would, is refused.
     checks += 1
@@ -460,6 +550,8 @@ def main():
                     help="file the result lines are appended to")
     ap.add_argument("--from", dest="from_file", metavar="FILE",
                     help="summarize saved lines instead of running")
+    ap.add_argument("--bench-out", metavar="FILE",
+                    help="also write the summary as ibrar-bench-v1 JSON")
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
     if args.self_test:
@@ -477,6 +569,8 @@ def main():
     except ValueError as e:
         print("perfbench_ab: %s" % e, file=sys.stderr)
         return 2
+    if args.bench_out:
+        write_bench(args.bench_out, report, metrics)
     return print_report(report)
 
 
