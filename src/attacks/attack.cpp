@@ -69,16 +69,13 @@ std::vector<float> margin_loss(const Tensor& logits,
   return out;
 }
 
-std::vector<std::int64_t> predict(models::TapClassifier& model, const Tensor& x) {
+std::vector<std::int64_t> predict(const models::TapClassifier& model,
+                                  const Tensor& x) {
   ag::NoGradGuard ng;
-  const bool was_training = model.training();
-  model.set_training(false);
-  const Tensor logits = model.forward(ag::Var::constant(x)).value();
-  model.set_training(was_training);
-  return argmax_rows(logits);
+  return argmax_rows(model.eval_forward(ag::Var::constant(x)).value());
 }
 
-double accuracy(models::TapClassifier& model, const Tensor& x,
+double accuracy(const models::TapClassifier& model, const Tensor& x,
                 const std::vector<std::int64_t>& y) {
   const auto pred = predict(model, x);
   std::int64_t correct = 0;

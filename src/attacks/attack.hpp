@@ -89,11 +89,13 @@ void project_linf(Tensor& adv, const Tensor& x, float eps, float lo, float hi);
 std::vector<float> margin_loss(const Tensor& logits,
                                const std::vector<std::int64_t>& y);
 
-/// Predicted class per row of a (possibly adversarial) batch (no grad).
-std::vector<std::int64_t> predict(models::TapClassifier& model, const Tensor& x);
+/// Predicted class per row of a (possibly adversarial) batch: the const eval
+/// forward, no grad.
+std::vector<std::int64_t> predict(const models::TapClassifier& model,
+                                  const Tensor& x);
 
 /// Fraction of `y` predicted correctly on `x` (no grad).
-double accuracy(models::TapClassifier& model, const Tensor& x,
+double accuracy(const models::TapClassifier& model, const Tensor& x,
                 const std::vector<std::int64_t>& y);
 
 }  // namespace ibrar::attacks

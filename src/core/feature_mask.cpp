@@ -7,17 +7,14 @@ namespace ibrar::core {
 std::vector<float> last_conv_channel_scores(models::TapClassifier& model,
                                             const data::Batch& batch) {
   ag::NoGradGuard ng;
-  const bool was = model.training();
-  model.set_training(false);
   // Score the unmasked representation so previously-dropped channels can be
   // re-evaluated rather than frozen at score ~0.
   const bool had_mask = model.has_channel_mask();
   const Tensor saved_mask = model.channel_mask();
   model.clear_channel_mask();
-  auto out = model.forward_with_taps(ag::Var::constant(batch.x));
+  auto out = model.eval_forward_with_taps(ag::Var::constant(batch.x));
   const Tensor feats = out.taps.at(model.last_conv_tap_index()).value();
   if (had_mask) model.set_channel_mask(saved_mask);
-  model.set_training(was);
   return mi::channel_label_scores(feats, batch.y, model.num_classes());
 }
 

@@ -2,6 +2,11 @@
 // Classifier base with "taps": intermediate activations exposed per forward
 // pass so the IB-RAR MI loss can regularize chosen hidden layers, plus the
 // feature-channel mask hook (paper Eq. 3) applied to the last conv output.
+//
+// Each model writes its tapped forward once, as run_with_taps(x, mode), the
+// tapped form of nn::Module's one body (nn/module.hpp). forward_with_taps(x)
+// runs it in the current mode and eval_forward_with_taps(x) always in
+// Mode::kEval; the plain forward entries take its logits.
 
 #include <string>
 #include <vector>
@@ -23,17 +28,21 @@ struct TapsOutput {
 /// mask on the last convolutional feature map.
 class TapClassifier : public nn::Module {
  public:
-  /// Forward pass collecting the tapped intermediate activations.
-  virtual TapsOutput forward_with_taps(const ag::Var& x) = 0;
+  /// Forward pass in the current mode, collecting the tapped activations.
+  TapsOutput forward_with_taps(const ag::Var& x) {
+    return run_with_taps(x, training() ? nn::Mode::kTrain : nn::Mode::kEval);
+  }
 
-  /// Strictly-const eval-semantics tapped forward: no train/eval mode reads
-  /// or flips, no RNG draws (dropout identity, no VIB noise), batch norm on
+  /// Strictly-const eval-mode tapped forward: no train/eval mode reads or
+  /// flips, no RNG draws (dropout identity, no VIB noise), batch norm on
   /// frozen running stats. Bit-identical to forward_with_taps() on a model in
   /// eval mode, and safe to call concurrently from any number of threads on a
   /// shared immutable model — the contract the serving ModelSnapshot and the
   /// telemetry tap capture rely on. Graph-building still follows the ambient
   /// grad mode, so gradient attacks can differentiate through it.
-  virtual TapsOutput eval_forward_with_taps(const ag::Var& x) const = 0;
+  TapsOutput eval_forward_with_taps(const ag::Var& x) const {
+    return run_with_taps(x, nn::Mode::kEval);
+  }
 
   /// The eval forward lowered, once per ModelSnapshot publish, into an
   /// InferencePlan (models/plan.hpp) with the same bits. The default, for
@@ -49,14 +58,6 @@ class TapClassifier : public nn::Module {
 
   virtual std::int64_t num_classes() const = 0;
 
-  ag::Var forward(const ag::Var& x) override {
-    return forward_with_taps(x).logits;
-  }
-
-  ag::Var eval_forward(const ag::Var& x) const override {
-    return eval_forward_with_taps(x).logits;
-  }
-
   /// Install the Eq. (3) binary mask over last-conv channels (empty = off).
   void set_channel_mask(Tensor mask);
   void clear_channel_mask() { mask_ = Tensor({0}); }
@@ -69,20 +70,28 @@ class TapClassifier : public nn::Module {
   /// Gaussian noise std injected on the penultimate representation during
   /// training — the stochastic-encoding half of the VIB baseline (the KL
   /// penalty is added by the VIB objective in src/train/vib.*).
-  void set_penultimate_noise(float stddev) { noise_std_ = stddev; }
-  float penultimate_noise() const { return noise_std_; }
+  void set_penultimate_noise(float stddev) { noise_->set_stddev(stddev); }
+  float penultimate_noise() const { return noise_->stddev(); }
 
  protected:
-  /// Multiply an (N,C,H,W) feature map by the installed mask (identity when
-  /// no mask is set).
+  /// The model's one tapped forward body, for both modes (see nn::Module's
+  /// run). It passes `mode` to every child and to noise_.
+  virtual TapsOutput run_with_taps(const ag::Var& x, nn::Mode mode) const = 0;
+
+  ag::Var run(const ag::Var& x, nn::Mode mode) const final {
+    return run_with_taps(x, mode).logits;
+  }
+
+  /// Multiply a (N,C) or (N,C,H,W) feature by the installed mask (identity
+  /// when no mask is set).
   ag::Var apply_channel_mask(const ag::Var& feat) const;
 
-  /// Add the VIB reparameterization noise in training mode (identity else).
-  ag::Var maybe_noise(const ag::Var& h);
+  /// The VIB noise on the penultimate representation (off at stddev 0).
+  std::shared_ptr<nn::GaussianNoise> noise_ =
+      std::make_shared<nn::GaussianNoise>(0.0f, 0x71bu);
 
+ private:
   Tensor mask_{Shape{0}};  ///< (C) of 0/1; numel 0 = disabled
-  float noise_std_ = 0.0f;
-  Rng noise_rng_{0x71bu};
 };
 
 using TapClassifierPtr = std::shared_ptr<TapClassifier>;

@@ -15,38 +15,18 @@ MLP::MLP(const MLPConfig& cfg, Rng& rng) : cfg_(cfg) {
   register_module("head", head_);
 }
 
-TapsOutput MLP::forward_with_taps(const ag::Var& x) {
-  // Eval mode has no mode-dependent ops left; route through the const path so
-  // train/eval consistency is structural rather than maintained by hand.
-  if (!training()) return eval_forward_with_taps(x);
+TapsOutput MLP::run_with_taps(const ag::Var& x, nn::Mode mode) const {
   TapsOutput out;
   // Accept image tensors too: flatten anything beyond rank 2.
   ag::Var h = x.shape().size() > 2 ? ag::flatten2d(x) : x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
-    h = ag::relu(layers_[i]->forward(h));
+    h = ag::relu(layers_[i]->forward(h, mode));
     if (i + 1 == layers_.size()) {
-      if (has_channel_mask()) {
-        h = ag::mul(h, ag::Var::constant(mask_.reshape({1, mask_.numel()})));
-      }
-      h = maybe_noise(h);
+      h = noise_->forward(apply_channel_mask(h), mode);
     }
     out.taps.push_back(h);
   }
-  out.logits = head_->forward(h);
-  return out;
-}
-
-TapsOutput MLP::eval_forward_with_taps(const ag::Var& x) const {
-  TapsOutput out;
-  ag::Var h = x.shape().size() > 2 ? ag::flatten2d(x) : x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    h = ag::relu(layers_[i]->eval_forward(h));
-    if (i + 1 == layers_.size() && has_channel_mask()) {
-      h = ag::mul(h, ag::Var::constant(mask_.reshape({1, mask_.numel()})));
-    }
-    out.taps.push_back(h);
-  }
-  out.logits = head_->eval_forward(h);
+  out.logits = head_->forward(h, mode);
   return out;
 }
 

@@ -16,13 +16,14 @@ class MLP : public TapClassifier {
  public:
   MLP(const MLPConfig& cfg, Rng& rng);
 
-  TapsOutput forward_with_taps(const ag::Var& x) override;
-  TapsOutput eval_forward_with_taps(const ag::Var& x) const override;
   const std::vector<std::string>& tap_names() const override { return tap_names_; }
   /// MLP has no conv layer; the mask concept maps onto the last hidden layer.
   std::int64_t last_conv_channels() const override { return cfg_.hidden.back(); }
   std::int64_t num_classes() const override { return cfg_.num_classes; }
   std::size_t last_conv_tap_index() const override { return tap_names_.size() - 1; }
+
+ protected:
+  TapsOutput run_with_taps(const ag::Var& x, nn::Mode mode) const override;
 
  private:
   MLPConfig cfg_;

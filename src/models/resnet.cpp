@@ -29,17 +29,11 @@ BasicBlock::BasicBlock(std::int64_t in_c, std::int64_t out_c, std::int64_t strid
   }
 }
 
-ag::Var BasicBlock::forward(const ag::Var& x) {
-  ag::Var h = ag::relu(bn1_->forward(conv1_->forward(x)));
-  h = bn2_->forward(conv2_->forward(h));
-  ag::Var skip = proj_ ? proj_bn_->forward(proj_->forward(x)) : x;
-  return ag::relu(ag::add(h, skip));
-}
-
-ag::Var BasicBlock::eval_forward(const ag::Var& x) const {
-  ag::Var h = ag::relu(bn1_->eval_forward(conv1_->eval_forward(x)));
-  h = bn2_->eval_forward(conv2_->eval_forward(h));
-  ag::Var skip = proj_ ? proj_bn_->eval_forward(proj_->eval_forward(x)) : x;
+ag::Var BasicBlock::run(const ag::Var& x, nn::Mode mode) const {
+  ag::Var h = ag::relu(bn1_->forward(conv1_->forward(x, mode), mode));
+  h = bn2_->forward(conv2_->forward(h, mode), mode);
+  ag::Var skip =
+      proj_ ? proj_bn_->forward(proj_->forward(x, mode), mode) : x;
   return ag::relu(ag::add(h, skip));
 }
 
@@ -91,33 +85,18 @@ MiniResNet::MiniResNet(const ResNetConfig& cfg, Rng& rng) : cfg_(cfg) {
   tap_names_ = {"stage1", "stage2", "stage3", "stage4", "gap"};
 }
 
-TapsOutput MiniResNet::forward_with_taps(const ag::Var& x) {
-  if (!training()) return eval_forward_with_taps(x);
+TapsOutput MiniResNet::run_with_taps(const ag::Var& x,
+                                      nn::Mode mode) const {
   TapsOutput out;
-  ag::Var h = ag::relu(stem_bn_->forward(stem_->forward(x)));
+  ag::Var h = ag::relu(stem_bn_->forward(stem_->forward(x, mode), mode));
   for (std::size_t s = 0; s < stages_.size(); ++s) {
-    h = stages_[s]->forward(h);
+    h = stages_[s]->forward(h, mode);
     if (s == 3) h = apply_channel_mask(h);
     out.taps.push_back(h);
   }
-  h = ag::global_avg_pool(h);
-  h = maybe_noise(h);
+  h = noise_->forward(ag::global_avg_pool(h), mode);
   out.taps.push_back(h);  // gap features
-  out.logits = head_->forward(h);
-  return out;
-}
-
-TapsOutput MiniResNet::eval_forward_with_taps(const ag::Var& x) const {
-  TapsOutput out;
-  ag::Var h = ag::relu(stem_bn_->eval_forward(stem_->eval_forward(x)));
-  for (std::size_t s = 0; s < stages_.size(); ++s) {
-    h = stages_[s]->eval_forward(h);
-    if (s == 3) h = apply_channel_mask(h);
-    out.taps.push_back(h);
-  }
-  h = ag::global_avg_pool(h);
-  out.taps.push_back(h);  // gap features
-  out.logits = head_->eval_forward(h);
+  out.logits = head_->forward(h, mode);
   return out;
 }
 

@@ -18,12 +18,13 @@ struct ResNetConfig {
 class BasicBlock : public nn::Module {
  public:
   BasicBlock(std::int64_t in_c, std::int64_t out_c, std::int64_t stride, Rng& rng);
-  ag::Var forward(const ag::Var& x) override;
-  ag::Var eval_forward(const ag::Var& x) const override;
 
   /// Lower into `plan`, reading and writing slot 0: conv1+bn1+relu,
   /// proj+proj_bn, then conv2+bn2 with the skip add and relu fused.
   void lower(InferencePlan& plan) const;
+
+ protected:
+  ag::Var run(const ag::Var& x, nn::Mode mode) const override;
 
  private:
   std::shared_ptr<nn::Conv2d> conv1_;
@@ -38,8 +39,6 @@ class MiniResNet : public TapClassifier {
  public:
   MiniResNet(const ResNetConfig& cfg, Rng& rng);
 
-  TapsOutput forward_with_taps(const ag::Var& x) override;
-  TapsOutput eval_forward_with_taps(const ag::Var& x) const override;
   InferencePlan lower() const override;
   const std::vector<std::string>& tap_names() const override { return tap_names_; }
   std::int64_t last_conv_channels() const override { return cfg_.channels.back(); }
@@ -47,6 +46,9 @@ class MiniResNet : public TapClassifier {
   std::size_t last_conv_tap_index() const override { return 3; }
 
   const ResNetConfig& config() const { return cfg_; }
+
+ protected:
+  TapsOutput run_with_taps(const ag::Var& x, nn::Mode mode) const override;
 
  private:
   ResNetConfig cfg_;

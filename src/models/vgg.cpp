@@ -18,15 +18,9 @@ void TapClassifier::set_channel_mask(Tensor mask) {
 
 ag::Var TapClassifier::apply_channel_mask(const ag::Var& feat) const {
   if (!has_channel_mask()) return feat;
-  const auto c = mask_.numel();
-  return ag::mul(feat, ag::Var::constant(mask_.reshape({1, c, 1, 1})));
-}
-
-ag::Var TapClassifier::maybe_noise(const ag::Var& h) {
-  if (noise_std_ <= 0.0f || !training()) return h;
-  Tensor noise(h.shape());
-  for (auto& v : noise.vec()) v = noise_rng_.normal(0.0f, noise_std_);
-  return ag::add(h, ag::Var::constant(noise));
+  Shape shape(feat.shape().size(), 1);  // (1, C) or (1, C, 1, 1)
+  shape[1] = mask_.numel();
+  return ag::mul(feat, ag::Var::constant(mask_.reshape(shape)));
 }
 
 MiniVGG::MiniVGG(const VGGConfig& cfg, Rng& rng) : cfg_(cfg) {
@@ -84,41 +78,21 @@ MiniVGG::MiniVGG(const VGGConfig& cfg, Rng& rng) : cfg_(cfg) {
                 "conv_block4", "conv_block5", "fc1", "fc2"};
 }
 
-TapsOutput MiniVGG::forward_with_taps(const ag::Var& x) {
-  if (!training()) return eval_forward_with_taps(x);
+TapsOutput MiniVGG::run_with_taps(const ag::Var& x, nn::Mode mode) const {
   TapsOutput out;
   ag::Var h = x;
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    h = blocks_[b]->forward(h);
+    h = blocks_[b]->forward(h, mode);
     if (b == 4) h = apply_channel_mask(h);  // Eq. (3): mask last conv output
     out.taps.push_back(h);
   }
   h = ag::flatten2d(h);
-  h = ag::relu(fc1_->forward(h));
-  h = drop1_->forward(h);
+  h = drop1_->forward(ag::relu(fc1_->forward(h, mode)), mode);
   out.taps.push_back(h);  // fc1
-  h = ag::relu(fc2_->forward(h));
-  h = drop2_->forward(h);
-  h = maybe_noise(h);
+  h = drop2_->forward(ag::relu(fc2_->forward(h, mode)), mode);
+  h = noise_->forward(h, mode);
   out.taps.push_back(h);  // fc2
-  out.logits = head_->forward(h);
-  return out;
-}
-
-TapsOutput MiniVGG::eval_forward_with_taps(const ag::Var& x) const {
-  TapsOutput out;
-  ag::Var h = x;
-  for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    h = blocks_[b]->eval_forward(h);
-    if (b == 4) h = apply_channel_mask(h);  // Eq. (3): mask last conv output
-    out.taps.push_back(h);
-  }
-  h = ag::flatten2d(h);
-  h = ag::relu(fc1_->eval_forward(h));  // dropout is identity in eval
-  out.taps.push_back(h);                // fc1
-  h = ag::relu(fc2_->eval_forward(h));
-  out.taps.push_back(h);                // fc2
-  out.logits = head_->eval_forward(h);
+  out.logits = head_->forward(h, mode);
   return out;
 }
 

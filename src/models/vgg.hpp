@@ -26,8 +26,6 @@ class MiniVGG : public TapClassifier {
  public:
   MiniVGG(const VGGConfig& cfg, Rng& rng);
 
-  TapsOutput forward_with_taps(const ag::Var& x) override;
-  TapsOutput eval_forward_with_taps(const ag::Var& x) const override;
   InferencePlan lower() const override;
   const std::vector<std::string>& tap_names() const override { return tap_names_; }
   std::int64_t last_conv_channels() const override { return cfg_.channels.back(); }
@@ -35,6 +33,9 @@ class MiniVGG : public TapClassifier {
   std::size_t last_conv_tap_index() const override { return 4; }
 
   const VGGConfig& config() const { return cfg_; }
+
+ protected:
+  TapsOutput run_with_taps(const ag::Var& x, nn::Mode mode) const override;
 
  private:
   VGGConfig cfg_;

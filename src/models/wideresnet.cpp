@@ -26,20 +26,12 @@ PreActBlock::PreActBlock(std::int64_t in_c, std::int64_t out_c,
   }
 }
 
-ag::Var PreActBlock::forward(const ag::Var& x) {
-  ag::Var pre = ag::relu(bn1_->forward(x));
-  ag::Var h = conv1_->forward(pre);
-  h = conv2_->forward(ag::relu(bn2_->forward(h)));
+ag::Var PreActBlock::run(const ag::Var& x, nn::Mode mode) const {
+  ag::Var pre = ag::relu(bn1_->forward(x, mode));
+  ag::Var h = conv1_->forward(pre, mode);
+  h = conv2_->forward(ag::relu(bn2_->forward(h, mode)), mode);
   // WRN applies the projection to the pre-activated input.
-  ag::Var skip = proj_ ? proj_->forward(pre) : x;
-  return ag::add(h, skip);
-}
-
-ag::Var PreActBlock::eval_forward(const ag::Var& x) const {
-  ag::Var pre = ag::relu(bn1_->eval_forward(x));
-  ag::Var h = conv1_->eval_forward(pre);
-  h = conv2_->eval_forward(ag::relu(bn2_->eval_forward(h)));
-  ag::Var skip = proj_ ? proj_->eval_forward(pre) : x;
+  ag::Var skip = proj_ ? proj_->forward(pre, mode) : x;
   return ag::add(h, skip);
 }
 
@@ -90,39 +82,20 @@ MiniWRN::MiniWRN(const WRNConfig& cfg, Rng& rng) : cfg_(cfg) {
   tap_names_ = {"group1", "group2", "group3", "gap"};
 }
 
-TapsOutput MiniWRN::forward_with_taps(const ag::Var& x) {
-  if (!training()) return eval_forward_with_taps(x);
+TapsOutput MiniWRN::run_with_taps(const ag::Var& x, nn::Mode mode) const {
   TapsOutput out;
-  ag::Var h = stem_->forward(x);
+  ag::Var h = stem_->forward(x, mode);
   for (std::size_t g = 0; g < groups_.size(); ++g) {
-    h = groups_[g]->forward(h);
+    h = groups_[g]->forward(h, mode);
     if (g == 2) {
-      h = ag::relu(final_bn_->forward(h));
+      h = ag::relu(final_bn_->forward(h, mode));
       h = apply_channel_mask(h);
     }
     out.taps.push_back(h);
   }
-  h = ag::global_avg_pool(h);
-  h = maybe_noise(h);
+  h = noise_->forward(ag::global_avg_pool(h), mode);
   out.taps.push_back(h);
-  out.logits = head_->forward(h);
-  return out;
-}
-
-TapsOutput MiniWRN::eval_forward_with_taps(const ag::Var& x) const {
-  TapsOutput out;
-  ag::Var h = stem_->eval_forward(x);
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    h = groups_[g]->eval_forward(h);
-    if (g == 2) {
-      h = ag::relu(final_bn_->eval_forward(h));
-      h = apply_channel_mask(h);
-    }
-    out.taps.push_back(h);
-  }
-  h = ag::global_avg_pool(h);
-  out.taps.push_back(h);
-  out.logits = head_->eval_forward(h);
+  out.logits = head_->forward(h, mode);
   return out;
 }
 

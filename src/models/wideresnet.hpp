@@ -19,12 +19,13 @@ struct WRNConfig {
 class PreActBlock : public nn::Module {
  public:
   PreActBlock(std::int64_t in_c, std::int64_t out_c, std::int64_t stride, Rng& rng);
-  ag::Var eval_forward(const ag::Var& x) const override;
-  ag::Var forward(const ag::Var& x) override;
 
   /// Lower into `plan`, reading and writing slot 0: the pre-activation BNs
   /// become one-pass BN+ReLU steps, conv2 fuses the residual add.
   void lower(InferencePlan& plan) const;
+
+ protected:
+  ag::Var run(const ag::Var& x, nn::Mode mode) const override;
 
  private:
   std::shared_ptr<nn::BatchNorm2d> bn1_;
@@ -38,13 +39,14 @@ class MiniWRN : public TapClassifier {
  public:
   MiniWRN(const WRNConfig& cfg, Rng& rng);
 
-  TapsOutput forward_with_taps(const ag::Var& x) override;
-  TapsOutput eval_forward_with_taps(const ag::Var& x) const override;
   InferencePlan lower() const override;
   const std::vector<std::string>& tap_names() const override { return tap_names_; }
   std::int64_t last_conv_channels() const override { return widths_.back(); }
   std::int64_t num_classes() const override { return cfg_.num_classes; }
   std::size_t last_conv_tap_index() const override { return 2; }
+
+ protected:
+  TapsOutput run_with_taps(const ag::Var& x, nn::Mode mode) const override;
 
  private:
   WRNConfig cfg_;

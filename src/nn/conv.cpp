@@ -7,25 +7,21 @@ namespace ibrar::nn {
 
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels, Rng& rng,
                Conv2dSpec spec, bool bias)
-    : in_(in_channels), out_(out_channels), spec_(spec) {
-  const std::int64_t fan_in = in_ * spec_.kernel * spec_.kernel;
-  Tensor w({out_, in_, spec_.kernel, spec_.kernel});
+    : spec_(spec) {
+  const std::int64_t fan_in = in_channels * spec_.kernel * spec_.kernel;
+  Tensor w({out_channels, in_channels, spec_.kernel, spec_.kernel});
   kaiming_normal(w, fan_in, rng);
   weight_ = ag::Var::param(std::move(w));
   register_parameter("weight", weight_);
   if (bias) {
-    Tensor b({out_});
+    Tensor b({out_channels});
     uniform_init(b, 1.0f / std::sqrt(static_cast<float>(fan_in)), rng);
     bias_ = ag::Var::param(std::move(b));
     register_parameter("bias", bias_);
   }
 }
 
-ag::Var Conv2d::forward(const ag::Var& x) {
-  return ag::conv2d(x, weight_, bias_, spec_);
-}
-
-ag::Var Conv2d::eval_forward(const ag::Var& x) const {
+ag::Var Conv2d::run(const ag::Var& x, Mode) const {
   return ag::conv2d(x, weight_, bias_, spec_);
 }
 

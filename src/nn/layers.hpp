@@ -1,6 +1,7 @@
 #pragma once
 // Concrete layers: Linear, Conv2d, BatchNorm2d, ReLU, MaxPool2d, Dropout,
-// Flatten, Sequential.
+// GaussianNoise, Sequential. Only BatchNorm2d, Dropout and GaussianNoise have
+// a training variant (train_forward); the rest run the same ops in both modes.
 
 #include <memory>
 #include <vector>
@@ -17,15 +18,11 @@ class Linear : public Module {
  public:
   Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
          bool bias = true);
-  ag::Var forward(const ag::Var& x) override;
-  ag::Var eval_forward(const ag::Var& x) const override;
 
-  std::int64_t in_features() const { return in_; }
-  std::int64_t out_features() const { return out_; }
+ protected:
+  ag::Var run(const ag::Var& x, Mode) const override;
 
  private:
-  std::int64_t in_;
-  std::int64_t out_;
   ag::Var weight_;
   ag::Var bias_;
 };
@@ -35,11 +32,7 @@ class Conv2d : public Module {
  public:
   Conv2d(std::int64_t in_channels, std::int64_t out_channels, Rng& rng,
          Conv2dSpec spec = {}, bool bias = true);
-  ag::Var forward(const ag::Var& x) override;
-  ag::Var eval_forward(const ag::Var& x) const override;
 
-  std::int64_t in_channels() const { return in_; }
-  std::int64_t out_channels() const { return out_; }
   const Conv2dSpec& spec() const { return spec_; }
 
   /// Frozen views for the fused eval prepack (tensor/conv_eval.hpp).
@@ -47,9 +40,10 @@ class Conv2d : public Module {
   bool has_bias() const { return bias_.defined(); }
   const Tensor& bias_value() const { return bias_.value(); }
 
+ protected:
+  ag::Var run(const ag::Var& x, Mode) const override;
+
  private:
-  std::int64_t in_;
-  std::int64_t out_;
   Conv2dSpec spec_;
   ag::Var weight_;
   ag::Var bias_;
@@ -60,16 +54,18 @@ class BatchNorm2d : public Module {
  public:
   explicit BatchNorm2d(std::int64_t channels, float momentum = 0.1f,
                        float eps = 1e-5f);
-  ag::Var forward(const ag::Var& x) override;
-  /// Reads the frozen running stats; never writes them (batch_norm2d_eval).
-  ag::Var eval_forward(const ag::Var& x) const override;
 
   /// Running stats folded for the fused eval path (tensor/conv_eval.hpp):
   /// the same {mean, 1/sqrt(var+eps), gamma, beta} batch_norm2d_apply uses.
   FoldedBn folded() const;
 
+ protected:
+  /// Reads the frozen running stats; never writes them (batch_norm2d_eval).
+  ag::Var run(const ag::Var& x, Mode) const override;
+  /// Normalizes by the batch moments and updates the running stats.
+  ag::Var train_forward(const ag::Var& x) override;
+
  private:
-  std::int64_t channels_;
   float momentum_;
   float eps_;
   ag::Var gamma_;
@@ -79,19 +75,17 @@ class BatchNorm2d : public Module {
 };
 
 class ReLU : public Module {
- public:
-  ag::Var forward(const ag::Var& x) override { return ag::relu(x); }
-  ag::Var eval_forward(const ag::Var& x) const override { return ag::relu(x); }
+ protected:
+  ag::Var run(const ag::Var& x, Mode) const override { return ag::relu(x); }
 };
 
 class MaxPool2d : public Module {
  public:
   explicit MaxPool2d(std::int64_t kernel = 2, std::int64_t stride = -1)
       : kernel_(kernel), stride_(stride < 0 ? kernel : stride) {}
-  ag::Var forward(const ag::Var& x) override {
-    return ag::maxpool2d(x, kernel_, stride_);
-  }
-  ag::Var eval_forward(const ag::Var& x) const override {
+
+ protected:
+  ag::Var run(const ag::Var& x, Mode) const override {
     return ag::maxpool2d(x, kernel_, stride_);
   }
 
@@ -100,43 +94,47 @@ class MaxPool2d : public Module {
   std::int64_t stride_;
 };
 
-/// Inverted dropout (identity in eval mode).
+/// Inverted dropout (identity in eval mode: no mask draw, rng untouched).
 class Dropout : public Module {
  public:
   explicit Dropout(float p, std::uint64_t seed = 0xd0u);
-  ag::Var forward(const ag::Var& x) override;
-  /// Eval-mode dropout is the identity — no mask draw, rng untouched.
-  ag::Var eval_forward(const ag::Var& x) const override { return x; }
+
+ protected:
+  ag::Var run(const ag::Var& x, Mode) const override { return x; }
+  ag::Var train_forward(const ag::Var& x) override;
 
  private:
   float p_;
   Rng rng_;
 };
 
-/// (N, C, H, W) -> (N, C*H*W).
-class Flatten : public Module {
+/// Additive N(0, stddev^2) noise in training mode, the stochastic encoding
+/// of the VIB baseline; the identity in eval mode or at stddev 0.
+class GaussianNoise : public Module {
  public:
-  ag::Var forward(const ag::Var& x) override { return ag::flatten2d(x); }
-  ag::Var eval_forward(const ag::Var& x) const override {
-    return ag::flatten2d(x);
-  }
+  GaussianNoise(float stddev, std::uint64_t seed);
+
+  float stddev() const { return stddev_; }
+  void set_stddev(float stddev) { stddev_ = stddev; }
+
+ protected:
+  ag::Var run(const ag::Var& x, Mode) const override { return x; }
+  ag::Var train_forward(const ag::Var& x) override;
+
+ private:
+  float stddev_;
+  Rng rng_;
 };
 
 /// Ordered container applying children in sequence.
 class Sequential : public Module {
  public:
-  Sequential() = default;
-  explicit Sequential(std::vector<ModulePtr> mods);
-
+  /// Append `m` as the child named by its index.
   void push_back(ModulePtr m);
-  ag::Var forward(const ag::Var& x) override;
-  ag::Var eval_forward(const ag::Var& x) const override;
+  std::size_t size() const { return children_.size(); }
 
-  std::size_t size() const { return seq_.size(); }
-  Module& at(std::size_t i) { return *seq_.at(i); }
-
- private:
-  std::vector<ModulePtr> seq_;
+ protected:
+  ag::Var run(const ag::Var& x, Mode mode) const override;
 };
 
 }  // namespace ibrar::nn

@@ -6,27 +6,20 @@
 namespace ibrar::nn {
 
 Linear::Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
-               bool bias)
-    : in_(in_features), out_(out_features) {
-  Tensor w({in_, out_});
-  kaiming_normal(w, in_, rng);
+               bool bias) {
+  Tensor w({in_features, out_features});
+  kaiming_normal(w, in_features, rng);
   weight_ = ag::Var::param(std::move(w));
   register_parameter("weight", weight_);
   if (bias) {
-    Tensor b({out_});
-    uniform_init(b, 1.0f / std::sqrt(static_cast<float>(in_)), rng);
+    Tensor b({out_features});
+    uniform_init(b, 1.0f / std::sqrt(static_cast<float>(in_features)), rng);
     bias_ = ag::Var::param(std::move(b));
     register_parameter("bias", bias_);
   }
 }
 
-ag::Var Linear::forward(const ag::Var& x) {
-  ag::Var y = ag::matmul(x, weight_);
-  if (bias_.defined()) y = ag::add(y, bias_);
-  return y;
-}
-
-ag::Var Linear::eval_forward(const ag::Var& x) const {
+ag::Var Linear::run(const ag::Var& x, Mode) const {
   ag::Var y = ag::matmul(x, weight_);
   if (bias_.defined()) y = ag::add(y, bias_);
   return y;

@@ -37,7 +37,6 @@ std::vector<std::pair<std::string, Tensor*>> Module::named_buffers() {
 
 void Module::set_training(bool training) {
   training_ = training;
-  on_mode_change();
   for (auto& [name, child] : children_) child->set_training(training);
 }
 
@@ -79,26 +78,24 @@ void load_model(Module& m, const std::string& path) {
   std::unordered_map<std::string, const serialize::NamedBlob*> by_name;
   for (const auto& b : blobs) by_name[b.name] = &b;
 
+  // Check every blob before writing any: a bad file leaves `m` as it was.
+  std::vector<std::pair<std::string, Tensor*>> targets;
   for (auto& [name, p] : m.named_parameters()) {
-    const auto it = by_name.find(name);
-    if (it == by_name.end()) {
-      throw std::runtime_error("load_model: missing parameter " + name);
-    }
-    if (it->second->shape != p.value().shape()) {
-      throw std::runtime_error("load_model: shape mismatch for " + name);
-    }
-    p.mutable_value().vec() = it->second->data;
+    targets.emplace_back(name, &p.mutable_value());
   }
   for (auto& [name, b] : m.named_buffers()) {
-    const auto it = by_name.find("buffer:" + name);
-    if (it == by_name.end()) {
-      throw std::runtime_error("load_model: missing buffer " + name);
-    }
-    if (it->second->shape != b->shape()) {
-      throw std::runtime_error("load_model: buffer shape mismatch for " + name);
-    }
-    b->vec() = it->second->data;
+    targets.emplace_back("buffer:" + name, b);
   }
+  for (const auto& [name, t] : targets) {
+    const auto it = by_name.find(name);
+    if (it == by_name.end()) {
+      throw std::runtime_error("load_model: missing " + name);
+    }
+    if (it->second->shape != t->shape()) {
+      throw std::runtime_error("load_model: shape mismatch for " + name);
+    }
+  }
+  for (const auto& [name, t] : targets) t->vec() = by_name.at(name)->data;
 }
 
 }  // namespace ibrar::nn

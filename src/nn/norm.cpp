@@ -3,8 +3,7 @@
 namespace ibrar::nn {
 
 BatchNorm2d::BatchNorm2d(std::int64_t channels, float momentum, float eps)
-    : channels_(channels),
-      momentum_(momentum),
+    : momentum_(momentum),
       eps_(eps),
       gamma_(ag::Var::param(Tensor({channels}, 1.0f))),
       beta_(ag::Var::param(Tensor({channels}))),
@@ -16,14 +15,14 @@ BatchNorm2d::BatchNorm2d(std::int64_t channels, float momentum, float eps)
   register_buffer("running_var", &running_var_);
 }
 
-ag::Var BatchNorm2d::forward(const ag::Var& x) {
-  return ag::batch_norm2d(x, gamma_, beta_, running_mean_, running_var_,
-                          training(), momentum_, eps_);
-}
-
-ag::Var BatchNorm2d::eval_forward(const ag::Var& x) const {
+ag::Var BatchNorm2d::run(const ag::Var& x, Mode) const {
   return ag::batch_norm2d_eval(x, gamma_, beta_, running_mean_, running_var_,
                                eps_);
+}
+
+ag::Var BatchNorm2d::train_forward(const ag::Var& x) {
+  return ag::batch_norm2d(x, gamma_, beta_, running_mean_, running_var_,
+                          /*training=*/true, momentum_, eps_);
 }
 
 FoldedBn BatchNorm2d::folded() const {

@@ -2,24 +2,13 @@
 
 namespace ibrar::nn {
 
-Sequential::Sequential(std::vector<ModulePtr> mods) {
-  for (auto& m : mods) push_back(std::move(m));
-}
-
 void Sequential::push_back(ModulePtr m) {
-  register_module(std::to_string(seq_.size()), m);
-  seq_.push_back(std::move(m));
+  register_module(std::to_string(children_.size()), std::move(m));
 }
 
-ag::Var Sequential::forward(const ag::Var& x) {
+ag::Var Sequential::run(const ag::Var& x, Mode mode) const {
   ag::Var h = x;
-  for (auto& m : seq_) h = m->forward(h);
-  return h;
-}
-
-ag::Var Sequential::eval_forward(const ag::Var& x) const {
-  ag::Var h = x;
-  for (const auto& m : seq_) h = m->eval_forward(h);
+  for (const auto& [name, m] : children_) h = m->forward(h, mode);
   return h;
 }
 

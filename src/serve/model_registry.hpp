@@ -13,10 +13,11 @@
 //
 // Snapshots are immutable BY TYPE: publish() puts the model into eval mode
 // once and then hands it over as shared_ptr<const TapClassifier>, so the only
-// forward available to holders is the strictly-const eval path
-// (eval_forward / eval_forward_with_taps — no mode flips, no RNG draws, no
-// buffer writes). That is what makes one snapshot safe to share across any
-// number of serving workers and concurrent telemetry captures. Hot reload
+// forwards available to holders are eval_forward / eval_forward_with_taps.
+// Those always run the model's one forward body in nn::Mode::kEval: no mode
+// flips, no RNG draws, no buffer writes. That is what makes one snapshot
+// safe to share across any number of serving workers and concurrent
+// telemetry captures. Hot reload
 // from disk goes through publish_checkpoint, which rebuilds the architecture
 // from a ModelSpec and loads util/serialize checkpoint bytes into it before
 // the swap.
@@ -78,8 +79,8 @@ class ModelRegistry {
 
   /// Build `spec`'s architecture, load the util/serialize checkpoint at
   /// `path` into it (shapes must match), and publish it. Returns the new
-  /// version; throws std::runtime_error on I/O or shape mismatch (the
-  /// previous version keeps serving untouched).
+  /// version; throws std::runtime_error on I/O, a malformed file or a shape
+  /// mismatch (the previous version keeps serving untouched).
   std::uint64_t publish_checkpoint(const models::ModelSpec& spec,
                                    const std::string& path,
                                    std::string tag = "");

@@ -14,6 +14,7 @@
 #include "obs/profile.hpp"
 #include "obs/slo.hpp"
 #include "obs/timeseries.hpp"
+#include "serve/net/wire.hpp"
 
 namespace ibrar::serve::net {
 namespace {
@@ -165,13 +166,9 @@ void AdminEndpoint::accept_loop() {
       c_requests.inc();
       response = render_admin_response(head.substr(sp1 + 1, sp2 - sp1 - 1));
     }
-    std::size_t off = 0;
-    while (off < response.size()) {
-      const ssize_t n =
-          ::write(fd, response.data() + off, response.size() - off);
-      if (n <= 0) break;
-      off += static_cast<std::size_t>(n);
-    }
+    // A scraper that hangs up early is only a failed write, not a SIGPIPE.
+    write_all(fd, reinterpret_cast<const std::uint8_t*>(response.data()),
+              response.size());
     ::close(fd);
   }
 }

@@ -63,6 +63,8 @@ bool read_exact(int fd, std::uint8_t* dst, std::size_t n) {
   return true;
 }
 
+}  // namespace
+
 bool write_all(int fd, const std::uint8_t* src, std::size_t n) {
   std::size_t sent = 0;
   while (sent < n) {
@@ -78,8 +80,6 @@ bool write_all(int fd, const std::uint8_t* src, std::size_t n) {
   }
   return true;
 }
-
-}  // namespace
 
 WireStatus to_wire(ReplyStatus s) {
   switch (s) {

@@ -116,6 +116,11 @@ ReplyFrame decode_reply(const std::uint8_t* p, std::size_t n);
 /// connection; there is no resynchronizing a byte stream.
 bool read_frame(int fd, std::vector<std::uint8_t>& payload);
 
+/// Write all `n` bytes at `src` to the socket `fd`, retrying short writes
+/// and EINTR. Returns false when the peer is gone (EPIPE/ECONNRESET); never
+/// raises SIGPIPE.
+bool write_all(int fd, const std::uint8_t* src, std::size_t n);
+
 /// Write `payload` as one length-prefixed frame. Returns false when the peer
 /// is gone (EPIPE/ECONNRESET); never raises SIGPIPE.
 bool write_frame(int fd, const std::uint8_t* payload, std::size_t n);

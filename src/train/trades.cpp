@@ -27,10 +27,8 @@ ag::Var TRADESObjective::compute(models::TapClassifier& model,
   Tensor p_clean;
   {
     ag::NoGradGuard ng;
-    const bool was = model.training();
-    model.set_training(false);
-    p_clean = softmax_rows(model.forward(ag::Var::constant(batch.x)).value());
-    model.set_training(was);
+    p_clean =
+        softmax_rows(model.eval_forward(ag::Var::constant(batch.x)).value());
   }
   const Tensor adv = kl_pgd(model, batch.x, batch.y, p_clean);
 

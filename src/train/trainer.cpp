@@ -47,10 +47,7 @@ std::vector<EpochStats> Trainer::fit(const data::Dataset& train,
       {
         // Track train accuracy on the fly (cheap forward reuse is not
         // possible for AT objectives, so sample a prediction pass).
-        ag::NoGradGuard ng;
-        model_->set_training(false);
         const auto pred = attacks::predict(*model_, batch.x);
-        model_->set_training(true);
         for (std::size_t i = 0; i < pred.size(); ++i) {
           correct += pred[i] == batch.y[i] ? 1 : 0;
         }

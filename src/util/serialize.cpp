@@ -1,5 +1,6 @@
 #include "util/serialize.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
@@ -70,6 +71,11 @@ void save(const std::string& path, const std::vector<NamedBlob>& blobs) {
 std::vector<NamedBlob> load(const std::string& path) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) throw std::runtime_error("serialize: cannot open " + path);
+  // The file size bounds every payload, so a count read from the file is
+  // checked before anything is allocated for it.
+  std::fseek(f.get(), 0, SEEK_END);
+  const long size = std::ftell(f.get());
+  std::rewind(f.get());
   char magic[4];
   read_bytes(f.get(), magic, sizeof(magic));
   if (std::string(magic, 4) != std::string(kMagic, 4)) {
@@ -79,15 +85,30 @@ std::vector<NamedBlob> load(const std::string& path) {
   if (version != kVersion) throw std::runtime_error("serialize: bad version");
   const auto count = read_pod<std::uint64_t>(f.get());
   std::vector<NamedBlob> blobs;
-  blobs.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     NamedBlob b;
     b.name = read_string(f.get());
     const auto rank = read_pod<std::uint32_t>(f.get());
     if (rank > 8) throw std::runtime_error("serialize: rank too large");
     b.shape.resize(rank);
-    for (auto& d : b.shape) d = read_pod<std::int64_t>(f.get());
+    std::uint64_t elems = 1;
+    for (auto& d : b.shape) {
+      d = read_pod<std::int64_t>(f.get());
+      if (d < 0) throw std::runtime_error("serialize: negative dim in " + b.name);
+      // Saturate instead of wrapping: no payload matches a product that big.
+      const auto ud = static_cast<std::uint64_t>(d);
+      elems = ud != 0 && elems > UINT64_MAX / ud ? UINT64_MAX : elems * ud;
+    }
     const auto numel = read_pod<std::uint64_t>(f.get());
+    if (numel != elems) {
+      throw std::runtime_error("serialize: payload of " + b.name +
+                               " does not match its shape");
+    }
+    const auto left = static_cast<std::uint64_t>(size - std::ftell(f.get()));
+    if (numel > left / sizeof(float)) {
+      throw std::runtime_error("serialize: payload of " + b.name +
+                               " runs past the end of " + path);
+    }
     b.data.resize(numel);
     read_bytes(f.get(), b.data.data(), numel * sizeof(float));
     blobs.push_back(std::move(b));

@@ -20,7 +20,10 @@ struct NamedBlob {
 /// Write all blobs to `path`; throws std::runtime_error on I/O failure.
 void save(const std::string& path, const std::vector<NamedBlob>& blobs);
 
-/// Read blobs back; throws std::runtime_error on I/O or format failure.
+/// Read blobs back; throws std::runtime_error on I/O or format failure,
+/// including a negative dim, a payload whose length differs from its shape's
+/// element count, and a payload longer than the rest of the file (all
+/// checked before the payload is allocated).
 std::vector<NamedBlob> load(const std::string& path);
 
 }  // namespace ibrar::serialize

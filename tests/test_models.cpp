@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "models/mlp.hpp"
 #include "models/registry.hpp"
 #include "models/resnet.hpp"
@@ -107,6 +110,82 @@ TEST_P(ModelSweep, HasChannelMaskTracksSetAndClear) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Architectures, ModelSweep,
+                         ::testing::Values("vgg16", "resnet18", "wrn28", "mlp"));
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+void expect_same_bits(const TapsOutput& a, const TapsOutput& b) {
+  EXPECT_TRUE(same_bits(a.logits.value(), b.logits.value()));
+  ASSERT_EQ(a.taps.size(), b.taps.size());
+  for (std::size_t t = 0; t < a.taps.size(); ++t) {
+    EXPECT_TRUE(same_bits(a.taps[t].value(), b.taps[t].value())) << "tap " << t;
+  }
+}
+
+std::vector<Tensor> buffer_values(TapClassifier& m) {
+  std::vector<Tensor> out;
+  for (auto& [name, b] : m.named_buffers()) out.push_back(*b);
+  return out;
+}
+
+/// Each model's one forward body must route every child to the mode it was
+/// given: batch norm, dropout and the VIB noise are where the two differ.
+class ModelModes : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ModelModes, EvalForwardOfATrainingModelWritesAndDrawsNothing) {
+  const auto make = [] {
+    ModelSpec spec;
+    spec.name = GetParam();
+    Rng rng(31);
+    auto m = make_model(spec, rng);
+    m->set_penultimate_noise(0.5f);
+    m->set_training(true);
+    return m;
+  };
+  auto a = make();  // train, eval, train
+  auto b = make();  // train, train: a's twin without the eval forward
+  auto c = make();  // train, then the eval forward after set_training(false)
+  const ag::Var x = ag::Var::constant(test_images(4));
+
+  // A training forward moves every batch-norm running stat.
+  const auto buf0 = buffer_values(*a);
+  EXPECT_EQ(buf0.empty(), std::string(GetParam()) == "mlp");
+  const auto a1 = a->forward_with_taps(x);
+  const auto buf1 = buffer_values(*a);
+  for (std::size_t i = 0; i < buf0.size(); ++i) {
+    EXPECT_FALSE(same_bits(buf0[i], buf1[i])) << a->named_buffers()[i].first;
+  }
+
+  // The eval forward of a model left in training mode writes no buffer...
+  const auto ev = a->eval_forward_with_taps(x);
+  const auto buf2 = buffer_values(*a);
+  for (std::size_t i = 0; i < buf1.size(); ++i) {
+    EXPECT_TRUE(same_bits(buf1[i], buf2[i])) << a->named_buffers()[i].first;
+  }
+  // ...and draws nothing: the next training forward, and the buffers it
+  // leaves, match the twin that never ran it.
+  const auto a2 = a->forward_with_taps(x);
+  const auto b1 = b->forward_with_taps(x);
+  const auto b2 = b->forward_with_taps(x);
+  expect_same_bits(a1, b1);
+  expect_same_bits(a2, b2);
+  const auto buf_a = buffer_values(*a);
+  const auto buf_b = buffer_values(*b);
+  for (std::size_t i = 0; i < buf_a.size(); ++i) {
+    EXPECT_TRUE(same_bits(buf_a[i], buf_b[i])) << a->named_buffers()[i].first;
+  }
+
+  // That eval forward is the eval-mode forward_with_taps.
+  c->forward_with_taps(x);
+  c->set_training(false);
+  expect_same_bits(ev, c->forward_with_taps(x));
+}
+
+INSTANTIATE_TEST_SUITE_P(Architectures, ModelModes,
                          ::testing::Values("vgg16", "resnet18", "wrn28", "mlp"));
 
 TEST(VGG, TapNamesMatchPaperStructure) {

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 
 #include "nn/init.hpp"
 #include "nn/layers.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
+#include "util/serialize.hpp"
 
 namespace ibrar::nn {
 namespace {
@@ -178,6 +181,104 @@ TEST(Checkpoint, LoadRejectsShapeMismatch) {
   save_model(a, path);
   Linear b(4, 5, rng);
   EXPECT_THROW(load_model(b, path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+/// Every parameter and buffer value of `m`, in named order.
+std::vector<std::vector<float>> model_state(Module& m) {
+  std::vector<std::vector<float>> out;
+  for (auto& [name, p] : m.named_parameters()) out.push_back(p.value().vec());
+  for (auto& [name, b] : m.named_buffers()) out.push_back(b->vec());
+  return out;
+}
+
+/// The blobs save_model would write for `m`.
+std::vector<serialize::NamedBlob> model_blobs(Module& m) {
+  std::vector<serialize::NamedBlob> blobs;
+  for (auto& [name, p] : m.named_parameters()) {
+    blobs.push_back({name, p.value().shape(), p.value().vec()});
+  }
+  for (auto& [name, b] : m.named_buffers()) {
+    blobs.push_back({"buffer:" + name, b->shape(), b->vec()});
+  }
+  return blobs;
+}
+
+TEST(Checkpoint, LoadRejectsPayloadShorterThanShape) {
+  // A conv weight of shape (8, 3, 3, 3) cut to 108 of its 216 floats: the
+  // next conv would read 216 floats from it.
+  Rng rng(17);
+  Conv2d conv(3, 8, rng);
+  auto blobs = model_blobs(conv);
+  ASSERT_EQ(blobs[0].name, "weight");
+  blobs[0].data.resize(108);
+  const std::string path = "/tmp/ibrar_test_ckpt_short.bin";
+  serialize::save(path, blobs);
+  const auto before = model_state(conv);
+  EXPECT_THROW(load_model(conv, path), std::runtime_error);
+  EXPECT_EQ(model_state(conv), before);
+  EXPECT_EQ(conv.named_parameters()[0].second.numel(), 216);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, LoadRejectsPayloadPastEndOfFile) {
+  // A header claiming 2^62 floats (with a shape that agrees) must be refused
+  // from the file size, before anything is allocated for it.
+  const std::string path = "/tmp/ibrar_test_ckpt_eof.bin";
+  serialize::save(path, {{"w", {1, 2}, {1.0f, 2.0f}}});
+  std::vector<char> bytes;
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    char c;
+    while (std::fread(&c, 1, 1, f) == 1) bytes.push_back(c);
+    std::fclose(f);
+  }
+  // Layout after the 16-byte header and the 4 + 1 byte name: u32 rank,
+  // i64 dims, u64 numel, payload.
+  const std::size_t dims_at = 16 + 4 + 1 + 4;
+  const std::int64_t dims[2] = {std::int64_t{1} << 31, std::int64_t{1} << 31};
+  const std::uint64_t numel = std::uint64_t{1} << 62;
+  std::memcpy(bytes.data() + dims_at, dims, sizeof dims);
+  std::memcpy(bytes.data() + dims_at + sizeof dims, &numel, sizeof numel);
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+  }
+  EXPECT_THROW(serialize::load(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, LoadRejectsNegativeDim) {
+  const std::string path = "/tmp/ibrar_test_ckpt_negdim.bin";
+  serialize::save(path, {{"w", {-1, -4}, {1.0f, 2.0f, 3.0f, 4.0f}}});
+  EXPECT_THROW(serialize::load(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, BadLastBlobLeavesModelUnchanged) {
+  // Every blob is checked before any is written: a wrong shape on the last
+  // parameter must not leave the earlier ones overwritten.
+  Rng rng(18);
+  Sequential a;
+  a.push_back(std::make_shared<Linear>(4, 3, rng));
+  a.push_back(std::make_shared<Linear>(3, 2, rng));
+  auto blobs = model_blobs(a);
+  ASSERT_EQ(blobs.back().name, "1.bias");
+  blobs.back().shape = {5};
+  blobs.back().data.assign(5, 0.5f);
+  const std::string path = "/tmp/ibrar_test_ckpt_badlast.bin";
+  serialize::save(path, blobs);
+
+  Rng rng2(19);
+  Sequential b;
+  b.push_back(std::make_shared<Linear>(4, 3, rng2));
+  b.push_back(std::make_shared<Linear>(3, 2, rng2));
+  const auto before = model_state(b);
+  EXPECT_THROW(load_model(b, path), std::runtime_error);
+  EXPECT_EQ(model_state(b), before);
   std::remove(path.c_str());
 }
 

@@ -807,13 +807,6 @@ class ForwardCountingModel final : public models::TapClassifier {
       : inner_(std::move(inner)) {
     register_module("inner", inner_);
   }
-  models::TapsOutput forward_with_taps(const ag::Var& x) override {
-    return inner_->forward_with_taps(x);
-  }
-  models::TapsOutput eval_forward_with_taps(const ag::Var& x) const override {
-    forwards_.fetch_add(1, std::memory_order_relaxed);
-    return inner_->eval_forward_with_taps(x);
-  }
   const std::vector<std::string>& tap_names() const override {
     return inner_->tap_names();
   }
@@ -826,6 +819,14 @@ class ForwardCountingModel final : public models::TapClassifier {
   }
   std::uint64_t forwards() const {
     return forwards_.load(std::memory_order_relaxed);
+  }
+
+ protected:
+  models::TapsOutput run_with_taps(const ag::Var& x,
+                                   nn::Mode mode) const override {
+    if (mode == nn::Mode::kTrain) return inner_->forward_with_taps(x);
+    forwards_.fetch_add(1, std::memory_order_relaxed);
+    return inner_->eval_forward_with_taps(x);
   }
 
  private:

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -563,6 +564,42 @@ TEST(Admin, ServesMetricsSloAndTimeseriesReadOnly) {
   }
   admin.stop();
   admin.stop();  // idempotent
+}
+
+TEST(Admin, ScraperThatHangsUpDoesNotKillTheProcess) {
+  // 200,000 counters make a /metrics body of about 8 MB, far past the socket
+  // buffers, so the endpoint is still writing when a scraper that closed
+  // right after its request resets the connection. That must end one write,
+  // not the process (SIGPIPE), and the next scrape must be served. The
+  // child process keeps the large registry, and on a regression the signal,
+  // away from the other tests.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        for (int i = 0; i < 200000; ++i) {
+          obs::registry().counter("admin.hangup." + std::to_string(i)).inc();
+        }
+        serve::net::AdminEndpoint admin;
+        const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        addr.sin_port = htons(admin.port());
+        if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
+            0) {
+          std::exit(2);
+        }
+        const std::string req = "GET /metrics HTTP/1.0\r\n\r\n";
+        if (::write(fd, req.data(), req.size()) !=
+            static_cast<ssize_t>(req.size())) {
+          std::exit(3);
+        }
+        ::close(fd);
+        const std::string again = http_get(admin.port(), "/metrics");
+        admin.stop();
+        std::exit(again.rfind("HTTP/1.0 200", 0) == 0 ? 0 : 4);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Admin, RenderHandlesUnknownSeriesGracefully) {
