@@ -7,20 +7,23 @@ namespace ibrar::ag {
 namespace {
 
 /// Route `g` into parent `i` of `n`, reducing broadcast dims. A gradient that
-/// already has the parent's shape goes to accumulate as is.
-void accum_broadcast(Node& n, std::size_t i, const Tensor& g) {
+/// already has the parent's shape goes to accumulate as is; a temporary is
+/// handed over, not copied.
+template <typename G>
+void accum_broadcast(Node& n, std::size_t i, G&& g) {
   auto& p = n.parents[i];
   if (!p->requires_grad) return;
   if (g.shape() == p->value.shape()) {
-    p->accumulate(g);
+    p->accumulate(std::forward<G>(g));
   } else {
     p->accumulate(reduce_to_shape(g, p->value.shape()));
   }
 }
 
-void accum(Node& n, std::size_t i, const Tensor& g) {
+template <typename G>
+void accum(Node& n, std::size_t i, G&& g) {
   auto& p = n.parents[i];
-  if (p->requires_grad) p->accumulate(g);
+  if (p->requires_grad) p->accumulate(std::forward<G>(g));
 }
 
 }  // namespace
@@ -107,8 +110,7 @@ Var pow_scalar(const Var& a, float p) {
 
 Var relu(const Var& a) {
   return make_op(ibrar::relu(a.value()), {a}, [](Node& n) {
-    accum(n, 0, ibrar::mul(n.grad, ibrar::greater(n.parents[0]->value,
-                                                  Tensor::scalar(0.0f))));
+    accum(n, 0, ibrar::relu_backward(n.grad, n.parents[0]->value));
   });
 }
 

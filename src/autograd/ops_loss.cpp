@@ -23,7 +23,7 @@ Var softmax(const Var& logits) {
         gx.at(i, j) = s.at(i, j) * (n.grad.at(i, j) - static_cast<float>(inner));
       }
     }
-    n.parents[0]->accumulate(gx);
+    n.parents[0]->accumulate(std::move(gx));
   });
 }
 
@@ -42,7 +42,7 @@ Var log_softmax(const Var& logits) {
         gx.at(i, j) = n.grad.at(i, j) - s.at(i, j) * static_cast<float>(rs);
       }
     }
-    n.parents[0]->accumulate(gx);
+    n.parents[0]->accumulate(std::move(gx));
   });
 }
 
@@ -70,8 +70,8 @@ Var cross_entropy(const Var& logits, const std::vector<std::int64_t>& labels) {
     for (std::int64_t i = 0; i < m; ++i) {
       gx.at(i, labels[static_cast<std::size_t>(i)]) -= 1.0f;
     }
-    for (auto& v : gx.vec()) v *= g;
-    n.parents[0]->accumulate(gx);
+    for (auto& v : gx.data()) v *= g;
+    n.parents[0]->accumulate(std::move(gx));
   });
 }
 
@@ -98,13 +98,13 @@ Var kl_div(const Var& p, const Var& log_q) {
     if (n.parents[0]->requires_grad) {
       // d/dp [p (log p - log q)] = log p + 1 - log q
       Tensor gp = ibrar::sub(log_p, n.parents[1]->value);
-      for (auto& v : gp.vec()) v = (v + 1.0f) * g;
-      n.parents[0]->accumulate(gp);
+      for (auto& v : gp.data()) v = (v + 1.0f) * g;
+      n.parents[0]->accumulate(std::move(gp));
     }
     if (n.parents[1]->requires_grad) {
       Tensor gq = n.parents[0]->value;
-      for (auto& v : gq.vec()) v *= -g;
-      n.parents[1]->accumulate(gq);
+      for (auto& v : gq.data()) v *= -g;
+      n.parents[1]->accumulate(std::move(gq));
     }
   });
 }

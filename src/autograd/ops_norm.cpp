@@ -49,8 +49,8 @@ Var batch_norm2d_apply(const Var& x, const Var& gamma, const Var& beta,
   std::vector<Var> parents = {x, gamma, beta};
   const bool keep_xhat = will_record(parents) &&
                          (gamma.requires_grad() || (training && x.requires_grad()));
-  Tensor xhat = keep_xhat ? Tensor(xv.shape()) : Tensor();
-  Tensor out(xv.shape());
+  Tensor xhat = keep_xhat ? Tensor::unfilled(xv.shape()) : Tensor();
+  Tensor out = Tensor::unfilled(xv.shape());
   normalize(xv, mean_c, inv_std, gamma.value().data().data(),
             beta.value().data().data(), out.data().data(),
             keep_xhat ? xhat.data().data() : nullptr);
@@ -66,7 +66,7 @@ Var batch_norm2d_apply(const Var& x, const Var& gamma, const Var& beta,
     // from the input rather than return a wrong gradient.
     Tensor recomputed;
     if (need_gx && !keep_xhat) {
-      recomputed = Tensor(xv.shape());
+      recomputed = Tensor::unfilled(xv.shape());
       normalize(xv, mean_c, inv_std, nullptr, nullptr, nullptr,
                 recomputed.data().data());
     }
@@ -94,7 +94,7 @@ Var batch_norm2d_apply(const Var& x, const Var& gamma, const Var& beta,
     if (n.parents[2]->requires_grad) n.parents[2]->accumulate(sum_g);
 
     if (grad_x) {
-      Tensor gx(xv.shape());
+      Tensor gx = Tensor::unfilled(xv.shape());
       float* pgx = gx.data().data();
       const float m = static_cast<float>(nN * spatial);
       for (std::int64_t in_n = 0; in_n < nN; ++in_n) {
@@ -115,7 +115,7 @@ Var batch_norm2d_apply(const Var& x, const Var& gamma, const Var& beta,
           }
         }
       }
-      n.parents[0]->accumulate(gx);
+      n.parents[0]->accumulate(std::move(gx));
     }
   });
 }
@@ -174,7 +174,7 @@ Var dropout(const Var& x, float p, bool training, Rng& rng) {
   if (p >= 1.0f) throw std::invalid_argument("dropout: p must be < 1");
   Tensor mask(x.shape());
   const float scale = 1.0f / (1.0f - p);
-  for (auto& m : mask.vec()) m = rng.bernoulli(1.0 - p) ? scale : 0.0f;
+  for (auto& m : mask.data()) m = rng.bernoulli(1.0 - p) ? scale : 0.0f;
   Tensor out = ibrar::mul(x.value(), mask);
   return make_op(std::move(out), {x}, [mask = std::move(mask)](Node& n) {
     if (!n.parents[0]->requires_grad) return;

@@ -40,7 +40,7 @@ Var concat_rows(const std::vector<Var>& parts) {
                        Tensor g(p->value.shape());
                        std::copy_n(n.grad.data().begin() + row * row_size,
                                    g.numel(), g.data().begin());
-                       p->accumulate(g);
+                       p->accumulate(std::move(g));
                      }
                      row += row_counts[i];
                    }
@@ -63,7 +63,7 @@ Var slice_rows(const Var& a, std::int64_t begin, std::int64_t end) {
     Tensor g(in_shape);
     std::copy_n(n.grad.data().begin(), n.grad.numel(),
                 g.data().begin() + begin * row_size);
-    n.parents[0]->accumulate(g);
+    n.parents[0]->accumulate(std::move(g));
   });
 }
 
@@ -88,7 +88,7 @@ Var gather_cols(const Var& a, const std::vector<std::int64_t>& idx) {
       g.at(static_cast<std::int64_t>(i), idx[i]) =
           n.grad.at(static_cast<std::int64_t>(i), 0);
     }
-    n.parents[0]->accumulate(g);
+    n.parents[0]->accumulate(std::move(g));
   });
 }
 

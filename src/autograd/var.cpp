@@ -13,27 +13,39 @@ bool& grad_flag() {
   return enabled;
 }
 
+void check_grad_shape(const Tensor& g, const Shape& want) {
+  if (g.shape() != want) {
+    throw std::logic_error("grad shape mismatch: " + shape_str(g.shape()) +
+                           " vs " + shape_str(want));
+  }
+}
+
+/// f(i) for every i in [0, n), in grain-sized blocks on the runtime pool.
+template <typename F>
+void each_index(std::int64_t n, F f) {
+  runtime::parallel_for(0, n, runtime::kElementwiseGrain,
+                        [&](std::int64_t i0, std::int64_t i1) {
+                          for (std::int64_t i = i0; i < i1; ++i) f(i);
+                        });
+}
+
 }  // namespace
 
 void Node::accumulate(const Tensor& g) {
-  if (!grad_ready) {
-    grad = Tensor(value.shape());
-    grad_ready = true;
-  }
-  if (!(g.shape() == grad.shape())) {
-    throw std::logic_error("grad shape mismatch: " + shape_str(g.shape()) +
-                           " vs " + shape_str(grad.shape()));
-  }
-  auto pg = grad.data();
-  const auto ps = g.data();
-  runtime::parallel_for(
-      0, static_cast<std::int64_t>(pg.size()), runtime::kElementwiseGrain,
-      [&](std::int64_t i0, std::int64_t i1) {
-        for (std::int64_t i = i0; i < i1; ++i) {
-          const auto u = static_cast<std::size_t>(i);
-          pg[u] += ps[u];
-        }
-      });
+  if (!grad_ready) return accumulate(Tensor(g));
+  check_grad_shape(g, grad.shape());
+  float* pg = grad.data().data();
+  const float* ps = g.data().data();
+  each_index(g.numel(), [pg, ps](std::int64_t i) { pg[i] += ps[i]; });
+}
+
+void Node::accumulate(Tensor&& g) {
+  if (grad_ready) return accumulate(std::as_const(g));
+  check_grad_shape(g, value.shape());
+  float* p = g.data().data();
+  each_index(g.numel(), [p](std::int64_t i) { p[i] = 0.0f + p[i]; });
+  grad = std::move(g);
+  grad_ready = true;
 }
 
 Var::Var(Tensor value, bool requires_grad) : node_(std::make_shared<Node>()) {

@@ -18,6 +18,9 @@
 //    graphs), gradcheck (perturbs its inputs only after the analytic
 //    backward, then runs forwards without backward), and CW's Adam step on
 //    its w (after the step's backward; the next step builds a new graph).
+//  * Closures hand the gradients they build to Node::accumulate as rvalues:
+//    a first contribution is adopted (rewritten in place as 0 + g), not
+//    copied into a zero-filled tensor and added.
 //  * conv2d keeps nothing: no pass builds im2col columns. Its backward
 //    reads n.parents[0]->value and n.parents[1]->value in place; the
 //    weight-gradient kernel gathers the input's taps straight from
@@ -48,8 +51,13 @@ struct Node {
   /// Accumulates into parents' grads given this node's grad. Null for leaves.
   std::function<void(Node&)> backward_fn;
 
-  /// Add `g` into `grad`, allocating on first touch.
+  /// Add `g` (shaped like `value`; else std::logic_error) into `grad`. The
+  /// first contribution leaves grad = 0.0f + g, so a -0 in it becomes +0;
+  /// later ones add. The rvalue overload adopts a first contribution's
+  /// buffer and rewrites it in place, so a backward closure hands over the
+  /// temporaries it builds instead of having them copied.
   void accumulate(const Tensor& g);
+  void accumulate(Tensor&& g);
 };
 
 /// Value + gradient handle. Cheap to copy (shared_ptr semantics).

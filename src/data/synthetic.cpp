@@ -36,10 +36,10 @@ Tensor random_field(std::int64_t channels, std::int64_t size, Rng& rng,
   }
   // Normalize to unit RMS so amplitudes in the config are comparable.
   double ss = 0.0;
-  for (const auto v : field.vec()) ss += double(v) * v;
+  for (const auto v : field.data()) ss += double(v) * v;
   const float rms = static_cast<float>(std::sqrt(ss / field.numel()));
   if (rms > 0) {
-    for (auto& v : field.vec()) v /= rms;
+    for (auto& v : field.data()) v /= rms;
   }
   return field;
 }

@@ -14,7 +14,7 @@ GaussianNoise::GaussianNoise(float stddev, std::uint64_t seed)
 ag::Var GaussianNoise::train_forward(const ag::Var& x) {
   if (stddev_ <= 0.0f) return x;
   Tensor noise(x.shape());
-  for (auto& v : noise.vec()) v = rng_.normal(0.0f, stddev_);
+  for (auto& v : noise.data()) v = rng_.normal(0.0f, stddev_);
   return ag::add(x, ag::Var::constant(noise));
 }
 

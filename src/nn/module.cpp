@@ -1,5 +1,6 @@
 #include "nn/module.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -64,11 +65,14 @@ void Module::register_module(std::string name, std::shared_ptr<Module> m) {
 
 void save_model(Module& m, const std::string& path) {
   std::vector<serialize::NamedBlob> blobs;
+  auto values = [](const Tensor& t) {
+    return std::vector<float>(t.data().begin(), t.data().end());
+  };
   for (auto& [name, p] : m.named_parameters()) {
-    blobs.push_back({name, p.value().shape(), p.value().vec()});
+    blobs.push_back({name, p.value().shape(), values(p.value())});
   }
   for (auto& [name, b] : m.named_buffers()) {
-    blobs.push_back({"buffer:" + name, b->shape(), b->vec()});
+    blobs.push_back({"buffer:" + name, b->shape(), values(*b)});
   }
   serialize::save(path, blobs);
 }
@@ -95,7 +99,10 @@ void load_model(Module& m, const std::string& path) {
       throw std::runtime_error("load_model: shape mismatch for " + name);
     }
   }
-  for (const auto& [name, t] : targets) t->vec() = by_name.at(name)->data;
+  for (const auto& [name, t] : targets) {
+    const auto& data = by_name.at(name)->data;
+    std::copy(data.begin(), data.end(), t->data().begin());
+  }
 }
 
 }  // namespace ibrar::nn

@@ -8,6 +8,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "obs/metrics.hpp"
@@ -18,6 +19,12 @@
 
 namespace ibrar::serve::net {
 namespace {
+
+/// How long one read or write on an admin connection may wait on its peer.
+/// A client that connects and sends nothing, or stops reading its reply, is
+/// dropped after this instead of holding the one accept thread (and stop())
+/// for as long as it stays connected.
+constexpr timeval kConnectionIoTimeout{2, 0};
 
 std::string http_response(int code, const char* reason,
                           const char* content_type, const std::string& body) {
@@ -141,6 +148,10 @@ void AdminEndpoint::accept_loop() {
     }
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &kConnectionIoTimeout,
+                 sizeof kConnectionIoTimeout);
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &kConnectionIoTimeout,
+                 sizeof kConnectionIoTimeout);
 
     // Read until the end of the request head (or a small cap — admin
     // requests have no body, so anything bigger is garbage).
@@ -149,8 +160,12 @@ void AdminEndpoint::accept_loop() {
     while (head.size() < 8192 && head.find("\r\n\r\n") == std::string::npos &&
            head.find("\n\n") == std::string::npos) {
       const ssize_t n = ::read(fd, buf, sizeof buf);
-      if (n <= 0) break;
+      if (n <= 0) break;  // closed, failed, or idle past the timeout
       head.append(buf, static_cast<std::size_t>(n));
+    }
+    if (head.empty()) {
+      ::close(fd);
+      continue;
     }
     // Request line: METHOD SP TARGET SP VERSION. Only GET is served (the
     // endpoint is read-only by contract).

@@ -21,7 +21,9 @@
 // chunking, no request body — a curl / Prometheus scrape is exactly one
 // round trip, and the accept loop handles connections inline (admin traffic
 // is a scraper on a cadence, not a request path; a slow admin client can
-// delay the next scrape, never a serving request). The responder shares no
+// delay the next scrape, never a serving request). Each connection's reads
+// and writes time out after two seconds, so an idle or non-reading client
+// delays the next scrape, and stop(), by at most that. The responder shares no
 // lock with the serving path — every route reads through the same
 // lock-minimal snapshot calls the in-process samplers use.
 //

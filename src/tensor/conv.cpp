@@ -24,7 +24,7 @@ PoolResult maxpool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride) 
   const auto n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const auto oh = conv_out_dim(h, kernel, stride, 0);
   const auto ow = conv_out_dim(w, kernel, stride, 0);
-  PoolResult r{Tensor({n, c, oh, ow}), {}};
+  PoolResult r{Tensor::unfilled({n, c, oh, ow}), {}};
   r.argmax.resize(static_cast<std::size_t>(n * c * oh * ow));
   const float* px = x.data().data();
   float* po = r.out.data().data();

@@ -381,7 +381,7 @@ Tensor run_conv(const Tensor& x, const float* panels, std::int64_t f,
   const auto ow = conv_out_dim(in_w, spec.kernel, spec.stride, spec.pad);
   const std::int64_t spatial = oh * ow;
   const std::int64_t total_cols = n * spatial;
-  Tensor out({n, f, oh, ow});
+  Tensor out = Tensor::unfilled({n, f, oh, ow});  // the scatter writes all
   if (ep.skip != nullptr && ep.skip->shape() != out.shape()) {
     throw std::invalid_argument("conv: skip shape mismatch");
   }
@@ -534,8 +534,8 @@ Tensor conv2d_weight_grad(const Tensor& g, const Tensor& x,
   const std::int64_t ow = g.dim(3);
   const std::int64_t spatial = g.dim(2) * ow;
   const std::int64_t depth = x.dim(0) * spatial;
-  Tensor gw(w_shape);
-  if (depth == 0 || f == 0 || ckk == 0) return gw;
+  if (depth == 0 || f == 0 || ckk == 0) return Tensor(w_shape);
+  Tensor gw = Tensor::unfilled(w_shape);  // every (filter, tap) is copied out
 
   // C (F, C*K*K) = g * im2col(x), reduced over p = (image, oy, ox) in
   // ascending order. g as (F, p) MR-row A panels, packed once and shared

@@ -3,9 +3,9 @@
 // utilities, and the gradient reduction used to undo broadcasting.
 //
 // These are the non-differentiable building blocks; src/autograd wraps them
-// with backward rules.
-
-#include <functional>
+// with backward rules. Each elementwise op is one pass with its element
+// expression inlined into the loop: no std::function or other indirect call
+// per element. A one-element operand (a scalar tensor) runs as a flat map.
 
 #include "tensor/tensor.hpp"
 
@@ -40,8 +40,9 @@ Tensor square(const Tensor& a);
 Tensor clamp(const Tensor& a, float lo, float hi);
 Tensor pow_scalar(const Tensor& a, float p);
 
-/// Generic unary map.
-Tensor unary_op(const Tensor& a, const std::function<float(float)>& f);
+/// ReLU's input gradient in one pass: g * (x > 0 ? 1 : 0). g and x share a
+/// shape; NaN or -0 in x selects 0, and the product keeps g's NaN and sign.
+Tensor relu_backward(const Tensor& g, const Tensor& x);
 
 // ---- comparisons (result is 0/1 float mask) ---------------------------------
 
@@ -68,10 +69,12 @@ void put_rows(Tensor& dst, const std::vector<std::int64_t>& idx,
 /// One-hot encode integer labels into (n, num_classes).
 Tensor one_hot(const std::vector<std::int64_t>& labels, std::int64_t num_classes);
 
-/// Broadcast `a` to `target` shape explicitly (copying).
+/// Broadcast `a` to `target` shape explicitly (copying). Throws
+/// std::invalid_argument unless a's shape broadcasts to `target`.
 Tensor broadcast_to(const Tensor& a, const Shape& target);
 
 /// Sum-reduce `g` down to `target` shape — the adjoint of broadcasting.
+/// Throws std::invalid_argument unless `target` broadcasts to g's shape.
 Tensor reduce_to_shape(const Tensor& g, const Shape& target);
 
 // ---- scalar folds ------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include "tensor/tensor.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -36,14 +37,23 @@ Tensor::Tensor(Shape shape, float fill)
     : shape_(std::move(shape)),
       data_(static_cast<std::size_t>(shape_numel(shape_)), fill) {}
 
-Tensor::Tensor(Shape shape, std::vector<float> data)
-    : shape_(std::move(shape)), data_(std::move(data)) {
-  if (shape_numel(shape_) != static_cast<std::int64_t>(data_.size())) {
+Tensor::Tensor(Shape shape, const std::vector<float>& data)
+    : Tensor(std::move(shape), UnfilledTag{}) {
+  if (data.size() != data_.size()) {
     throw std::invalid_argument("Tensor: data size " +
-                                std::to_string(data_.size()) +
+                                std::to_string(data.size()) +
                                 " does not match shape " + shape_str(shape_));
   }
+  std::copy(data.begin(), data.end(), data_.begin());
 }
+
+Tensor::Tensor(const Tensor& other) : Tensor(other.shape_, UnfilledTag{}) {
+  std::copy(other.data_.begin(), other.data_.end(), data_.begin());
+}
+
+Tensor::Tensor(Shape shape, UnfilledTag)
+    : shape_(std::move(shape)),
+      data_(static_cast<std::size_t>(shape_numel(shape_))) {}
 
 Tensor Tensor::eye(std::int64_t n) {
   Tensor t({n, n});
@@ -104,7 +114,11 @@ float Tensor::item() const {
   return data_[0];
 }
 
-Shape Tensor::reshaped(Shape new_shape) const {
+Tensor Tensor::reshape(Shape new_shape) const& {
+  return Tensor(*this).reshape(std::move(new_shape));
+}
+
+Tensor Tensor::reshape(Shape new_shape) && {
   // Support a single -1 wildcard dimension.
   std::int64_t wildcard = -1;
   std::int64_t known = 1;
@@ -126,16 +140,8 @@ Shape Tensor::reshaped(Shape new_shape) const {
     throw std::invalid_argument("reshape: numel mismatch " + shape_str(shape_) +
                                 " -> " + shape_str(new_shape));
   }
-  return new_shape;
-}
-
-Tensor Tensor::reshape(Shape new_shape) const& {
-  return Tensor(reshaped(std::move(new_shape)), data_);
-}
-
-Tensor Tensor::reshape(Shape new_shape) && {
-  Shape shape = reshaped(std::move(new_shape));
-  return Tensor(std::move(shape), std::move(data_));
+  shape_ = std::move(new_shape);
+  return std::move(*this);
 }
 
 std::vector<std::int64_t> Tensor::strides() const {
@@ -185,7 +191,7 @@ Shape broadcast_shape(const Shape& a, const Shape& b) {
       throw std::invalid_argument("broadcast: incompatible shapes " +
                                   shape_str(a) + " and " + shape_str(b));
     }
-    out[i] = std::max(da, db);
+    out[i] = da == 1 ? db : da;  // a 0 against a 1 stays 0
   }
   return out;
 }

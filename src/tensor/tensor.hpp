@@ -3,12 +3,20 @@
 //
 // This is the numerical substrate for the whole library: a small, predictable
 // N-d array (rank <= 4 is what the models use) with NumPy-style broadcasting
-// implemented in ops.hpp. Data is owned by value (std::vector<float>), so
-// copies are deep and moves are cheap; the autograd layer adds sharing on top.
+// implemented in ops.hpp. Data is owned by value (a std::vector), so copies
+// are deep and moves are cheap; the autograd layer adds sharing on top.
+//
+// Zero-fill contract: every constructor writes every element (Tensor(shape)
+// writes zeros) except Tensor::unfilled, which skips the memset for kernels
+// that write every element before the tensor is read: the elementwise maps
+// and broadcasts, the ReLU backward, conv2d's output and weight gradient,
+// max pooling's output, and batch norm's output, xhat and input gradient.
 
 #include <cassert>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,13 +43,26 @@ class Tensor {
   /// Tensor of `shape` filled with `fill`.
   Tensor(Shape shape, float fill);
 
-  /// Tensor wrapping existing data (size must match shape).
-  Tensor(Shape shape, std::vector<float> data);
+  /// Tensor holding a copy of `data` (size must match shape).
+  Tensor(Shape shape, const std::vector<float>& data);
+
+  // Copies are one std::copy (a memmove): the storage's own copy would
+  // construct element by element through its allocator.
+  Tensor(const Tensor& other);
+  Tensor& operator=(const Tensor& other) { return *this = Tensor(other); }
+  Tensor(Tensor&&) noexcept = default;
+  Tensor& operator=(Tensor&&) noexcept = default;
 
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }
   static Tensor ones(Shape shape) { return Tensor(std::move(shape), 1.0f); }
   static Tensor full(Shape shape, float v) { return Tensor(std::move(shape), v); }
-  static Tensor scalar(float v) { return Tensor({}, {v}); }
+  static Tensor scalar(float v) { return Tensor(Shape{}, v); }
+
+  /// Tensor of `shape` whose elements are indeterminate: only for a kernel
+  /// that writes every element before anything reads one.
+  static Tensor unfilled(Shape shape) {
+    return Tensor(std::move(shape), UnfilledTag{});
+  }
 
   /// Identity-like matrix (n x n).
   static Tensor eye(std::int64_t n);
@@ -57,8 +78,6 @@ class Tensor {
 
   std::span<float> data() { return std::span<float>(data_); }
   std::span<const float> data() const { return std::span<const float>(data_); }
-  std::vector<float>& vec() { return data_; }
-  const std::vector<float>& vec() const { return data_; }
 
   float& operator[](std::int64_t i) { return data_[static_cast<std::size_t>(i)]; }
   float operator[](std::int64_t i) const { return data_[static_cast<std::size_t>(i)]; }
@@ -94,11 +113,21 @@ class Tensor {
   std::string to_string(std::int64_t max_elems = 16) const;
 
  private:
-  /// Resolve a -1 wildcard in `new_shape` and check its numel against ours.
-  Shape reshaped(Shape new_shape) const;
+  /// std::allocator whose value-less construct() default-initializes, so a
+  /// sized vector is allocated but not written.
+  template <typename T>
+  struct DefaultInitAllocator : std::allocator<T> {
+    using std::allocator<T>::allocator;
+    template <typename U>
+    void construct(U* p) {
+      ::new (static_cast<void*>(p)) U;
+    }
+  };
+  struct UnfilledTag {};
+  Tensor(Shape shape, UnfilledTag);
 
   Shape shape_;
-  std::vector<float> data_;
+  std::vector<float, DefaultInitAllocator<float>> data_;
 };
 
 /// Row-major strides of `shape`.

@@ -17,6 +17,7 @@
 #include "conv_reference.hpp"
 #include "obs/profile.hpp"
 #include "runtime/thread_pool.hpp"
+#include "special_values.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/random.hpp"
@@ -816,6 +817,62 @@ TEST(NormOwnership, GammaUnpausedBeforeBackwardMatchesRecordedXhat) {
             << i;
       }
     }
+  }
+}
+
+// ---- bit gates: the ReLU backward and the gradient accumulator -------------
+
+TEST(ReluBackward, InputGradientIsTheMaskedProductAtOneAndFourLanes) {
+  const std::int64_t lanes0 = runtime::num_threads();
+  for (const std::int64_t lanes : {1, 4}) {
+    runtime::set_num_threads(lanes);
+    std::uint64_t seed = 500;
+    for (const auto& shape : map_shapes()) {
+      const Tensor x = special_values(shape, ++seed);
+      const Tensor r = special_values(shape, ++seed);
+      Var xv = Var::param(x);
+      backward_with(relu(xv), r);
+      // relu's upstream gradient is mul's 1 * r after its first accumulate;
+      // relu hands back g * (x > 0 ? 1 : 0), and x's first accumulate adds 0.
+      Tensor expect(shape);
+      for (std::int64_t i = 0; i < x.numel(); ++i) {
+        const float gy = 0.0f + 1.0f * r[i];
+        expect[i] = 0.0f + gy * (x[i] > 0.0f ? 1.0f : 0.0f);
+      }
+      // same_bits' memcmp must not see the empty tensor's null data.
+      EXPECT_TRUE(x.numel() == 0 ? xv.grad().shape() == shape
+                                 : same_bits(xv.grad(), expect))
+          << shape_str(shape) << " lanes=" << lanes;
+    }
+  }
+  runtime::set_num_threads(lanes0);
+}
+
+TEST(NodeAccumulate, FirstContributionIsZeroPlusGThenContributionsAdd) {
+  for (const bool rvalue : {false, true}) {
+    auto accumulate = [rvalue](Node& n, const Tensor& g) {
+      if (rvalue) {
+        n.accumulate(Tensor(g));
+      } else {
+        n.accumulate(g);
+      }
+    };
+    Var v = Var::param(Tensor({4}));
+    Node& n = *v.node();
+    accumulate(n, Tensor({4}, {-0.0f, 1.0f, -2.5f, kNaN}));
+    ASSERT_TRUE(n.grad_ready);
+    EXPECT_TRUE(same_bits(n.grad, Tensor({4}, {0.0f, 1.0f, -2.5f, kNaN})))
+        << "rvalue=" << rvalue;
+    EXPECT_FALSE(std::signbit(n.grad[0])) << "a first -0 ends as +0";
+
+    accumulate(n, Tensor({4}, {2.0f, -0.0f, 0.5f, 1.0f}));
+    EXPECT_TRUE(same_bits(n.grad, Tensor({4}, {2.0f, 1.0f, -2.0f, kNaN})))
+        << "rvalue=" << rvalue;
+
+    EXPECT_THROW(accumulate(n, Tensor({3})), std::logic_error);
+    EXPECT_THROW(accumulate(n, Tensor({4, 1})), std::logic_error);
+    Var fresh = Var::param(Tensor({2, 2}));
+    EXPECT_THROW(accumulate(*fresh.node(), Tensor({4})), std::logic_error);
   }
 }
 

@@ -184,11 +184,16 @@ TEST(Checkpoint, LoadRejectsShapeMismatch) {
   std::remove(path.c_str());
 }
 
+/// A tensor's elements as a vector.
+std::vector<float> values(const Tensor& t) {
+  return std::vector<float>(t.data().begin(), t.data().end());
+}
+
 /// Every parameter and buffer value of `m`, in named order.
 std::vector<std::vector<float>> model_state(Module& m) {
   std::vector<std::vector<float>> out;
-  for (auto& [name, p] : m.named_parameters()) out.push_back(p.value().vec());
-  for (auto& [name, b] : m.named_buffers()) out.push_back(b->vec());
+  for (auto& [name, p] : m.named_parameters()) out.push_back(values(p.value()));
+  for (auto& [name, b] : m.named_buffers()) out.push_back(values(*b));
   return out;
 }
 
@@ -196,10 +201,10 @@ std::vector<std::vector<float>> model_state(Module& m) {
 std::vector<serialize::NamedBlob> model_blobs(Module& m) {
   std::vector<serialize::NamedBlob> blobs;
   for (auto& [name, p] : m.named_parameters()) {
-    blobs.push_back({name, p.value().shape(), p.value().vec()});
+    blobs.push_back({name, p.value().shape(), values(p.value())});
   }
   for (auto& [name, b] : m.named_buffers()) {
-    blobs.push_back({"buffer:" + name, b->shape(), b->vec()});
+    blobs.push_back({"buffer:" + name, b->shape(), values(*b)});
   }
   return blobs;
 }

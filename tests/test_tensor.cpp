@@ -4,9 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
+#include <vector>
 
+#include "runtime/thread_pool.hpp"
+#include "special_values.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/conv_eval.hpp"
 #include "tensor/matmul.hpp"
@@ -14,6 +20,7 @@
 #include "tensor/random.hpp"
 #include "tensor/reduce.hpp"
 #include "tensor/tensor.hpp"
+#include "timing.hpp"
 
 namespace ibrar {
 namespace {
@@ -65,7 +72,8 @@ TEST(TensorBasics, ReshapeOfTemporaryMovesTheBuffer) {
   const Tensor moved = std::move(t).reshape({-1, 6});
   EXPECT_EQ(moved.shape(), (Shape{2, 6}));
   EXPECT_EQ(moved.data().data(), buffer);
-  EXPECT_EQ(moved.vec(), copy.vec());
+  EXPECT_TRUE(std::equal(moved.data().begin(), moved.data().end(),
+                         copy.data().begin(), copy.data().end()));
   EXPECT_THROW(Tensor({2, 6}).reshape({5, -1}), std::invalid_argument);
 }
 
@@ -127,6 +135,29 @@ TEST(Broadcast, ReduceToShapeIsAdjoint) {
   const Tensor r2 = reduce_to_shape(g, {2, 1});
   EXPECT_FLOAT_EQ(r2.at(0, 0), 6);
   EXPECT_FLOAT_EQ(r2.at(1, 0), 15);
+}
+
+TEST(Broadcast, ZeroSizedDimStaysZeroAgainstOne) {
+  // NumPy's rule: a 1 stretches to the other side's size, 0 included.
+  EXPECT_EQ(broadcast_shape({0}, {}), (Shape{0}));
+  EXPECT_EQ(broadcast_shape({1, 3}, {0, 1}), (Shape{0, 3}));
+  EXPECT_THROW(broadcast_shape({0}, {2}), std::invalid_argument);
+  EXPECT_EQ(greater(Tensor({0}), Tensor::scalar(0.0f)).numel(), 0);
+  EXPECT_EQ(add(Tensor({2, 0}), Tensor({1, 1})).shape(), (Shape{2, 0}));
+}
+
+TEST(Broadcast, ReduceAndBroadcastRejectShapesThatDoNotBroadcast) {
+  // The target of reduce_to_shape must broadcast to g's shape, and a tensor
+  // must broadcast to broadcast_to's target; anything else throws rather
+  // than walking g with the wrong strides or returning a bigger tensor.
+  EXPECT_THROW(reduce_to_shape(Tensor({2, 4}), {3}), std::invalid_argument);
+  EXPECT_THROW(reduce_to_shape(Tensor({2, 4}), {3, 4}), std::invalid_argument);
+  EXPECT_THROW(reduce_to_shape(Tensor({4}), {2, 4}), std::invalid_argument);
+  EXPECT_THROW(broadcast_to(Tensor({3, 4}), {4}), std::invalid_argument);
+  EXPECT_THROW(broadcast_to(Tensor({3}), {2, 4}), std::invalid_argument);
+  EXPECT_EQ(reduce_to_shape(Tensor({2, 4}, 1.0f), {1, 4}).shape(),
+            (Shape{1, 4}));
+  EXPECT_EQ(broadcast_to(Tensor({4}), {3, 4}).shape(), (Shape{3, 4}));
 }
 
 TEST(Elementwise, UnaryMaps) {
@@ -511,6 +542,159 @@ INSTANTIATE_TEST_SUITE_P(
                       BroadcastCase{{4, 1, 3}, {2, 3}, {4, 2, 3}},
                       BroadcastCase{{1}, {3, 2}, {3, 2}},
                       BroadcastCase{{2, 3, 1, 1}, {1, 3, 2, 2}, {2, 3, 2, 2}}));
+
+// ---- bit gates: each map and one-element broadcast against a plain loop ----
+//
+// Every element must be the IEEE result of the expression written here; the
+// kernels may vectorize and split across lanes, but never change a bit.
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         (a.numel() == 0 || std::memcmp(a.data().data(), b.data().data(),
+                                        a.data().size() * sizeof(float)) == 0);
+}
+
+/// Runs `check(lanes)` with the pool at 1 and at 4 lanes.
+template <typename F>
+void at_one_and_four_lanes(F&& check) {
+  const std::int64_t lanes0 = runtime::num_threads();
+  for (const std::int64_t lanes : {1, 4}) {
+    runtime::set_num_threads(lanes);
+    check(lanes);
+  }
+  runtime::set_num_threads(lanes0);
+}
+
+struct MapCase {
+  const char* name;
+  Tensor (*op)(const Tensor&);
+  float (*ref)(float);
+};
+
+TEST(BitGate, UnaryMapsMatchAPlainLoop) {
+  const MapCase cases[] = {
+      {"relu", &relu, [](float x) { return x > 0.0f ? x : 0.0f; }},
+      {"sign", &sign,
+       [](float x) { return x > 0.0f ? 1.0f : (x < 0.0f ? -1.0f : 0.0f); }},
+      {"neg", &neg, [](float x) { return -x; }},
+      {"abs", &abs, [](float x) { return std::fabs(x); }},
+      {"square", &square, [](float x) { return x * x; }},
+      {"exp", &exp, [](float x) { return std::exp(x); }},
+      {"log", &log, [](float x) { return std::log(std::max(x, 1e-38f)); }},
+      {"sqrt", &sqrt, [](float x) { return std::sqrt(x); }},
+      {"tanh", &tanh, [](float x) { return std::tanh(x); }},
+      {"sigmoid", &sigmoid,
+       [](float x) { return 1.0f / (1.0f + std::exp(-x)); }},
+      {"clamp", [](const Tensor& a) { return clamp(a, -0.5f, 1.5f); },
+       [](float x) { return std::min(std::max(x, -0.5f), 1.5f); }},
+      {"add_scalar", [](const Tensor& a) { return add_scalar(a, 0.75f); },
+       [](float x) { return x + 0.75f; }},
+      {"mul_scalar", [](const Tensor& a) { return mul_scalar(a, -1.25f); },
+       [](float x) { return x * -1.25f; }},
+      {"pow_scalar", [](const Tensor& a) { return pow_scalar(a, 1.5f); },
+       [](float x) { return std::pow(x, 1.5f); }},
+  };
+  at_one_and_four_lanes([&](std::int64_t lanes) {
+    std::uint64_t seed = 300;
+    for (const auto& shape : map_shapes()) {
+      const Tensor x = special_values(shape, ++seed);
+      for (const auto& c : cases) {
+        Tensor expect(shape);
+        for (std::int64_t i = 0; i < x.numel(); ++i) expect[i] = c.ref(x[i]);
+        EXPECT_TRUE(same_bits(c.op(x), expect))
+            << c.name << " " << shape_str(shape) << " lanes=" << lanes;
+      }
+    }
+  });
+}
+
+TEST(BitGate, ReluBackwardIsTheMaskedProduct) {
+  at_one_and_four_lanes([&](std::int64_t lanes) {
+    std::uint64_t seed = 350;
+    for (const auto& shape : map_shapes()) {
+      const Tensor g = special_values(shape, ++seed);
+      const Tensor x = special_values(shape, ++seed);
+      Tensor expect(shape);
+      for (std::int64_t i = 0; i < x.numel(); ++i) {
+        expect[i] = g[i] * (x[i] > 0.0f ? 1.0f : 0.0f);
+      }
+      EXPECT_TRUE(same_bits(relu_backward(g, x), expect))
+          << shape_str(shape) << " lanes=" << lanes;
+    }
+  });
+  EXPECT_THROW(relu_backward(Tensor({4}), Tensor({2, 2})),
+               std::invalid_argument);
+}
+
+TEST(ElementwiseTiming, ReluForwardAndBackwardVectorize) {
+  // At 1 lane on a vgg16-sized map of random signs. A scalar loop costs
+  // 3-8 ns per element here (an indirect call, or a select that branches
+  // and mispredicts); the vectorized loops cost well under 1 ns. Only one
+  // output is alive at a time, so malloc hands the freed block back and the
+  // best run times the loop, not first-touch page faults.
+  const std::int64_t lanes0 = runtime::num_threads();
+  runtime::set_num_threads(1);
+  Rng rng(29);
+  const Tensor x = rand_uniform({100, 8, 16, 16}, rng, -1.0f, 1.0f);
+  const Tensor g = rand_uniform({100, 8, 16, 16}, rng, -1.0f, 1.0f);
+  const double n = static_cast<double>(x.numel());
+  float sink = 0.0f;
+  const double fwd = best_wall_ns(30, [&] { sink += relu(x)[0]; }) / n;
+  const double bwd =
+      best_wall_ns(30, [&] { sink += relu_backward(g, x)[0]; }) / n;
+  runtime::set_num_threads(lanes0);
+  EXPECT_TRUE(std::isfinite(sink));
+  SKIP_UNLESS_TIMING_BUILD() << fwd << " ns (relu), " << bwd
+                             << " ns (relu_backward) per element";
+  EXPECT_LT(fwd, 2.0) << "relu: " << fwd << " ns per element";
+  EXPECT_LT(bwd, 2.0) << "relu_backward: " << bwd << " ns per element";
+}
+
+struct BinaryCase {
+  const char* name;
+  Tensor (*op)(const Tensor&, const Tensor&);
+  float (*ref)(float, float);
+};
+
+TEST(BitGate, BinaryOpsWithAOneElementOperandMatchAPlainLoop) {
+  const BinaryCase cases[] = {
+      {"add", &add, [](float x, float y) { return x + y; }},
+      {"sub", &sub, [](float x, float y) { return x - y; }},
+      {"mul", &mul, [](float x, float y) { return x * y; }},
+      {"div", &div, [](float x, float y) { return x / y; }},
+      {"maximum", &maximum, [](float x, float y) { return std::max(x, y); }},
+      {"minimum", &minimum, [](float x, float y) { return std::min(x, y); }},
+      {"greater", &greater,
+       [](float x, float y) { return x > y ? 1.0f : 0.0f; }},
+  };
+  const std::vector<Shape> one_element = {{}, {1}, {1, 1}};
+  const std::vector<Shape> big = {{3, 5}, {129, 129}, {100, 8, 16, 16}};
+  at_one_and_four_lanes([&](std::int64_t lanes) {
+    std::uint64_t seed = 400;
+    for (const auto& shape : big) {
+      const Tensor y = special_values(shape, ++seed);
+      for (const auto& s_shape : one_element) {
+        for (const float s : {1.5f, -0.0f, kInf}) {
+          const Tensor st(s_shape, s);
+          for (const auto& c : cases) {
+            Tensor left(shape), right(shape);
+            for (std::int64_t i = 0; i < y.numel(); ++i) {
+              left[i] = c.ref(s, y[i]);
+              right[i] = c.ref(y[i], s);
+            }
+            const std::string where = std::string(c.name) + " " +
+                                      shape_str(s_shape) + "=" +
+                                      std::to_string(s) + " vs " +
+                                      shape_str(shape) +
+                                      " lanes=" + std::to_string(lanes);
+            EXPECT_TRUE(same_bits(c.op(st, y), left)) << "left " << where;
+            EXPECT_TRUE(same_bits(c.op(y, st), right)) << "right " << where;
+          }
+        }
+      }
+    }
+  });
+}
 
 }  // namespace
 }  // namespace ibrar

@@ -8,15 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <future>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include "mi/channel_score.hpp"
@@ -600,6 +604,55 @@ TEST(Admin, ScraperThatHangsUpDoesNotKillTheProcess) {
         std::exit(again.rfind("HTTP/1.0 200", 0) == 0 ? 0 : 4);
       },
       ::testing::ExitedWithCode(0), "");
+}
+
+TEST(Admin, IdleClientDoesNotStallScrapesOrStop) {
+  // A client that connects and sends nothing must not hold the one accept
+  // thread: the endpoint drops it after its socket timeout, serves the next
+  // scrape, and stop() returns. Every wait here is bounded and the idle
+  // socket is closed on the way out, so a regression fails, not hangs.
+  using std::chrono::seconds;
+  serve::net::AdminEndpoint admin;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(admin.port());
+  const int idle = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(idle, 0);
+  ASSERT_EQ(::connect(idle, reinterpret_cast<sockaddr*>(&addr), sizeof addr),
+            0);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const timeval limit{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &limit, sizeof limit);
+  std::string reply;
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) == 0) {
+    const std::string req = "GET /metrics HTTP/1.0\r\n\r\n";
+    if (::write(fd, req.data(), req.size()) ==
+        static_cast<ssize_t>(req.size())) {
+      char buf[4096];
+      ssize_t n;
+      while ((n = ::read(fd, buf, sizeof buf)) > 0) {
+        reply.append(buf, static_cast<std::size_t>(n));
+      }
+    }
+  }
+  ::close(fd);
+  EXPECT_EQ(reply.rfind("HTTP/1.0 200", 0), 0u)
+      << "no reply to a scrape behind an idle client";
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, seconds(10));
+
+  std::promise<void> stopped;
+  std::future<void> done = stopped.get_future();
+  std::thread stopper([&] {
+    admin.stop();
+    stopped.set_value();
+  });
+  const bool in_time = done.wait_for(seconds(10)) == std::future_status::ready;
+  ::close(idle);
+  stopper.join();
+  EXPECT_TRUE(in_time) << "stop() waited for the idle client to close";
 }
 
 TEST(Admin, RenderHandlesUnknownSeriesGracefully) {
