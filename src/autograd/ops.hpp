@@ -67,16 +67,17 @@ Var global_avg_pool(const Var& x);
 // ---- normalization / regularization -----------------------------------------
 
 /// Batch norm over (N,H,W) per channel. In training mode uses batch moments
-/// and updates running stats in place; in eval mode uses the running stats.
+/// and updates running stats in place; in eval mode it is batch_norm2d_eval.
+/// Both fold their moments with fold_batch_norm and run the one batch-norm
+/// kernel (tensor/conv_eval.hpp). Throws std::invalid_argument when gamma,
+/// beta or the running stats do not hold one value per channel of x.
 Var batch_norm2d(const Var& x, const Var& gamma, const Var& beta,
                  Tensor& running_mean, Tensor& running_var, bool training,
                  float momentum = 0.1f, float eps = 1e-5f);
 
 /// Strictly-const eval-mode batch norm: reads the frozen running stats and
-/// never writes them. Shares the normalize/backward body with batch_norm2d,
-/// so the result is bit-identical to batch_norm2d(..., training=false, ...).
-/// This is what lets a published ModelSnapshot's forward be const-qualified
-/// and therefore safe under concurrent serving workers.
+/// never writes them. This is what lets a published ModelSnapshot's forward
+/// be const-qualified and therefore safe under concurrent serving workers.
 Var batch_norm2d_eval(const Var& x, const Var& gamma, const Var& beta,
                       const Tensor& running_mean, const Tensor& running_var,
                       float eps = 1e-5f);

@@ -31,12 +31,11 @@ Var conv2d(const Var& x, const Var& w, const Var& bias, const Conv2dSpec& spec) 
 }
 
 Var maxpool2d(const Var& x, std::int64_t kernel, std::int64_t stride) {
-  PoolResult r = ibrar::maxpool2d(x.value(), kernel, stride);
-  return make_op(std::move(r.out), {x},
-                 [argmax = std::move(r.argmax)](Node& n) {
+  return make_op(ibrar::maxpool2d(x.value(), kernel, stride), {x},
+                 [kernel, stride](Node& n) {
     if (!n.parents[0]->requires_grad) return;
     n.parents[0]->accumulate(
-        maxpool2d_backward(n.grad, n.parents[0]->value.shape(), argmax));
+        maxpool2d_backward(n.grad, n.parents[0]->value, kernel, stride));
   });
 }
 

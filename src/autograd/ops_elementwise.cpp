@@ -6,15 +6,18 @@
 namespace ibrar::ag {
 namespace {
 
-/// Route `g` into parent `i` of `n`, reducing broadcast dims. A gradient that
-/// already has the parent's shape goes to accumulate as is; a temporary is
-/// handed over, not copied.
-template <typename G>
-void accum_broadcast(Node& n, std::size_t i, G&& g) {
+/// Route the gradient `make()` returns into parent `i` of `n`, reducing
+/// broadcast dims. make() runs only when that parent requires grad, so a
+/// constant operand costs no gradient. A gradient that already has the
+/// parent's shape goes to accumulate as is; a temporary is handed over, not
+/// copied.
+template <typename Make>
+void accum_broadcast(Node& n, std::size_t i, Make&& make) {
   auto& p = n.parents[i];
   if (!p->requires_grad) return;
+  decltype(auto) g = make();
   if (g.shape() == p->value.shape()) {
-    p->accumulate(std::forward<G>(g));
+    p->accumulate(std::forward<decltype(g)>(g));
   } else {
     p->accumulate(reduce_to_shape(g, p->value.shape()));
   }
@@ -30,22 +33,25 @@ void accum(Node& n, std::size_t i, G&& g) {
 
 Var add(const Var& a, const Var& b) {
   return make_op(ibrar::add(a.value(), b.value()), {a, b}, [](Node& n) {
-    accum_broadcast(n, 0, n.grad);
-    accum_broadcast(n, 1, n.grad);
+    const auto g = [&n]() -> const Tensor& { return n.grad; };
+    accum_broadcast(n, 0, g);
+    accum_broadcast(n, 1, g);
   });
 }
 
 Var sub(const Var& a, const Var& b) {
   return make_op(ibrar::sub(a.value(), b.value()), {a, b}, [](Node& n) {
-    accum_broadcast(n, 0, n.grad);
-    accum_broadcast(n, 1, ibrar::neg(n.grad));
+    accum_broadcast(n, 0, [&n]() -> const Tensor& { return n.grad; });
+    accum_broadcast(n, 1, [&n] { return ibrar::neg(n.grad); });
   });
 }
 
 Var mul(const Var& a, const Var& b) {
   return make_op(ibrar::mul(a.value(), b.value()), {a, b}, [](Node& n) {
-    accum_broadcast(n, 0, ibrar::mul(n.grad, n.parents[1]->value));
-    accum_broadcast(n, 1, ibrar::mul(n.grad, n.parents[0]->value));
+    accum_broadcast(n, 0,
+                    [&n] { return ibrar::mul(n.grad, n.parents[1]->value); });
+    accum_broadcast(n, 1,
+                    [&n] { return ibrar::mul(n.grad, n.parents[0]->value); });
   });
 }
 
@@ -53,11 +59,12 @@ Var div(const Var& a, const Var& b) {
   return make_op(ibrar::div(a.value(), b.value()), {a, b}, [](Node& n) {
     const Tensor& av = n.parents[0]->value;
     const Tensor& bv = n.parents[1]->value;
-    accum_broadcast(n, 0, ibrar::div(n.grad, bv));
+    accum_broadcast(n, 0, [&] { return ibrar::div(n.grad, bv); });
     // d/db (a/b) = -a / b^2
-    accum_broadcast(n, 1,
-                    ibrar::neg(ibrar::div(ibrar::mul(n.grad, av),
-                                          ibrar::mul(bv, bv))));
+    accum_broadcast(n, 1, [&] {
+      return ibrar::neg(
+          ibrar::div(ibrar::mul(n.grad, av), ibrar::mul(bv, bv)));
+    });
   });
 }
 

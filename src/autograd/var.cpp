@@ -20,6 +20,16 @@ void check_grad_shape(const Tensor& g, const Shape& want) {
   }
 }
 
+/// True when make_op records a node over `parents`: recording is on and at
+/// least one parent requires grad.
+bool will_record(const std::vector<Var>& parents) {
+  if (!grad_enabled()) return false;
+  for (const auto& p : parents) {
+    if (p.requires_grad()) return true;
+  }
+  return false;
+}
+
 /// f(i) for every i in [0, n), in grain-sized blocks on the runtime pool.
 template <typename F>
 void each_index(std::int64_t n, F f) {
@@ -105,14 +115,6 @@ bool grad_enabled() { return grad_flag(); }
 
 NoGradGuard::NoGradGuard() : prev_(grad_flag()) { grad_flag() = false; }
 NoGradGuard::~NoGradGuard() { grad_flag() = prev_; }
-
-bool will_record(const std::vector<Var>& parents) {
-  if (!grad_enabled()) return false;
-  for (const auto& p : parents) {
-    if (p.requires_grad()) return true;
-  }
-  return false;
-}
 
 Var make_op(Tensor value, std::vector<Var> parents,
             std::function<void(Node&)> backward_fn) {

@@ -9,9 +9,10 @@
 //
 // Ownership contract (what a backward closure may read):
 //  * Closures read their parents' values as n.parents[i]->value and their own
-//    output as n.value; they keep no private copy of either. What only the
-//    backward needs (batch norm's xhat, maxpool's argmax, the dropout mask,
-//    log_softmax's probabilities) is moved into the closure, never copied.
+//    output as n.value; they keep no private copy of either, and nothing
+//    they can recompute from them. What only the backward needs and cannot
+//    recompute (the dropout mask, log_softmax's probabilities) is moved into
+//    the closure, never copied.
 //  * A node's value must not be mutated between the forward that used it and
 //    its backward. The four mutable_value() writers all run outside that
 //    window: the optimizer step (after backward), Module load/copy (between
@@ -24,11 +25,13 @@
 //  * conv2d keeps nothing: no pass builds im2col columns. Its backward
 //    reads n.parents[0]->value and n.parents[1]->value in place; the
 //    weight-gradient kernel gathers the input's taps straight from
-//    n.parents[0]->value into per-lane scratch strips. Batch norm keeps
-//    xhat only when gamma's gradient or a training-mode input gradient is
-//    recorded (will_record); a parameter un-paused between forward and
-//    backward gets xhat recomputed from the parents' values, never a wrong
-//    gradient.
+//    n.parents[0]->value into per-lane scratch strips.
+//  * maxpool2d keeps only (kernel, stride): its backward finds each
+//    window's winner again in n.parents[0]->value. Batch norm keeps only
+//    the per-channel mean and inv_std: its backward recomputes
+//    xh = (x - mu) * is from n.parents[0]->value with the forward's
+//    expression. Neither depends on which parents required grad at the
+//    forward, so a parameter un-paused before backward gets its gradient.
 
 #include <functional>
 #include <memory>
@@ -114,11 +117,6 @@ class NoGradGuard {
  private:
   bool prev_;
 };
-
-/// True when make_op would record a node over `parents`: recording is on and
-/// at least one parent requires grad. Ops ask it before saving anything that
-/// only their backward reads.
-bool will_record(const std::vector<Var>& parents);
 
 /// Build an op node: value, parents, and a backward closure. When recording is
 /// off or no parent requires grad, the result is a detached constant.

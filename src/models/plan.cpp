@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "autograd/ops.hpp"
+#include "obs/profile.hpp"
 #include "tensor/ops.hpp"
 
 namespace ibrar::models {
@@ -27,13 +28,16 @@ void InferencePlan::conv(const nn::Conv2d& layer, const nn::BatchNorm2d* bn,
 
 void InferencePlan::bn_relu(const nn::BatchNorm2d& bn, StepIo io) {
   add(io, [fold = bn.folded()](const Tensor& x, const Tensor*) {
-    return batch_norm_relu_eval(x, fold, /*relu=*/true);
+    return batch_norm_relu(x, fold, /*relu=*/true);
   });
 }
 
 void InferencePlan::maxpool(std::int64_t kernel) {
   add({}, [kernel](const Tensor& x, const Tensor*) {
-    return maxpool2d_eval(x, kernel, kernel);
+    // The serving pool's own site, apart from training's calls of the kernel.
+    static obs::ProfileSite& prof = obs::profile_site("tensor/maxpool2d_eval");
+    obs::ProfileScope prof_scope(prof);
+    return ibrar::maxpool2d(x, kernel, kernel);
   });
 }
 

@@ -56,7 +56,7 @@ class BatchNorm2d : public Module {
                        float eps = 1e-5f);
 
   /// Running stats folded for the fused eval path (tensor/conv_eval.hpp):
-  /// the same {mean, 1/sqrt(var+eps), gamma, beta} batch_norm2d_apply uses.
+  /// the same fold batch_norm2d_eval makes per call.
   FoldedBn folded() const;
 
  protected:

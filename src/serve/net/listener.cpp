@@ -1,9 +1,11 @@
 #include "serve/net/listener.hpp"
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <future>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -28,10 +30,14 @@ struct PendingReply {
 
 struct TcpFrontend::Connection {
   int fd = -1;
+  /// The writer has closed fd. Guarded by TcpFrontend::mu_.
+  bool closed = false;
   std::mutex mu;
   std::condition_variable cv;
   std::deque<PendingReply> pending;
   bool reader_done = false;
+  std::thread reader;  ///< joined by the writer
+  std::thread writer;  ///< joined by whoever reaps the connection
 };
 
 TcpFrontend::TcpFrontend(Server& server, Config cfg)
@@ -75,20 +81,18 @@ void TcpFrontend::stop() {
   if (acceptor_.joinable()) acceptor_.join();
 
   std::vector<std::shared_ptr<Connection>> conns;
-  std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lk(mu_);
     conns.swap(conns_);
-    threads.swap(threads_);
+    // Wake every blocked reader; writers drain their pending futures (the
+    // server resolves them — with replies, or rejection statuses if it is
+    // shutting down too) and then end their connections. A closed
+    // connection is skipped: its fd number may already name a new socket.
+    for (const auto& c : conns) {
+      if (!c->closed) ::shutdown(c->fd, SHUT_RDWR);
+    }
   }
-  // Wake every blocked reader; writers drain their pending futures (the
-  // server resolves them — with replies, or rejection statuses if it is
-  // shutting down too) and then exit.
-  for (const auto& c : conns) ::shutdown(c->fd, SHUT_RDWR);
-  for (auto& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  for (const auto& c : conns) ::close(c->fd);
+  for (const auto& c : conns) c->writer.join();
 }
 
 void TcpFrontend::accept_loop() {
@@ -106,14 +110,26 @@ void TcpFrontend::accept_loop() {
 
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    std::lock_guard<std::mutex> lk(mu_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      return;
+    std::vector<std::shared_ptr<Connection>> ended;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (stopping_.load(std::memory_order_relaxed)) {
+        ::close(fd);
+        return;
+      }
+      // Reap the connections whose writer has closed the fd since the last
+      // accept; their writers are joined below, outside the lock.
+      const auto live = std::partition(
+          conns_.begin(), conns_.end(),
+          [](const std::shared_ptr<Connection>& c) { return !c->closed; });
+      ended.assign(std::make_move_iterator(live),
+                   std::make_move_iterator(conns_.end()));
+      conns_.erase(live, conns_.end());
+      conns_.push_back(conn);
+      conn->reader = std::thread([this, conn] { reader_loop(conn); });
+      conn->writer = std::thread([this, conn] { writer_loop(conn); });
     }
-    conns_.push_back(conn);
-    threads_.emplace_back([this, conn] { reader_loop(conn); });
-    threads_.emplace_back([this, conn] { writer_loop(conn); });
+    for (const auto& c : ended) c->writer.join();
   }
 }
 
@@ -175,10 +191,15 @@ void TcpFrontend::writer_loop(const std::shared_ptr<Connection>& conn) {
     if (!write_frame(conn->fd, encode_reply(frame))) break;
     c_frames.inc();
   }
-  // Unblock the reader if it is still parked in read() (writer died first —
-  // e.g. the peer closed its receive side). The fd itself is closed by
-  // stop(), after both loops have exited.
+  // End the connection: unblock the reader if it is still parked in read()
+  // (writer died first — e.g. the peer closed its receive side), join it,
+  // and close the fd. Closing under mu_ orders it against stop(), which
+  // shuts down only connections not yet closed.
   ::shutdown(conn->fd, SHUT_RDWR);
+  conn->reader.join();
+  std::lock_guard<std::mutex> lk(mu_);
+  ::close(conn->fd);
+  conn->closed = true;
 }
 
 }  // namespace ibrar::serve::net

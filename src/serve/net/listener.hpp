@@ -25,9 +25,18 @@
 // front-end adds no second buffer beyond the pending-future deque, whose
 // length is already capped by the queue capacity plus in-flight batches.
 //
-// stop() (or the destructor) closes the listener, wakes every connection,
-// drains pending replies, and joins all threads. The front-end never owns
-// the Server; stop the front-end first, then the server.
+// Connection lifetime: a connection owns its two threads. When the writer's
+// loop ends (the reader hit EOF or a bad frame and the replies are drained,
+// or a write failed), the writer shuts the socket down, joins its reader and
+// closes the fd, so a finished connection holds no fd and no running
+// thread. The acceptor reaps finished connections on its next accept and
+// joins their writers. A front end that lives for days under connection
+// churn therefore holds only its live connections.
+//
+// stop() (or the destructor) closes the listener, wakes every connection
+// not yet closed, drains pending replies, and joins all threads. The
+// front-end never owns the Server; stop the front-end first, then the
+// server.
 
 #include <atomic>
 #include <cstdint>
@@ -76,9 +85,8 @@ class TcpFrontend {
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
   std::thread acceptor_;
-  std::mutex mu_;  // guards conns_ and threads_
-  std::vector<std::shared_ptr<Connection>> conns_;
-  std::vector<std::thread> threads_;
+  std::mutex mu_;  // guards conns_ and each connection's fd close
+  std::vector<std::shared_ptr<Connection>> conns_;  ///< live and unreaped
 };
 
 }  // namespace ibrar::serve::net

@@ -19,59 +19,77 @@ std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel, std::int64_t str
   return (in + 2 * pad - kernel) / stride + 1;
 }
 
-PoolResult maxpool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride) {
+namespace {
+
+/// (N, C, OH, OW) of max pooling x. Throws std::invalid_argument unless x
+/// is NCHW and the window fits.
+Shape pool_shape(const Tensor& x, std::int64_t kernel, std::int64_t stride) {
   if (x.rank() != 4) throw std::invalid_argument("maxpool2d: x must be NCHW");
-  const auto n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const auto oh = conv_out_dim(h, kernel, stride, 0);
-  const auto ow = conv_out_dim(w, kernel, stride, 0);
-  PoolResult r{Tensor::unfilled({n, c, oh, ow}), {}};
-  r.argmax.resize(static_cast<std::size_t>(n * c * oh * ow));
+  return {x.dim(0), x.dim(1), conv_out_dim(x.dim(2), kernel, stride, 0),
+          conv_out_dim(x.dim(3), kernel, stride, 0)};
+}
+
+/// Runs the first-maximum-wins chain over every window of x, pooled to
+/// `out`, and calls f(o, best, at) with the window's flat output index, its
+/// maximum and the flat input index of the element that won. `at` starts at
+/// the window's first element, which wins when nothing beats -inf. Planes
+/// split across the pool; within a plane windows run in output order.
+template <typename F>
+void each_window(const Tensor& x, const Shape& out, std::int64_t kernel,
+                 std::int64_t stride, F f) {
+  const std::int64_t h = x.dim(2), w = x.dim(3), oh = out[2], ow = out[3];
   const float* px = x.data().data();
-  float* po = r.out.data().data();
-  // One (image, channel) plane per unit of work; each writes its own slice of
-  // out/argmax.
-  const std::int64_t out_spatial = oh * ow;
-  const std::int64_t grain = runtime::grain_for(out_spatial * kernel * kernel);
-  runtime::parallel_for(0, n * c, grain, [&](std::int64_t p0, std::int64_t p1) {
-    for (std::int64_t plane_idx = p0; plane_idx < p1; ++plane_idx) {
-      const float* plane = px + plane_idx * h * w;
-      const std::int64_t plane_off = plane_idx * h * w;
-      std::size_t oi = static_cast<std::size_t>(plane_idx * out_spatial);
+  const std::int64_t grain = runtime::grain_for(oh * ow * kernel * kernel);
+  runtime::parallel_for(0, out[0] * out[1], grain,
+                        [&](std::int64_t p0, std::int64_t p1) {
+    for (std::int64_t p = p0; p < p1; ++p) {
+      const float* plane = px + p * h * w;
+      std::int64_t o = p * oh * ow;
       for (std::int64_t oy = 0; oy < oh; ++oy) {
         for (std::int64_t ox = 0; ox < ow; ++ox) {
-          // best_idx starts at the window's first element: the element the
-          // first-maximum-wins chain picks when nothing beats -inf.
           float best = -std::numeric_limits<float>::infinity();
-          std::int64_t best_idx = (oy * stride) * w + ox * stride;
+          std::int64_t at = (oy * stride) * w + ox * stride;
           for (std::int64_t ky = 0; ky < kernel; ++ky) {
             for (std::int64_t kx = 0; kx < kernel; ++kx) {
-              const std::int64_t iy = oy * stride + ky;
-              const std::int64_t ix = ox * stride + kx;
-              const float v = plane[iy * w + ix];
-              if (v > best) {
-                best = v;
-                best_idx = iy * w + ix;
+              const std::int64_t i = (oy * stride + ky) * w + ox * stride + kx;
+              if (plane[i] > best) {
+                best = plane[i];
+                at = i;
               }
             }
           }
-          po[oi] = best;
-          r.argmax[oi] = plane_off + best_idx;
-          ++oi;
+          f(o++, best, p * h * w + at);
         }
       }
     }
   });
-  return r;
 }
 
-Tensor maxpool2d_backward(const Tensor& grad_out, const Shape& x_shape,
-                          const std::vector<std::int64_t>& argmax) {
-  Tensor gx(x_shape);
-  const auto pg = grad_out.data();
-  auto px = gx.data();
-  for (std::size_t i = 0; i < argmax.size(); ++i) {
-    px[static_cast<std::size_t>(argmax[i])] += pg[i];
+}  // namespace
+
+Tensor maxpool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride) {
+  const Shape shape = pool_shape(x, kernel, stride);
+  Tensor out = Tensor::unfilled(shape);  // every window writes its element
+  float* po = out.data().data();
+  each_window(x, shape, kernel, stride,
+              [po](std::int64_t o, float best, std::int64_t) { po[o] = best; });
+  return out;
+}
+
+Tensor maxpool2d_backward(const Tensor& grad_out, const Tensor& x,
+                          std::int64_t kernel, std::int64_t stride) {
+  const Shape shape = pool_shape(x, kernel, stride);
+  if (grad_out.shape() != shape) {
+    throw std::invalid_argument("maxpool2d_backward: gradient shape mismatch");
   }
+  Tensor gx(x.shape());
+  const float* pg = grad_out.data().data();
+  float* px = gx.data().data();
+  // No two planes share an input element, so lanes never add into one.
+  each_window(x, shape, kernel, stride,
+              [pg, px](std::int64_t o, float, std::int64_t at) {
+                px[at] += pg[o];
+              });
   return gx;
 }
 

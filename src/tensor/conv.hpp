@@ -4,10 +4,9 @@
 // conv2d and its three gradients run on the one conv driver
 // (tensor/conv_eval.hpp): each gathers its GEMM operand straight from the
 // NCHW tensors into packed strips, so no (N*OH*OW, C*K*K) im2col matrix and
-// no transposed copy of the output gradient is ever built. Max/avg pooling
-// store argmax indices so autograd can route gradients.
-
-#include <vector>
+// no transposed copy of the output gradient is ever built. Pooling keeps no
+// argmax: max pooling's backward finds each window's winner again in the
+// input it is given.
 
 #include "tensor/tensor.hpp"
 
@@ -55,20 +54,21 @@ Tensor conv2d_weight_grad(const Tensor& g, const Tensor& x,
 /// summed in (image, spatial) order, as sum_axis(gprod, 0) adds them.
 Tensor conv2d_bias_grad(const Tensor& g);
 
-struct PoolResult {
-  Tensor out;                      ///< (N,C,OH,OW)
-  std::vector<std::int64_t> argmax;  ///< flat input index per output element
-};
+/// 2-D max pooling, no padding: x (N,C,H,W) -> (N,C,OH,OW). Each window
+/// runs a first-maximum-wins chain from -inf in row-major order, so a window
+/// in which nothing beats -inf (all NaN or all -inf) pools to -inf. The
+/// one pool kernel: autograd's forward and the InferencePlan's pool step
+/// both call it. Throws std::invalid_argument unless x is NCHW and the
+/// window fits.
+Tensor maxpool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride);
 
-/// 2-D max pooling (kernel=stride window, no padding). The first maximum of
-/// a window, in row-major order, wins. A window in which no element beats
-/// -inf (all NaN or all -inf) pools to -inf, and its argmax is the window's
-/// first element, so its gradient stays inside the window.
-PoolResult maxpool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride);
-
-/// Scatter pooled gradients back through stored argmax indices.
-Tensor maxpool2d_backward(const Tensor& grad_out, const Shape& x_shape,
-                          const std::vector<std::int64_t>& argmax);
+/// Input gradient of maxpool2d: walks x's windows again with the forward's
+/// chain and adds each window's grad_out at the element that won it (the
+/// window's first element when nothing beats -inf, so the gradient stays
+/// inside the window), windows in output order. Throws
+/// std::invalid_argument when grad_out is not maxpool2d(x)'s shape.
+Tensor maxpool2d_backward(const Tensor& grad_out, const Tensor& x,
+                          std::int64_t kernel, std::int64_t stride);
 
 /// Global average pool (N,C,H,W) -> (N,C).
 Tensor global_avg_pool(const Tensor& x);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -362,6 +361,13 @@ void pack_panels(const float* a, std::int64_t lda, bool trans,
   }
 }
 
+/// Batch norm of one element on folded constants, for batch_norm_relu and
+/// the conv epilogue. ag::batch_norm2d's backward recomputes xh as written.
+inline float bn_element(float v, float mu, float is, float g, float b) {
+  const float xh = (v - mu) * is;
+  return g * xh + b;
+}
+
 /// What the driver's scatter applies after the GEMM; null/false parts are
 /// skipped. conv2d sets only the bias.
 struct Epilogue {
@@ -432,10 +438,7 @@ Tensor run_conv(const Tensor& x, const float* panels, std::int64_t f,
             for (std::int64_t r = 0; r < run; ++r) {
               float v = crow[jj + r];
               if (pbias != nullptr) v += bf;       // the bias pass
-              if (has_bn) {
-                const float xh = (v - mu) * is;    // batch_norm2d_apply
-                v = g * xh + bb;
-              }
+              if (has_bn) v = bn_element(v, mu, is, g, bb);
               if (psk != nullptr) v = v + psk[base + r];  // ag::add(h, skip)
               if (ep.relu) v = v > 0.0f ? v : 0.0f;  // ag::relu
               po[base + r] = v;
@@ -603,27 +606,27 @@ FoldedBn fold_batch_norm(const Tensor& gamma, const Tensor& beta,
   bn.mean = running_mean;
   bn.gamma = gamma;
   bn.beta = beta;
-  bn.inv_std = Tensor({c});
-  // Identical expression to batch_norm2d_apply's inv_std loop: folding moves
-  // the divide/sqrt to publish time without changing a single rounding.
+  bn.inv_std = Tensor::unfilled({c});
+  // The one place inv_std is computed: training, eval and the plan all fold
+  // here, so they share its rounding.
   for (std::int64_t ic = 0; ic < c; ++ic) {
     bn.inv_std[ic] = 1.0f / std::sqrt(running_var[ic] + eps);
   }
   return bn;
 }
 
-Tensor batch_norm_relu_eval(const Tensor& x, const FoldedBn& bn, bool relu) {
-  static obs::ProfileSite& prof = obs::profile_site("tensor/bn_relu_eval");
+Tensor batch_norm_relu(const Tensor& x, const FoldedBn& bn, bool relu) {
+  static obs::ProfileSite& prof = obs::profile_site("tensor/bn_relu");
   obs::ProfileScope prof_scope(prof);
   if (x.rank() != 4) {
-    throw std::invalid_argument("batch_norm_relu_eval: NCHW only");
+    throw std::invalid_argument("batch_norm_relu: NCHW only");
   }
   const auto n = x.dim(0), c = x.dim(1);
   const std::int64_t spatial = x.dim(2) * x.dim(3);
   if (bn.mean.numel() != c) {
-    throw std::invalid_argument("batch_norm_relu_eval: channel mismatch");
+    throw std::invalid_argument("batch_norm_relu: channel mismatch");
   }
-  Tensor out(x.shape());
+  Tensor out = Tensor::unfilled(x.shape());  // every plane is written
   const float* px = x.data().data();
   float* po = out.data().data();
   const float* pmu = bn.mean.data().data();
@@ -637,46 +640,9 @@ Tensor batch_norm_relu_eval(const Tensor& x, const FoldedBn& bn, bool relu) {
       const std::int64_t off = i * spatial;
       const float mu = pmu[ic], is = pis[ic], g = pg[ic], b = pb[ic];
       for (std::int64_t kk = 0; kk < spatial; ++kk) {
-        // batch_norm2d_apply's exact element expression, then relu's.
-        const float xh = (px[off + kk] - mu) * is;
-        float v = g * xh + b;
-        if (relu) v = v > 0.0f ? v : 0.0f;
+        float v = bn_element(px[off + kk], mu, is, g, b);
+        if (relu) v = v > 0.0f ? v : 0.0f;  // ag::relu
         po[off + kk] = v;
-      }
-    }
-  });
-  return out;
-}
-
-Tensor maxpool2d_eval(const Tensor& x, std::int64_t kernel,
-                      std::int64_t stride) {
-  static obs::ProfileSite& prof = obs::profile_site("tensor/maxpool2d_eval");
-  obs::ProfileScope prof_scope(prof);
-  if (x.rank() != 4) throw std::invalid_argument("maxpool2d_eval: NCHW only");
-  const auto n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const auto oh = conv_out_dim(h, kernel, stride, 0);
-  const auto ow = conv_out_dim(w, kernel, stride, 0);
-  Tensor out({n, c, oh, ow});
-  const float* px = x.data().data();
-  float* po = out.data().data();
-  const std::int64_t out_spatial = oh * ow;
-  const std::int64_t grain = runtime::grain_for(out_spatial * kernel * kernel);
-  runtime::parallel_for(0, n * c, grain, [&](std::int64_t p0, std::int64_t p1) {
-    for (std::int64_t plane_idx = p0; plane_idx < p1; ++plane_idx) {
-      const float* plane = px + plane_idx * h * w;
-      std::int64_t oi = plane_idx * out_spatial;
-      for (std::int64_t oy = 0; oy < oh; ++oy) {
-        for (std::int64_t ox = 0; ox < ow; ++ox) {
-          // Same comparison chain as maxpool2d, minus the argmax bookkeeping.
-          float best = -std::numeric_limits<float>::infinity();
-          for (std::int64_t ky = 0; ky < kernel; ++ky) {
-            for (std::int64_t kx = 0; kx < kernel; ++kx) {
-              const float v = plane[(oy * stride + ky) * w + ox * stride + kx];
-              if (v > best) best = v;
-            }
-          }
-          po[oi++] = best;
-        }
       }
     }
   });

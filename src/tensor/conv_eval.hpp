@@ -25,6 +25,10 @@
 //    folded frozen-stat batch norm, an optional residual add and an
 //    optional ReLU to the same scatter.
 //
+// The file also holds the one batch-norm kernel, batch_norm_relu, whose
+// element function the epilogue shares. Autograd's forward and the plan's
+// BN+ReLU step run it; the plan's pool step runs maxpool2d (tensor/conv.hpp).
+//
 // ag::conv2d's backward runs three kernels on the same loop (declared in
 // tensor/conv.hpp), given g = dL/dout (N,F,OH,OW):
 //
@@ -53,8 +57,8 @@
 // transposed weight as B) -> NCHW transpose -> bias pass, extended by the one
 // compiled micro-kernel (tensor/gemm_packed.cpp, gemm_detail), and the
 // epilogue replays the reference per-element expressions (`v += bias`,
-// batch_norm2d_apply's `(x - mu) * is` / `g * xh + b`, ag::add's
-// `h + skip`, relu's `x > 0 ? x : 0`) in the same order. Outputs are
+// batch norm's `(x - mu) * is` / `g * xh + b`, ag::add's `h + skip`, relu's
+// `x > 0 ? x : 0`) in the same order. Outputs are
 // therefore memcmp-identical to that lowering, and a snapshot's logits and
 // taps to the layer-by-layer eval, at any batch size, lane count and
 // blocking (tests/test_conv_eval.cpp gates both). The gradients hold the
@@ -72,14 +76,14 @@
 
 namespace ibrar {
 
-/// Frozen-stat batch norm folded for the fused epilogue. Kept as the four
-/// per-channel constants batch_norm2d_apply actually uses — NOT a two-term
-/// scale/shift, which would associate the arithmetic differently and round
-/// differently. inv_std is precomputed with the identical expression
-/// (1.0f / sqrt(var + eps)), so folding moves work without moving rounding.
+/// Batch norm folded to the four per-channel constants its element
+/// expression reads — NOT a two-term scale/shift, which would associate the
+/// arithmetic differently and round differently. ag::batch_norm2d folds the
+/// batch moments (training) or the running stats (eval) per call; the
+/// InferencePlan folds the running stats once, at publish.
 struct FoldedBn {
-  Tensor mean;     ///< (C) running mean
-  Tensor inv_std;  ///< (C) 1 / sqrt(running_var + eps)
+  Tensor mean;     ///< (C)
+  Tensor inv_std;  ///< (C) 1 / sqrt(var + eps)
   Tensor gamma;    ///< (C)
   Tensor beta;     ///< (C)
 
@@ -88,23 +92,20 @@ struct FoldedBn {
   bool defined() const { return mean.rank() > 0; }
 };
 
-/// Fold running stats once. `gamma/beta/running_mean/running_var` are (C).
+/// Fold per-channel moments: `gamma/beta/running_mean/running_var` are (C),
+/// and inv_std = 1.0f / sqrt(running_var + eps) is computed here and
+/// nowhere else. Throws std::invalid_argument when the four disagree on C.
 FoldedBn fold_batch_norm(const Tensor& gamma, const Tensor& beta,
                          const Tensor& running_mean, const Tensor& running_var,
                          float eps);
 
-/// One-pass eval batch norm (+ optional ReLU) on x (N,C,H,W). Replays
-/// batch_norm2d_apply's per-element expression on the folded constants, so
-/// the result is bit-identical to batch_norm2d_eval (then relu) without the
-/// xhat tensor, the autograd node, or the second activation pass. Backs the
-/// InferencePlan's BN+ReLU step (pre-activation WideResNet blocks, where BN
-/// runs before the conv).
-Tensor batch_norm_relu_eval(const Tensor& x, const FoldedBn& bn, bool relu);
-
-/// maxpool2d without the argmax vector (eval never routes gradients). Same
-/// comparison chain as maxpool2d, so the values are bit-identical.
-Tensor maxpool2d_eval(const Tensor& x, std::int64_t kernel,
-                      std::int64_t stride);
+/// The one batch-norm kernel: x (N,C,H,W) -> g * ((x - mu) * is) + b on the
+/// folded constants, then ReLU when `relu`, in one pass over (image,
+/// channel) planes split across the pool. ag::batch_norm2d runs it with
+/// relu = false; the InferencePlan's BN+ReLU step (pre-activation
+/// WideResNet blocks) with relu = true. Throws std::invalid_argument unless
+/// x is NCHW with bn's channel count.
+Tensor batch_norm_relu(const Tensor& x, const FoldedBn& bn, bool relu);
 
 /// Prepacked conv block: conv(+bias)(+BN)(+skip)(+ReLU) on the one driver.
 ///

@@ -10,7 +10,8 @@
 // writes zeros) except Tensor::unfilled, which skips the memset for kernels
 // that write every element before the tensor is read: the elementwise maps
 // and broadcasts, the ReLU backward, conv2d's output and weight gradient,
-// max pooling's output, and batch norm's output, xhat and input gradient.
+// max pooling's output, and batch norm's output, per-channel constants and
+// input gradient.
 
 #include <cassert>
 #include <cstdint>

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autograd/gradcheck.hpp"
@@ -368,6 +370,31 @@ TEST(NormGrad, BatchNormEvalUsesRunningStats) {
   EXPECT_NEAR(out.value().at(0, 0, 0, 0), expect, 1e-5);
   // Running stats untouched in eval mode.
   EXPECT_FLOAT_EQ(rm[0], 0.5f);
+}
+
+TEST(NormGrad, PerChannelConstantsOfTheWrongCountThrow) {
+  // gamma, beta and the running stats must each hold one value per channel
+  // of x (3 here), in training and in eval mode; a mismatch throws before
+  // the running stats are written.
+  const Var x = Var::constant(Tensor({2, 3, 2, 2}, 1.0f));
+  const Var three = Var::param(Tensor({3}, 1.0f));
+  const Var two = Var::param(Tensor({2}, 1.0f));
+  for (const bool training : {true, false}) {
+    Tensor rm({3}, 0.5f), rv({3}, 2.0f);
+    EXPECT_THROW(batch_norm2d(x, two, three, rm, rv, training),
+                 std::invalid_argument);
+    EXPECT_THROW(batch_norm2d(x, three, two, rm, rv, training),
+                 std::invalid_argument);
+    for (std::int64_t ic = 0; ic < 3; ++ic) {
+      EXPECT_EQ(rm[ic], 0.5f);
+      EXPECT_EQ(rv[ic], 2.0f);
+    }
+    Tensor rm2({2}), rv2({2}, 1.0f);
+    EXPECT_THROW(batch_norm2d(x, three, three, rm2, rv2, training),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(batch_norm2d_eval(x, two, two, Tensor({2}), Tensor({2}, 1.0f)),
+               std::invalid_argument);
 }
 
 TEST(NormGrad, DropoutScalesAndMasks) {
@@ -843,6 +870,250 @@ TEST(ReluBackward, InputGradientIsTheMaskedProductAtOneAndFourLanes) {
       EXPECT_TRUE(x.numel() == 0 ? xv.grad().shape() == shape
                                  : same_bits(xv.grad(), expect))
           << shape_str(shape) << " lanes=" << lanes;
+    }
+  }
+  runtime::set_num_threads(lanes0);
+}
+
+// ---- bit gates: max pooling and batch norm against plain loops -------------
+//
+// The forward and the gradients of L = sum(y * r), written out element by
+// element: every output must be the IEEE result of these loops, bit for bit,
+// at 1 and at 4 lanes. y's upstream gradient is mul's 1 * r after its first
+// accumulate, and each leaf's first accumulate adds 0.
+
+/// Upstream gradient backward_with(y, r) hands y.
+Tensor upstream(const Tensor& r) {
+  Tensor gy(r.shape());
+  for (std::int64_t i = 0; i < r.numel(); ++i) gy[i] = 0.0f + 1.0f * r[i];
+  return gy;
+}
+
+/// What a leaf's first accumulate leaves of g: 0 + g per element.
+Tensor first_accumulate(const Tensor& g) {
+  Tensor out(g.shape());
+  for (std::int64_t i = 0; i < g.numel(); ++i) out[i] = 0.0f + g[i];
+  return out;
+}
+
+/// Max pooling of x and its input gradient for gy. Each window runs the
+/// first-maximum-wins chain from -inf in row-major order, so the window's
+/// first element wins when nothing beats -inf, and adds its gy at the
+/// winner, windows in output order.
+std::pair<Tensor, Tensor> plain_maxpool(const Tensor& x, const Tensor& gy,
+                                        std::int64_t k, std::int64_t s) {
+  const std::int64_t planes = x.dim(0) * x.dim(1), h = x.dim(2), w = x.dim(3);
+  const std::int64_t oh = (h - k) / s + 1, ow = (w - k) / s + 1;
+  Tensor y({x.dim(0), x.dim(1), oh, ow});
+  Tensor gx(x.shape());
+  std::int64_t o = 0;
+  for (std::int64_t p = 0; p < planes; ++p) {
+    for (std::int64_t oy = 0; oy < oh; ++oy) {
+      for (std::int64_t ox = 0; ox < ow; ++ox, ++o) {
+        float best = -kInf;
+        std::int64_t at = p * h * w + oy * s * w + ox * s;
+        for (std::int64_t ky = 0; ky < k; ++ky) {
+          for (std::int64_t kx = 0; kx < k; ++kx) {
+            const std::int64_t i = p * h * w + (oy * s + ky) * w + ox * s + kx;
+            if (x[i] > best) {
+              best = x[i];
+              at = i;
+            }
+          }
+        }
+        y[o] = best;
+        gx[at] += gy[o];
+      }
+    }
+  }
+  return {y, first_accumulate(gx)};
+}
+
+TEST(BitGate, MaxPoolForwardAndInputGradientMatchAPlainLoop) {
+  struct Case {
+    Shape shape;
+    std::int64_t kernel, stride;
+  };
+  // kernel = stride at 2 and 3, an overlapping 3/2 window, a ragged 5x5
+  // input pooled by 2, and a vgg16 activation that splits across lanes.
+  const Case cases[] = {{{2, 3, 8, 8}, 2, 2},
+                        {{2, 3, 9, 9}, 3, 3},
+                        {{2, 3, 9, 9}, 3, 2},
+                        {{2, 3, 5, 5}, 2, 2},
+                        {{100, 8, 16, 16}, 2, 2}};
+  const std::int64_t lanes0 = runtime::num_threads();
+  for (const std::int64_t lanes : {1, 4}) {
+    runtime::set_num_threads(lanes);
+    std::uint64_t seed = 600;
+    for (const auto& c : cases) {
+      Tensor x = special_values(c.shape, ++seed);
+      // The first window of plane 0 is all NaN and that of plane 1 all -inf,
+      // so nothing in either beats -inf. That of plane 2 is a tie of zeros
+      // that starts with -0.
+      const std::int64_t hw = c.shape[2] * c.shape[3];
+      for (std::int64_t ky = 0; ky < c.kernel; ++ky) {
+        for (std::int64_t kx = 0; kx < c.kernel; ++kx) {
+          const std::int64_t i = ky * c.shape[3] + kx;
+          x[i] = kNaN;
+          x[hw + i] = -kInf;
+          x[2 * hw + i] = (ky + kx) % 2 == 0 ? -0.0f : 0.0f;
+        }
+      }
+      Var xv = Var::param(x);
+      const Var y = maxpool2d(xv, c.kernel, c.stride);
+      const Tensor r = special_values(y.shape(), ++seed);
+      backward_with(y, r);
+      const auto [expect_y, expect_gx] =
+          plain_maxpool(x, upstream(r), c.kernel, c.stride);
+      const std::string where = shape_str(c.shape) + " k" +
+                                std::to_string(c.kernel) + "s" +
+                                std::to_string(c.stride) +
+                                " lanes=" + std::to_string(lanes);
+      EXPECT_TRUE(same_bits(y.value(), expect_y)) << "forward " << where;
+      EXPECT_TRUE(same_bits(xv.grad(), expect_gx)) << "gradient " << where;
+    }
+  }
+  runtime::set_num_threads(lanes0);
+}
+
+struct PlainBn {
+  Tensor y, gx, ggamma, gbeta, running_mean, running_var;
+};
+
+/// Batch norm (momentum 0.1, eps 1e-5) of x and its gradients for gy. In
+/// training mode the moments are double sums over (image, spatial) and the
+/// running stats move; in eval mode the running stats are the moments.
+PlainBn plain_batch_norm(const Tensor& x, const Tensor& gamma,
+                         const Tensor& beta, Tensor rm, Tensor rv,
+                         const Tensor& gy, bool training) {
+  const float momentum = 0.1f, eps = 1e-5f;
+  const std::int64_t n = x.dim(0), c = x.dim(1), spatial = x.dim(2) * x.dim(3);
+  const std::int64_t per_channel = n * spatial;
+  std::vector<float> mean(c), inv_std(c);
+  for (std::int64_t ch = 0; ch < c; ++ch) {
+    float var = rv[ch];
+    mean[ch] = rm[ch];
+    if (training) {
+      double s = 0.0, s2 = 0.0;
+      for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t k = 0; k < spatial; ++k) {
+          const float v = x[(i * c + ch) * spatial + k];
+          s += v;
+          s2 += double(v) * v;
+        }
+      }
+      const double mu = s / per_channel;
+      mean[ch] = static_cast<float>(mu);
+      var = static_cast<float>(std::max(0.0, s2 / per_channel - mu * mu));
+      rm[ch] = (1 - momentum) * rm[ch] + momentum * mean[ch];
+      rv[ch] = (1 - momentum) * rv[ch] + momentum * var;
+    }
+    inv_std[ch] = 1.0f / std::sqrt(var + eps);
+  }
+  auto xhat = [&](std::int64_t i, std::int64_t ch) {
+    return (x[i] - mean[ch]) * inv_std[ch];
+  };
+  PlainBn r{Tensor(x.shape()), Tensor(x.shape()), Tensor({c}), Tensor({c}),
+            rm, rv};
+  std::vector<float> sum_g(c, 0.0f), sum_gx(c, 0.0f);
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t ch = 0; ch < c; ++ch) {
+      double sg = 0.0, sgx = 0.0;
+      for (std::int64_t k = 0; k < spatial; ++k) {
+        const std::int64_t e = (i * c + ch) * spatial + k;
+        const float xh = xhat(e, ch);
+        r.y[e] = gamma[ch] * xh + beta[ch];
+        sg += gy[e];
+        sgx += double(gy[e]) * xh;
+      }
+      sum_g[ch] += static_cast<float>(sg);
+      sum_gx[ch] += static_cast<float>(sgx);
+    }
+  }
+  const float m = static_cast<float>(per_channel);
+  for (std::int64_t ch = 0; ch < c; ++ch) {
+    r.ggamma[ch] = 0.0f + sum_gx[ch];
+    r.gbeta[ch] = 0.0f + sum_g[ch];
+    const float gam_is = gamma[ch] * inv_std[ch];
+    const float mg = sum_g[ch] / m, mgx = sum_gx[ch] / m;
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (std::int64_t k = 0; k < spatial; ++k) {
+        const std::int64_t e = (i * c + ch) * spatial + k;
+        const float g = training ? gam_is * (gy[e] - mg - xhat(e, ch) * mgx)
+                                 : gam_is * gy[e];
+        r.gx[e] = 0.0f + g;
+      }
+    }
+  }
+  return r;
+}
+
+/// uniform(-3, 3) whose channel 0 carries NaN, +-0, +-inf and subnormals,
+/// channel 1 one constant (zero variance), and channel 2 +-0 and
+/// subnormals at every third element.
+Tensor bn_input(const Shape& shape, std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor x = rand_uniform(shape, rng, -3.0f, 3.0f);
+  const Tensor specials = special_values(shape, seed);
+  const std::int64_t c = shape[1], spatial = shape[2] * shape[3];
+  for (std::int64_t i = 0; i < shape[0]; ++i) {
+    for (std::int64_t k = 0; k < spatial; ++k) {
+      const std::int64_t e = i * c * spatial + k;
+      x[e] = specials[e];
+      x[e + spatial] = 0.7f;
+      if (k % 3 == 0) x[e + 2 * spatial] = k % 2 == 0 ? -0.0f : 1e-40f;
+    }
+  }
+  return x;
+}
+
+TEST(BitGate, BatchNormForwardAndGradientsMatchAPlainLoop) {
+  // A batch of 1, a small batch, and a vgg16 activation that splits across
+  // lanes; each in training mode, in batch_norm2d's eval mode, and through
+  // batch_norm2d_eval.
+  const std::vector<Shape> shapes = {{1, 4, 4, 4}, {4, 5, 3, 3},
+                                     {100, 8, 16, 16}};
+  const std::int64_t lanes0 = runtime::num_threads();
+  for (const std::int64_t lanes : {1, 4}) {
+    runtime::set_num_threads(lanes);
+    std::uint64_t seed = 700;
+    for (const auto& shape : shapes) {
+      const std::int64_t c = shape[1];
+      const Tensor x = bn_input(shape, ++seed);
+      Rng rng(++seed);
+      Tensor gamma = rand_uniform({c}, rng, 0.5f, 1.5f);
+      Tensor beta = randn({c}, rng);
+      gamma[1] = -0.0f;
+      beta[2] = 1e-40f;
+      Tensor rm = randn({c}, rng);
+      Tensor rv = rand_uniform({c}, rng, 0.5f, 2.0f);
+      rv[1] = 0.0f;
+      Tensor r = rand_uniform(shape, rng, -1.0f, 1.0f);
+      r[0] = -0.0f;
+      for (const int mode : {0, 1, 2}) {
+        const bool training = mode == 0;
+        Tensor run_m = rm, run_v = rv;
+        Var xv = Var::param(x), gv = Var::param(gamma), bv = Var::param(beta);
+        const Var y =
+            mode == 2 ? batch_norm2d_eval(xv, gv, bv, run_m, run_v)
+                      : batch_norm2d(xv, gv, bv, run_m, run_v, training);
+        backward_with(y, r);
+        const PlainBn expect =
+            plain_batch_norm(x, gamma, beta, rm, rv, upstream(r), training);
+        const std::string where = shape_str(shape) +
+                                  " mode=" + std::to_string(mode) +
+                                  " lanes=" + std::to_string(lanes);
+        EXPECT_TRUE(same_bits(y.value(), expect.y)) << "forward " << where;
+        EXPECT_TRUE(same_bits(xv.grad(), expect.gx)) << "x grad " << where;
+        EXPECT_TRUE(same_bits(gv.grad(), expect.ggamma))
+            << "gamma grad " << where;
+        EXPECT_TRUE(same_bits(bv.grad(), expect.gbeta))
+            << "beta grad " << where;
+        EXPECT_TRUE(same_bits(run_m, expect.running_mean))
+            << "running mean " << where;
+        EXPECT_TRUE(same_bits(run_v, expect.running_var))
+            << "running var " << where;
+      }
     }
   }
   runtime::set_num_threads(lanes0);

@@ -90,19 +90,13 @@ TEST(FoldBatchNorm, ReproducesBatchNormEvalBitExactly) {
   const ag::Var ref = ag::batch_norm2d_eval(
       ag::Var::constant(x), ag::Var::constant(bn.gamma),
       ag::Var::constant(bn.beta), bn.rm, bn.rv, kEps);
-  EXPECT_TRUE(bits_equal(batch_norm_relu_eval(x, fold, false), ref.value()));
+  EXPECT_TRUE(bits_equal(batch_norm_relu(x, fold, false), ref.value()));
   EXPECT_TRUE(
-      bits_equal(batch_norm_relu_eval(x, fold, true), ag::relu(ref).value()));
+      bits_equal(batch_norm_relu(x, fold, true), ag::relu(ref).value()));
 }
 
 TEST(FoldBatchNorm, DefaultFoldIsUndefined) {
   EXPECT_FALSE(FoldedBn{}.defined());
-}
-
-TEST(MaxPoolEval, MatchesMaxPool2d) {
-  Rng rng(12);
-  const Tensor x = randn({2, 3, 8, 6}, rng);
-  EXPECT_TRUE(bits_equal(maxpool2d_eval(x, 2, 2), maxpool2d(x, 2, 2).out));
 }
 
 TEST(Conv2d, MatchesIndependentLoweringAcrossShapes) {

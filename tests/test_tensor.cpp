@@ -300,7 +300,6 @@ TEST(Conv, KernelsRejectGeometryOutsideTheInput) {
   // kernel must refuse rather than read outside the input or divide by 0.
   const Tensor tiny({1, 1, 1, 1}, 1.0f);
   EXPECT_THROW(maxpool2d(tiny, 2, 2), std::invalid_argument);
-  EXPECT_THROW(maxpool2d_eval(tiny, 2, 2), std::invalid_argument);
   EXPECT_THROW(maxpool2d(Tensor({1, 1, 4, 4}), 2, 0), std::invalid_argument);
   const Tensor x({1, 1, 2, 2}, 1.0f);
   const Tensor w({1, 1, 3, 3}, 1.0f);
@@ -391,13 +390,13 @@ TEST(Conv, GradientKernelsAreAdjointsOfTheForward) {
 TEST(Pool, MaxPoolValuesAndArgmax) {
   Tensor x({1, 1, 4, 4},
            {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16});
-  const auto r = maxpool2d(x, 2, 2);
-  EXPECT_EQ(r.out.shape(), (Shape{1, 1, 2, 2}));
-  EXPECT_FLOAT_EQ(r.out.at(0, 0, 0, 0), 6);
-  EXPECT_FLOAT_EQ(r.out.at(0, 0, 1, 1), 16);
+  const Tensor y = maxpool2d(x, 2, 2);
+  EXPECT_EQ(y.shape(), (Shape{1, 1, 2, 2}));
+  EXPECT_FLOAT_EQ(y.at(0, 0, 0, 0), 6);
+  EXPECT_FLOAT_EQ(y.at(0, 0, 1, 1), 16);
   // Gradient routes only to the argmax entries.
   Tensor g({1, 1, 2, 2}, 1.0f);
-  const Tensor gx = maxpool2d_backward(g, x.shape(), r.argmax);
+  const Tensor gx = maxpool2d_backward(g, x, 2, 2);
   EXPECT_FLOAT_EQ(gx[5], 1.0f);   // value 6
   EXPECT_FLOAT_EQ(gx[0], 0.0f);
   EXPECT_FLOAT_EQ(gx[15], 1.0f);  // value 16
@@ -411,17 +410,33 @@ TEST(Pool, WindowWithNothingAboveMinusInfRoutesItsGradientInside) {
     Tensor x({1, 1, 4, 4},
              {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16});
     for (const std::int64_t i : {10, 11, 14, 15}) x[i] = fill;
-    const auto r = maxpool2d(x, 2, 2);
-    EXPECT_EQ(r.argmax[3], 10);
-    EXPECT_EQ(r.out[3], -INFINITY);
-    const Tensor eval = maxpool2d_eval(x, 2, 2);
-    EXPECT_EQ(eval[3], -INFINITY);
-    const Tensor gx = maxpool2d_backward(Tensor({1, 1, 2, 2}, 1.0f),
-                                         x.shape(), r.argmax);
+    EXPECT_EQ(maxpool2d(x, 2, 2)[3], -INFINITY);
+    const Tensor gx = maxpool2d_backward(Tensor({1, 1, 2, 2}, 1.0f), x, 2, 2);
     EXPECT_FLOAT_EQ(gx[0], 0.0f);
     EXPECT_FLOAT_EQ(gx[5], 1.0f);   // value 6, top-left window
     EXPECT_FLOAT_EQ(gx[10], 1.0f);  // the all-NaN/-inf window's first element
   }
+}
+
+TEST(Pool, BackwardRejectsAGradientOfTheWrongShape) {
+  // No saved argmax bounds the scatter, so the backward checks the gradient
+  // against the pooled shape of x itself.
+  const Tensor x({2, 3, 5, 5}, 1.0f);
+  EXPECT_NO_THROW(maxpool2d_backward(Tensor({2, 3, 2, 2}), x, 2, 2));
+  for (const Shape& bad : std::vector<Shape>{{2, 3, 3, 3},
+                                             {2, 3, 2},
+                                             {1, 3, 2, 2},
+                                             {2, 4, 2, 2},
+                                             {24}}) {
+    EXPECT_THROW(maxpool2d_backward(Tensor(bad), x, 2, 2),
+                 std::invalid_argument)
+        << shape_str(bad);
+  }
+  EXPECT_THROW(maxpool2d_backward(Tensor({2, 3, 2, 2}), x, 6, 6),
+               std::invalid_argument);
+  EXPECT_THROW(
+      maxpool2d_backward(Tensor({2, 3, 2, 2}), Tensor({3, 5, 5}), 2, 2),
+      std::invalid_argument);
 }
 
 TEST(Pool, GlobalAvgPool) {
