@@ -2,15 +2,13 @@
 
 namespace ibrar::runtime {
 
-float* ScratchArena::floats(Scratch slot, std::size_t floats) {
+void* ScratchArena::bytes(Scratch slot, std::size_t want) {
   const auto s = static_cast<std::size_t>(slot);
-  const std::size_t want = floats * sizeof(float);
   if (bytes_[s] < want) {
     // Grow geometrically so alternating shapes don't reallocate every call.
     std::size_t cap = bytes_[s] == 0 ? 4096 : bytes_[s];
     while (cap < want) cap *= 2;
-    buf_[s].reset(static_cast<float*>(
-        ::operator new[](cap, std::align_val_t{kScratchAlign})));
+    buf_[s].reset(::operator new[](cap, std::align_val_t{kScratchAlign}));
     bytes_[s] = cap;
   }
   return buf_[s].get();

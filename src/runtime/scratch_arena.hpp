@@ -27,8 +27,13 @@ inline constexpr std::size_t kScratchAlign = 64;
 /// its C block in kSymGramTile across the gemm_packed call it makes into the
 /// pack slots, and the serving telemetry (serve/telemetry.cpp) keeps its
 /// per-channel statistics in kServeTelemetry across the channel-score kernels
-/// it invokes (which bottom out in the same GEMM slots). Adding a consumer =
-/// adding an enumerator; the arena sizes itself from kCount.
+/// it invokes (which bottom out in the same GEMM slots). The conv driver
+/// (tensor/conv_eval.cpp) holds its A panels in the caller's kConvPackA, and
+/// a stride-1 forward its padded x and tap offsets in the caller's kConvPadX
+/// and kConvTaps, across the pool dispatch whose lanes read them and fill
+/// their own kConvPackB and kConvAccC. Adding a consumer = adding an
+/// enumerator; the arena sizes itself from kCount. get<T>() hands out a
+/// slot as any trivial element type; floats() is get<float>().
 enum class Scratch : std::size_t {
   kGemmPackA = 0,   ///< A panels, per lane (tensor/gemm_packed.cpp)
   kGemmPackB,       ///< shared packed B (tensor/gemm_packed.cpp)
@@ -40,6 +45,11 @@ enum class Scratch : std::size_t {
   kConvPackB,       ///< a conv task's B strips, gathered from NCHW
                     ///< (tensor/conv_eval.cpp)
   kConvAccC,        ///< conv C accumulator block (tensor/conv_eval.cpp)
+  kConvPadX,        ///< a stride-1 conv forward's zero-padded channel-major
+                    ///< copy of x, per call; every lane reads its B rows
+                    ///< from it in place (tensor/conv_eval.cpp)
+  kConvTaps,        ///< that forward's offset of each tap (ic, ky, kx) in
+                    ///< the padded copy, per call (tensor/conv_eval.cpp)
   kCount,
 };
 
@@ -49,9 +59,13 @@ class ScratchArena {
   ScratchArena(const ScratchArena&) = delete;
   ScratchArena& operator=(const ScratchArena&) = delete;
 
-  /// Aligned buffer of at least `floats` elements in `slot`, valid until the
+  /// Aligned buffer of at least `n` elements of T in `slot`, valid until the
   /// next resize of the same slot.
-  float* floats(Scratch slot, std::size_t floats);
+  template <typename T>
+  T* get(Scratch slot, std::size_t n) {
+    return static_cast<T*>(bytes(slot, n * sizeof(T)));
+  }
+  float* floats(Scratch slot, std::size_t n) { return get<float>(slot, n); }
 
   /// High-water mark in bytes across all slots (for tests/telemetry).
   std::size_t capacity_bytes() const {
@@ -61,11 +75,15 @@ class ScratchArena {
   }
 
  private:
+  void* bytes(Scratch slot, std::size_t bytes);
+
   struct AlignedFree {
-    void operator()(float* p) const { ::operator delete[](p, std::align_val_t{kScratchAlign}); }
+    void operator()(void* p) const {
+      ::operator delete[](p, std::align_val_t{kScratchAlign});
+    }
   };
   static constexpr std::size_t kSlots = static_cast<std::size_t>(Scratch::kCount);
-  std::unique_ptr<float[], AlignedFree> buf_[kSlots];
+  std::unique_ptr<void, AlignedFree> buf_[kSlots];
   std::size_t bytes_[kSlots] = {};
 };
 

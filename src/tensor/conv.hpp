@@ -3,8 +3,9 @@
 //
 // conv2d and its three gradients run on the one conv driver
 // (tensor/conv_eval.hpp): each gathers its GEMM operand straight from the
-// NCHW tensors into packed strips, so no (N*OH*OW, C*K*K) im2col matrix and
-// no transposed copy of the output gradient is ever built. Pooling keeps no
+// NCHW tensors into packed strips, or, in a stride-1 forward, reads it in
+// place from one zero-padded copy of x, so no (N*OH*OW, C*K*K) im2col
+// matrix and no transposed copy of the output gradient is ever built. Pooling keeps no
 // argmax: max pooling's backward finds each window's winner again in the
 // input it is given.
 
@@ -26,8 +27,9 @@ std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel, std::int64_t str
                           std::int64_t pad);
 
 /// Forward conv: x (N,C,H,W), w (F,C,K,K), bias (F) optional -> (N,F,OH,OW).
-/// Packs w per call into the caller's scratch arena and runs the one conv
-/// driver, which adds the bias in its NCHW scatter. memcmp-equal to
+/// Packs w per call into the caller's scratch arena (and, for most stride-1
+/// convs, copies x into it zero-padded) and runs the one conv driver, which
+/// adds the bias in its NCHW scatter. memcmp-equal to
 /// im2col -> GEMM (columns as A, w transposed as B) -> NCHW transpose ->
 /// bias pass. Defined in tensor/conv_eval.cpp beside the driver, as are the
 /// three gradients below.

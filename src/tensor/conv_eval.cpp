@@ -28,21 +28,42 @@ struct ColBlock {
   std::int64_t cols;
 };
 
-/// The task, pack and kernel loop every conv kernel runs: C = A * B, with A
-/// the shared `panels` (pack_panels' layout for `rows` rows and `depth`
-/// reduction steps) and B gathered per column block by
-/// pack(pc, kc, blk, tc, bp) into the lane's KC x tc strips. Blocks
-/// [t * per_task, (t + 1) * per_task) form task t and run in ascending order
-/// on one lane. Each block's C (rows padded to MR, tc = cols padded to NR,
-/// row-major with leading dimension tc) starts at zero in the lane's
-/// accumulator and goes to store(blk, acc, tc). Every C element is one
-/// ascending-depth chain on the one micro-kernel whatever the split, so the
-/// bits do not depend on the lane count.
-template <typename BlockOf, typename Pack, typename Store>
+/// B rows of a depth block packed into the lane's strips at bp (kc x tc).
+struct PackedBlock {
+  const float* bp;
+  std::int64_t kc;
+  gemm_detail::PackedRows strip(std::int64_t jr) const {
+    return {bp + jr * kc};
+  }
+};
+
+/// B rows of a depth block read in place: the row of tap p for block column
+/// jr is the NR floats at base + jr + off[p].
+struct InPlaceBlock {
+  const float* base;
+  const std::int64_t* off;
+  gemm_detail::OffsetRows strip(std::int64_t jr) const {
+    return {base + jr, off};
+  }
+};
+
+/// The task, B source and kernel loop every conv kernel runs: C = A * B,
+/// with A the shared `panels` (pack_panels' layout for `rows` rows and
+/// `depth` reduction steps) and B's rows for depth rows [pc, pc+kc) of a
+/// column block given by source(pc, kc, blk, tc, bp): a PackedBlock after
+/// it packs the lane's KC x tc strips at bp, or an InPlaceBlock that packs
+/// nothing. Blocks [t * per_task, (t + 1) * per_task) form task t and run in
+/// ascending order on one lane. Each block's C (rows padded to MR, tc =
+/// cols padded to NR, row-major with leading dimension tc) starts at zero in
+/// the lane's accumulator and goes to store(blk, acc, tc). Every C element
+/// is one ascending-depth chain on the one micro-kernel whatever the split
+/// or the source, so the bits depend on neither the lane count nor on where
+/// B's rows are read from.
+template <typename BlockOf, typename Source, typename Store>
 void run_blocks(const float* panels, std::int64_t rows, std::int64_t depth,
                 std::int64_t nblocks, std::int64_t per_task,
                 obs::ProfileSite* kernel_site, const BlockOf& block_of,
-                const Pack& pack, const Store& store) {
+                const Source& source, const Store& store) {
   const std::int64_t rp = round_up(rows, kGemmMR);
   const std::int64_t ntasks = (nblocks + per_task - 1) / per_task;
   runtime::parallel_for(0, ntasks, 1, [&](std::int64_t t0, std::int64_t t1) {
@@ -58,18 +79,18 @@ void run_blocks(const float* panels, std::int64_t rows, std::int64_t depth,
                                static_cast<std::size_t>(kGemmKC * tc));
       for (std::int64_t pc = 0; pc < depth; pc += kGemmKC) {
         const std::int64_t kc = std::min(kGemmKC, depth - pc);
-        pack(pc, kc, blk, tc, bp);
+        const auto src = source(pc, kc, blk, tc, bp);
         std::optional<obs::ProfileScope> kscope;
         if (kernel_site != nullptr) kscope.emplace(*kernel_site);
         const float* panel = panels + pc * rp;
         for (std::int64_t ic = 0; ic < rp; ic += kGemmMC) {
           const std::int64_t ie = std::min(ic + kGemmMC, rp);
           for (std::int64_t jr = 0; jr < tc; jr += kGemmNR) {
-            const float* bstrip = bp + jr * kc;
+            const auto strip = src.strip(jr);
             for (std::int64_t ir = ic; ir < ie; ir += kGemmMR) {
               // Rows are MR-padded and columns NR-padded in the scratch
               // block, so the full-size kernel always applies.
-              gemm_detail::micro_kernel(kc, panel + ir * kc, bstrip,
+              gemm_detail::micro_kernel(kc, panel + ir * kc, strip,
                                         acc + ir * tc + jr, tc);
             }
           }
@@ -377,21 +398,84 @@ struct Epilogue {
   bool relu = false;
 };
 
+/// The forward GEMM's columns: per image, `rows` rows of `width` columns,
+/// of which rows [0, out_h) and columns [0, out_w) are output positions.
+/// The gather packs the output positions alone, as one row of OH*OW; the
+/// in-place read runs over the zero-padded grid and skips its halo.
+struct ColGrid {
+  std::int64_t rows, width, out_h, out_w;
+};
+
+/// Copy x (N,C,H,W) into xp as the grid a stride-1 conv reads in place:
+/// channel ic holds its N images one after another from ic * N * rows *
+/// width, each `rows` rows of `width` floats with pixel (y, x) at row
+/// y + pad, column x + pad, and zeros everywhere else. A window that runs
+/// off a row's right edge reads on into the next row's leading zeros, one
+/// that runs off an image's bottom into the next image's top rows (the next
+/// channel's for the last image), and the last channel's into `slack` zeros
+/// after the copy. So tap (ky, kx) of grid position (oy, ox) is the float
+/// at (oy + ky) * width + ox + kx from its image's start: pixel
+/// (oy + ky - pad, ox + kx - pad), or a zero where that is off the input.
+void pad_channels(const float* x, std::int64_t n, std::int64_t c,
+                  std::int64_t in_h, std::int64_t in_w, std::int64_t pad,
+                  const ColGrid& grid, std::int64_t slack, float* xp) {
+  static obs::ProfileSite& prof = obs::profile_site("tensor/conv_eval/pack_b");
+  const std::int64_t img = grid.rows * grid.width;
+  runtime::parallel_for(
+      0, c * n, runtime::grain_for(img), [&](std::int64_t i0, std::int64_t i1) {
+        obs::ProfileScope prof_scope(prof);
+        for (std::int64_t i = i0; i < i1; ++i) {  // i = ic * N + image
+          const float* src = x + ((i % n) * c + i / n) * in_h * in_w;
+          float* dst = xp + i * img;
+          for (std::int64_t y = -pad; y < grid.rows - pad; ++y) {
+            if (y < 0 || y >= in_h) {
+              std::fill_n(dst, grid.width, 0.0f);
+            } else {
+              std::fill_n(dst, pad, 0.0f);
+              std::copy_n(src + y * in_w, in_w, dst + pad);
+              std::fill_n(dst + pad + in_w, grid.width - pad - in_w, 0.0f);
+            }
+            dst += grid.width;
+          }
+        }
+        if (i1 == c * n) std::fill_n(xp + c * n * img, slack, 0.0f);
+      });
+}
+
 /// The conv forward: x (N,C,H,W) against weight panels packed by
 /// pack_panels for f filters -> (N,F,OH,OW) with the epilogue applied.
+///
+/// A stride-1 conv whose padded grid is at most 2x its output reads B in
+/// place: x is copied once into the caller's kConvPadX (pad_channels, row
+/// width max(W + pad, OW), max(H + pad, OH) rows per image), the GEMM runs
+/// over every grid position, and B's row for tap q = (ic, ky, kx) at grid
+/// column j is the NR floats at off[q] + j, off[q] = ic * N*rows*width +
+/// ky * width + kx (kConvTaps). Other convs gather B per block
+/// (pack_b_cols). Both feed each output the same values in the same order.
 Tensor run_conv(const Tensor& x, const float* panels, std::int64_t f,
                 const Conv2dSpec& spec, const Epilogue& ep) {
   const auto n = x.dim(0), c = x.dim(1), in_h = x.dim(2), in_w = x.dim(3);
-  const std::int64_t ckk = c * spec.kernel * spec.kernel;
-  const auto oh = conv_out_dim(in_h, spec.kernel, spec.stride, spec.pad);
-  const auto ow = conv_out_dim(in_w, spec.kernel, spec.stride, spec.pad);
+  const std::int64_t k = spec.kernel, pad = spec.pad;
+  const std::int64_t ckk = c * k * k;
+  const auto oh = conv_out_dim(in_h, k, spec.stride, pad);
+  const auto ow = conv_out_dim(in_w, k, spec.stride, pad);
   const std::int64_t spatial = oh * ow;
-  const std::int64_t total_cols = n * spatial;
   Tensor out = Tensor::unfilled({n, f, oh, ow});  // the scatter writes all
   if (ep.skip != nullptr && ep.skip->shape() != out.shape()) {
     throw std::invalid_argument("conv: skip shape mismatch");
   }
-  if (total_cols == 0) return out;
+  if (n * spatial == 0) return out;
+
+  const ColGrid padded{std::max(in_h + pad, oh), std::max(in_w + pad, ow), oh,
+                       ow};
+  // Past 2x the halo's extra kernel columns cost more than the gather
+  // saves: vgg16's 4x4 maps (1.56x) are faster in place, its 2x2 maps
+  // (2.25x) slower.
+  const bool in_place =
+      spec.stride == 1 && padded.rows * padded.width <= 2 * spatial;
+  const ColGrid grid = in_place ? padded : ColGrid{1, spatial, 1, spatial};
+  const std::int64_t img = grid.rows * grid.width;
+  const std::int64_t total_cols = n * img;
 
   const float* px = x.data().data();
   const float* psk = ep.skip != nullptr ? ep.skip->data().data() : nullptr;
@@ -403,50 +487,81 @@ Tensor run_conv(const Tensor& x, const float* panels, std::int64_t f,
   const float* pg = has_bn ? ep.bn->gamma.data().data() : nullptr;
   const float* pbeta = has_bn ? ep.bn->beta.data().data() : nullptr;
 
-  // NC global columns (pooled across the batch) per block, mirroring
+  // NC grid columns (pooled across the batch) per block, mirroring
   // gemm_packed's NC panel width; every output element is produced by
   // exactly one block.
   static obs::ProfileSite& kprof = obs::profile_site("tensor/conv_eval/kernel");
-  run_blocks(
-      panels, f, ckk, (total_cols + kGemmNC - 1) / kGemmNC, 1, &kprof,
-      [&](std::int64_t b) {
-        return ColBlock{b * kGemmNC,
-                        std::min(kGemmNC, total_cols - b * kGemmNC)};
-      },
-      [&](std::int64_t pc, std::int64_t kc, const ColBlock& blk,
-          std::int64_t tc, float* bp) {
-        pack_b_cols(px, c, in_h, in_w, spec, ow, spatial, pc, kc, blk, tc, bp);
-      },
-      [&](const ColBlock& blk, const float* acc, std::int64_t tc) {
-        // Epilogue: single scatter to NCHW, applying the reference
-        // per-element expressions in reference order (bias -> BN -> skip ->
-        // ReLU). The padded accumulator rows/columns are simply never read.
-        for (std::int64_t of = 0; of < f; ++of) {
-          const float* crow = acc + of * tc;
-          const float bf = pbias != nullptr ? pbias[of] : 0.0f;
-          const float mu = has_bn ? pmu[of] : 0.0f;
-          const float is = has_bn ? pis[of] : 0.0f;
-          const float g = has_bn ? pg[of] : 0.0f;
-          const float bb = has_bn ? pbeta[of] : 0.0f;
-          std::int64_t jj = 0;
-          while (jj < blk.cols) {
-            const std::int64_t j = blk.j0 + jj;
-            const std::int64_t in_n = j / spatial;
-            const std::int64_t s = j % spatial;
-            const std::int64_t run = std::min(blk.cols - jj, spatial - s);
-            const std::int64_t base = (in_n * f + of) * spatial + s;
-            for (std::int64_t r = 0; r < run; ++r) {
-              float v = crow[jj + r];
-              if (pbias != nullptr) v += bf;       // the bias pass
-              if (has_bn) v = bn_element(v, mu, is, g, bb);
-              if (psk != nullptr) v = v + psk[base + r];  // ag::add(h, skip)
-              if (ep.relu) v = v > 0.0f ? v : 0.0f;  // ag::relu
-              po[base + r] = v;
-            }
-            jj += run;
-          }
+  const auto block_of = [&](std::int64_t b) {
+    return ColBlock{b * kGemmNC, std::min(kGemmNC, total_cols - b * kGemmNC)};
+  };
+  const auto store = [&](const ColBlock& blk, const float* acc,
+                         std::int64_t tc) {
+    // Epilogue: single scatter of the block's output positions to NCHW, one
+    // grid row run at a time, applying the reference per-element
+    // expressions in reference order (bias -> BN -> skip -> ReLU). The
+    // padded accumulator rows/columns and the halo are never read.
+    std::int64_t jj = 0;
+    while (jj < blk.cols) {
+      const std::int64_t in_n = (blk.j0 + jj) / img;
+      const std::int64_t r = (blk.j0 + jj) % img;
+      const std::int64_t y = r / grid.width, x0 = r % grid.width;
+      const std::int64_t run = std::min(blk.cols - jj, grid.width - x0);
+      const std::int64_t real =
+          y < grid.out_h ? std::min(run, grid.out_w - x0) : 0;
+      const std::int64_t base = in_n * f * spatial + y * grid.out_w + x0;
+      for (std::int64_t of = 0; of < f && real > 0; ++of) {
+        const float* crow = acc + of * tc + jj;
+        const std::int64_t o = base + of * spatial;
+        const float bf = pbias != nullptr ? pbias[of] : 0.0f;
+        const float mu = has_bn ? pmu[of] : 0.0f;
+        const float is = has_bn ? pis[of] : 0.0f;
+        const float g = has_bn ? pg[of] : 0.0f;
+        const float bb = has_bn ? pbeta[of] : 0.0f;
+        for (std::int64_t e = 0; e < real; ++e) {
+          float v = crow[e];
+          if (pbias != nullptr) v += bf;       // the bias pass
+          if (has_bn) v = bn_element(v, mu, is, g, bb);
+          if (psk != nullptr) v = v + psk[o + e];  // ag::add(h, skip)
+          if (ep.relu) v = v > 0.0f ? v : 0.0f;  // ag::relu
+          po[o + e] = v;
         }
-      });
+      }
+      jj += run;
+    }
+  };
+  const std::int64_t nblocks = (total_cols + kGemmNC - 1) / kGemmNC;
+  if (!in_place) {
+    run_blocks(panels, f, ckk, nblocks, 1, &kprof, block_of,
+               [&](std::int64_t pc, std::int64_t kc, const ColBlock& blk,
+                   std::int64_t tc, float* bp) {
+                 pack_b_cols(px, c, in_h, in_w, spec, ow, spatial, pc, kc,
+                             blk, tc, bp);
+                 return PackedBlock{bp, kc};
+               },
+               store);
+    return out;
+  }
+
+  // The last block's NR padding and the widest tap read this far past the
+  // last channel's grid; zeros, like its bottom pad.
+  const std::int64_t slack =
+      kGemmNR + std::max(k - 1, pad) * (grid.width + 1);
+  runtime::ScratchArena& arena = runtime::lane_arena();
+  float* xp = arena.floats(runtime::Scratch::kConvPadX,
+                           static_cast<std::size_t>(c * total_cols + slack));
+  auto* off = arena.get<std::int64_t>(runtime::Scratch::kConvTaps,
+                                      static_cast<std::size_t>(ckk));
+  for (std::int64_t q = 0; q < ckk; ++q) {
+    off[q] = (q / (k * k)) * total_cols + (q % (k * k) / k) * grid.width +
+             q % k;
+  }
+  pad_channels(px, n, c, in_h, in_w, pad, grid, slack, xp);
+  run_blocks(panels, f, ckk, nblocks, 1, &kprof, block_of,
+             [&](std::int64_t pc, std::int64_t, const ColBlock& blk,
+                 std::int64_t, float*) {
+               return InPlaceBlock{xp + blk.j0, off + pc};
+             },
+             store);
   return out;
 }
 
@@ -504,8 +619,14 @@ Tensor conv2d_input_grad(const Tensor& g, const Shape& x_shape,
       chunks == 1 ? (n * spatial + width - 1) / width : n * chunks;
   const float* pg = g.data().data();
   float* pgx = gx.data().data();
+  static obs::ProfileSite& pack_prof =
+      obs::profile_site("tensor/conv2d_input_grad/pack_b");
+  static obs::ProfileSite& kernel_prof =
+      obs::profile_site("tensor/conv2d_input_grad/kernel");
+  static obs::ProfileSite& scatter_prof =
+      obs::profile_site("tensor/conv2d_input_grad/scatter");
   run_blocks(
-      panels, ckk, f, nblocks, chunks, nullptr,
+      panels, ckk, f, nblocks, chunks, &kernel_prof,
       [&](std::int64_t b) {
         if (chunks == 1) {
           return ColBlock{b * width, std::min(width, n * spatial - b * width)};
@@ -516,9 +637,12 @@ Tensor conv2d_input_grad(const Tensor& g, const Shape& x_shape,
       },
       [&](std::int64_t pc, std::int64_t kc, const ColBlock& blk,
           std::int64_t tc, float* bp) {
+        obs::ProfileScope prof_scope(pack_prof);
         pack_b_planes(pg, f, spatial, pc, kc, blk, tc, bp);
+        return PackedBlock{bp, kc};
       },
       [&](const ColBlock& blk, const float* acc, std::int64_t tc) {
+        obs::ProfileScope prof_scope(scatter_prof);
         scatter_input_grad(acc, tc, blk, c, in_h, in_w, spec, g.dim(2), ow,
                            pgx);
       });
@@ -566,6 +690,7 @@ Tensor conv2d_weight_grad(const Tensor& g, const Tensor& x,
       [&](std::int64_t pc, std::int64_t kc, const ColBlock& blk,
           std::int64_t tc, float* bp) {
         pack_b_taps(px, c, in_h, in_w, spec, ow, spatial, pc, kc, blk, tc, bp);
+        return PackedBlock{bp, kc};
       },
       [&](const ColBlock& blk, const float* acc, std::int64_t tc) {
         for (std::int64_t of = 0; of < f; ++of) {

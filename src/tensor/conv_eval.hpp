@@ -14,16 +14,34 @@
 //    (Scratch::kConvPackA); ConvEvalPlan packs them once, at construction
 //    (ModelSnapshot publish time), and every micro-batch on every worker
 //    reuses them. Only the plan's panels count in serve.snapshot_bytes.
-//  * B-side (activations): packed directly from the NCHW input into KC x NR
-//    column strips in the per-lane scratch arena (Scratch::kConvPackB) — the
-//    im2col gather happens inside the pack. Columns are pooled across the
-//    whole batch (global column index j = image * OH*OW + spatial), so small
-//    feature maps (deep VGG layers have OH*OW = 4) still fill complete NR=16
-//    strips once the batch is large enough.
+//  * B-side (activations), read one of two ways. Columns are pooled across
+//    the whole batch, so small feature maps (deep VGG layers have OH*OW = 4)
+//    still fill complete NR=16 strips once the batch is large enough.
+//     - In place, for a stride-1 conv whose zero-padded grid is at most 2x
+//       its output (vgg16's 16x16, 8x8 and 4x4 maps): x is copied once per
+//       call into a channel-major zero-padded buffer in the caller's arena
+//       (Scratch::kConvPadX). Each channel is one flat run: per image,
+//       max(H + pad, OH) rows of max(W + pad, OW) floats, neighbouring rows,
+//       images and channels sharing their pad zeros. The GEMM runs over
+//       every position of that grid (column j = image * rows * width +
+//       y * width + x), and the micro-kernel reads the B row of tap
+//       (ic, ky, kx) at column j as the 16 floats at off[tap] + j, off being
+//       a per-call offset table (Scratch::kConvTaps): no pack, no bounds
+//       check. This is the indirect convolution of Dukhan et al.
+//       (arXiv:1907.02129), except that the padded layout lets one offset
+//       per tap serve every column where their indirection buffer holds a
+//       pointer per output and tap.
+//     - Gathered, for stride-2 convs and maps whose grid would be more than
+//       2x their output (vgg16's 2x2 maps, whose halo columns would cost
+//       more kernel time than the gather saves): packed straight from
+//       the NCHW input into KC x NR column strips in the per-lane scratch
+//       arena (Scratch::kConvPackB), the im2col gather happening inside the
+//       pack (column j = image * OH*OW + spatial).
 //  * Epilogue: the C accumulator block (Scratch::kConvAccC) is scattered to
-//    NCHW exactly once, adding the bias in flight. ConvEvalPlan adds the
-//    folded frozen-stat batch norm, an optional residual add and an
-//    optional ReLU to the same scatter.
+//    NCHW exactly once, one grid row run at a time, skipping the in-place
+//    grid's halo and adding the bias in flight. ConvEvalPlan adds the folded
+//    frozen-stat batch norm, an optional residual add and an optional ReLU
+//    to the same scatter.
 //
 // The file also holds the one batch-norm kernel, batch_norm_relu, whose
 // element function the epilogue shares. Autograd's forward and the plan's
@@ -40,7 +58,9 @@
 //    is one task of consecutive chunks. The C block, whose rows are the
 //    input taps (ic, ky, kx), is scattered channel-major into dL/dx with
 //    (ky, kx) descending, so each input element sums its contributors in
-//    ascending (oy, ox) order.
+//    ascending (oy, ox) order. The B pack, the kernel and the scatter each
+//    have a profile site (tensor/conv2d_input_grad/pack_b, /kernel and
+//    /scatter).
 //  * Weight gradient: C (F, C*K*K) = g * cols(x), reduced over
 //    p = (image, oy, ox) in ascending order. g as (F, p) is packed once as
 //    the shared A panels; each task gathers the input taps of NR columns
@@ -55,13 +75,21 @@
 // Bit-identity contract: every output element is the same ascending-p fma
 // chain over the same operand values as im2col -> GEMM (columns as A, the
 // transposed weight as B) -> NCHW transpose -> bias pass, extended by the one
-// compiled micro-kernel (tensor/gemm_packed.cpp, gemm_detail), and the
-// epilogue replays the reference per-element expressions (`v += bias`,
-// batch norm's `(x - mu) * is` / `g * xh + b`, ag::add's `h + skip`, relu's
-// `x > 0 ? x : 0`) in the same order. Outputs are
+// compiled micro-kernel body (tensor/gemm_packed.cpp, gemm_detail, whose
+// packed-strip and offset-table instantiations differ only in where a B row
+// is loaded from). Read in place, a tap that falls in the padding reads the
+// 0.0f of the padded copy, the value the gather writes; the halo columns'
+// chains are computed and dropped. The epilogue replays the reference
+// per-element expressions (`v += bias`, batch norm's `(x - mu) * is` /
+// `g * xh + b`, ag::add's `h + skip`, relu's `x > 0 ? x : 0`) in the same
+// order. Outputs are
 // therefore memcmp-identical to that lowering, and a snapshot's logits and
 // taps to the layer-by-layer eval, at any batch size, lane count and
-// blocking (tests/test_conv_eval.cpp gates both). The gradients hold the
+// blocking (tests/test_conv_eval.cpp gates both). One freedom remains: where
+// a chain adds two NaNs of different sign (an input's quiet NaN and the
+// default NaN of inf - inf or 0 * inf), the NaN that survives follows the
+// operand order the compiler picks for the add, so only that NaN's sign
+// may differ between builds. The gradients hold the
 // same contract against the materialized backward — gprod * W then a
 // row-major col2im, gprod^T * im2col(x), and sum_axis(gprod, 0) — because
 // IEEE products commute and every chain and scatter keeps the reference's

@@ -60,43 +60,83 @@ void pack_b(const float* b, std::int64_t ldb, bool trans, std::int64_t pc,
   }
 }
 
-/// One NR-wide SIMD row of the register tile. GCC/Clang lower arithmetic on
-/// this type to packed fma of whatever width the target has (one zmm, two
-/// ymm, four xmm...). Per lane each operation is the same scalar fma the
-/// naive chain performs, so vectorization does not change any element's
-/// rounding sequence.
-typedef float VecNR __attribute__((vector_size(sizeof(float) * kGemmNR)));
+/// Floats in one of the target's SIMD registers, and the columns of the
+/// register tile one pass of the kernel holds: all NR where 4 x NR
+/// accumulators and a B row fit in the registers, half of them with 16
+/// 128-bit registers (x86-64 without AVX), which the 4 x 16 accumulators
+/// alone would fill.
+#if defined(__AVX512F__)
+inline constexpr std::int64_t kVecFloats = 16;
+#elif defined(__AVX__)
+inline constexpr std::int64_t kVecFloats = 8;
+#else
+inline constexpr std::int64_t kVecFloats = 4;
+#endif
+#if defined(__x86_64__) && !defined(__AVX__)
+inline constexpr std::int64_t kPassCols = kGemmNR / 2;
+#else
+inline constexpr std::int64_t kPassCols = kGemmNR;
+#endif
+inline constexpr std::int64_t kPassVecs = kPassCols / kVecFloats;
+
+/// One SIMD register of the tile. GCC/Clang lower arithmetic on this type
+/// to the target's packed mul/add or fma; per lane each operation is the
+/// same scalar operation the naive chain performs, so vectorization does
+/// not change any element's rounding sequence. It is no wider than a
+/// register because a wider vector type lives in memory: every step would
+/// load and store each accumulator.
+typedef float Vec __attribute__((vector_size(sizeof(float) * kVecFloats)));
 
 /// MR x NR register-tiled kernel: extend the per-element fma chain of the
-/// C tile at `c` (leading dimension ldc) by kc steps from packed strips
-/// ap (kc x MR) and bp (kc x NR). The accumulators are named so they stay in
-/// registers; C is read once before and written once after the kc loop, so
-/// the rounding sequence per element is exactly the naive ascending-p chain.
-/// Loads/stores go through memcpy in-line (VecNR never crosses a function
+/// C tile at `c` (leading dimension ldc) by kc steps from the packed strip
+/// ap (kc x MR) and the B rows b(p) (NR floats each), kPassCols columns per
+/// pass. The accumulators stay in registers; C is read once before and
+/// written once after the kc loop, so the rounding sequence per element is
+/// exactly the naive ascending-p chain, whichever row source feeds it and
+/// however many passes the columns take.
+/// Loads/stores go through memcpy in-line (Vec never crosses a function
 /// boundary: passing a 64-byte vector by value is an ABI warning on targets
 /// without 512-bit registers).
-void micro_kernel(std::int64_t kc, const float* ap, const float* bp, float* c,
+template <typename Rows>
+void micro_kernel(std::int64_t kc, const float* ap, Rows b, float* c,
                   std::int64_t ldc) {
-  static_assert(kGemmMR == 4, "micro_kernel is written for MR == 4");
-  VecNR acc0, acc1, acc2, acc3;
-  std::memcpy(&acc0, c, sizeof acc0);
-  std::memcpy(&acc1, c + ldc, sizeof acc1);
-  std::memcpy(&acc2, c + 2 * ldc, sizeof acc2);
-  std::memcpy(&acc3, c + 3 * ldc, sizeof acc3);
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const float* arow = ap + p * kGemmMR;
-    VecNR brow;
-    std::memcpy(&brow, bp + p * kGemmNR, sizeof brow);
-    acc0 += arow[0] * brow;
-    acc1 += arow[1] * brow;
-    acc2 += arow[2] * brow;
-    acc3 += arow[3] * brow;
+  static_assert(kGemmNR % kPassCols == 0 && kPassCols % kVecFloats == 0);
+  for (std::int64_t j = 0; j < kGemmNR; j += kPassCols) {
+    Vec acc[kGemmMR][kPassVecs];
+    for (std::int64_t r = 0; r < kGemmMR; ++r) {
+      for (std::int64_t v = 0; v < kPassVecs; ++v) {
+        std::memcpy(&acc[r][v], c + r * ldc + j + v * kVecFloats, sizeof(Vec));
+      }
+    }
+    for (std::int64_t p = 0; p < kc; ++p) {
+      const float* arow = ap + p * kGemmMR;
+      const float* brow = b(p) + j;
+      Vec bv[kPassVecs];
+      for (std::int64_t v = 0; v < kPassVecs; ++v) {
+        std::memcpy(&bv[v], brow + v * kVecFloats, sizeof(Vec));
+      }
+      for (std::int64_t r = 0; r < kGemmMR; ++r) {
+        for (std::int64_t v = 0; v < kPassVecs; ++v) {
+          acc[r][v] += arow[r] * bv[v];
+        }
+      }
+    }
+    for (std::int64_t r = 0; r < kGemmMR; ++r) {
+      for (std::int64_t v = 0; v < kPassVecs; ++v) {
+        std::memcpy(c + r * ldc + j + v * kVecFloats, &acc[r][v], sizeof(Vec));
+      }
+    }
   }
-  std::memcpy(c, &acc0, sizeof acc0);
-  std::memcpy(c + ldc, &acc1, sizeof acc1);
-  std::memcpy(c + 2 * ldc, &acc2, sizeof acc2);
-  std::memcpy(c + 3 * ldc, &acc3, sizeof acc3);
 }
+
+template void micro_kernel<PackedRows>(std::int64_t, const float*, PackedRows,
+                                       float*, std::int64_t);
+template void micro_kernel<OffsetRows>(std::int64_t, const float*, OffsetRows,
+                                       float*, std::int64_t);
+
+}  // namespace gemm_detail
+
+namespace {
 
 /// Edge-tile wrapper: run the full-size kernel on a stack tile and copy the
 /// valid mr x nr region in and out. The copies don't round, so edge elements
@@ -108,16 +148,17 @@ void micro_kernel_edge(std::int64_t kc, const float* ap, const float* bp,
   for (std::int64_t r = 0; r < mr; ++r)
     for (std::int64_t j = 0; j < nr; ++j)
       tile[r * kGemmNR + j] = c[r * ldc + j];
-  micro_kernel(kc, ap, bp, tile, kGemmNR);
+  gemm_detail::micro_kernel(kc, ap, gemm_detail::PackedRows{bp}, tile,
+                            kGemmNR);
   for (std::int64_t r = 0; r < mr; ++r)
     for (std::int64_t j = 0; j < nr; ++j)
       c[r * ldc + j] = tile[r * kGemmNR + j];
 }
 
-}  // namespace gemm_detail
+}  // namespace
 
+using gemm_detail::PackedRows;
 using gemm_detail::micro_kernel;
-using gemm_detail::micro_kernel_edge;
 using gemm_detail::pack_a;
 using gemm_detail::pack_b;
 
@@ -206,7 +247,7 @@ void gemm_packed(const float* a, GemmLayout la, const float* b, GemmLayout lb,
                   const float* astrip = apanel + ir * kc;
                   float* ctile = c + (ic + ir) * n + jc + jr;
                   if (mr == kGemmMR && nr == kGemmNR) {
-                    micro_kernel(kc, astrip, bstrip, ctile, n);
+                    micro_kernel(kc, astrip, PackedRows{bstrip}, ctile, n);
                   } else {
                     micro_kernel_edge(kc, astrip, bstrip, ctile, n, mr, nr);
                   }

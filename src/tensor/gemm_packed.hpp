@@ -70,17 +70,32 @@ namespace gemm_detail {
 void pack_a(const float* a, std::int64_t lda, bool trans, std::int64_t ic,
             std::int64_t mc, std::int64_t pc, std::int64_t kc, float* ap);
 
-/// MR x NR register tile: extend each C element's ascending-p fma chain by
-/// kc steps from packed strips ap (kc x MR) and bp (kc x NR). C is read once
-/// before and stored once after the loop (leading dimension ldc).
-void micro_kernel(std::int64_t kc, const float* ap, const float* bp, float* c,
-                  std::int64_t ldc);
+/// The B rows of a packed strip: row p is the NR floats at strip + p * NR.
+struct PackedRows {
+  const float* strip;
+  const float* operator()(std::int64_t p) const { return strip + p * kGemmNR; }
+};
 
-/// Edge-tile wrapper: same kernel on a stack tile, copying the valid mr x nr
-/// region in and out (copies don't round).
-void micro_kernel_edge(std::int64_t kc, const float* ap, const float* bp,
-                       float* c, std::int64_t ldc, std::int64_t mr,
-                       std::int64_t nr);
+/// B rows read in place (an indirect convolution): row p is the NR floats at
+/// base + off[p], wherever the offset table points.
+struct OffsetRows {
+  const float* base;
+  const std::int64_t* off;
+  const float* operator()(std::int64_t p) const { return base + off[p]; }
+};
+
+/// MR x NR register tile: extend each C element's ascending-p fma chain by
+/// kc steps from the packed A strip ap (kc x MR) and the kc B rows b(p). C
+/// is read once before and stored once after the loop (leading dimension
+/// ldc). One body for both row sources, instantiated for each in
+/// gemm_packed.cpp: the B row's address is all that differs.
+template <typename Rows>
+void micro_kernel(std::int64_t kc, const float* ap, Rows b, float* c,
+                  std::int64_t ldc);
+extern template void micro_kernel<PackedRows>(std::int64_t, const float*,
+                                              PackedRows, float*, std::int64_t);
+extern template void micro_kernel<OffsetRows>(std::int64_t, const float*,
+                                              OffsetRows, float*, std::int64_t);
 
 }  // namespace gemm_detail
 

@@ -1,13 +1,16 @@
 // The one conv driver (the contract in src/tensor/conv_eval.hpp): conv2d and
 // ConvEvalPlan bit-identical to an independent im2col -> GEMM -> transpose
-// lowering across ragged shapes and blockings, BN-fold exactness, lane-count
-// invariance, model-level logit/tap equality of each conv classifier's
-// lowered InferencePlan (masked and unmasked, grad mode on and off), the
-// MLP's empty plan, and the serve.snapshot_bytes gauge accounting of plan
-// lifetimes (and of nothing else).
+// lowering across ragged shapes and blockings, on ordinary values and on
+// NaN, +-0, +-inf and subnormals in x and w (border rows and columns
+// included), BN-fold exactness, lane-count invariance, model-level logit/tap
+// equality of each conv classifier's lowered InferencePlan (masked and
+// unmasked, grad mode on and off), the MLP's empty plan, the
+// serve.snapshot_bytes gauge accounting of plan lifetimes (and of nothing
+// else), and a one-lane timing floor of the stride-1 forward.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -20,19 +23,45 @@
 #include "models/registry.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
+#include "special_values.hpp"
 #include "tensor/conv_eval.hpp"
 #include "tensor/random.hpp"
+#include "timing.hpp"
 #include "util/rng.hpp"
 
 namespace ibrar {
 namespace {
 
 constexpr float kEps = 1e-5f;
+/// ConvTiming's floor for one b1c1 forward at batch 100 on one lane, below
+/// the gather's time and well above the in-place read's: with AVX-512 they
+/// take about 2.2 and 0.6 ms. Without AVX the kernel's own arithmetic takes
+/// most of the in-place forward's time (about 2.0 ms against the gather's
+/// 3.4 ms), so such builds get a floor of their own.
+#if defined(__AVX__)
+constexpr double kBlock1FloorMs = 1.5;
+#else
+constexpr double kBlock1FloorMs = 3.0;
+#endif
 
 bool bits_equal(const Tensor& a, const Tensor& b) {
   return a.same_shape(b) &&
          std::memcmp(a.data().data(), b.data().data(),
                      sizeof(float) * static_cast<std::size_t>(a.numel())) == 0;
+}
+
+/// t with every NaN replaced by one quiet NaN. When an operation meets two
+/// NaNs (x86's negative default NaN from inf - inf or 0 * inf, and an
+/// input's positive quiet NaN), which one it returns depends on the operand
+/// order the compiler picks for a commutative add: a Release ASan/UBSan
+/// build picks differently for the kernel and for the reference lowering.
+/// Every other bit, signed zeros, infinities and subnormals included, must
+/// still match.
+Tensor canonical_nans(Tensor t) {
+  for (float& v : t.data()) {
+    if (std::isnan(v)) v = kNaN;
+  }
+  return t;
 }
 
 struct BnParams {
@@ -133,17 +162,34 @@ TEST(Conv2d, MatchesIndependentLoweringAcrossShapes) {
 
   const std::int64_t lanes0 = runtime::num_threads();
   for (const auto& tc : cases) {
-    Rng rng(0xc0u + static_cast<std::uint64_t>(tc.f * 131 + tc.c));
-    const Tensor x = randn({tc.n, tc.c, tc.h, tc.w}, rng);
-    const Tensor w = randn({tc.f, tc.c, tc.spec.kernel, tc.spec.kernel}, rng);
+    const std::uint64_t seed =
+        0xc0u + static_cast<std::uint64_t>(tc.f * 131 + tc.c);
+    Rng rng(seed);
+    const Shape x_shape{tc.n, tc.c, tc.h, tc.w};
+    const Shape w_shape{tc.f, tc.c, tc.spec.kernel, tc.spec.kernel};
+    const Tensor x = randn(x_shape, rng);
+    const Tensor w = randn(w_shape, rng);
     const Tensor bias = randn({tc.f}, rng);
-    for (const bool with_bias : {false, true}) {
-      const Tensor* b = with_bias ? &bias : nullptr;
-      const Tensor ref = reference_conv2d(x, w, b, tc.spec);
-      for (const std::int64_t lanes : {1, 4}) {
-        runtime::set_num_threads(lanes);
-        EXPECT_TRUE(bits_equal(ref, conv2d(x, w, b, tc.spec)))
-            << tc.name << (with_bias ? " bias" : "") << " lanes=" << lanes;
+    // The same shapes again with IEEE specials at every third element of x
+    // and w, so the padding ring's neighbours carry NaN and +-inf too; NaN
+    // matches NaN whatever its sign (canonical_nans).
+    const Tensor xs = special_values(x_shape, seed);
+    const Tensor ws = special_values(w_shape, ~seed);
+    for (const bool special : {false, true}) {
+      for (const bool with_bias : {false, true}) {
+        const Tensor& xv = special ? xs : x;
+        const Tensor& wv = special ? ws : w;
+        const Tensor* b = with_bias ? &bias : nullptr;
+        const Tensor ref = reference_conv2d(xv, wv, b, tc.spec);
+        for (const std::int64_t lanes : {1, 4}) {
+          runtime::set_num_threads(lanes);
+          const Tensor got = conv2d(xv, wv, b, tc.spec);
+          EXPECT_TRUE(special
+                          ? bits_equal(canonical_nans(ref), canonical_nans(got))
+                          : bits_equal(ref, got))
+              << tc.name << (special ? " special" : "")
+              << (with_bias ? " bias" : "") << " lanes=" << lanes;
+        }
       }
     }
   }
@@ -157,16 +203,20 @@ TEST(ConvEvalPlan, BitIdenticalAcrossRaggedShapesAndBatches) {
     Conv2dSpec spec;
     bool bias;
   };
-  // Non-square, stride-2, 1x1 stride-2 projection, kernel == input, a
-  // deep-VGG shape whose spatial size (4) leaves NR=16 strips mostly empty
-  // at batch 1 and full at batch >= 4, then the whole vgg16 trunk. Each at
-  // 1 and 4 lanes.
+  // Non-square, stride-2, 1x1 stride-2 projection, kernel == input, kernel
+  // 1 under a pad of 1 (K < pad + 1: the output is wider than the input
+  // plus one pad), kernel 4 under a pad of 1, a deep-VGG shape whose
+  // spatial size (4) leaves NR=16 strips mostly empty at batch 1 and full at
+  // batch >= 4, then the whole vgg16 trunk. Each at 1 and 4 lanes, on
+  // ordinary values and on IEEE specials.
   std::vector<Case> cases = {
       {"square3x3", 5, 9, 9, 7, {3, 1, 1}, true},
       {"nonsquare", 4, 6, 10, 9, {3, 1, 1}, true},
       {"stride2", 6, 11, 7, 8, {3, 2, 1}, true},
       {"proj1x1s2", 8, 8, 8, 12, {1, 2, 0}, false},
       {"kernel_eq_input", 5, 4, 4, 6, {4, 1, 0}, false},
+      {"k1s1p1", 3, 7, 6, 5, {1, 1, 1}, true},
+      {"k4s1p1", 3, 12, 11, 5, {4, 1, 1}, true},
       {"deep_vgg", 16, 4, 4, 24, {3, 1, 1}, true},
   };
   for (const auto& t : kVgg16Trunk) {
@@ -175,25 +225,33 @@ TEST(ConvEvalPlan, BitIdenticalAcrossRaggedShapesAndBatches) {
   const std::vector<std::int64_t> batches = {1, 2, 3, 4, 5, 8, 16, 32};
   const std::int64_t lanes0 = runtime::num_threads();
   for (const auto& tc : cases) {
-    Rng rng(0x5eedu + static_cast<std::uint64_t>(tc.f));
-    const Tensor w = randn({tc.f, tc.c, tc.spec.kernel, tc.spec.kernel}, rng);
-    const Tensor bias = randn({tc.f}, rng);
-    const BnParams bn = make_bn(tc.f, rng);
-    const ConvEvalPlan plan(
-        w, tc.bias ? &bias : nullptr, tc.spec,
-        fold_batch_norm(bn.gamma, bn.beta, bn.rm, bn.rv, kEps), true);
-    EXPECT_EQ(plan.in_channels(), tc.c);
-    EXPECT_EQ(plan.out_channels(), tc.f);
-    for (const auto n : batches) {
-      Rng xrng(0x90u ^ static_cast<std::uint64_t>(n));
-      const Tensor x = randn({n, tc.c, tc.h, tc.w}, xrng);
-      const Tensor ref =
-          reference(x, w, tc.bias ? &bias : nullptr, tc.spec, &bn, nullptr,
-                    true);
-      for (const std::int64_t lanes : {1, 4}) {
-        runtime::set_num_threads(lanes);
-        EXPECT_TRUE(bits_equal(ref, plan.run(x)))
-            << tc.name << " batch=" << n << " lanes=" << lanes;
+    for (const bool special : {false, true}) {
+      Rng rng(0x5eedu + static_cast<std::uint64_t>(tc.f));
+      const Shape w_shape{tc.f, tc.c, tc.spec.kernel, tc.spec.kernel};
+      const Tensor w = special ? special_values(w_shape, 0x5eedu)
+                               : randn(w_shape, rng);
+      const Tensor bias = randn({tc.f}, rng);
+      const BnParams bn = make_bn(tc.f, rng);
+      const ConvEvalPlan plan(
+          w, tc.bias ? &bias : nullptr, tc.spec,
+          fold_batch_norm(bn.gamma, bn.beta, bn.rm, bn.rv, kEps), true);
+      EXPECT_EQ(plan.in_channels(), tc.c);
+      EXPECT_EQ(plan.out_channels(), tc.f);
+      for (const auto n : batches) {
+        const std::uint64_t xseed = 0x90u ^ static_cast<std::uint64_t>(n);
+        Rng xrng(xseed);
+        const Shape x_shape{n, tc.c, tc.h, tc.w};
+        const Tensor x =
+            special ? special_values(x_shape, xseed) : randn(x_shape, xrng);
+        const Tensor ref =
+            reference(x, w, tc.bias ? &bias : nullptr, tc.spec, &bn, nullptr,
+                      true);
+        for (const std::int64_t lanes : {1, 4}) {
+          runtime::set_num_threads(lanes);
+          EXPECT_TRUE(bits_equal(ref, plan.run(x)))
+              << tc.name << (special ? " special" : "") << " batch=" << n
+              << " lanes=" << lanes;
+        }
       }
     }
   }
@@ -297,6 +355,28 @@ TEST(ConvEvalModels, DenseModelLowersToEmptyPlan) {
   spec.name = "mlp";
   Rng rng(5);
   EXPECT_TRUE(models::make_model(spec, rng)->lower().empty());
+}
+
+TEST(ConvTiming, Block1ForwardReadsBInPlace) {
+  // vgg16's b1c1 (8 -> 8 at 16x16, 3x3 pad 1) at the training batch on one
+  // lane: the forward of every attack step. It fails when the forward
+  // gathers each B element with a bounds check from 16 base pointers
+  // instead of reading the B rows in place from one zero-padded copy of x.
+  const std::int64_t lanes0 = runtime::num_threads();
+  runtime::set_num_threads(1);
+  Rng rng(37);
+  const Tensor x = randn({100, 8, 16, 16}, rng);
+  const Tensor w = randn({8, 8, 3, 3}, rng);
+  const Tensor b = randn({8}, rng);
+  float sink = 0.0f;
+  const double ms = best_wall_ns(30, [&] {
+                      sink += conv2d(x, w, &b, Conv2dSpec{3, 1, 1})[0];
+                    }) *
+                    1e-6;
+  runtime::set_num_threads(lanes0);
+  EXPECT_TRUE(std::isfinite(sink));
+  SKIP_UNLESS_TIMING_BUILD() << ms << " ms per forward";
+  EXPECT_LT(ms, kBlock1FloorMs) << ms << " ms per forward";
 }
 
 TEST(Conv2d, LeavesSnapshotBytesGaugeUnchanged) {

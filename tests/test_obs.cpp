@@ -283,6 +283,35 @@ TEST(Profile, Conv2dIsBitIdenticalWithProfilingOn) {
   EXPECT_TRUE(names.count("tensor/conv_eval/pack_b"));
 }
 
+TEST(Profile, Conv2dInputGradSplitsPackKernelAndScatter) {
+  // The input gradient's three parts each have a site, so a profiled step
+  // says which of them the backward's time went to; profiling them changes
+  // no bit.
+  ObsStateGuard guard;
+  Rng rng(9);
+  const Conv2dSpec spec;
+  const Shape x_shape{3, 4, 8, 8};
+  const Tensor w = randn({6, 4, 3, 3}, rng);
+  const Tensor g = randn({3, 6, 8, 8}, rng);
+
+  obs::set_profiling_enabled(false);
+  const Tensor off = conv2d_input_grad(g, x_shape, w, spec);
+  obs::set_profiling_enabled(true);
+  const Tensor on = conv2d_input_grad(g, x_shape, w, spec);
+
+  ASSERT_TRUE(off.same_shape(on));
+  EXPECT_EQ(std::memcmp(off.data().data(), on.data().data(),
+                        sizeof(float) * static_cast<std::size_t>(off.numel())),
+            0);
+  std::set<std::string> names;
+  for (const auto& e : obs::profile_table()) names.insert(e.name);
+  for (const char* site : {"tensor/conv2d_input_grad/pack_b",
+                           "tensor/conv2d_input_grad/kernel",
+                           "tensor/conv2d_input_grad/scatter"}) {
+    EXPECT_TRUE(names.count(site)) << "profile table missing " << site;
+  }
+}
+
 TEST(Profile, GemmPackedIsBitIdenticalWithProfilingOn) {
   ObsStateGuard guard;
   const std::int64_t lanes0 = runtime::num_threads();

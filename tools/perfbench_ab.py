@@ -4,6 +4,7 @@
     python3 tools/perfbench_ab.py --parent DIR --workload NAME
         [--pairs 10] [--seed 11] [--out FILE] [--bench-out FILE]
     python3 tools/perfbench_ab.py --from FILE [--bench-out FILE]
+    python3 tools/perfbench_ab.py --ledger BENCH_pr*.json
     python3 tools/perfbench_ab.py --self-test
 
 Runs perfbench/run.py --trace 0 at BENCHMARK.json's run_seconds from two
@@ -51,6 +52,16 @@ quartiles, wins, pairs, delta and verdict, numbers at 9 significant
 digits. A "totals" list carries the runs, correct runs and
 failed/attempted totals of each side per workload, seed and seconds. The
 printed summary and the exit status do not change.
+
+--ledger FILE... reads committed ibrar-bench-v1 documents and prints, in PR
+order (the N of BENCH_prN*.json, numerically), for each workload, seed,
+seconds and end-to-end metric, each PR's change/parent median ratio and the
+running product of those ratios, with the PR's verdict. A ratio is taken
+inside one file only, because each file is one A/B session on one host;
+medians of different files are never compared. A PR without a record for a
+series adds nothing to its product. Records that are not perfbench A/B rows
+(the older per-kernel documents) are skipped. The exit status is 2 when a
+file names no PR or holds one series twice.
 """
 
 import argparse
@@ -59,6 +70,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -354,6 +366,65 @@ def write_bench(path, report, metrics):
         f.write("]}\n")
 
 
+# ---- ledger -----------------------------------------------------------------
+
+def pr_number(path):
+    """N of a BENCH_prN*.json path; ValueError when the name has none."""
+    m = re.match(r"BENCH_pr(\d+)", os.path.basename(path))
+    if m is None:
+        raise ValueError("%s: not a BENCH_prN file" % path)
+    return int(m.group(1))
+
+
+def ledger(paths):
+    """{(workload, shape, metric): [row]} in PR order, each row a dict of the
+    PR, its file, the change/parent median ratio, the running product and
+    the verdict. Raises ValueError on a file without a PR number or with one
+    series twice."""
+    series = {}
+    for path in sorted(paths, key=lambda p: (pr_number(p),
+                                             os.path.basename(p))):
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+        seen = set()
+        for rec in doc.get("records", []):
+            parts = str(rec.get("kernel", "")).split("/")
+            medians = [rec.get(side, {}).get("median") for side in SIDES]
+            if len(parts) != 3 or parts[0] != "perfbench" or None in medians:
+                continue
+            key = (parts[1], rec.get("shape", ""), parts[2])
+            if key in seen:
+                raise ValueError("%s: %s %s %s twice" % ((path,) + key))
+            seen.add(key)
+            parent, change = medians
+            rows = series.setdefault(key, [])
+            chained = rows[-1]["chained"] if rows else 1.0
+            ratio = change / parent if parent != 0 else math.nan
+            if not math.isnan(ratio):
+                chained *= ratio
+            rows.append({"pr": pr_number(path),
+                         "file": os.path.basename(path), "ratio": ratio,
+                         "chained": chained, "verdict": rec.get("verdict"),
+                         "unit": rec.get("unit"),
+                         "better": rec.get("better")})
+    return series
+
+
+def print_ledger(series):
+    print("change/parent median ratio per PR, and their running product "
+          "(< 1 is lower)")
+    for (workload, shape, metric), rows in sorted(series.items()):
+        print("%s %s %s (%s, %s is better)" % (
+            workload, shape, metric, rows[-1]["unit"], rows[-1]["better"]))
+        for row in rows:
+            ratio = ("%8s" % "n/a" if math.isnan(row["ratio"])
+                     else "%8.3f" % row["ratio"])
+            print("  PR %-4d %-22s ratio %s  chained %7.3f  %s" % (
+                row["pr"], row["file"], ratio, row["chained"],
+                row["verdict"]))
+    return 0
+
+
 # ---- self-test --------------------------------------------------------------
 
 SELF_TEST_METRICS = [
@@ -533,6 +604,45 @@ def self_test():
     except ValueError:
         pass
 
+    # --ledger: files in PR order (10 after 9), ratios taken inside each
+    # file, chained per series; a PR missing a series skips it, and a
+    # non-A/B document adds nothing.
+    checks += 2
+
+    def rec(kernel, shape, parent, change):
+        return {"kernel": kernel, "shape": shape, "unit": "ms",
+                "better": "lower", "verdict": "gain",
+                "parent": {"median": parent}, "change": {"median": change}}
+
+    docs = {
+        "BENCH_pr9.json": [rec("perfbench/w/cpu", "seed=11", 4.0, 2.0),
+                           rec("perfbench/w/cpu", "seed=23", 8.0, 6.0)],
+        "BENCH_pr10.json": [rec("perfbench/w/cpu", "seed=11", 5.0, 4.0)],
+        "BENCH_pr2.json": [{"kernel": "gemm_seed_ikj", "ns_per_op": 1.0}],
+        "BENCH_pr12_x.json": [rec("perfbench/w/cpu", "seed=23", 3.0, 1.5),
+                              rec("perfbench/w/cpu", "seed=11", 1.0, 1.0)],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, records in docs.items():
+            paths.append(os.path.join(tmp, name))
+            with open(paths[-1], "w", encoding="utf-8") as f:
+                json.dump({"schema": "ibrar-bench-v1", "records": records}, f)
+        got = {k: [(r["pr"], r["ratio"], r["chained"]) for r in rows]
+               for k, rows in ledger(paths).items()}
+        with open(paths[0], "w", encoding="utf-8") as f:
+            json.dump({"records": docs["BENCH_pr9.json"] * 2}, f)
+        try:
+            ledger(paths)
+            failures.append("ledger accepted one series twice in a file")
+        except ValueError:
+            pass
+    expect = {("w", "seed=11", "cpu"): [(9, 0.5, 0.5), (10, 0.8, 0.4),
+                                        (12, 1.0, 0.4)],
+              ("w", "seed=23", "cpu"): [(9, 0.75, 0.75), (12, 0.5, 0.375)]}
+    if got != expect:
+        failures.append("ledger: %r" % (got,))
+
     for f in failures:
         print("FAIL " + f)
     print("perfbench_ab self-test: %d of %d checks failed" %
@@ -552,10 +662,18 @@ def main():
                     help="summarize saved lines instead of running")
     ap.add_argument("--bench-out", metavar="FILE",
                     help="also write the summary as ibrar-bench-v1 JSON")
+    ap.add_argument("--ledger", nargs="+", metavar="FILE",
+                    help="chain the per-PR ratios of BENCH_prN.json files")
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
     if args.self_test:
         return self_test()
+    if args.ledger:
+        try:
+            return print_ledger(ledger(args.ledger))
+        except ValueError as e:
+            print("perfbench_ab: %s" % e, file=sys.stderr)
+            return 2
     metrics, run_seconds = load_metrics()
     if args.from_file:
         lines = read_lines(args.from_file)
