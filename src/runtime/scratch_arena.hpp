@@ -28,12 +28,14 @@ inline constexpr std::size_t kScratchAlign = 64;
 /// pack slots, and the serving telemetry (serve/telemetry.cpp) keeps its
 /// per-channel statistics in kServeTelemetry across the channel-score kernels
 /// it invokes (which bottom out in the same GEMM slots). The conv driver
-/// (tensor/conv_eval.cpp) holds its A panels in the caller's kConvPackA, and
-/// a stride-1 forward its padded x and tap offsets in the caller's kConvPadX
-/// and kConvTaps, across the pool dispatch whose lanes read them and fill
-/// their own kConvPackB and kConvAccC. Adding a consumer = adding an
-/// enumerator; the arena sizes itself from kCount. get<T>() hands out a
-/// slot as any trivial element type; floats() is get<float>().
+/// (tensor/conv_eval.cpp) holds its A panels in the caller's kConvPackA, a
+/// stride-1 forward its padded x and tap offsets in the caller's kConvPadX
+/// and kConvTaps, and the input gradient its offsets into g and its tap mask
+/// in the caller's kConvTaps and kConvTapMask, across the pool dispatch whose
+/// lanes read them and fill their own kConvPackB, kConvAccC and kConvGradX.
+/// Adding a consumer = adding an enumerator; the arena sizes itself from
+/// kCount. get<T>() hands out a slot as any trivial element type; floats()
+/// is get<float>().
 enum class Scratch : std::size_t {
   kGemmPackA = 0,   ///< A panels, per lane (tensor/gemm_packed.cpp)
   kGemmPackB,       ///< shared packed B (tensor/gemm_packed.cpp)
@@ -48,8 +50,15 @@ enum class Scratch : std::size_t {
   kConvPadX,        ///< a stride-1 conv forward's zero-padded channel-major
                     ///< copy of x, per call; every lane reads its B rows
                     ///< from it in place (tensor/conv_eval.cpp)
-  kConvTaps,        ///< that forward's offset of each tap (ic, ky, kx) in
-                    ///< the padded copy, per call (tensor/conv_eval.cpp)
+  kConvTaps,        ///< a conv call's B-row offsets: the forward's offset
+                    ///< of each tap (ic, ky, kx) in the padded copy, or the
+                    ///< input gradient's of each filter's plane in g
+                    ///< (tensor/conv_eval.cpp)
+  kConvTapMask,     ///< the input gradient's per-call mask of which block
+                    ///< columns each tap (ky, kx) lands inside the image
+                    ///< (tensor/conv_eval.cpp)
+  kConvGradX,       ///< a conv task's input-gradient block, its images
+                    ///< channel-major (tensor/conv_eval.cpp)
   kCount,
 };
 

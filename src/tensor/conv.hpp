@@ -3,11 +3,12 @@
 //
 // conv2d and its three gradients run on the one conv driver
 // (tensor/conv_eval.hpp): each gathers its GEMM operand straight from the
-// NCHW tensors into packed strips, or, in a stride-1 forward, reads it in
-// place from one zero-padded copy of x, so no (N*OH*OW, C*K*K) im2col
-// matrix and no transposed copy of the output gradient is ever built. Pooling keeps no
-// argmax: max pooling's backward finds each window's winner again in the
-// input it is given.
+// NCHW tensors into packed strips, or reads it in place (a stride-1 forward
+// from one zero-padded copy of x, the input gradient from g's planes when
+// they hold whole NR-column strips), so no (N*OH*OW, C*K*K) im2col matrix
+// and no transposed copy of the output gradient is ever built. Pooling
+// keeps no argmax: max pooling's backward finds each window's winner again
+// in the input it is given.
 
 #include "tensor/tensor.hpp"
 
@@ -39,9 +40,11 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor* bias,
 /// Input gradient of conv2d: g (N,F,OH,OW) -> (N,C,H,W) for an input of
 /// shape x_shape. memcmp-equal to col2im(gprod * w), gprod being g as the
 /// (N*OH*OW, F) matrix: each column of w^T * g is the ascending-F chain, and
-/// each input element sums its contributors in ascending (oy, ox) order.
-/// Throws std::invalid_argument when g's shape disagrees with x_shape, w
-/// and spec.
+/// each input element sums its contributors in ascending (oy, ox) order. A
+/// stride-1 conv whose output is its input's size adds each tap row as one
+/// masked run per block of whole images and copies every plane out; other
+/// convs scatter into a zeroed result. Throws std::invalid_argument when
+/// g's shape disagrees with x_shape, w and spec.
 Tensor conv2d_input_grad(const Tensor& g, const Shape& x_shape,
                          const Tensor& w, const Conv2dSpec& spec);
 

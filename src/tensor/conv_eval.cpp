@@ -1,6 +1,7 @@
 #include "tensor/conv_eval.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -44,6 +45,21 @@ struct InPlaceBlock {
   const std::int64_t* off;
   gemm_detail::OffsetRows strip(std::int64_t jr) const {
     return {base + jr, off};
+  }
+};
+
+/// B rows of a depth block read in place from an NCHW (N, F, S) tensor whose
+/// planes hold a whole number of NR-column strips: the row of filter p for
+/// the strip at block column jr (global column j = image * S + s) is the NR
+/// floats at plane (image, p), position s, off[p] = p * S floats past
+/// filter 0's.
+struct PlaneBlock {
+  const float* g;
+  std::int64_t f, spatial, j0;
+  const std::int64_t* off;
+  gemm_detail::OffsetRows strip(std::int64_t jr) const {
+    const std::int64_t j = j0 + jr;
+    return {g + j / spatial * f * spatial + j % spatial, off};
   }
 };
 
@@ -281,6 +297,64 @@ void scatter_input_grad(const float* acc, std::int64_t tc, const ColBlock& blk,
           }
         }
         jj += s1 - s0;
+      }
+    }
+  }
+}
+
+/// The tap mask of a stride-1 conv whose output is its input's size (H x W):
+/// row ky * K + kx holds, for each of `cols` columns of whole images
+/// (column j at position j % (H*W)), all ones where that tap of the
+/// column's output position lands inside the image and 0 where it falls
+/// off. The pattern repeats per image, so a block of fewer images reads a
+/// prefix of each row.
+void tap_mask(std::int64_t k, std::int64_t pad, std::int64_t in_h,
+              std::int64_t in_w, std::int64_t cols, std::uint32_t* mask) {
+  const std::int64_t spatial = in_h * in_w;
+  for (std::int64_t ky = 0; ky < k; ++ky) {
+    for (std::int64_t kx = 0; kx < k; ++kx) {
+      std::uint32_t* row = mask + (ky * k + kx) * cols;
+      for (std::int64_t j = 0; j < cols; ++j) {
+        const std::int64_t s = j % spatial;
+        const std::int64_t iy = s / in_w + ky - pad;
+        const std::int64_t ix = s % in_w + kx - pad;
+        row[j] = iy >= 0 && iy < in_h && ix >= 0 && ix < in_w ? ~0u : 0u;
+      }
+    }
+  }
+}
+
+/// Input-gradient scatter of a stride-1 conv whose output is its input's
+/// size, for a block of whole images: add the block's C into dx, the
+/// block's input gradient channel-major (channel ic's `cols` columns, image
+/// after image, from ic * cols). Column j of tap row (ic, ky, kx) lands on
+/// dx column j + (ky - pad) * W + (kx - pad), so each row is added as one
+/// shifted run; where the tap's mask row (tap_mask, leading dimension
+/// mask_ld) is 0 the target is off the image and is left as it is, by a
+/// select rather than an add of +0. Walking the taps in descending order adds
+/// each input element's contributors in ascending (oy, ox) order, as
+/// scatter_input_grad does.
+void add_tap_rows(const float* acc, std::int64_t tc, std::int64_t cols,
+                  std::int64_t c, std::int64_t k, std::int64_t pad,
+                  std::int64_t in_w, const std::uint32_t* mask,
+                  std::int64_t mask_ld, float* dx) {
+  for (std::int64_t ic = 0; ic < c; ++ic) {
+    float* __restrict d = dx + ic * cols;
+    for (std::int64_t ky = k - 1; ky >= 0; --ky) {
+      for (std::int64_t kx = k - 1; kx >= 0; --kx) {
+        const std::int64_t shift = (ky - pad) * in_w + (kx - pad);
+        const float* __restrict a = acc + ((ic * k + ky) * k + kx) * tc;
+        const std::uint32_t* __restrict m = mask + (ky * k + kx) * mask_ld;
+        // A target outside [0, cols) is off its image, so masked anyway.
+        const std::int64_t j1 = std::min(cols, cols - shift);
+        for (std::int64_t j = std::max<std::int64_t>(0, -shift); j < j1; ++j) {
+          // A select on bit patterns: branch-free, so it vectorizes
+          // without AVX's masked stores too.
+          const float v = d[j + shift];
+          const auto keep = std::bit_cast<std::uint32_t>(v);
+          const auto sum = std::bit_cast<std::uint32_t>(v + a[j]);
+          d[j + shift] = std::bit_cast<float>(keep ^ ((keep ^ sum) & m[j]));
+        }
       }
     }
   }
@@ -593,16 +667,23 @@ Tensor conv2d_input_grad(const Tensor& g, const Shape& x_shape,
   const std::int64_t n = x_shape[0], c = x_shape[1], in_h = x_shape[2],
                      in_w = x_shape[3];
   const std::int64_t f = w.dim(0);
-  const std::int64_t ckk = c * spec.kernel * spec.kernel;
-  const std::int64_t ow = g.dim(3);
-  const std::int64_t spatial = g.dim(2) * ow;
-  Tensor gx(x_shape);
-  if (n * spatial == 0 || f == 0 || ckk == 0) return gx;
+  const std::int64_t k = spec.kernel;
+  const std::int64_t ckk = c * k * k;
+  const std::int64_t oh = g.dim(2), ow = g.dim(3);
+  const std::int64_t spatial = oh * ow;
+  if (n * spatial == 0 || f == 0 || ckk == 0) return Tensor(x_shape);
+  // A stride-1 conv whose output is its input's size and whose blocks hold
+  // whole images adds each tap row as one masked run (add_tap_rows) and
+  // copies every plane of gx out; any other conv scatters into a zeroed gx.
+  const bool same = spec.stride == 1 && oh == in_h && ow == in_w &&
+                    spatial <= kGemmNC;
+  Tensor gx = same ? Tensor::unfilled(x_shape) : Tensor(x_shape);
 
   // C (C*K*K, columns) = w^T * g: w^T as MR-row A panels, shared by every
   // task; each column's chain runs over the filters in ascending order.
-  float* panels = runtime::lane_arena().floats(runtime::Scratch::kConvPackA,
-                                               panel_floats(ckk, f));
+  runtime::ScratchArena& arena = runtime::lane_arena();
+  float* panels =
+      arena.floats(runtime::Scratch::kConvPackA, panel_floats(ckk, f));
   pack_panels(w.data().data(), ckk, /*trans=*/true, ckk, f, panels);
 
   // A task owns whole images, so no two lanes add into one input element.
@@ -625,27 +706,62 @@ Tensor conv2d_input_grad(const Tensor& g, const Shape& x_shape,
       obs::profile_site("tensor/conv2d_input_grad/kernel");
   static obs::ProfileSite& scatter_prof =
       obs::profile_site("tensor/conv2d_input_grad/scatter");
-  run_blocks(
-      panels, ckk, f, nblocks, chunks, &kernel_prof,
-      [&](std::int64_t b) {
-        if (chunks == 1) {
-          return ColBlock{b * width, std::min(width, n * spatial - b * width)};
-        }
-        const std::int64_t s0 = (b % chunks) * kGemmNC;
-        return ColBlock{(b / chunks) * spatial + s0,
-                        std::min(kGemmNC, spatial - s0)};
-      },
-      [&](std::int64_t pc, std::int64_t kc, const ColBlock& blk,
-          std::int64_t tc, float* bp) {
-        obs::ProfileScope prof_scope(pack_prof);
-        pack_b_planes(pg, f, spatial, pc, kc, blk, tc, bp);
-        return PackedBlock{bp, kc};
-      },
-      [&](const ColBlock& blk, const float* acc, std::int64_t tc) {
-        obs::ProfileScope prof_scope(scatter_prof);
-        scatter_input_grad(acc, tc, blk, c, in_h, in_w, spec, g.dim(2), ow,
-                           pgx);
-      });
+  const auto block_of = [&](std::int64_t b) {
+    if (chunks == 1) {
+      return ColBlock{b * width, std::min(width, n * spatial - b * width)};
+    }
+    const std::int64_t s0 = (b % chunks) * kGemmNC;
+    return ColBlock{(b / chunks) * spatial + s0,
+                    std::min(kGemmNC, spatial - s0)};
+  };
+  std::uint32_t* mask = nullptr;
+  if (same) {
+    mask = arena.get<std::uint32_t>(runtime::Scratch::kConvTapMask,
+                                    static_cast<std::size_t>(k * k * width));
+    tap_mask(k, spec.pad, in_h, in_w, width, mask);
+  }
+  const auto store = [&](const ColBlock& blk, const float* acc,
+                         std::int64_t tc) {
+    obs::ProfileScope prof_scope(scatter_prof);
+    if (!same) {
+      scatter_input_grad(acc, tc, blk, c, in_h, in_w, spec, oh, ow, pgx);
+      return;
+    }
+    const std::int64_t cols = blk.cols;
+    float* dx = runtime::lane_arena().floats(
+        runtime::Scratch::kConvGradX, static_cast<std::size_t>(c * cols));
+    std::fill_n(dx, c * cols, 0.0f);
+    add_tap_rows(acc, tc, cols, c, k, spec.pad, in_w, mask, width, dx);
+    const std::int64_t img0 = blk.j0 / spatial;
+    for (std::int64_t i = 0; i < cols / spatial; ++i) {
+      for (std::int64_t ic = 0; ic < c; ++ic) {
+        std::copy_n(dx + ic * cols + i * spatial, spatial,
+                    pgx + ((img0 + i) * c + ic) * spatial);
+      }
+    }
+  };
+  if (spatial % kGemmNR != 0) {
+    run_blocks(panels, ckk, f, nblocks, chunks, &kernel_prof, block_of,
+               [&](std::int64_t pc, std::int64_t kc, const ColBlock& blk,
+                   std::int64_t tc, float* bp) {
+                 obs::ProfileScope prof_scope(pack_prof);
+                 pack_b_planes(pg, f, spatial, pc, kc, blk, tc, bp);
+                 return PackedBlock{bp, kc};
+               },
+               store);
+    return gx;
+  }
+
+  // Every NR-column strip lies in one plane of g, so B is read in place.
+  auto* off = arena.get<std::int64_t>(runtime::Scratch::kConvTaps,
+                                      static_cast<std::size_t>(f));
+  for (std::int64_t p = 0; p < f; ++p) off[p] = p * spatial;
+  run_blocks(panels, ckk, f, nblocks, chunks, &kernel_prof, block_of,
+             [&](std::int64_t pc, std::int64_t, const ColBlock& blk,
+                 std::int64_t, float*) {
+               return PlaneBlock{pg, f, spatial, blk.j0, off + pc};
+             },
+             store);
   return gx;
 }
 
@@ -705,17 +821,18 @@ Tensor conv2d_bias_grad(const Tensor& g) {
   if (g.rank() != 4) throw std::invalid_argument("conv2d_bias_grad: NCHW only");
   const std::int64_t n = g.dim(0), f = g.dim(1);
   const std::int64_t spatial = g.dim(2) * g.dim(3);
-  Tensor gb({f});
+  Tensor gb = Tensor::unfilled({f});
   const float* pg = g.data().data();
   float* pb = gb.data().data();
-  // Channels are independent chains; interleaving them keeps each chain in
-  // (image, spatial) order.
-  for (std::int64_t in_n = 0; in_n < n; ++in_n) {
-    for (std::int64_t s = 0; s < spatial; ++s) {
-      for (std::int64_t of = 0; of < f; ++of) {
-        pb[of] += pg[(in_n * f + of) * spatial + s];
-      }
+  // One chain per channel from +0, reading its planes in (image, spatial)
+  // order.
+  for (std::int64_t of = 0; of < f; ++of) {
+    float sum = 0.0f;
+    for (std::int64_t in_n = 0; in_n < n; ++in_n) {
+      const float* plane = pg + (in_n * f + of) * spatial;
+      for (std::int64_t s = 0; s < spatial; ++s) sum += plane[s];
     }
+    pb[of] = sum;
   }
   return gb;
 }

@@ -51,16 +51,31 @@
 // tensor/conv.hpp), given g = dL/dout (N,F,OH,OW):
 //
 //  * Input gradient: C (C*K*K, columns) = W^T * g. W^T is packed once per
-//    call as the shared A panels; B strips are copied straight from g's
-//    planes. A task owns whole images, so no two lanes add into one input
-//    element: a block pools up to NC columns of whole images, at most an
-//    even share of the batch per lane, and an image wider than NC columns
-//    is one task of consecutive chunks. The C block, whose rows are the
-//    input taps (ic, ky, kx), is scattered channel-major into dL/dx with
+//    call as the shared A panels. Where OH*OW is a multiple of NR (vgg16's
+//    16x16, 8x8 and 4x4 maps) every NR-column strip lies in one plane of g,
+//    and the micro-kernel reads B's rows there in place through a per-call
+//    offset table (Scratch::kConvTaps, off[p] = p * OH*OW); other maps copy
+//    B strips from g's planes (Scratch::kConvPackB). A task owns whole
+//    images, so no two lanes add into one input element: a block pools up
+//    to NC columns of whole images, at most an even share of the batch per
+//    lane, and an image wider than NC columns is one task of consecutive
+//    chunks. The C block's rows are the input taps (ic, ky, kx), added with
 //    (ky, kx) descending, so each input element sums its contributors in
-//    ascending (oy, ox) order. The B pack, the kernel and the scatter each
-//    have a profile site (tensor/conv2d_input_grad/pack_b, /kernel and
-//    /scatter).
+//    ascending (oy, ox) order:
+//     - A stride-1 conv whose output is its input's size (every vgg16 conv,
+//       and the other models' 3x3 and 5x5 "same" convs) with whole images
+//       per block accumulates the block channel-major in the lane's
+//       Scratch::kConvGradX. Tap row (ic, ky, kx) is added as one run over
+//       the whole block, shifted by (ky - pad) * W + (kx - pad); a per-call
+//       tap mask (Scratch::kConvTapMask, of which a partial last block reads
+//       a prefix) leaves the columns whose input position falls off the
+//       image as they are. Each image's planes are then copied into dL/dx
+//       once.
+//     - Strided, non-"same" and chunked convs scatter the block into a
+//       zeroed dL/dx, one output row run per (tap, channel, row).
+//    The B pack, the kernel and the scatter each have a profile site
+//    (tensor/conv2d_input_grad/pack_b, /kernel and /scatter); a map read in
+//    place records no pack.
 //  * Weight gradient: C (F, C*K*K) = g * cols(x), reduced over
 //    p = (image, oy, ox) in ascending order. g as (F, p) is packed once as
 //    the shared A panels; each task gathers the input taps of NR columns
@@ -93,7 +108,12 @@
 // same contract against the materialized backward — gprod * W then a
 // row-major col2im, gprod^T * im2col(x), and sum_axis(gprod, 0) — because
 // IEEE products commute and every chain and scatter keeps the reference's
-// order (tests/test_autograd.cpp gates all three at 1 and 4 lanes).
+// order. Whether B is packed or read from g, each C element is the same
+// chain; a masked tap run selects the old value of an off-image column's
+// target rather than adding +0 to it, so each input element takes exactly
+// col2im's adds, and signed zeros, infinities and NaNs come out as there
+// (tests/test_autograd.cpp gates all three at 1, 3 and 4 lanes, on
+// ordinary values and on IEEE specials).
 
 #include <cstddef>
 #include <cstdint>

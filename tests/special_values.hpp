@@ -1,9 +1,10 @@
 #pragma once
-// Inputs for the elementwise bit gates (test_tensor, test_autograd): IEEE
+// Inputs for the bit gates (test_tensor, test_autograd, test_conv_eval): IEEE
 // edge cases mixed into ordinary values, so a kernel that changes what a NaN,
 // a signed zero, an infinity or a subnormal becomes shows up in a memcmp,
 // at sizes around the vector width and the pool's grain.
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -28,6 +29,19 @@ inline Tensor special_values(const Shape& shape, std::uint64_t seed) {
   constexpr std::int64_t kCount = sizeof specials / sizeof specials[0];
   for (std::int64_t i = 0; i < t.numel(); i += 3) {
     t[i] = specials[(i / 3) % kCount];
+  }
+  return t;
+}
+
+/// t with every NaN replaced by one quiet NaN. When an operation meets two
+/// NaNs (x86's negative default NaN from inf - inf or 0 * inf, and an
+/// input's positive quiet NaN), which one it returns depends on the operand
+/// order the compiler picks for a commutative add: a Release ASan/UBSan
+/// build picks differently for a kernel and for its reference. Every other
+/// bit, signed zeros, infinities and subnormals included, must still match.
+inline Tensor canonical_nans(Tensor t) {
+  for (float& v : t.data()) {
+    if (std::isnan(v)) v = kNaN;
   }
   return t;
 }

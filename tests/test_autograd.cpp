@@ -3,11 +3,13 @@
 // and the ownership contract: closures that read the graph's own values give
 // the same bits as the copy-capturing formulas, and conv's backward runs its
 // weight-gradient kernel only for a recorded weight gradient. Every conv
-// gradient is memcmp-equal to an independent lowering at real sizes.
+// gradient is memcmp-equal to an independent lowering at real sizes, on
+// ordinary values and on IEEE specials (NaN signs aside).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -632,7 +634,9 @@ struct ConvGateCase {
 /// ragged shapes that reach every blocking edge of the backward kernels:
 /// K = 1 and 5, stride 2, pad 0 and 2, F off the MR and NR multiples,
 /// C*K*K and F past kGemmKC, images wider than kGemmNC columns (evenly and
-/// unevenly chunked), image groups that do not fill kGemmNC, and batch 1.
+/// unevenly chunked), image groups that do not fill kGemmNC, a batch whose
+/// last block of images is partial at every lane count, a 1x1 map on which
+/// only the centre tap of a 3x3 kernel lands, and batch 1.
 std::vector<ConvGateCase> conv_gate_cases() {
   std::vector<ConvGateCase> cases;
   for (const std::int64_t stride : {1, 2}) {
@@ -670,34 +674,61 @@ std::vector<ConvGateCase> conv_gate_cases() {
   cases.push_back({"map32_past_nc", 2, 3, 32, 32, 8, {3, 1, 1}});
   cases.push_back({"map30_uneven_nc", 3, 4, 30, 30, 5, {3, 1, 1}});
   cases.push_back({"map7x6_groups", 30, 4, 7, 6, 6, {3, 1, 1}});
+  cases.push_back({"map3x3_b97_ragged", 97, 5, 3, 3, 6, {3, 1, 1}});
+  cases.push_back({"map1x1_k3p1", 5, 4, 1, 1, 6, {3, 1, 1}});
   cases.push_back({"batch1", 1, 8, 16, 16, 8, {3, 1, 1}});
   cases.push_back({"batch1_deep", 1, 24, 2, 2, 24, {3, 1, 1}});
   return cases;
 }
 
 TEST(ConvBackward, GradientsMatchIndependentLoweringAtOneAndFourLanes) {
+  // Three lanes split a batch of 100 unevenly, so the input gradient's last
+  // block of images is partial.
+  constexpr std::int64_t kLanes[] = {1, 3, 4};
   const std::int64_t lanes0 = runtime::num_threads();
   std::uint64_t seed = 0x9a7e;
   for (const auto& tc : conv_gate_cases()) {
     Rng rng(++seed);
-    const Tensor x = randn({tc.n, tc.c, tc.h, tc.w}, rng);
-    const Tensor w =
-        randn({tc.f, tc.c, tc.spec.kernel, tc.spec.kernel}, rng, 0, 0.3f);
+    const Shape x_shape{tc.n, tc.c, tc.h, tc.w};
+    const Shape w_shape{tc.f, tc.c, tc.spec.kernel, tc.spec.kernel};
+    const Tensor x = randn(x_shape, rng);
+    const Tensor w = randn(w_shape, rng, 0, 0.3f);
     const Tensor b = randn({tc.f}, rng);
-    Tensor g = randn(ibrar::conv2d(x, w, nullptr, tc.spec).shape(), rng);
+    const Shape g_shape = ibrar::conv2d(x, w, nullptr, tc.spec).shape();
+    Tensor g = randn(g_shape, rng);
     // Signed zeros in the upstream gradient: 0 + (-0) must round alike.
     for (std::int64_t i = 0; i < g.numel(); i += 7) g[i] = -0.0f;
-    const ConvGrads ref = conv_reference(x, w, g, tc.spec);
-    for (const std::int64_t lanes : {1, 4}) {
-      runtime::set_num_threads(lanes);
-      Var xv = Var::param(x), wv = Var::param(w), bv = Var::param(b);
-      backward_with(conv2d(xv, wv, bv, tc.spec), g);
-      EXPECT_TRUE(same_bits(xv.grad(), ref.gx))
-          << tc.name << " lanes=" << lanes;
-      EXPECT_TRUE(same_bits(wv.grad(), ref.gw))
-          << tc.name << " lanes=" << lanes;
-      EXPECT_TRUE(same_bits(bv.grad(), ref.gb))
-          << tc.name << " lanes=" << lanes;
+    // The same shapes again with IEEE specials at every third element of x,
+    // w and g; NaN matches NaN whatever its sign (canonical_nans).
+    const Tensor xs = special_values(x_shape, seed);
+    const Tensor ws = special_values(w_shape, ~seed);
+    const Tensor gs = special_values(g_shape, seed ^ 0x9u);
+    for (const bool special : {false, true}) {
+      const Tensor& xd = special ? xs : x;
+      const Tensor& wd = special ? ws : w;
+      const Tensor& gd = special ? gs : g;
+      // Every driver output stays alive until the reference is computed, so
+      // an element the driver never writes cannot pass by holding the bits
+      // of a recycled buffer.
+      std::vector<std::array<Var, 3>> got;
+      for (const std::int64_t lanes : kLanes) {
+        runtime::set_num_threads(lanes);
+        Var xv = Var::param(xd), wv = Var::param(wd), bv = Var::param(b);
+        backward_with(conv2d(xv, wv, bv, tc.spec), gd);
+        got.push_back({xv, wv, bv});
+      }
+      const ConvGrads ref = conv_reference(xd, wd, gd, tc.spec);
+      const auto matches = [special](const Tensor& a, const Tensor& e) {
+        return special ? same_bits(canonical_nans(a), canonical_nans(e))
+                       : same_bits(a, e);
+      };
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        const std::string where = tc.name + (special ? " special" : "") +
+                                  " lanes=" + std::to_string(kLanes[i]);
+        EXPECT_TRUE(matches(got[i][0].grad(), ref.gx)) << where << " gx";
+        EXPECT_TRUE(matches(got[i][1].grad(), ref.gw)) << where << " gw";
+        EXPECT_TRUE(matches(got[i][2].grad(), ref.gb)) << where << " gb";
+      }
     }
   }
   runtime::set_num_threads(lanes0);

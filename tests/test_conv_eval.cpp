@@ -6,7 +6,8 @@
 // equality of each conv classifier's lowered InferencePlan (masked and
 // unmasked, grad mode on and off), the MLP's empty plan, the
 // serve.snapshot_bytes gauge accounting of plan lifetimes (and of nothing
-// else), and a one-lane timing floor of the stride-1 forward.
+// else), and one-lane timing floors of the stride-1 forward and of the
+// input gradient.
 
 #include <gtest/gtest.h>
 
@@ -37,31 +38,23 @@ constexpr float kEps = 1e-5f;
 /// the gather's time and well above the in-place read's: with AVX-512 they
 /// take about 2.2 and 0.6 ms. Without AVX the kernel's own arithmetic takes
 /// most of the in-place forward's time (about 2.0 ms against the gather's
-/// 3.4 ms), so such builds get a floor of their own.
+/// 3.4 ms), so such builds get a floor of their own. The same for one b2c1
+/// input gradient: with AVX-512 the g pack and the row-run scatter take
+/// 0.9-1.4 ms, g read in place and masked tap runs 0.45-0.6 ms; without AVX
+/// the kernel is most of either, 1.4-2.1 ms against 1.0-1.6 ms, so that
+/// floor has little headroom on a busy host.
 #if defined(__AVX__)
 constexpr double kBlock1FloorMs = 1.5;
+constexpr double kInputGradFloorMs = 0.85;
 #else
 constexpr double kBlock1FloorMs = 3.0;
+constexpr double kInputGradFloorMs = 1.35;
 #endif
 
 bool bits_equal(const Tensor& a, const Tensor& b) {
   return a.same_shape(b) &&
          std::memcmp(a.data().data(), b.data().data(),
                      sizeof(float) * static_cast<std::size_t>(a.numel())) == 0;
-}
-
-/// t with every NaN replaced by one quiet NaN. When an operation meets two
-/// NaNs (x86's negative default NaN from inf - inf or 0 * inf, and an
-/// input's positive quiet NaN), which one it returns depends on the operand
-/// order the compiler picks for a commutative add: a Release ASan/UBSan
-/// build picks differently for the kernel and for the reference lowering.
-/// Every other bit, signed zeros, infinities and subnormals included, must
-/// still match.
-Tensor canonical_nans(Tensor t) {
-  for (float& v : t.data()) {
-    if (std::isnan(v)) v = kNaN;
-  }
-  return t;
 }
 
 struct BnParams {
@@ -223,6 +216,7 @@ TEST(ConvEvalPlan, BitIdenticalAcrossRaggedShapesAndBatches) {
     cases.push_back({t.name, t.c, t.hw, t.hw, t.f, {3, 1, 1}, true});
   }
   const std::vector<std::int64_t> batches = {1, 2, 3, 4, 5, 8, 16, 32};
+  constexpr std::int64_t kLanes[] = {1, 4};
   const std::int64_t lanes0 = runtime::num_threads();
   for (const auto& tc : cases) {
     for (const bool special : {false, true}) {
@@ -243,14 +237,21 @@ TEST(ConvEvalPlan, BitIdenticalAcrossRaggedShapesAndBatches) {
         const Shape x_shape{n, tc.c, tc.h, tc.w};
         const Tensor x =
             special ? special_values(x_shape, xseed) : randn(x_shape, xrng);
+        // Every output stays alive until the reference is computed, so an
+        // element the driver never writes cannot pass by holding the bits
+        // of a recycled buffer.
+        std::vector<Tensor> got;
+        for (const std::int64_t lanes : kLanes) {
+          runtime::set_num_threads(lanes);
+          got.push_back(plan.run(x));
+        }
         const Tensor ref =
             reference(x, w, tc.bias ? &bias : nullptr, tc.spec, &bn, nullptr,
                       true);
-        for (const std::int64_t lanes : {1, 4}) {
-          runtime::set_num_threads(lanes);
-          EXPECT_TRUE(bits_equal(ref, plan.run(x)))
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_TRUE(bits_equal(ref, got[i]))
               << tc.name << (special ? " special" : "") << " batch=" << n
-              << " lanes=" << lanes;
+              << " lanes=" << kLanes[i];
         }
       }
     }
@@ -377,6 +378,29 @@ TEST(ConvTiming, Block1ForwardReadsBInPlace) {
   EXPECT_TRUE(std::isfinite(sink));
   SKIP_UNLESS_TIMING_BUILD() << ms << " ms per forward";
   EXPECT_LT(ms, kBlock1FloorMs) << ms << " ms per forward";
+}
+
+TEST(ConvTiming, InputGradReadsGInPlace) {
+  // vgg16's b2c1 (12 -> 12 at 8x8, 3x3 pad 1) input gradient at the
+  // training batch on one lane: the end of every attack step's backward. It
+  // fails when g is packed into B strips and C is scattered into dx in runs
+  // of one output row, instead of B read in place from g's planes and each
+  // tap row added as one masked run.
+  const std::int64_t lanes0 = runtime::num_threads();
+  runtime::set_num_threads(1);
+  Rng rng(41);
+  const Tensor g = randn({100, 12, 8, 8}, rng);
+  const Tensor w = randn({12, 12, 3, 3}, rng);
+  float sink = 0.0f;
+  const double ms = best_wall_ns(30, [&] {
+                      sink += conv2d_input_grad(g, {100, 12, 8, 8}, w,
+                                                Conv2dSpec{3, 1, 1})[0];
+                    }) *
+                    1e-6;
+  runtime::set_num_threads(lanes0);
+  EXPECT_TRUE(std::isfinite(sink));
+  SKIP_UNLESS_TIMING_BUILD() << ms << " ms per input gradient";
+  EXPECT_LT(ms, kInputGradFloorMs) << ms << " ms per input gradient";
 }
 
 TEST(Conv2d, LeavesSnapshotBytesGaugeUnchanged) {

@@ -286,29 +286,36 @@ TEST(Profile, Conv2dIsBitIdenticalWithProfilingOn) {
 TEST(Profile, Conv2dInputGradSplitsPackKernelAndScatter) {
   // The input gradient's three parts each have a site, so a profiled step
   // says which of them the backward's time went to; profiling them changes
-  // no bit.
+  // no bit. A 2x2 map (4 positions, not a whole NR-column strip) packs g; an
+  // 8x8 map reads it in place and records no pack.
   ObsStateGuard guard;
   Rng rng(9);
   const Conv2dSpec spec;
-  const Shape x_shape{3, 4, 8, 8};
   const Tensor w = randn({6, 4, 3, 3}, rng);
-  const Tensor g = randn({3, 6, 8, 8}, rng);
+  for (const std::int64_t hw : {2, 8}) {
+    const Shape x_shape{3, 4, hw, hw};
+    const Tensor g = randn({3, 6, hw, hw}, rng);
+    obs::reset_profile();
+    obs::set_profiling_enabled(false);
+    const Tensor off = conv2d_input_grad(g, x_shape, w, spec);
+    obs::set_profiling_enabled(true);
+    const Tensor on = conv2d_input_grad(g, x_shape, w, spec);
 
-  obs::set_profiling_enabled(false);
-  const Tensor off = conv2d_input_grad(g, x_shape, w, spec);
-  obs::set_profiling_enabled(true);
-  const Tensor on = conv2d_input_grad(g, x_shape, w, spec);
-
-  ASSERT_TRUE(off.same_shape(on));
-  EXPECT_EQ(std::memcmp(off.data().data(), on.data().data(),
-                        sizeof(float) * static_cast<std::size_t>(off.numel())),
-            0);
-  std::set<std::string> names;
-  for (const auto& e : obs::profile_table()) names.insert(e.name);
-  for (const char* site : {"tensor/conv2d_input_grad/pack_b",
-                           "tensor/conv2d_input_grad/kernel",
-                           "tensor/conv2d_input_grad/scatter"}) {
-    EXPECT_TRUE(names.count(site)) << "profile table missing " << site;
+    ASSERT_TRUE(off.same_shape(on));
+    EXPECT_EQ(
+        std::memcmp(off.data().data(), on.data().data(),
+                    sizeof(float) * static_cast<std::size_t>(off.numel())),
+        0)
+        << hw << "x" << hw;
+    std::set<std::string> names;
+    for (const auto& e : obs::profile_table()) names.insert(e.name);
+    for (const char* site : {"tensor/conv2d_input_grad/kernel",
+                             "tensor/conv2d_input_grad/scatter"}) {
+      EXPECT_TRUE(names.count(site))
+          << hw << "x" << hw << ": profile table missing " << site;
+    }
+    EXPECT_EQ(names.count("tensor/conv2d_input_grad/pack_b"), hw == 2 ? 1u : 0u)
+        << hw << "x" << hw;
   }
 }
 
