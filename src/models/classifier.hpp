@@ -45,8 +45,8 @@ class TapClassifier : public nn::Module {
   }
 
   /// The eval forward lowered, once per ModelSnapshot publish, into an
-  /// InferencePlan (models/plan.hpp) with the same bits. The default, for
-  /// dense models, is an empty plan: the snapshot then runs
+  /// InferencePlan (models/plan.hpp) with the same bits. Every library model
+  /// overrides it; the default is an empty plan, and the snapshot then runs
   /// eval_forward_with_taps itself.
   virtual InferencePlan lower() const;
 

@@ -1,5 +1,7 @@
 #include "models/mlp.hpp"
 
+#include "models/plan.hpp"
+
 namespace ibrar::models {
 
 MLP::MLP(const MLPConfig& cfg, Rng& rng) : cfg_(cfg) {
@@ -28,6 +30,17 @@ TapsOutput MLP::run_with_taps(const ag::Var& x, nn::Mode mode) const {
   }
   out.logits = head_->forward(h, mode);
   return out;
+}
+
+InferencePlan MLP::lower() const {
+  InferencePlan plan;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    plan.linear(*layers_[i], /*relu=*/true);
+    if (i + 1 == layers_.size()) plan.mask(*this);
+    plan.tap();
+  }
+  plan.linear(*head_, /*relu=*/false);
+  return plan;
 }
 
 }  // namespace ibrar::models

@@ -21,6 +21,9 @@ class MLP : public TapClassifier {
   std::int64_t last_conv_channels() const override { return cfg_.hidden.back(); }
   std::int64_t num_classes() const override { return cfg_.num_classes; }
   std::size_t last_conv_tap_index() const override { return tap_names_.size() - 1; }
+  /// Linear(+ReLU) steps, the mask after the last hidden layer, and a tap
+  /// after each hidden layer, in run_with_taps' order.
+  InferencePlan lower() const override;
 
  protected:
   TapsOutput run_with_taps(const ag::Var& x, nn::Mode mode) const override;

@@ -1,13 +1,72 @@
 #include "models/plan.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
-#include "autograd/ops.hpp"
+#include "autograd/var.hpp"
+#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
+#include "tensor/gemm_packed.hpp"
 #include "tensor/ops.hpp"
 
 namespace ibrar::models {
+namespace {
+
+/// A Linear layer lowered: its (in, out) weight packed once as
+/// gemm_prepacked's B panels, and its bias. The panel bytes count in the
+/// serve.snapshot_bytes gauge while it lives; like ConvEvalPlan it is
+/// neither copied nor moved, and its step holds it by pointer.
+class LinearEvalPlan {
+ public:
+  LinearEvalPlan(const nn::Linear& layer, bool relu)
+      : k_(layer.weight_value().dim(0)),
+        n_(layer.weight_value().dim(1)),
+        panels_(static_cast<std::size_t>(gemm_packed_b_floats(k_, n_))),
+        relu_(relu) {
+    gemm_pack_b(layer.weight_value().data().data(), GemmLayout::kRowMajor, k_,
+                n_, panels_.data());
+    if (layer.has_bias()) bias_ = layer.bias_value();
+    account(+1.0);
+  }
+  ~LinearEvalPlan() { account(-1.0); }
+  LinearEvalPlan(const LinearEvalPlan&) = delete;
+  LinearEvalPlan& operator=(const LinearEvalPlan&) = delete;
+
+  /// x (N, ...) read as (N, in) -> (N, out): the zeroed C ibrar::matmul
+  /// starts from, then the kernels of ag::add and ag::relu, as nn::Linear's
+  /// forward and the model's ReLU run them.
+  Tensor run(const Tensor& x) const {
+    const std::int64_t m = x.dim(0);
+    if (x.numel() != m * k_) {
+      throw std::invalid_argument("InferencePlan::linear: " +
+                                  shape_str(x.shape()) + " is not (N, " +
+                                  std::to_string(k_) + ")");
+    }
+    Tensor y({m, n_});
+    gemm_prepacked(x.data().data(), GemmLayout::kRowMajor, panels_.data(),
+                   y.data().data(), m, k_, n_);
+    // rank check, not numel: a default Tensor is a rank-0 scalar (numel 1).
+    if (bias_.rank() > 0) y = add(y, bias_);
+    return relu_ ? relu(y) : y;
+  }
+
+ private:
+  void account(double sign) const {
+    static obs::Gauge& gauge = obs::registry().gauge("serve.snapshot_bytes");
+    gauge.add(sign * static_cast<double>(panels_.size() * sizeof(float)));
+  }
+
+  std::int64_t k_;  ///< in features
+  std::int64_t n_;  ///< out features
+  std::vector<float> panels_;
+  Tensor bias_;  ///< (out) or empty
+  bool relu_;
+};
+
+}  // namespace
 
 InferencePlan TapClassifier::lower() const { return {}; }
 
@@ -48,24 +107,19 @@ void InferencePlan::global_avg_pool() {
 }
 
 void InferencePlan::mask(const TapClassifier& model) {
-  // apply_channel_mask's "installed" test and (1, C, 1, 1) broadcast.
+  // apply_channel_mask's "installed" test, and its mask shape: the
+  // activation's rank with C at dim 1, (1, C) or (1, C, 1, 1).
   if (!model.has_channel_mask()) return;
-  const Tensor& mask = model.channel_mask();
-  add({}, [m = mask.reshape({1, mask.numel(), 1, 1})](const Tensor& x,
-                                                      const Tensor*) {
-    return mul(x, m);
+  add({}, [mask = model.channel_mask()](const Tensor& x, const Tensor*) {
+    Shape shape(x.shape().size(), 1);
+    shape[1] = mask.numel();
+    return mul(x, mask.reshape(std::move(shape)));
   });
 }
 
-void InferencePlan::linear(std::shared_ptr<const nn::Linear> layer,
-                           bool relu) {
-  add({}, [layer = std::move(layer), relu](const Tensor& x, const Tensor*) {
-    const std::int64_t n = x.dim(0);
-    ag::Var h = layer->eval_forward(
-        ag::Var::constant(x.reshape({n, x.numel() / n})));
-    if (relu) h = ag::relu(h);
-    return std::move(h.mutable_value());
-  });
+void InferencePlan::linear(const nn::Linear& layer, bool relu) {
+  auto plan = std::make_shared<const LinearEvalPlan>(layer, relu);
+  add({}, [plan](const Tensor& x, const Tensor*) { return plan->run(x); });
 }
 
 TapsOutput InferencePlan::run(const Tensor& x) const {

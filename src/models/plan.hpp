@@ -1,9 +1,11 @@
 #pragma once
 // InferencePlan: the one inference executor. TapClassifier::lower() emits a
-// conv classifier once, at snapshot publish, as a flat list of tensor steps:
+// classifier once, at snapshot publish, as a flat list of tensor steps:
 // prepacked convs (tensor/conv_eval.hpp) whose epilogue applies bias, folded
 // BN, the residual skip and ReLU; BN+ReLU; maxpool; global average pool; the
-// Eq. 3 channel mask; linear layers through their own eval_forward; and tap
+// Eq. 3 channel mask; linear layers whose weights are packed once as
+// gemm_prepacked's B panels (tensor/gemm_packed.hpp), so a batch packs only
+// its own rows, then bias and ReLU by the layer-by-layer kernels; and tap
 // markers. Values live in numbered slots: slot 0 is the running activation
 // (a copy of the input when run starts), and residual blocks park a branch
 // in higher slots. run() reproduces the model's eval_forward_with_taps
@@ -36,10 +38,12 @@ class InferencePlan {
   // The remaining steps read and write slot 0.
   void maxpool(std::int64_t kernel);
   void global_avg_pool();
-  /// `model`'s Eq. 3 channel mask; adds nothing when none is installed.
+  /// `model`'s Eq. 3 channel mask on a (N, C) or (N, C, H, W) activation;
+  /// adds nothing when none is installed.
   void mask(const TapClassifier& model);
-  /// Flatten to (N, -1), then `layer`'s eval_forward (+ReLU).
-  void linear(std::shared_ptr<const nn::Linear> layer, bool relu);
+  /// Flatten to (N, -1), then `layer` (+ReLU), its weight prepacked here and
+  /// counted in serve.snapshot_bytes while the plan lives.
+  void linear(const nn::Linear& layer, bool relu);
   void tap() { steps_.emplace_back(); }
 
   bool empty() const { return steps_.empty(); }

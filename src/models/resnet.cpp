@@ -110,7 +110,7 @@ InferencePlan MiniResNet::lower() const {
   }
   plan.global_avg_pool();
   plan.tap();  // gap features
-  plan.linear(head_, /*relu=*/false);
+  plan.linear(*head_, /*relu=*/false);
   return plan;
 }
 

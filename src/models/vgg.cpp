@@ -108,11 +108,11 @@ InferencePlan MiniVGG::lower() const {
     if (b == 4) plan.mask(*this);
     plan.tap();
   }
-  plan.linear(fc1_, /*relu=*/true);
+  plan.linear(*fc1_, /*relu=*/true);
   plan.tap();
-  plan.linear(fc2_, /*relu=*/true);
+  plan.linear(*fc2_, /*relu=*/true);
   plan.tap();
-  plan.linear(head_, /*relu=*/false);
+  plan.linear(*head_, /*relu=*/false);
   return plan;
 }
 

@@ -112,7 +112,7 @@ InferencePlan MiniWRN::lower() const {
   }
   plan.global_avg_pool();
   plan.tap();
-  plan.linear(head_, /*relu=*/false);
+  plan.linear(*head_, /*relu=*/false);
   return plan;
 }
 

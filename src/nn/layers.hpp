@@ -19,6 +19,11 @@ class Linear : public Module {
   Linear(std::int64_t in_features, std::int64_t out_features, Rng& rng,
          bool bias = true);
 
+  /// Frozen views for the inference plan's prepack (models/plan.hpp).
+  const Tensor& weight_value() const { return weight_.value(); }
+  bool has_bias() const { return bias_.defined(); }
+  const Tensor& bias_value() const { return bias_.value(); }
+
  protected:
   ag::Var run(const ag::Var& x, Mode) const override;
 

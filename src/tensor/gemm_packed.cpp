@@ -180,51 +180,42 @@ void gemm_naive(const float* a, GemmLayout la, const float* b, GemmLayout lb,
   }
 }
 
-void gemm_packed(const float* a, GemmLayout la, const float* b, GemmLayout lb,
-                 float* c, std::int64_t m, std::int64_t k, std::int64_t n) {
-  static obs::ProfileSite& prof = obs::profile_site("tensor/gemm_packed");
-  obs::ProfileScope prof_scope(prof);
-  if (m <= 0 || n <= 0 || k <= 0) return;
-  if (m * k * n < kGemmSmallVolume) {
-    // Packing overhead dominates down here; the naive chain is bit-identical
-    // so the dispatch is numerically unobservable.
-    gemm_naive(a, la, b, lb, c, m, k, n);
-    return;
-  }
-  const std::int64_t lda = la == GemmLayout::kRowMajor ? k : m;
-  const std::int64_t ldb = lb == GemmLayout::kRowMajor ? n : k;
-  const bool ta = la == GemmLayout::kTransposed;
-  const bool tb = lb == GemmLayout::kTransposed;
+std::int64_t gemm_packed_b_floats(std::int64_t k, std::int64_t n) {
+  return k * ((n / kGemmNC) * kGemmNC + round_up(n % kGemmNC, kGemmNR));
+}
 
-  // Pack ALL of B once, up front, into the caller's arena: panels laid out
-  // jc-major then pc, so the loop nest below indexes them directly. Workers
-  // read the shared packed B (packing copies values without rounding, so a
-  // shared pack is exactly as bit-deterministic as a per-lane one) — with T
-  // lanes this does 1x the packing traffic instead of Tx, which matters for
-  // short-m GEMMs like a small-batch Linear forward (m = the batch).
-  // Total size is n (NR-padded per jc block) x k floats — the same order as
-  // B itself.
-  const std::int64_t n_padded = round_up(n % kGemmNC == 0 ? 0 : n % kGemmNC,
-                                         kGemmNR) +
-                                (n / kGemmNC) * kGemmNC;
-  runtime::ScratchArena& caller_arena = runtime::lane_arena();
-  float* bpacked =
-      caller_arena.floats(runtime::Scratch::kGemmPackB,
-                          static_cast<std::size_t>(n_padded * k));
+void gemm_pack_b(const float* b, GemmLayout lb, std::int64_t k, std::int64_t n,
+                 float* bp) {
+  const std::int64_t ldb = lb == GemmLayout::kRowMajor ? n : k;
+  const bool tb = lb == GemmLayout::kTransposed;
+  // Panels laid out jc-major then pc, so the loop nest indexes them directly.
   for (std::int64_t jc = 0, jbase = 0; jc < n; jc += kGemmNC) {
     const std::int64_t nc = std::min(kGemmNC, n - jc);
     const std::int64_t ncp = round_up(nc, kGemmNR);
     for (std::int64_t pc = 0; pc < k; pc += kGemmKC) {
       const std::int64_t kc = std::min(kGemmKC, k - pc);
-      pack_b(b, ldb, tb, pc, kc, jc, nc, bpacked + jbase * k + ncp * pc);
+      pack_b(b, ldb, tb, pc, kc, jc, nc, bp + jbase * k + ncp * pc);
     }
     jbase += ncp;
   }
+}
 
-  // Split C row-panels across lanes; each lane packs only its own A panels.
-  // The per-element instruction sequence never depends on the split.
+namespace {
+
+/// The loop nest both entries run, over all of B packed by gemm_pack_b. C
+/// row panels split across lanes in tasks of at least one MR-row tile, so a
+/// serving batch of up to MR rows stays on the calling lane; each lane packs
+/// only its own A panels. Workers read the shared packed B (packing copies
+/// values without rounding, so a shared pack is exactly as
+/// bit-deterministic as a per-lane one), and the per-element instruction
+/// sequence never depends on the split.
+void run_packed(const float* a, GemmLayout la, const float* bpacked, float* c,
+                std::int64_t m, std::int64_t k, std::int64_t n) {
+  const std::int64_t lda = la == GemmLayout::kRowMajor ? k : m;
+  const bool ta = la == GemmLayout::kTransposed;
   runtime::parallel_for(
-      0, m, runtime::grain_for(2 * k * n), [&](std::int64_t i0, std::int64_t i1) {
+      0, m, std::max(kGemmMR, runtime::grain_for(2 * k * n)),
+      [&](std::int64_t i0, std::int64_t i1) {
         runtime::ScratchArena& arena = runtime::lane_arena();
         for (std::int64_t jc = 0, jbase = 0; jc < n; jc += kGemmNC) {
           const std::int64_t nc = std::min(kGemmNC, n - jc);
@@ -258,6 +249,36 @@ void gemm_packed(const float* a, GemmLayout la, const float* b, GemmLayout lb,
           jbase += ncp;
         }
       });
+}
+
+}  // namespace
+
+void gemm_packed(const float* a, GemmLayout la, const float* b, GemmLayout lb,
+                 float* c, std::int64_t m, std::int64_t k, std::int64_t n) {
+  static obs::ProfileSite& prof = obs::profile_site("tensor/gemm_packed");
+  obs::ProfileScope prof_scope(prof);
+  if (m <= 0 || n <= 0 || k <= 0) return;
+  if (m * k * n < kGemmSmallVolume) {
+    // Packing overhead dominates down here; the naive chain is bit-identical
+    // so the dispatch is numerically unobservable.
+    gemm_naive(a, la, b, lb, c, m, k, n);
+    return;
+  }
+  // Pack ALL of B once, up front, into the caller's arena: with T lanes
+  // this does 1x the packing traffic instead of Tx.
+  float* bpacked = runtime::lane_arena().floats(
+      runtime::Scratch::kGemmPackB,
+      static_cast<std::size_t>(gemm_packed_b_floats(k, n)));
+  gemm_pack_b(b, lb, k, n, bpacked);
+  run_packed(a, la, bpacked, c, m, k, n);
+}
+
+void gemm_prepacked(const float* a, GemmLayout la, const float* bp, float* c,
+                    std::int64_t m, std::int64_t k, std::int64_t n) {
+  static obs::ProfileSite& prof = obs::profile_site("tensor/gemm_packed");
+  obs::ProfileScope prof_scope(prof);
+  if (m <= 0 || n <= 0 || k <= 0) return;
+  run_packed(a, la, bp, c, m, k, n);
 }
 
 }  // namespace ibrar

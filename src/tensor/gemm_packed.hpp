@@ -1,12 +1,15 @@
 #pragma once
 // Cache-blocked, panel-packed SGEMM micro-kernel (BLIS-style).
 //
-// The driver tiles C into MC x NC macro-blocks, packs the corresponding
-// A (MC x KC) and B (KC x NC) panels into contiguous, SIMD-friendly strips in
-// the per-lane scratch arena, and walks the block with a register-tiled
-// MR x NR inner kernel. Both operands can be consumed transposed, which is
-// how matmul_tn / matmul_nt reuse the same kernel without materializing the
-// transpose.
+// The driver packs all of B once into KC x NC panels of contiguous,
+// SIMD-friendly NR-column strips, tiles C into MC x NC macro-blocks, packs
+// the corresponding A (MC x KC) panels in the per-lane scratch arena, and
+// walks each block with a register-tiled MR x NR inner kernel. Both operands
+// can be consumed transposed, which is how matmul_tn / matmul_nt reuse the
+// same kernel without materializing the transpose. gemm_packed packs B per
+// call; gemm_prepacked runs the same loop nest over panels a caller packed
+// once with gemm_pack_b (a serving plan's dense weights), so a call packs
+// only its own rows of A.
 //
 // Determinism and exactness contract:
 //  * The accumulation for every C element is the plain ascending-p chain
@@ -14,10 +17,11 @@
 //    the chain across KC blocks in ascending order, and stores it back. The
 //    result is therefore bit-identical to the textbook ikj triple loop
 //    (gemm_naive below) for ANY m, k, n, and to itself at any blocking.
-//  * Parallelism splits C row-panels across pool lanes; each element is
-//    produced by exactly one lane with the same instruction sequence as the
-//    serial loop, so results are bit-identical at any thread count (the PR-1
-//    runtime guarantee).
+//  * Parallelism splits C row-panels across pool lanes, in tasks of at
+//    least one MR-row tile (so a batch of up to MR rows is one task); each
+//    element is produced by exactly one lane with the same instruction
+//    sequence as the serial loop, so results are bit-identical at any
+//    thread count (the runtime's guarantee).
 //  * There is deliberately no zero-skip shortcut: 0 * NaN and 0 * Inf must
 //    propagate NaN and -0/+0 must follow IEEE addition, exactly as the naive
 //    chain does (see tests/test_gemm.cpp).
@@ -50,6 +54,24 @@ inline constexpr std::int64_t kGemmSmallVolume = 32 * 32 * 32;
 /// (A: k row-major / m transposed; B: n row-major / k transposed).
 void gemm_packed(const float* a, GemmLayout la, const float* b, GemmLayout lb,
                  float* c, std::int64_t m, std::int64_t k, std::int64_t n);
+
+/// Floats gemm_pack_b writes for a (k, n) op(B): k rows of n columns, each
+/// NC-column block padded to whole NR-column strips.
+std::int64_t gemm_packed_b_floats(std::int64_t k, std::int64_t n);
+
+/// Pack all of op(B) (k, n) into bp (gemm_packed_b_floats(k, n) floats):
+/// NC-column blocks in order, each a run of KC-deep panels of NR-column
+/// strips, p-major within a strip, columns past n zero-filled. The layout
+/// gemm_packed packs into its caller's arena per call.
+void gemm_pack_b(const float* b, GemmLayout lb, std::int64_t k, std::int64_t n,
+                 float* bp);
+
+/// C(m,n) += op(A)(m,k) * B, B already packed by gemm_pack_b: gemm_packed's
+/// loop nest without its pack of B, under the same profile site. Every shape
+/// runs the loop (there is no naive fallback to read an unpacked B); the
+/// chains, and so the bits, are gemm_packed's.
+void gemm_prepacked(const float* a, GemmLayout la, const float* bp, float* c,
+                    std::int64_t m, std::int64_t k, std::int64_t n);
 
 /// Reference ikj triple loop with the identical accumulation chain (no
 /// zero-skip, no blocking). Serial; exposed for tests and the A/B bench.

@@ -3,11 +3,11 @@
 // lowering across ragged shapes and blockings, on ordinary values and on
 // NaN, +-0, +-inf and subnormals in x and w (border rows and columns
 // included), BN-fold exactness, lane-count invariance, model-level logit/tap
-// equality of each conv classifier's lowered InferencePlan (masked and
-// unmasked, grad mode on and off), the MLP's empty plan, the
+// equality of every classifier's lowered InferencePlan, the MLP's included
+// (masked and unmasked, grad mode on and off, at 1, 3 and 4 lanes), the
 // serve.snapshot_bytes gauge accounting of plan lifetimes (and of nothing
-// else), and one-lane timing floors of the stride-1 forward and of the
-// input gradient.
+// else), and one-lane timing floors of the stride-1 forward, of the input
+// gradient and of a served batch-1 mlp256 forward.
 
 #include <gtest/gtest.h>
 
@@ -20,10 +20,12 @@
 #include "autograd/ops.hpp"
 #include "autograd/var.hpp"
 #include "conv_reference.hpp"
+#include "models/mlp.hpp"
 #include "models/plan.hpp"
 #include "models/registry.hpp"
 #include "obs/metrics.hpp"
 #include "runtime/thread_pool.hpp"
+#include "serve/model_registry.hpp"
 #include "special_values.hpp"
 #include "tensor/conv_eval.hpp"
 #include "tensor/random.hpp"
@@ -42,13 +44,19 @@ constexpr float kEps = 1e-5f;
 /// input gradient: with AVX-512 the g pack and the row-run scatter take
 /// 0.9-1.4 ms, g read in place and masked tap runs 0.45-0.6 ms; without AVX
 /// the kernel is most of either, 1.4-2.1 ms against 1.0-1.6 ms, so that
-/// floor has little headroom on a busy host.
+/// floor has little headroom on a busy host. DenseTiming's floor for one
+/// served batch-1 mlp256 forward on one lane sits between a forward that
+/// packs every dense weight per call and one that reads panels packed at
+/// publish: 150-160 against 33-55 us with AVX-512, 305-335 against
+/// 120-145 us without AVX.
 #if defined(__AVX__)
 constexpr double kBlock1FloorMs = 1.5;
 constexpr double kInputGradFloorMs = 0.85;
+constexpr double kMlp256FloorUs = 100.0;
 #else
 constexpr double kBlock1FloorMs = 3.0;
 constexpr double kInputGradFloorMs = 1.35;
+constexpr double kMlp256FloorUs = 225.0;
 #endif
 
 bool bits_equal(const Tensor& a, const Tensor& b) {
@@ -303,7 +311,9 @@ TEST(ConvEvalPlan, LaneCountDoesNotChangeBits) {
 }
 
 TEST(ConvEvalModels, PlanLogitsAndTapsMatchLayerByLayer) {
-  for (const std::string name : {"vgg16", "resnet18", "wrn28"}) {
+  constexpr std::int64_t kLanes[] = {1, 3, 4};
+  const std::int64_t lanes0 = runtime::num_threads();
+  for (const std::string name : {"vgg16", "resnet18", "wrn28", "mlp"}) {
     for (const bool masked : {false, true}) {
       models::ModelSpec spec;
       spec.name = name;
@@ -311,8 +321,8 @@ TEST(ConvEvalModels, PlanLogitsAndTapsMatchLayerByLayer) {
       auto model = models::make_model(spec, rng);
       model->set_training(false);
       if (masked) {
-        // An Eq. 3 mask that drops every third last-conv channel, as an
-        // IB-RAR-trained model carries one.
+        // An Eq. 3 mask that drops every third last-conv channel (the MLP's
+        // last hidden unit), as an IB-RAR-trained model carries one.
         Tensor mask({model->last_conv_channels()}, 1.0f);
         for (std::int64_t c = 0; c < mask.numel(); c += 3) mask[c] = 0.0f;
         model->set_channel_mask(mask);
@@ -334,16 +344,28 @@ TEST(ConvEvalModels, PlanLogitsAndTapsMatchLayerByLayer) {
           Rng xrng(3 + static_cast<std::uint64_t>(n));
           const Tensor x = randn(
               {n, spec.in_channels, spec.image_size, spec.image_size}, xrng);
+          // Every plan output stays alive until the reference is computed.
+          std::vector<models::TapsOutput> outs;
+          for (const std::int64_t lanes : kLanes) {
+            runtime::set_num_threads(lanes);
+            outs.push_back(plan.run(x));
+          }
+          runtime::set_num_threads(lanes0);
           const auto ref = model->eval_forward_with_taps(ag::Var::constant(x));
-          const auto out = plan.run(x);
           EXPECT_EQ(ref.logits.requires_grad(), grad) << where;
-          EXPECT_FALSE(out.logits.requires_grad()) << where;
-          EXPECT_TRUE(bits_equal(ref.logits.value(), out.logits.value()))
-              << where << " logits";
-          ASSERT_EQ(ref.taps.size(), out.taps.size()) << where;
-          for (std::size_t t = 0; t < ref.taps.size(); ++t) {
-            EXPECT_TRUE(bits_equal(ref.taps[t].value(), out.taps[t].value()))
-                << where << " tap " << t;
+          for (std::size_t l = 0; l < outs.size(); ++l) {
+            const auto& out = outs[l];
+            const std::string at =
+                where + " lanes=" + std::to_string(kLanes[l]);
+            EXPECT_FALSE(out.logits.requires_grad()) << at;
+            EXPECT_TRUE(bits_equal(ref.logits.value(), out.logits.value()))
+                << at << " logits";
+            ASSERT_EQ(ref.taps.size(), out.taps.size()) << at;
+            for (std::size_t t = 0; t < ref.taps.size(); ++t) {
+              EXPECT_TRUE(
+                  bits_equal(ref.taps[t].value(), out.taps[t].value()))
+                  << at << " tap " << t;
+            }
           }
         }
       }
@@ -351,11 +373,11 @@ TEST(ConvEvalModels, PlanLogitsAndTapsMatchLayerByLayer) {
   }
 }
 
-TEST(ConvEvalModels, DenseModelLowersToEmptyPlan) {
+TEST(ConvEvalModels, DenseModelLowersToALinearPlan) {
   models::ModelSpec spec;
   spec.name = "mlp";
   Rng rng(5);
-  EXPECT_TRUE(models::make_model(spec, rng)->lower().empty());
+  EXPECT_FALSE(models::make_model(spec, rng)->lower().empty());
 }
 
 TEST(ConvTiming, Block1ForwardReadsBInPlace) {
@@ -401,6 +423,32 @@ TEST(ConvTiming, InputGradReadsGInPlace) {
   EXPECT_TRUE(std::isfinite(sink));
   SKIP_UNLESS_TIMING_BUILD() << ms << " ms per input gradient";
   EXPECT_LT(ms, kInputGradFloorMs) << ms << " ms per input gradient";
+}
+
+TEST(DenseTiming, Mlp256Batch1PlanForward) {
+  // The serve-mlp-churn model (768 -> 256 -> 256 -> 10) published with its
+  // plan, one request's forward on one lane. It fails when a served batch
+  // packs a dense layer's whole weight per call instead of reading panels
+  // packed once at publish.
+  const std::int64_t lanes0 = runtime::num_threads();
+  runtime::set_num_threads(1);
+  models::MLPConfig cfg;
+  cfg.in_features = 3 * 16 * 16;
+  cfg.hidden = {256, 256};
+  cfg.num_classes = 10;
+  Rng rng(47);
+  serve::ModelRegistry reg;
+  reg.publish(std::make_shared<models::MLP>(cfg, rng), {3, 16, 16});
+  const auto snap = reg.current();
+  Rng xrng(53);
+  const Tensor x = rand_uniform({1, 3, 16, 16}, xrng, 0.0f, 1.0f);
+  float sink = 0.0f;
+  const double us =
+      best_wall_ns(30, [&] { sink += snap->forward(x)[0]; }) * 1e-3;
+  runtime::set_num_threads(lanes0);
+  EXPECT_TRUE(std::isfinite(sink));
+  SKIP_UNLESS_TIMING_BUILD() << us << " us per forward";
+  EXPECT_LT(us, kMlp256FloorUs) << us << " us per forward";
 }
 
 TEST(Conv2d, LeavesSnapshotBytesGaugeUnchanged) {

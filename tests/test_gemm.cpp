@@ -1,16 +1,19 @@
 // Packed GEMM invariants: bit-exact agreement with the naive reference chain
-// at ragged shapes, IEEE special-value propagation (the zero-skip regression),
-// 1-vs-N-thread bit identity, transposed-variant exactness, and the matmul
-// shape-error paths.
+// at ragged shapes, for gemm_packed and for gemm_prepacked over B packed once
+// (ordinary and IEEE-special operands, 1 and 4 lanes), IEEE special-value
+// propagation (the zero-skip regression), 1-vs-N-thread bit identity,
+// transposed-variant exactness, and the matmul shape-error paths.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include "runtime/scratch_arena.hpp"
 #include "runtime/thread_pool.hpp"
+#include "special_values.hpp"
 #include "tensor/gemm_packed.hpp"
 #include "tensor/matmul.hpp"
 #include "tensor/ops.hpp"
@@ -20,7 +23,6 @@ namespace ibrar {
 namespace {
 
 constexpr float kQNaN = std::numeric_limits<float>::quiet_NaN();
-constexpr float kInf = std::numeric_limits<float>::infinity();
 
 Tensor naive_matmul(const Tensor& a, const Tensor& b) {
   Tensor c({a.dim(0), b.dim(1)});
@@ -36,6 +38,60 @@ void expect_bits_equal(const Tensor& x, const Tensor& y, const char* what) {
                         sizeof(float) * static_cast<std::size_t>(x.numel())),
             0)
       << what;
+}
+
+/// a * b through gemm_prepacked, b packed once by gemm_pack_b.
+Tensor prepacked_matmul(const Tensor& a, const Tensor& b) {
+  const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  std::vector<float> panels(
+      static_cast<std::size_t>(gemm_packed_b_floats(k, n)));
+  gemm_pack_b(b.data().data(), GemmLayout::kRowMajor, k, n, panels.data());
+  Tensor c({m, n});
+  gemm_prepacked(a.data().data(), GemmLayout::kRowMajor, panels.data(),
+                 c.data().data(), m, k, n);
+  return c;
+}
+
+/// gemm_prepacked memcmp-equal to the naive chain at (m, k, n), on ordinary
+/// operands and on operands with NaN, +-0, +-inf and subnormals at every
+/// third element, at 1 and 4 lanes. With specials, a chain meets an input's
+/// NaN and the negative default NaN of inf - inf, and which survives follows
+/// the operand order the compiler picks for each loop's add (the sanitizer
+/// builds pick differently for the kernel and for gemm_naive), so NaN
+/// matches NaN whatever its sign (canonical_nans); every other bit must
+/// match. The outputs stay alive until the reference is computed.
+void expect_prepacked_matches_naive(std::int64_t m, std::int64_t k,
+                                    std::int64_t n) {
+  const std::uint64_t seed =
+      static_cast<std::uint64_t>(m * 1000003 + k * 1009 + n);
+  Rng rng(seed);
+  const Tensor a = randn({m, k}, rng);
+  const Tensor b = randn({k, n}, rng);
+  const Tensor as = special_values({m, k}, seed);
+  const Tensor bs = special_values({k, n}, ~seed);
+  const std::int64_t lanes0 = runtime::num_threads();
+  for (const bool special : {false, true}) {
+    const Tensor& av = special ? as : a;
+    const Tensor& bv = special ? bs : b;
+    std::vector<Tensor> got;
+    for (const std::int64_t lanes : {1, 4}) {
+      runtime::set_num_threads(lanes);
+      got.push_back(prepacked_matmul(av, bv));
+    }
+    runtime::set_num_threads(lanes0);
+    const Tensor ref = naive_matmul(av, bv);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE(::testing::Message()
+                   << "m=" << m << " k=" << k << " n=" << n
+                   << (special ? " special" : "") << " lanes=" << (i ? 4 : 1));
+      if (special) {
+        expect_bits_equal(canonical_nans(ref), canonical_nans(got[i]),
+                          "prepacked vs naive chain");
+      } else {
+        expect_bits_equal(ref, got[i], "prepacked vs naive chain");
+      }
+    }
+  }
 }
 
 // ---- packed vs naive exactness ---------------------------------------------
@@ -56,6 +112,11 @@ TEST_P(PackedVsNaiveSweep, BitExactAtAnyShape) {
   expect_bits_equal(ref, out, "matmul vs naive chain");
 }
 
+TEST_P(PackedVsNaiveSweep, PrepackedBitExactAtAnyShape) {
+  const auto [m, k, n] = GetParam();
+  expect_prepacked_matches_naive(m, k, n);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     // Ragged m/k/n around the MR=4 / NR=16 / KC=256 boundaries: below, at,
     // one past, crossing KC, and degenerate single-row/col cases.
@@ -73,6 +134,17 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmShape{256, 256, 256}, GemmShape{384, 384, 384},
                       GemmShape{4096, 288, 64}, GemmShape{250, 301, 70},
                       GemmShape{100, 48, 32}));
+
+TEST(PackedGemm, PrepackedServingBatchesBitExact) {
+  // A served dense layer's shapes: every batch of 1 to 9 rows (one to three
+  // MR-row tiles, the last ragged) against a depth that crosses KC and
+  // widths of one ragged strip, of one NC block, and crossing NC.
+  for (std::int64_t m = 1; m <= 9; ++m) {
+    for (const std::int64_t n : {10, 256, 600}) {
+      expect_prepacked_matches_naive(m, 768, n);
+    }
+  }
+}
 
 TEST(PackedGemm, TransposedVariantsBitExact) {
   // matmul_tn / matmul_nt read the operand through its transposed layout;

@@ -24,6 +24,7 @@
 #include "serve/model_registry.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/server.hpp"
+#include "tensor/gemm_packed.hpp"
 #include "tensor/random.hpp"
 #include "util/rng.hpp"
 
@@ -252,6 +253,34 @@ TEST(ModelRegistry, SnapshotBytesGaugeTracksPrepackAcrossHotSwap) {
     EXPECT_EQ(gauge.value(), base + v1_bytes);
   }
   // Registry gone: the final version's panels release too.
+  EXPECT_EQ(gauge.value(), base);
+}
+
+TEST(ModelRegistry, DenseSnapshotBytesGaugeTracksPrepackAcrossHotSwap) {
+  // Publishing an MLP packs each dense layer's (in, out) weight once as
+  // B panels: the gauge rises by exactly those bytes, holds both versions
+  // across a hot-swap while the old one is pinned, and returns to its base
+  // with the last release.
+  auto& gauge = obs::registry().gauge("serve.snapshot_bytes");
+  const double base = gauge.value();
+  const std::int64_t in = kChannels * kSize * kSize;
+  const double panel_bytes =
+      sizeof(float) *
+      static_cast<double>(gemm_packed_b_floats(in, 32) +
+                          gemm_packed_b_floats(32, 32) +
+                          gemm_packed_b_floats(32, kClasses));
+  {
+    serve::ModelRegistry reg;
+    reg.publish(tiny_model(1), sample_shape(), "v1");
+    EXPECT_EQ(gauge.value(), base + panel_bytes);
+    EXPECT_FALSE(reg.current()->plan.empty());
+
+    auto pinned_v1 = reg.current();
+    reg.publish(tiny_model(2), sample_shape(), "v2");
+    EXPECT_EQ(gauge.value(), base + 2 * panel_bytes);
+    pinned_v1.reset();
+    EXPECT_EQ(gauge.value(), base + panel_bytes);
+  }
   EXPECT_EQ(gauge.value(), base);
 }
 
