@@ -66,21 +66,31 @@ Var global_avg_pool(const Var& x);
 
 // ---- normalization / regularization -----------------------------------------
 
-/// Batch norm over (N,H,W) per channel. In training mode uses batch moments
-/// and updates running stats in place; in eval mode it is batch_norm2d_eval.
-/// Both fold their moments with fold_batch_norm and run the one batch-norm
-/// kernel (tensor/conv_eval.hpp). Throws std::invalid_argument when gamma,
-/// beta or the running stats do not hold one value per channel of x.
+/// Batch norm over (N,H,W) per channel, followed by ReLU when `relu`. In
+/// training mode uses batch moments and updates running stats in place; in
+/// eval mode it is batch_norm2d_eval. Both fold their moments with
+/// fold_batch_norm and run the one batch-norm kernel (tensor/conv_eval.hpp),
+/// and record one node whether or not the ReLU is fused in: with it, the
+/// node's value, and the gradients it hands x, gamma and beta, are the bits
+/// of relu(batch_norm2d(...)), and its backward reads the ReLU mask from
+/// its own output (In-Place Activated BatchNorm, arXiv:1712.02616), so one
+/// activation tensor is kept instead of two. The backward builds the
+/// per-channel sums only for gamma's or beta's gradient or for training's
+/// input gradient, so an eval-mode input gradient with gamma and beta
+/// paused (an attack step) runs one pass. Throws std::invalid_argument
+/// when gamma, beta or the running stats do not hold one value per channel
+/// of x.
 Var batch_norm2d(const Var& x, const Var& gamma, const Var& beta,
                  Tensor& running_mean, Tensor& running_var, bool training,
-                 float momentum = 0.1f, float eps = 1e-5f);
+                 float momentum = 0.1f, float eps = 1e-5f, bool relu = false);
 
-/// Strictly-const eval-mode batch norm: reads the frozen running stats and
-/// never writes them. This is what lets a published ModelSnapshot's forward
-/// be const-qualified and therefore safe under concurrent serving workers.
+/// Strictly-const eval-mode batch norm (then ReLU when `relu`): reads the
+/// frozen running stats and never writes them. This is what lets a
+/// published ModelSnapshot's forward be const-qualified and therefore safe
+/// under concurrent serving workers.
 Var batch_norm2d_eval(const Var& x, const Var& gamma, const Var& beta,
                       const Tensor& running_mean, const Tensor& running_var,
-                      float eps = 1e-5f);
+                      float eps = 1e-5f, bool relu = false);
 
 /// Inverted dropout; identity when !training or p == 0.
 Var dropout(const Var& x, float p, bool training, Rng& rng);

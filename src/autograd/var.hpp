@@ -30,8 +30,10 @@
 //    window's winner again in n.parents[0]->value. Batch norm keeps only
 //    the per-channel mean and inv_std: its backward recomputes
 //    xh = (x - mu) * is from n.parents[0]->value with the forward's
-//    expression. Neither depends on which parents required grad at the
-//    forward, so a parameter un-paused before backward gets its gradient.
+//    expression, and with a ReLU fused in reads the mask from n.value
+//    (the node's output is > 0 exactly where the pre-activation is).
+//    Neither depends on which parents required grad at the forward, so a
+//    parameter un-paused before backward gets its gradient.
 
 #include <functional>
 #include <memory>

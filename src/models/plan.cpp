@@ -36,8 +36,9 @@ class LinearEvalPlan {
   LinearEvalPlan& operator=(const LinearEvalPlan&) = delete;
 
   /// x (N, ...) read as (N, in) -> (N, out): the zeroed C ibrar::matmul
-  /// starts from, then the kernels of ag::add and ag::relu, as nn::Linear's
-  /// forward and the model's ReLU run them.
+  /// starts from, then one pass over C with the per-element expressions of
+  /// ag::add's bias and ag::relu, as nn::Linear's forward and the model's
+  /// ReLU run them: v + b[j], then v > 0 ? v : 0.
   Tensor run(const Tensor& x) const {
     const std::int64_t m = x.dim(0);
     if (x.numel() != m * k_) {
@@ -49,8 +50,18 @@ class LinearEvalPlan {
     gemm_prepacked(x.data().data(), GemmLayout::kRowMajor, panels_.data(),
                    y.data().data(), m, k_, n_);
     // rank check, not numel: a default Tensor is a rank-0 scalar (numel 1).
-    if (bias_.rank() > 0) y = add(y, bias_);
-    return relu_ ? relu(y) : y;
+    const float* b = bias_.rank() > 0 ? bias_.data().data() : nullptr;
+    if (b == nullptr && !relu_) return y;
+    float* c = y.data().data();
+    for (std::int64_t i = 0; i < m; ++i, c += n_) {
+      for (std::int64_t j = 0; j < n_; ++j) {
+        float v = c[j];
+        if (b != nullptr) v = v + b[j];
+        if (relu_) v = v > 0.0f ? v : 0.0f;
+        c[j] = v;
+      }
+    }
+    return y;
   }
 
  private:

@@ -12,7 +12,7 @@ BasicBlock::BasicBlock(std::int64_t in_c, std::int64_t out_c, std::int64_t strid
                        Rng& rng) {
   conv1_ = std::make_shared<nn::Conv2d>(in_c, out_c, rng,
                                         Conv2dSpec{3, stride, 1}, false);
-  bn1_ = std::make_shared<nn::BatchNorm2d>(out_c);
+  bn1_ = std::make_shared<nn::BatchNorm2d>(out_c, /*relu=*/true);
   conv2_ = std::make_shared<nn::Conv2d>(out_c, out_c, rng, Conv2dSpec{3, 1, 1},
                                         false);
   bn2_ = std::make_shared<nn::BatchNorm2d>(out_c);
@@ -30,7 +30,7 @@ BasicBlock::BasicBlock(std::int64_t in_c, std::int64_t out_c, std::int64_t strid
 }
 
 ag::Var BasicBlock::run(const ag::Var& x, nn::Mode mode) const {
-  ag::Var h = ag::relu(bn1_->forward(conv1_->forward(x, mode), mode));
+  ag::Var h = bn1_->forward(conv1_->forward(x, mode), mode);  // BN + ReLU
   h = bn2_->forward(conv2_->forward(h, mode), mode);
   ag::Var skip =
       proj_ ? proj_bn_->forward(proj_->forward(x, mode), mode) : x;
@@ -56,7 +56,8 @@ MiniResNet::MiniResNet(const ResNetConfig& cfg, Rng& rng) : cfg_(cfg) {
   }
   stem_ = std::make_shared<nn::Conv2d>(cfg_.in_channels, cfg_.channels[0], rng,
                                        Conv2dSpec{3, 1, 1}, false);
-  stem_bn_ = std::make_shared<nn::BatchNorm2d>(cfg_.channels[0]);
+  stem_bn_ = std::make_shared<nn::BatchNorm2d>(cfg_.channels[0],
+                                               /*relu=*/true);
   register_module("stem", stem_);
   register_module("stem_bn", stem_bn_);
 
@@ -88,7 +89,7 @@ MiniResNet::MiniResNet(const ResNetConfig& cfg, Rng& rng) : cfg_(cfg) {
 TapsOutput MiniResNet::run_with_taps(const ag::Var& x,
                                       nn::Mode mode) const {
   TapsOutput out;
-  ag::Var h = ag::relu(stem_bn_->forward(stem_->forward(x, mode), mode));
+  ag::Var h = stem_bn_->forward(stem_->forward(x, mode), mode);  // BN + ReLU
   for (std::size_t s = 0; s < stages_.size(); ++s) {
     h = stages_[s]->forward(h, mode);
     if (s == 3) h = apply_channel_mask(h);

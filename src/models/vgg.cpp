@@ -34,23 +34,32 @@ MiniVGG::MiniVGG(const VGGConfig& cfg, Rng& rng) : cfg_(cfg) {
     const std::int64_t out_c = cfg_.channels[b];
     std::vector<std::shared_ptr<nn::Conv2d>> convs;
     std::vector<std::shared_ptr<nn::BatchNorm2d>> bns;
+    // Children keep the keys they had when every ReLU was a module of its
+    // own: a batch norm with its ReLU fused in takes its index and the
+    // ReLU's, so checkpoints load across the fusion.
+    std::int64_t index = 0;
+    auto add = [&](nn::ModulePtr m, std::int64_t indices) {
+      block->push_back(std::to_string(index), std::move(m));
+      index += indices;
+    };
     for (std::int64_t k = 0; k < cfg_.convs_per_block; ++k) {
       auto conv = std::make_shared<nn::Conv2d>(k == 0 ? in_c : out_c, out_c,
                                                rng);
       convs.push_back(conv);
-      block->push_back(std::move(conv));
+      add(std::move(conv), 1);
       if (cfg_.batch_norm) {
-        auto bn = std::make_shared<nn::BatchNorm2d>(out_c);
+        auto bn = std::make_shared<nn::BatchNorm2d>(out_c, /*relu=*/true);
         bns.push_back(bn);
-        block->push_back(std::move(bn));
+        add(std::move(bn), 2);
+      } else {
+        add(std::make_shared<nn::ReLU>(), 1);
       }
-      block->push_back(std::make_shared<nn::ReLU>());
     }
     // Pool while spatial size allows it (blocks 1-3 at 16x16 input); VGG16
     // pools after every block at 32x32, which this mirrors proportionally.
     bool pool = false;
     if (b < 3 && spatial >= 4) {
-      block->push_back(std::make_shared<nn::MaxPool2d>(2));
+      add(std::make_shared<nn::MaxPool2d>(2), 1);
       spatial /= 2;
       pool = true;
     }

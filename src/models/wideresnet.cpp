@@ -9,10 +9,10 @@ namespace ibrar::models {
 
 PreActBlock::PreActBlock(std::int64_t in_c, std::int64_t out_c,
                          std::int64_t stride, Rng& rng) {
-  bn1_ = std::make_shared<nn::BatchNorm2d>(in_c);
+  bn1_ = std::make_shared<nn::BatchNorm2d>(in_c, /*relu=*/true);
   conv1_ = std::make_shared<nn::Conv2d>(in_c, out_c, rng,
                                         Conv2dSpec{3, stride, 1}, false);
-  bn2_ = std::make_shared<nn::BatchNorm2d>(out_c);
+  bn2_ = std::make_shared<nn::BatchNorm2d>(out_c, /*relu=*/true);
   conv2_ = std::make_shared<nn::Conv2d>(out_c, out_c, rng, Conv2dSpec{3, 1, 1},
                                         false);
   register_module("bn1", bn1_);
@@ -27,9 +27,10 @@ PreActBlock::PreActBlock(std::int64_t in_c, std::int64_t out_c,
 }
 
 ag::Var PreActBlock::run(const ag::Var& x, nn::Mode mode) const {
-  ag::Var pre = ag::relu(bn1_->forward(x, mode));
+  // bn1_ and bn2_ carry their ReLUs.
+  ag::Var pre = bn1_->forward(x, mode);
   ag::Var h = conv1_->forward(pre, mode);
-  h = conv2_->forward(ag::relu(bn2_->forward(h, mode)), mode);
+  h = conv2_->forward(bn2_->forward(h, mode), mode);
   // WRN applies the projection to the pre-activated input.
   ag::Var skip = proj_ ? proj_->forward(pre, mode) : x;
   return ag::add(h, skip);
@@ -75,7 +76,7 @@ MiniWRN::MiniWRN(const WRNConfig& cfg, Rng& rng) : cfg_(cfg) {
     in_c = out_c;
   }
 
-  final_bn_ = std::make_shared<nn::BatchNorm2d>(widths_.back());
+  final_bn_ = std::make_shared<nn::BatchNorm2d>(widths_.back(), /*relu=*/true);
   head_ = std::make_shared<nn::Linear>(widths_.back(), cfg_.num_classes, rng);
   register_module("final_bn", final_bn_);
   register_module("head", head_);
@@ -88,7 +89,7 @@ TapsOutput MiniWRN::run_with_taps(const ag::Var& x, nn::Mode mode) const {
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     h = groups_[g]->forward(h, mode);
     if (g == 2) {
-      h = ag::relu(final_bn_->forward(h, mode));
+      h = final_bn_->forward(h, mode);  // BN + ReLU
       h = apply_channel_mask(h);
     }
     out.taps.push_back(h);

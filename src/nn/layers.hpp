@@ -1,7 +1,8 @@
 #pragma once
-// Concrete layers: Linear, Conv2d, BatchNorm2d, ReLU, MaxPool2d, Dropout,
-// GaussianNoise, Sequential. Only BatchNorm2d, Dropout and GaussianNoise have
-// a training variant (train_forward); the rest run the same ops in both modes.
+// Concrete layers: Linear, Conv2d, BatchNorm2d (with or without the ReLU that
+// follows it), ReLU, MaxPool2d, Dropout, GaussianNoise, Sequential. Only
+// BatchNorm2d, Dropout and GaussianNoise have a training variant
+// (train_forward); the rest run the same ops in both modes.
 
 #include <memory>
 #include <vector>
@@ -54,11 +55,18 @@ class Conv2d : public Module {
   ag::Var bias_;
 };
 
-/// Per-channel batch normalization over NCHW.
+/// Per-channel batch normalization over NCHW, followed by ReLU when built
+/// with relu = true. The fused layer records one autograd node
+/// (ag::batch_norm2d with relu) with the bits of a BatchNorm2d followed by
+/// a ReLU, and keeps the same parameters and buffers under the same names.
 class BatchNorm2d : public Module {
  public:
-  explicit BatchNorm2d(std::int64_t channels, float momentum = 0.1f,
-                       float eps = 1e-5f);
+  explicit BatchNorm2d(std::int64_t channels, bool relu = false,
+                       float momentum = 0.1f, float eps = 1e-5f);
+  /// A momentum in relu's place, BatchNorm2d(c, 0.05f), fails to compile
+  /// rather than converting to relu = true at the default momentum.
+  BatchNorm2d(std::int64_t channels, float momentum, float eps = 1e-5f) =
+      delete;
 
   /// Running stats folded for the fused eval path (tensor/conv_eval.hpp):
   /// the same fold batch_norm2d_eval makes per call.
@@ -71,6 +79,7 @@ class BatchNorm2d : public Module {
   ag::Var train_forward(const ag::Var& x) override;
 
  private:
+  bool relu_;
   float momentum_;
   float eps_;
   ag::Var gamma_;
@@ -136,6 +145,9 @@ class Sequential : public Module {
  public:
   /// Append `m` as the child named by its index.
   void push_back(ModulePtr m);
+  /// Append `m` as the child named `name`, the key segment its parameters
+  /// and buffers are saved under.
+  void push_back(std::string name, ModulePtr m);
   std::size_t size() const { return children_.size(); }
 
  protected:

@@ -2,8 +2,10 @@
 
 namespace ibrar::nn {
 
-BatchNorm2d::BatchNorm2d(std::int64_t channels, float momentum, float eps)
-    : momentum_(momentum),
+BatchNorm2d::BatchNorm2d(std::int64_t channels, bool relu, float momentum,
+                         float eps)
+    : relu_(relu),
+      momentum_(momentum),
       eps_(eps),
       gamma_(ag::Var::param(Tensor({channels}, 1.0f))),
       beta_(ag::Var::param(Tensor({channels}))),
@@ -17,12 +19,12 @@ BatchNorm2d::BatchNorm2d(std::int64_t channels, float momentum, float eps)
 
 ag::Var BatchNorm2d::run(const ag::Var& x, Mode) const {
   return ag::batch_norm2d_eval(x, gamma_, beta_, running_mean_, running_var_,
-                               eps_);
+                               eps_, relu_);
 }
 
 ag::Var BatchNorm2d::train_forward(const ag::Var& x) {
   return ag::batch_norm2d(x, gamma_, beta_, running_mean_, running_var_,
-                          /*training=*/true, momentum_, eps_);
+                          /*training=*/true, momentum_, eps_, relu_);
 }
 
 FoldedBn BatchNorm2d::folded() const {

@@ -8,7 +8,7 @@
 // they hold whole NR-column strips), so no (N*OH*OW, C*K*K) im2col matrix
 // and no transposed copy of the output gradient is ever built. Pooling
 // keeps no argmax: max pooling's backward finds each window's winner again
-// in the input it is given.
+// in the input it is given, with the forward's branch-free window chain.
 
 #include "tensor/tensor.hpp"
 
@@ -62,16 +62,25 @@ Tensor conv2d_bias_grad(const Tensor& g);
 /// 2-D max pooling, no padding: x (N,C,H,W) -> (N,C,OH,OW). Each window
 /// runs a first-maximum-wins chain from -inf in row-major order, so a window
 /// in which nothing beats -inf (all NaN or all -inf) pools to -inf. The
-/// one pool kernel: autograd's forward and the InferencePlan's pool step
-/// both call it. Throws std::invalid_argument unless x is NCHW and the
-/// window fits.
+/// chain selects on bit patterns, without a branch. A 2x2 window at
+/// stride 2 whose rows hold an even number of windows (vgg16's pools) runs
+/// the same chain on four windows' 128-bit lanes at once; any other shape
+/// runs it one window at a time. The one pool kernel: autograd's forward
+/// and the InferencePlan's pool step both call it. Planes split across the
+/// pool. Throws std::invalid_argument unless x is NCHW and the window fits.
 Tensor maxpool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride);
 
 /// Input gradient of maxpool2d: walks x's windows again with the forward's
-/// chain and adds each window's grad_out at the element that won it (the
+/// chain and gives each window's grad_out to the element that won it (the
 /// window's first element when nothing beats -inf, so the gradient stays
-/// inside the window), windows in output order. Throws
-/// std::invalid_argument when grad_out is not maxpool2d(x)'s shape.
+/// inside the window). On the four-lane shapes (2x2 at stride 2, an even
+/// number of windows per row) no two windows share an element, and every
+/// element of the result is written once into an unfilled tensor: 0 + g at
+/// a winner, +0 everywhere else, rows and columns in no window included.
+/// Any other shape, overlapping windows included, adds g at each winner
+/// into a zeroed result, windows in output order. Both leave what adding
+/// into zeros leaves. Throws std::invalid_argument when grad_out is not
+/// maxpool2d(x)'s shape.
 Tensor maxpool2d_backward(const Tensor& grad_out, const Tensor& x,
                           std::int64_t kernel, std::int64_t stride);
 

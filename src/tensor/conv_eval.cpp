@@ -70,11 +70,14 @@ struct PlaneBlock {
 /// it packs the lane's KC x tc strips at bp, or an InPlaceBlock that packs
 /// nothing. Blocks [t * per_task, (t + 1) * per_task) form task t and run in
 /// ascending order on one lane. Each block's C (rows padded to MR, tc =
-/// cols padded to NR, row-major with leading dimension tc) starts at zero in
-/// the lane's accumulator and goes to store(blk, acc, tc). Every C element
-/// is one ascending-depth chain on the one micro-kernel whatever the split
-/// or the source, so the bits depend on neither the lane count nor on where
-/// B's rows are read from.
+/// cols padded to NR, row-major with leading dimension tc) lives in the
+/// lane's accumulator: the first depth block's kernel calls start every
+/// chain from +0 in a register and write it, later ones load it, and the
+/// block goes to store(blk, acc, tc). Every C element is one
+/// ascending-depth chain on the one micro-kernel whatever the split or the
+/// source, so the bits depend on neither the lane count nor on where B's
+/// rows are read from. The depth loop runs at least once, so a C of depth
+/// 0 is written too, as +0.
 template <typename BlockOf, typename Source, typename Store>
 void run_blocks(const float* panels, std::int64_t rows, std::int64_t depth,
                 std::int64_t nblocks, std::int64_t per_task,
@@ -90,10 +93,9 @@ void run_blocks(const float* panels, std::int64_t rows, std::int64_t depth,
       const std::int64_t tc = round_up(blk.cols, kGemmNR);
       float* acc = arena.floats(runtime::Scratch::kConvAccC,
                                 static_cast<std::size_t>(rp * tc));
-      std::memset(acc, 0, static_cast<std::size_t>(rp * tc) * sizeof(float));
       float* bp = arena.floats(runtime::Scratch::kConvPackB,
                                static_cast<std::size_t>(kGemmKC * tc));
-      for (std::int64_t pc = 0; pc < depth; pc += kGemmKC) {
+      for (std::int64_t pc = 0; pc == 0 || pc < depth; pc += kGemmKC) {
         const std::int64_t kc = std::min(kGemmKC, depth - pc);
         const auto src = source(pc, kc, blk, tc, bp);
         std::optional<obs::ProfileScope> kscope;
@@ -107,7 +109,8 @@ void run_blocks(const float* panels, std::int64_t rows, std::int64_t depth,
               // Rows are MR-padded and columns NR-padded in the scratch
               // block, so the full-size kernel always applies.
               gemm_detail::micro_kernel(kc, panel + ir * kc, strip,
-                                        acc + ir * tc + jr, tc);
+                                        acc + ir * tc + jr, tc,
+                                        /*load_c=*/pc > 0);
             }
           }
         }

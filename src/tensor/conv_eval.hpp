@@ -149,10 +149,10 @@ FoldedBn fold_batch_norm(const Tensor& gamma, const Tensor& beta,
 
 /// The one batch-norm kernel: x (N,C,H,W) -> g * ((x - mu) * is) + b on the
 /// folded constants, then ReLU when `relu`, in one pass over (image,
-/// channel) planes split across the pool. ag::batch_norm2d runs it with
-/// relu = false; the InferencePlan's BN+ReLU step (pre-activation
-/// WideResNet blocks) with relu = true. Throws std::invalid_argument unless
-/// x is NCHW with bn's channel count.
+/// channel) planes split across the pool. ag::batch_norm2d runs it with its
+/// own relu flag (true at every BN that feeds a ReLU); the InferencePlan's
+/// BN+ReLU step (pre-activation WideResNet blocks) with relu = true. Throws
+/// std::invalid_argument unless x is NCHW with bn's channel count.
 Tensor batch_norm_relu(const Tensor& x, const FoldedBn& bn, bool relu);
 
 /// Prepacked conv block: conv(+bias)(+BN)(+skip)(+ReLU) on the one driver.

@@ -99,13 +99,16 @@ typedef float Vec __attribute__((vector_size(sizeof(float) * kVecFloats)));
 /// without 512-bit registers).
 template <typename Rows>
 void micro_kernel(std::int64_t kc, const float* ap, Rows b, float* c,
-                  std::int64_t ldc) {
+                  std::int64_t ldc, bool load_c) {
   static_assert(kGemmNR % kPassCols == 0 && kPassCols % kVecFloats == 0);
   for (std::int64_t j = 0; j < kGemmNR; j += kPassCols) {
-    Vec acc[kGemmMR][kPassVecs];
-    for (std::int64_t r = 0; r < kGemmMR; ++r) {
-      for (std::int64_t v = 0; v < kPassVecs; ++v) {
-        std::memcpy(&acc[r][v], c + r * ldc + j + v * kVecFloats, sizeof(Vec));
+    Vec acc[kGemmMR][kPassVecs] = {};  // +0 unless C is loaded
+    if (load_c) {
+      for (std::int64_t r = 0; r < kGemmMR; ++r) {
+        for (std::int64_t v = 0; v < kPassVecs; ++v) {
+          std::memcpy(&acc[r][v], c + r * ldc + j + v * kVecFloats,
+                      sizeof(Vec));
+        }
       }
     }
     for (std::int64_t p = 0; p < kc; ++p) {
@@ -130,9 +133,9 @@ void micro_kernel(std::int64_t kc, const float* ap, Rows b, float* c,
 }
 
 template void micro_kernel<PackedRows>(std::int64_t, const float*, PackedRows,
-                                       float*, std::int64_t);
+                                       float*, std::int64_t, bool);
 template void micro_kernel<OffsetRows>(std::int64_t, const float*, OffsetRows,
-                                       float*, std::int64_t);
+                                       float*, std::int64_t, bool);
 
 }  // namespace gemm_detail
 

@@ -108,16 +108,20 @@ struct OffsetRows {
 
 /// MR x NR register tile: extend each C element's ascending-p fma chain by
 /// kc steps from the packed A strip ap (kc x MR) and the kc B rows b(p). C
-/// is read once before and stored once after the loop (leading dimension
-/// ldc). One body for both row sources, instantiated for each in
-/// gemm_packed.cpp: the B row's address is all that differs.
+/// is read once before the loop when load_c, and stored once after it
+/// (leading dimension ldc); without load_c each chain starts from +0 in a
+/// register, as it would from a zeroed C, and C is only written. One body
+/// for both row sources, instantiated for each in gemm_packed.cpp: the B
+/// row's address is all that differs.
 template <typename Rows>
 void micro_kernel(std::int64_t kc, const float* ap, Rows b, float* c,
-                  std::int64_t ldc);
+                  std::int64_t ldc, bool load_c = true);
 extern template void micro_kernel<PackedRows>(std::int64_t, const float*,
-                                              PackedRows, float*, std::int64_t);
+                                              PackedRows, float*, std::int64_t,
+                                              bool);
 extern template void micro_kernel<OffsetRows>(std::int64_t, const float*,
-                                              OffsetRows, float*, std::int64_t);
+                                              OffsetRows, float*, std::int64_t,
+                                              bool);
 
 }  // namespace gemm_detail
 

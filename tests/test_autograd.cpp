@@ -910,7 +910,7 @@ TEST(ReluBackward, InputGradientIsTheMaskedProductAtOneAndFourLanes) {
 //
 // The forward and the gradients of L = sum(y * r), written out element by
 // element: every output must be the IEEE result of these loops, bit for bit,
-// at 1 and at 4 lanes. y's upstream gradient is mul's 1 * r after its first
+// at 1, 3 and 4 lanes. y's upstream gradient is mul's 1 * r after its first
 // accumulate, and each leaf's first accumulate adds 0.
 
 /// Upstream gradient backward_with(y, r) hands y.
@@ -965,15 +965,16 @@ TEST(BitGate, MaxPoolForwardAndInputGradientMatchAPlainLoop) {
     Shape shape;
     std::int64_t kernel, stride;
   };
-  // kernel = stride at 2 and 3, an overlapping 3/2 window, a ragged 5x5
-  // input pooled by 2, and a vgg16 activation that splits across lanes.
-  const Case cases[] = {{{2, 3, 8, 8}, 2, 2},
-                        {{2, 3, 9, 9}, 3, 3},
-                        {{2, 3, 9, 9}, 3, 2},
-                        {{2, 3, 5, 5}, 2, 2},
-                        {{100, 8, 16, 16}, 2, 2}};
+  // kernel = stride at 2 and 3, an overlapping 3/2 window, ragged inputs
+  // pooled by 2 whose last row and column lie in no window (5x5, and 7x9),
+  // rows of an odd number of 2x2 windows (6x6), and vgg16's first two pooled
+  // activations, which split across lanes.
+  const Case cases[] = {{{2, 3, 8, 8}, 2, 2},    {{2, 3, 9, 9}, 3, 3},
+                        {{2, 3, 9, 9}, 3, 2},    {{2, 3, 5, 5}, 2, 2},
+                        {{3, 4, 7, 9}, 2, 2},    {{2, 3, 6, 6}, 2, 2},
+                        {{100, 8, 16, 16}, 2, 2}, {{100, 12, 8, 8}, 2, 2}};
   const std::int64_t lanes0 = runtime::num_threads();
-  for (const std::int64_t lanes : {1, 4}) {
+  for (const std::int64_t lanes : {1, 3, 4}) {
     runtime::set_num_threads(lanes);
     std::uint64_t seed = 600;
     for (const auto& c : cases) {
@@ -1098,52 +1099,130 @@ Tensor bn_input(const Shape& shape, std::uint64_t seed) {
   return x;
 }
 
+/// Per-channel constants and an upstream gradient for the batch-norm gates:
+/// gamma in [0.5, 1.5) with a -0 in channel 1, beta ~ N(0, 1) with a
+/// subnormal in channel 2, running stats with a zero variance in channel 1.
+struct BnParams {
+  Tensor gamma, beta, rm, rv, r;
+};
+
+BnParams bn_params(const Shape& shape, std::uint64_t seed) {
+  const std::int64_t c = shape[1];
+  Rng rng(seed);
+  BnParams p;
+  p.gamma = rand_uniform({c}, rng, 0.5f, 1.5f);
+  p.beta = randn({c}, rng);
+  p.gamma[1] = -0.0f;
+  p.beta[2] = 1e-40f;
+  p.rm = randn({c}, rng);
+  p.rv = rand_uniform({c}, rng, 0.5f, 2.0f);
+  p.rv[1] = 0.0f;
+  p.r = rand_uniform(shape, rng, -1.0f, 1.0f);
+  p.r[0] = -0.0f;
+  return p;
+}
+
+/// The batch-norm modes the gates run: training, batch_norm2d's eval mode,
+/// and batch_norm2d_eval.
+Var batch_norm_in_mode(int mode, const Var& x, const Var& gamma,
+                       const Var& beta, Tensor& rm, Tensor& rv, bool relu) {
+  if (mode == 2) return batch_norm2d_eval(x, gamma, beta, rm, rv, 1e-5f, relu);
+  return batch_norm2d(x, gamma, beta, rm, rv, /*training=*/mode == 0, 0.1f,
+                      1e-5f, relu);
+}
+
 TEST(BitGate, BatchNormForwardAndGradientsMatchAPlainLoop) {
   // A batch of 1, a small batch, and a vgg16 activation that splits across
   // lanes; each in training mode, in batch_norm2d's eval mode, and through
-  // batch_norm2d_eval.
+  // batch_norm2d_eval, with gamma and beta requiring grad and paused (an
+  // attack step's eval-mode input gradient).
   const std::vector<Shape> shapes = {{1, 4, 4, 4}, {4, 5, 3, 3},
                                      {100, 8, 16, 16}};
   const std::int64_t lanes0 = runtime::num_threads();
-  for (const std::int64_t lanes : {1, 4}) {
+  for (const std::int64_t lanes : {1, 3, 4}) {
     runtime::set_num_threads(lanes);
     std::uint64_t seed = 700;
     for (const auto& shape : shapes) {
-      const std::int64_t c = shape[1];
       const Tensor x = bn_input(shape, ++seed);
-      Rng rng(++seed);
-      Tensor gamma = rand_uniform({c}, rng, 0.5f, 1.5f);
-      Tensor beta = randn({c}, rng);
-      gamma[1] = -0.0f;
-      beta[2] = 1e-40f;
-      Tensor rm = randn({c}, rng);
-      Tensor rv = rand_uniform({c}, rng, 0.5f, 2.0f);
-      rv[1] = 0.0f;
-      Tensor r = rand_uniform(shape, rng, -1.0f, 1.0f);
-      r[0] = -0.0f;
+      const BnParams p = bn_params(shape, ++seed);
       for (const int mode : {0, 1, 2}) {
-        const bool training = mode == 0;
-        Tensor run_m = rm, run_v = rv;
-        Var xv = Var::param(x), gv = Var::param(gamma), bv = Var::param(beta);
-        const Var y =
-            mode == 2 ? batch_norm2d_eval(xv, gv, bv, run_m, run_v)
-                      : batch_norm2d(xv, gv, bv, run_m, run_v, training);
-        backward_with(y, r);
-        const PlainBn expect =
-            plain_batch_norm(x, gamma, beta, rm, rv, upstream(r), training);
-        const std::string where = shape_str(shape) +
-                                  " mode=" + std::to_string(mode) +
-                                  " lanes=" + std::to_string(lanes);
-        EXPECT_TRUE(same_bits(y.value(), expect.y)) << "forward " << where;
-        EXPECT_TRUE(same_bits(xv.grad(), expect.gx)) << "x grad " << where;
-        EXPECT_TRUE(same_bits(gv.grad(), expect.ggamma))
-            << "gamma grad " << where;
-        EXPECT_TRUE(same_bits(bv.grad(), expect.gbeta))
-            << "beta grad " << where;
-        EXPECT_TRUE(same_bits(run_m, expect.running_mean))
-            << "running mean " << where;
-        EXPECT_TRUE(same_bits(run_v, expect.running_var))
-            << "running var " << where;
+        for (const bool paused : {false, true}) {
+          Tensor run_m = p.rm, run_v = p.rv;
+          Var xv = Var::param(x);
+          Var gv(p.gamma, !paused), bv(p.beta, !paused);
+          const Var y = batch_norm_in_mode(mode, xv, gv, bv, run_m, run_v,
+                                           /*relu=*/false);
+          backward_with(y, p.r);
+          PlainBn expect = plain_batch_norm(x, p.gamma, p.beta, p.rm, p.rv,
+                                            upstream(p.r), mode == 0);
+          if (paused) expect.ggamma = expect.gbeta = Tensor(p.gamma.shape());
+          const std::string where =
+              shape_str(shape) + " mode=" + std::to_string(mode) +
+              " paused=" + std::to_string(paused) +
+              " lanes=" + std::to_string(lanes);
+          EXPECT_TRUE(same_bits(y.value(), expect.y)) << "forward " << where;
+          EXPECT_TRUE(same_bits(xv.grad(), expect.gx)) << "x grad " << where;
+          EXPECT_TRUE(same_bits(gv.grad(), expect.ggamma))
+              << "gamma grad " << where;
+          EXPECT_TRUE(same_bits(bv.grad(), expect.gbeta))
+              << "beta grad " << where;
+          EXPECT_TRUE(same_bits(run_m, expect.running_mean))
+              << "running mean " << where;
+          EXPECT_TRUE(same_bits(run_v, expect.running_var))
+              << "running var " << where;
+        }
+      }
+    }
+  }
+  runtime::set_num_threads(lanes0);
+}
+
+TEST(BitGate, FusedBatchNormReluMatchesBatchNormThenRelu) {
+  // The fused node (relu = true) against batch_norm2d's node followed by
+  // relu's: the output, the running stats and the x, gamma and beta
+  // gradients, in every mode, with gamma and beta requiring grad and
+  // paused, at 1, 3 and 4 lanes. The upstream gradient carries NaN, +-0 and
+  // +-inf into the masked product. Both sides meet two NaNs where a NaN
+  // input channel's statistics are NaN, and which one a product returns
+  // depends on the operand order a build picks, so NaN matches NaN whatever
+  // its sign (canonical_nans).
+  const std::vector<Shape> shapes = {{1, 4, 4, 4}, {4, 5, 3, 3},
+                                     {100, 8, 16, 16}};
+  const std::int64_t lanes0 = runtime::num_threads();
+  for (const std::int64_t lanes : {1, 3, 4}) {
+    runtime::set_num_threads(lanes);
+    std::uint64_t seed = 800;
+    for (const auto& shape : shapes) {
+      const Tensor x = bn_input(shape, ++seed);
+      BnParams p = bn_params(shape, ++seed);
+      p.r = special_values(shape, ++seed);
+      for (const int mode : {0, 1, 2}) {
+        for (const bool paused : {false, true}) {
+          auto run = [&](bool fused) {
+            Tensor run_m = p.rm, run_v = p.rv;
+            Var xv = Var::param(x);
+            Var gv(p.gamma, !paused), bv(p.beta, !paused);
+            const Var y =
+                fused ? batch_norm_in_mode(mode, xv, gv, bv, run_m, run_v,
+                                           /*relu=*/true)
+                      : relu(batch_norm_in_mode(mode, xv, gv, bv, run_m, run_v,
+                                                /*relu=*/false));
+            backward_with(y, p.r);
+            return std::vector<Tensor>{y.value(), xv.grad(), gv.grad(),
+                                       bv.grad(), run_m, run_v};
+          };
+          // The reference runs after the fused outputs, which stay alive.
+          const auto got = run(true);
+          const auto expect = run(false);
+          const char* names[] = {"forward",    "x grad",       "gamma grad",
+                                 "beta grad", "running mean", "running var"};
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_TRUE(
+                same_bits(canonical_nans(got[i]), canonical_nans(expect[i])))
+                << names[i] << " " << shape_str(shape) << " mode=" << mode
+                << " paused=" << paused << " lanes=" << lanes;
+          }
+        }
       }
     }
   }

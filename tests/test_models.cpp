@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "models/mlp.hpp"
 #include "models/registry.hpp"
@@ -291,6 +293,101 @@ TEST(ModelParams, ReasonableParameterCounts) {
     auto model = make_model(spec, rng);
     EXPECT_GT(model->num_parameters(), 5000) << name;
     EXPECT_LT(model->num_parameters(), 500000) << name;
+  }
+}
+
+TEST(ModelParams, CheckpointKeysArePinned) {
+  // The parameter and buffer keys a checkpoint is saved and loaded under,
+  // in order. A layer that fuses two modules into one must keep them, so a
+  // checkpoint written before the fusion still loads.
+  struct Keys {
+    const char* model;
+    const char* params;
+    const char* buffers;
+  };
+  const Keys pinned[] = {
+    {"vgg16",
+     "block1.0.weight block1.0.bias block1.1.gamma block1.1.beta "
+     "block1.3.weight block1.3.bias block1.4.gamma block1.4.beta "
+     "block2.0.weight block2.0.bias block2.1.gamma block2.1.beta "
+     "block2.3.weight block2.3.bias block2.4.gamma block2.4.beta "
+     "block3.0.weight block3.0.bias block3.1.gamma block3.1.beta "
+     "block3.3.weight block3.3.bias block3.4.gamma block3.4.beta "
+     "block4.0.weight block4.0.bias block4.1.gamma block4.1.beta "
+     "block4.3.weight block4.3.bias block4.4.gamma block4.4.beta "
+     "block5.0.weight block5.0.bias block5.1.gamma block5.1.beta "
+     "block5.3.weight block5.3.bias block5.4.gamma block5.4.beta "
+     "fc1.weight fc1.bias fc2.weight fc2.bias head.weight head.bias",
+     "block1.1.running_mean block1.1.running_var block1.4.running_mean "
+     "block1.4.running_var block2.1.running_mean block2.1.running_var "
+     "block2.4.running_mean block2.4.running_var block3.1.running_mean "
+     "block3.1.running_var block3.4.running_mean block3.4.running_var "
+     "block4.1.running_mean block4.1.running_var block4.4.running_mean "
+     "block4.4.running_var block5.1.running_mean block5.1.running_var "
+     "block5.4.running_mean block5.4.running_var"},
+    {"resnet18",
+     "stem.weight stem_bn.gamma stem_bn.beta stage1.0.conv1.weight "
+     "stage1.0.bn1.gamma stage1.0.bn1.beta stage1.0.conv2.weight "
+     "stage1.0.bn2.gamma stage1.0.bn2.beta stage2.0.conv1.weight "
+     "stage2.0.bn1.gamma stage2.0.bn1.beta stage2.0.conv2.weight "
+     "stage2.0.bn2.gamma stage2.0.bn2.beta stage2.0.proj.weight "
+     "stage2.0.proj_bn.gamma stage2.0.proj_bn.beta stage3.0.conv1.weight "
+     "stage3.0.bn1.gamma stage3.0.bn1.beta stage3.0.conv2.weight "
+     "stage3.0.bn2.gamma stage3.0.bn2.beta stage3.0.proj.weight "
+     "stage3.0.proj_bn.gamma stage3.0.proj_bn.beta stage4.0.conv1.weight "
+     "stage4.0.bn1.gamma stage4.0.bn1.beta stage4.0.conv2.weight "
+     "stage4.0.bn2.gamma stage4.0.bn2.beta stage4.0.proj.weight "
+     "stage4.0.proj_bn.gamma stage4.0.proj_bn.beta head.weight head.bias",
+     "stem_bn.running_mean stem_bn.running_var stage1.0.bn1.running_mean "
+     "stage1.0.bn1.running_var stage1.0.bn2.running_mean "
+     "stage1.0.bn2.running_var stage2.0.bn1.running_mean "
+     "stage2.0.bn1.running_var stage2.0.bn2.running_mean "
+     "stage2.0.bn2.running_var stage2.0.proj_bn.running_mean "
+     "stage2.0.proj_bn.running_var stage3.0.bn1.running_mean "
+     "stage3.0.bn1.running_var stage3.0.bn2.running_mean "
+     "stage3.0.bn2.running_var stage3.0.proj_bn.running_mean "
+     "stage3.0.proj_bn.running_var stage4.0.bn1.running_mean "
+     "stage4.0.bn1.running_var stage4.0.bn2.running_mean "
+     "stage4.0.bn2.running_var stage4.0.proj_bn.running_mean "
+     "stage4.0.proj_bn.running_var"},
+    {"wrn28",
+     "stem.weight group1.0.bn1.gamma group1.0.bn1.beta "
+     "group1.0.conv1.weight group1.0.bn2.gamma group1.0.bn2.beta "
+     "group1.0.conv2.weight group1.0.proj.weight group2.0.bn1.gamma "
+     "group2.0.bn1.beta group2.0.conv1.weight group2.0.bn2.gamma "
+     "group2.0.bn2.beta group2.0.conv2.weight group2.0.proj.weight "
+     "group3.0.bn1.gamma group3.0.bn1.beta group3.0.conv1.weight "
+     "group3.0.bn2.gamma group3.0.bn2.beta group3.0.conv2.weight "
+     "group3.0.proj.weight final_bn.gamma final_bn.beta head.weight "
+     "head.bias",
+     "group1.0.bn1.running_mean group1.0.bn1.running_var "
+     "group1.0.bn2.running_mean group1.0.bn2.running_var "
+     "group2.0.bn1.running_mean group2.0.bn1.running_var "
+     "group2.0.bn2.running_mean group2.0.bn2.running_var "
+     "group3.0.bn1.running_mean group3.0.bn1.running_var "
+     "group3.0.bn2.running_mean group3.0.bn2.running_var "
+     "final_bn.running_mean final_bn.running_var"},
+  };
+  auto split = [](const std::string& s) {
+    std::vector<std::string> out;
+    std::istringstream in(s);
+    for (std::string k; in >> k;) out.push_back(k);
+    return out;
+  };
+  for (const auto& k : pinned) {
+    ModelSpec spec;
+    spec.name = k.model;
+    Rng rng(1);
+    auto model = make_model(spec, rng);
+    std::vector<std::string> params, buffers;
+    for (const auto& [name, p] : model->named_parameters()) {
+      params.push_back(name);
+    }
+    for (const auto& [name, b] : model->named_buffers()) {
+      buffers.push_back(name);
+    }
+    EXPECT_EQ(params, split(k.params)) << k.model;
+    EXPECT_EQ(buffers, split(k.buffers)) << k.model;
   }
 }
 

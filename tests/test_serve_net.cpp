@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +20,7 @@
 #include <unistd.h>
 
 #include "models/registry.hpp"
+#include "obs/metrics.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/net/client.hpp"
 #include "serve/net/listener.hpp"
@@ -405,20 +407,54 @@ TEST(TcpFrontend, BusyRetryAfterRoundTripsWithItsHint) {
   EXPECT_EQ(fe.server->stats().admission_throttled, 4u);  // 1 + 3 attempts
 }
 
+/// Runs the wrapped model's forward only once `open` has been counted down:
+/// until then no micro-batch completes, so accepted requests only pile up.
+class LatchedModel final : public models::TapClassifier {
+ public:
+  LatchedModel(models::TapClassifierPtr inner, std::latch& open)
+      : inner_(std::move(inner)), open_(open) {
+    register_module("inner", inner_);
+  }
+  const std::vector<std::string>& tap_names() const override {
+    return inner_->tap_names();
+  }
+  std::int64_t last_conv_channels() const override {
+    return inner_->last_conv_channels();
+  }
+  std::int64_t num_classes() const override { return inner_->num_classes(); }
+  std::size_t last_conv_tap_index() const override {
+    return inner_->last_conv_tap_index();
+  }
+
+ protected:
+  models::TapsOutput run_with_taps(const ag::Var& x,
+                                   nn::Mode mode) const override {
+    open_.wait();
+    return mode == nn::Mode::kTrain ? inner_->forward_with_taps(x)
+                                    : inner_->eval_forward_with_taps(x);
+  }
+
+ private:
+  models::TapClassifierPtr inner_;
+  std::latch& open_;
+};
+
 TEST(TcpFrontend, UnpacedBurstGetsOneReplyEachAndOnlyHintedBusyRejects) {
   // One pipelined connection sends three times the queue's 32 slots as an
-  // unpaced burst at a model slow enough to fall behind: every request gets
-  // exactly one reply, and every reject is kBusyRetryAfter with a usable
-  // hint (a hint-less reject would leave clients to blind backoff).
-  constexpr std::int64_t kSide = 8;
-  models::ModelSpec spec;
-  spec.name = "vgg16";
-  spec.num_classes = kClasses;
-  spec.image_size = kSide;
-  spec.in_channels = kChannels;
-  Rng rng(5);
+  // unpaced burst at a model whose forward waits on a latch: every request
+  // gets exactly one reply, and every reject is kBusyRetryAfter with a
+  // usable hint (a hint-less reject would leave clients to blind backoff).
+  // While the latch is shut the one worker holds at most one batch of 4 and
+  // the queue 32, so the burst overruns the queue whatever the host's load.
+  // The latch opens once the burst is written and the server has turned a
+  // request away (or after 30 s, so a server that never rejects fails below
+  // instead of hanging).
+  std::latch open(1);
+  obs::Counter& rejected = obs::registry().counter("serve.rejected_full");
+  const std::uint64_t rejected_before = rejected.value();
   serve::ModelRegistry reg;
-  reg.publish(models::make_model(spec, rng), {kChannels, kSide, kSide});
+  reg.publish(std::make_shared<LatchedModel>(tiny_model(5), open),
+              {kChannels, kSize, kSize});
   serve::ServeConfig cfg;
   cfg.max_batch = 4;
   cfg.deadline_us = 1000;
@@ -427,15 +463,18 @@ TEST(TcpFrontend, UnpacedBurstGetsOneReplyEachAndOnlyHintedBusyRejects) {
   net::TcpFrontend tcp(server);
 
   constexpr std::size_t kBurst = 3 * 32;
-  Rng in_rng(17);
   std::vector<Tensor> inputs;
-  for (std::size_t i = 0; i < kBurst; ++i) {
-    inputs.push_back(rand_uniform({kChannels, kSide, kSide}, in_rng, 0.0f,
-                                  1.0f));
-  }
+  for (std::size_t i = 0; i < kBurst; ++i) inputs.push_back(sample_input(i));
   net::Client client("127.0.0.1", tcp.port());
   std::vector<std::uint64_t> sent;
   for (const auto& x : inputs) sent.push_back(client.send(x));
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (rejected.value() == rejected_before &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  open.count_down();
 
   std::vector<int> replies_per_id(kBurst, 0);
   std::size_t ok = 0, busy = 0;

@@ -665,6 +665,36 @@ TEST(ElementwiseTiming, ReluForwardAndBackwardVectorize) {
   EXPECT_LT(bwd, 2.0) << "relu_backward: " << bwd << " ns per element";
 }
 
+/// PoolTiming's floor for vgg16's block-1 pool forward plus its input
+/// gradient at batch 100 on one lane. A window chain that branches on each
+/// comparison, with a backward that zero-fills its result and then scatters
+/// into it, takes 860-970 us with AVX-512 and 870-910 us without AVX; the
+/// branch-free chain on four windows' lanes, with a backward that writes
+/// each element once, 170-180 and 130-225 us.
+constexpr double kPoolFloorUs = 500.0;
+
+TEST(PoolTiming, Vgg16Block1ForwardAndBackward) {
+  // maxpool2d(2, 2) and maxpool2d_backward on vgg16's block-1 activation,
+  // (100, 8, 16, 16) of random signs, on one lane: what every attack step's
+  // forward and backward spend in block 1's pool. It fails when a window's
+  // chain branches on each comparison (which mispredicts on random data) or
+  // the backward zero-fills its result and then scatters into it.
+  const std::int64_t lanes0 = runtime::num_threads();
+  runtime::set_num_threads(1);
+  Rng rng(31);
+  const Tensor x = rand_uniform({100, 8, 16, 16}, rng, -1.0f, 1.0f);
+  const Tensor g = rand_uniform({100, 8, 8, 8}, rng, -1.0f, 1.0f);
+  float sink = 0.0f;
+  const double us = best_wall_ns(30, [&] {
+                      sink += maxpool2d(x, 2, 2)[0];
+                      sink += maxpool2d_backward(g, x, 2, 2)[0];
+                    }) / 1e3;
+  runtime::set_num_threads(lanes0);
+  EXPECT_TRUE(std::isfinite(sink));
+  SKIP_UNLESS_TIMING_BUILD() << us << " us";
+  EXPECT_LT(us, kPoolFloorUs) << "pool forward + backward: " << us << " us";
+}
+
 struct BinaryCase {
   const char* name;
   Tensor (*op)(const Tensor&, const Tensor&);
