@@ -17,7 +17,8 @@ Var conv2d(const Var& x, const Var& w, const Var& bias, const Conv2dSpec& spec) 
     const Tensor& xv = n.parents[0]->value;
     const Tensor& wv = n.parents[1]->value;
     if (n.parents[0]->requires_grad) {
-      n.parents[0]->accumulate(
+      // Every element is a sum started from +0.
+      n.parents[0]->accumulate_as_is(
           conv2d_input_grad(n.grad, xv.shape(), wv, spec));
     }
     if (n.parents[1]->requires_grad) {
@@ -34,7 +35,8 @@ Var maxpool2d(const Var& x, std::int64_t kernel, std::int64_t stride) {
   return make_op(ibrar::maxpool2d(x.value(), kernel, stride), {x},
                  [kernel, stride](Node& n) {
     if (!n.parents[0]->requires_grad) return;
-    n.parents[0]->accumulate(
+    // 0 + g at each winner and +0 elsewhere, or sums into zeros.
+    n.parents[0]->accumulate_as_is(
         maxpool2d_backward(n.grad, n.parents[0]->value, kernel, stride));
   });
 }

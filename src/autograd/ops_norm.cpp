@@ -30,6 +30,12 @@ inline float bn_grad(const float* g, const float* y, std::int64_t e) {
   }
 }
 
+/// 0.0f + v for any v that arithmetic made (so never a signalling NaN): -0
+/// becomes +0, anything else stays. A select, not an add: GCC contracts
+/// 0.0f + a * b into one FMA, whose single rounding leaves -0 where a * b
+/// underflows below zero.
+inline float plus_zero(float v) { return v == 0.0f ? 0.0f : v; }
+
 /// Autograd node of batch norm on folded per-channel constants, with a ReLU
 /// after it when `relu`. The forward is the one batch-norm kernel. The
 /// backward keeps only the channels' mean and inv_std: it recomputes
@@ -39,9 +45,10 @@ inline float bn_grad(const float* g, const float* y, std::int64_t e) {
 /// when something reads them: gamma's or beta's gradient, or training's
 /// input gradient. Which parents require grad is read when the backward
 /// runs, so a parameter un-paused after the forward gets its gradient.
-/// Both passes split x's (image, channel) planes across the pool, and each
-/// channel folds its planes' double chains in image order on the calling
-/// lane, so no bit depends on the lane count.
+/// The input gradient pass writes 0 + gam_is * (...) itself, and the
+/// result is adopted as is. Both passes split x's (image, channel) planes
+/// across the pool, and each channel folds its planes' double chains in
+/// image order on the calling lane, so no bit depends on the lane count.
 Var batch_norm2d_apply(const Var& x, const Var& gamma, const Var& beta,
                        FoldedBn bn, bool training, bool relu) {
   Tensor out = batch_norm_relu(x.value(), bn, relu);
@@ -117,16 +124,17 @@ Var batch_norm2d_apply(const Var& x, const Var& gamma, const Var& beta,
           for (std::int64_t k = 0; k < spatial; ++k) {
             const float xh = (px[off + k] - mu) * is;
             const float gz = bn_grad<kRelu.value>(pg, py, off + k);
-            pgx[off + k] = gam_is * (gz - mg - xh * mgx);
+            pgx[off + k] = plus_zero(gam_is * (gz - mg - xh * mgx));
           }
         } else {
           // Running stats are constants in eval mode.
           for (std::int64_t k = 0; k < spatial; ++k) {
-            pgx[off + k] = gam_is * bn_grad<kRelu.value>(pg, py, off + k);
+            pgx[off + k] =
+                plus_zero(gam_is * bn_grad<kRelu.value>(pg, py, off + k));
           }
         }
       });
-      n.parents[0]->accumulate(std::move(gx));
+      n.parents[0]->accumulate_as_is(std::move(gx));
     }
     if (grad_gamma) n.parents[1]->accumulate(std::move(sum_gx));
     if (grad_beta) n.parents[2]->accumulate(std::move(sum_g));

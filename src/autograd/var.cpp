@@ -50,10 +50,16 @@ void Node::accumulate(const Tensor& g) {
 }
 
 void Node::accumulate(Tensor&& g) {
+  if (!grad_ready) {
+    float* p = g.data().data();
+    each_index(g.numel(), [p](std::int64_t i) { p[i] = 0.0f + p[i]; });
+  }
+  accumulate_as_is(std::move(g));
+}
+
+void Node::accumulate_as_is(Tensor&& g) {
   if (grad_ready) return accumulate(std::as_const(g));
   check_grad_shape(g, value.shape());
-  float* p = g.data().data();
-  each_index(g.numel(), [p](std::int64_t i) { p[i] = 0.0f + p[i]; });
   grad = std::move(g);
   grad_ready = true;
 }
@@ -107,7 +113,13 @@ void Var::backward() {
   node_->accumulate(Tensor(node_->value.shape(), 1.0f));
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     Node* n = *it;
-    if (n->backward_fn && n->grad_ready) n->backward_fn(*n);
+    if (!n->backward_fn || !n->grad_ready) continue;
+    n->backward_fn(*n);
+    // Every consumer of n came before it, so nothing adds into its
+    // gradient again in this pass: free the buffer (a moved-from Tensor
+    // holds none).
+    const Tensor spent = std::move(n->grad);
+    n->grad_ready = false;
   }
 }
 

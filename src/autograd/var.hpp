@@ -21,7 +21,10 @@
 //    its w (after the step's backward; the next step builds a new graph).
 //  * Closures hand the gradients they build to Node::accumulate as rvalues:
 //    a first contribution is adopted (rewritten in place as 0 + g), not
-//    copied into a zero-filled tensor and added.
+//    copied into a zero-filled tensor and added. The three producers whose
+//    every element already is 0 + itself, conv2d's input gradient, max
+//    pooling's and batch norm's, hand theirs to Node::accumulate_as_is,
+//    which adopts it without that pass.
 //  * conv2d keeps nothing: no pass builds im2col columns. Its backward
 //    reads n.parents[0]->value and n.parents[1]->value in place; the
 //    weight-gradient kernel gathers the input's taps straight from
@@ -34,6 +37,22 @@
 //    (the node's output is > 0 exactly where the pre-activation is).
 //    Neither depends on which parents required grad at the forward, so a
 //    parameter un-paused before backward gets its gradient.
+//
+// Gradient lifetime (what backward() keeps):
+//  * An op node's gradient (a node with a backward_fn) lives until its
+//    closure has run, and backward() then releases it: in reverse
+//    topological order every consumer has already added into it, and the
+//    closure has passed on everything it derives from it. Its grad() reads
+//    zeros afterwards, as before any backward. So a backward holds one
+//    frontier of gradients rather than every gradient of the graph, and a
+//    second backward through a node that an earlier one visited starts
+//    there from zero instead of adding the earlier pass's gradient again.
+//  * Leaves (parameters and attack inputs, the nodes without a closure)
+//    keep and accumulate theirs across backward passes until zero_grad().
+//  * Values and closures stay as long as the graph. Callers read values
+//    after backward (the attack engine reads the logits after l.backward(),
+//    FAB its margin), and a second backward through the same graph runs
+//    the closures again.
 
 #include <functional>
 #include <memory>
@@ -63,6 +82,14 @@ struct Node {
   /// temporaries it builds instead of having them copied.
   void accumulate(const Tensor& g);
   void accumulate(Tensor&& g);
+  /// accumulate(Tensor&&) for a `g` whose every element already equals
+  /// 0.0f + itself bit for bit: a first contribution is adopted as is,
+  /// without the rewrite pass. Precondition: no element of `g` is -0 (which
+  /// 0 + g turns into +0) or a signalling NaN (which it quiets). A sum
+  /// started from +0 meets it, and so does 0 + v written by the producer
+  /// itself, unless the compiler contracts that add into an FMA with the
+  /// product that makes v (which leaves -0 where the product underflows).
+  void accumulate_as_is(Tensor&& g);
 };
 
 /// Value + gradient handle. Cheap to copy (shared_ptr semantics).
@@ -94,7 +121,8 @@ class Var {
   void zero_grad();
 
   /// Run reverse-mode AD from this (scalar) Var; accumulates into every
-  /// requires_grad node reachable through the graph.
+  /// requires_grad leaf reachable through the graph, and releases each op
+  /// node's gradient once its closure has run (see "Gradient lifetime").
   void backward();
 
   NodePtr node() const { return node_; }

@@ -43,8 +43,9 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor* bias,
 /// each input element sums its contributors in ascending (oy, ox) order. A
 /// stride-1 conv whose output is its input's size adds each tap row as one
 /// masked run per block of whole images and copies every plane out; other
-/// convs scatter into a zeroed result. Throws std::invalid_argument when
-/// g's shape disagrees with x_shape, w and spec.
+/// convs scatter into a zeroed result. Either way every element is a sum
+/// started from +0, so none is -0 or a signalling NaN. Throws
+/// std::invalid_argument when g's shape disagrees with x_shape, w and spec.
 Tensor conv2d_input_grad(const Tensor& g, const Shape& x_shape,
                          const Tensor& w, const Conv2dSpec& spec);
 
@@ -79,8 +80,8 @@ Tensor maxpool2d(const Tensor& x, std::int64_t kernel, std::int64_t stride);
 /// a winner, +0 everywhere else, rows and columns in no window included.
 /// Any other shape, overlapping windows included, adds g at each winner
 /// into a zeroed result, windows in output order. Both leave what adding
-/// into zeros leaves. Throws std::invalid_argument when grad_out is not
-/// maxpool2d(x)'s shape.
+/// into zeros leaves, so no element is -0 or a signalling NaN. Throws
+/// std::invalid_argument when grad_out is not maxpool2d(x)'s shape.
 Tensor maxpool2d_backward(const Tensor& grad_out, const Tensor& x,
                           std::int64_t kernel, std::int64_t stride);
 

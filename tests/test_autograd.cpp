@@ -29,6 +29,12 @@
 namespace ibrar::ag {
 namespace {
 
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(float)) == 0;
+}
+
 TEST(VarBasics, LeafAndConstant) {
   Var p = Var::param(Tensor::scalar(2.0f));
   Var c = Var::constant(Tensor::scalar(3.0f));
@@ -52,6 +58,31 @@ TEST(VarBasics, GradsAccumulateAcrossBackwards) {
   EXPECT_FLOAT_EQ(a.grad().item(), 5.0f);
   a.zero_grad();
   EXPECT_FLOAT_EQ(a.grad().item(), 0.0f);
+}
+
+TEST(VarBasics, TwoLossesThroughOneInteriorNodeEachAddTheirOwn) {
+  // y = 2x: sum(y) hands x 2 and sum(3y) hands it 6. The first backward
+  // releases y's gradient once y's closure has run, so the second starts y
+  // from zero instead of passing the first's 1 on again (which left 10).
+  Var x = Var::param(Tensor({3}, 1.0f));
+  Var y = mul_scalar(x, 2.0f);
+  sum(y).backward();
+  EXPECT_FALSE(y.node()->grad_ready) << "an op node's gradient is released";
+  EXPECT_TRUE(same_bits(y.grad(), Tensor({3}))) << "and reads zeros after";
+  sum(mul_scalar(y, 3.0f)).backward();
+  EXPECT_TRUE(same_bits(x.grad(), Tensor({3}, 8.0f)));
+}
+
+TEST(VarBasics, OneRootRunTwiceAddsTwoPasses) {
+  // Each leaf ends at twice one pass's gradient; keeping the root's and the
+  // product's gradients across the passes left four times.
+  Var a = Var::param(Tensor({3}, {1.0f, 2.0f, 3.0f}));
+  Var b = Var::param(Tensor({3}, {4.0f, 5.0f, 6.0f}));
+  Var loss = sum(mul(a, b));
+  loss.backward();
+  loss.backward();
+  EXPECT_TRUE(same_bits(a.grad(), Tensor({3}, {8.0f, 10.0f, 12.0f})));
+  EXPECT_TRUE(same_bits(b.grad(), Tensor({3}, {2.0f, 4.0f, 6.0f})));
 }
 
 TEST(VarBasics, SharedSubexpressionGradient) {
@@ -484,12 +515,6 @@ TEST(Gradcheck, DetectsWrongGradient) {
 }
 
 // ---- ownership contract: bit identity with the copy-capturing rules ---------
-
-bool same_bits(const Tensor& a, const Tensor& b) {
-  return a.shape() == b.shape() &&
-         std::memcmp(a.data().data(), b.data().data(),
-                     a.data().size() * sizeof(float)) == 0;
-}
 
 /// What a first accumulate leaves in a fresh gradient: 0 + g (turns -0 into
 /// +0, exactly as Node::accumulate does).
@@ -1255,6 +1280,122 @@ TEST(NodeAccumulate, FirstContributionIsZeroPlusGThenContributionsAdd) {
     Var fresh = Var::param(Tensor({2, 2}));
     EXPECT_THROW(accumulate(*fresh.node(), Tensor({4})), std::logic_error);
   }
+}
+
+// ---- the producers adopted as is -------------------------------------------
+//
+// conv2d's input gradient, max pooling's and batch norm's hand their result
+// to Node::accumulate_as_is, which skips accumulate's 0 + g pass. That keeps
+// the bits only if every element already is 0 + itself: no -0 and no
+// signalling NaN, whatever the operands.
+
+/// Every element of t is 0.0f + itself bit for bit, and none is -0.
+::testing::AssertionResult zero_plus_itself(const Tensor& t) {
+  for (std::int64_t i = 0; i < t.numel(); ++i) {
+    const float v = t[i];
+    const float z = 0.0f + v;
+    if (v == 0.0f && std::signbit(v)) {
+      return ::testing::AssertionFailure() << "-0 at element " << i;
+    }
+    if (std::memcmp(&v, &z, sizeof v) != 0) {
+      return ::testing::AssertionFailure()
+             << "element " << i << " is not 0 + itself";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// The operands each producer meets: IEEE specials in the gradient and in
+/// the weight (or gamma), a gradient of -0 everywhere, and products that
+/// underflow below zero (a tiny negative gradient times a tiny weight),
+/// which round to -0.
+struct AsIsOperands {
+  const char* name;
+  Tensor g, w;
+};
+
+std::vector<AsIsOperands> as_is_operands(const Shape& g_shape,
+                                         const Shape& w_shape,
+                                         std::uint64_t seed) {
+  return {{"specials", special_values(g_shape, seed),
+           special_values(w_shape, ~seed)},
+          {"g=-0", Tensor(g_shape, -0.0f), special_values(w_shape, ~seed)},
+          {"underflow", Tensor(g_shape, -1e-40f), Tensor(w_shape, 1e-6f)}};
+}
+
+TEST(AdoptAsIs, ProducersLeaveEveryElementAtZeroPlusItself) {
+  const std::int64_t lanes0 = runtime::num_threads();
+  for (const std::int64_t lanes : {1, 3, 4}) {
+    runtime::set_num_threads(lanes);
+    const std::string at = " lanes=" + std::to_string(lanes);
+    std::uint64_t seed = 900;
+
+    // conv2d's input gradient: the masked tap runs of the stride-1 "same"
+    // convs, and the scatter into zeros of every other.
+    for (const auto& tc : conv_gate_cases()) {
+      const auto out = [&](std::int64_t in) {
+        return (in + 2 * tc.spec.pad - tc.spec.kernel) / tc.spec.stride + 1;
+      };
+      const Shape x_shape{tc.n, tc.c, tc.h, tc.w};
+      const Shape g_shape{tc.n, tc.f, out(tc.h), out(tc.w)};
+      const Shape w_shape{tc.f, tc.c, tc.spec.kernel, tc.spec.kernel};
+      for (const auto& op : as_is_operands(g_shape, w_shape, ++seed)) {
+        EXPECT_TRUE(zero_plus_itself(
+            conv2d_input_grad(op.g, x_shape, op.w, tc.spec)))
+            << "conv " << tc.name << " " << op.name << at;
+      }
+    }
+
+    // Max pooling's: the write-once 2x2/2 planes and the adds into zeros
+    // (a 3x3 window, overlapping windows, odd windows per row), over inputs
+    // with specials.
+    struct PoolCase {
+      Shape shape;
+      std::int64_t kernel, stride;
+    };
+    const PoolCase pools[] = {{{100, 8, 16, 16}, 2, 2}, {{2, 3, 9, 9}, 3, 3},
+                              {{2, 3, 9, 9}, 3, 2},     {{3, 4, 7, 9}, 2, 2},
+                              {{2, 3, 6, 6}, 2, 2}};
+    for (const auto& c : pools) {
+      const Tensor x = special_values(c.shape, ++seed);
+      const Shape g_shape = ibrar::maxpool2d(x, c.kernel, c.stride).shape();
+      for (const auto& op : as_is_operands(g_shape, {1}, ++seed)) {
+        EXPECT_TRUE(zero_plus_itself(
+            maxpool2d_backward(op.g, x, c.kernel, c.stride)))
+            << "pool " << shape_str(c.shape) << " k" << c.kernel << "s"
+            << c.stride << " " << op.name << at;
+      }
+    }
+
+    // Batch norm's, in every mode, with and without the ReLU, on the batch
+    // norm gates' input (specials in channel 0 only, so that training's
+    // other channels keep finite moments): the node's closure runs on each
+    // gradient as it stands, -0 included (a graph's own gradients never
+    // hold one), and x's fresh gradient adopts its result as is.
+    for (const Shape& shape : {Shape{4, 5, 3, 3}, Shape{100, 8, 16, 16}}) {
+      const Tensor x = bn_input(shape, ++seed);
+      const BnParams p = bn_params(shape, ++seed);
+      for (const auto& op : as_is_operands(shape, {shape[1]}, ++seed)) {
+        for (const int mode : {0, 1, 2}) {
+          for (const bool relu : {false, true}) {
+            Tensor run_m = p.rm, run_v = p.rv;
+            Var xv = Var::param(x);
+            const Var y = batch_norm_in_mode(mode, xv, Var::param(op.w),
+                                             Var::param(p.beta), run_m, run_v,
+                                             relu);
+            Node& n = *y.node();
+            n.grad = op.g;
+            n.grad_ready = true;
+            n.backward_fn(n);
+            EXPECT_TRUE(zero_plus_itself(xv.node()->grad))
+                << "batch norm " << shape_str(shape) << " " << op.name
+                << " mode=" << mode << " relu=" << relu << at;
+          }
+        }
+      }
+    }
+  }
+  runtime::set_num_threads(lanes0);
 }
 
 }  // namespace

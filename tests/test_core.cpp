@@ -3,12 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+#include <vector>
+
 #include "core/feature_mask.hpp"
 #include "core/ibrar.hpp"
 #include "core/mi_loss.hpp"
 #include "core/robust_layers.hpp"
 #include "data/registry.hpp"
 #include "models/registry.hpp"
+#include "runtime/thread_pool.hpp"
 #include "train/evaluate.hpp"
 
 namespace ibrar::core {
@@ -186,6 +190,59 @@ TEST(IBRARObjectiveTest, MILossChangesGradientsVsCE) {
     }
   }
   EXPECT_GT(diff, 1e-6);
+}
+
+TEST(IBRARObjectiveTest, BackwardLeavesGradientsOnParametersOnly) {
+  // One step of the paper's PGD-AT + IB-RAR objective (Eq. 2) on vgg16 at
+  // batch 100: the adversarial cross-entropy and the MI term on the clean
+  // forward's taps, differentiated by one backward. Each op node's gradient
+  // is released once its closure has run; every parameter keeps its own.
+  const auto data = data::make_dataset("synth-cifar10", 100, 10);
+  const auto batch = data::make_batch(data.train, 0, 100);
+  attacks::AttackConfig inner;
+  inner.steps = 4;
+  const std::int64_t lanes0 = runtime::num_threads();
+  for (const std::int64_t lanes : {1, 4}) {
+    runtime::set_num_threads(lanes);
+    const std::string at = "lanes=" + std::to_string(lanes);
+    auto model = make_vgg(5);
+    model->set_training(true);
+    IBRARObjective obj(std::make_shared<train::PGDATObjective>(inner),
+                       MILossConfig{});
+    ag::Var loss = obj.compute(*model, batch);
+    const auto params = model->parameters();
+    for (const auto& p : params) {
+      ASSERT_FALSE(p.node()->grad_ready) << "a fresh model's gradients";
+    }
+    loss.backward();
+
+    // Every node the graph holds, from the root through all parents.
+    std::vector<ag::Node*> stack{loss.node().get()};
+    std::unordered_set<ag::Node*> seen{loss.node().get()};
+    std::int64_t ops = 0, holding = 0;
+    while (!stack.empty()) {
+      ag::Node* n = stack.back();
+      stack.pop_back();
+      if (n->backward_fn) {
+        ++ops;
+        // Tensor() is a one-element scalar; a released gradient holds none.
+        if (n->grad_ready || n->grad.numel() > 1) ++holding;
+      }
+      for (const auto& parent : n->parents) {
+        if (seen.insert(parent.get()).second) stack.push_back(parent.get());
+      }
+    }
+    EXPECT_GT(ops, 100) << at;
+    EXPECT_EQ(holding, 0) << "op nodes still holding a gradient, " << at;
+    for (const auto& p : params) {
+      const ag::Node& n = *p.node();
+      EXPECT_EQ(seen.count(p.node().get()), 1u) << at;
+      EXPECT_TRUE(n.grad_ready) << at;
+      EXPECT_EQ(n.grad.shape(), n.value.shape()) << at;
+      EXPECT_TRUE(n.grad.all_finite()) << at;
+    }
+  }
+  runtime::set_num_threads(lanes0);
 }
 
 TEST(MaskHook, SkipsFirstEpochThenInstalls) {
