@@ -64,10 +64,8 @@ void Node::accumulate_as_is(Tensor&& g) {
   grad_ready = true;
 }
 
-Var::Var(Tensor value, bool requires_grad) : node_(std::make_shared<Node>()) {
-  node_->value = std::move(value);
-  node_->requires_grad = requires_grad;
-}
+Var::Var(Tensor value, bool requires_grad)
+    : node_(std::make_shared<Node>(std::move(value), requires_grad)) {}
 
 const Tensor& Var::grad() const {
   if (!node_->grad_ready) {
@@ -116,9 +114,8 @@ void Var::backward() {
     if (!n->backward_fn || !n->grad_ready) continue;
     n->backward_fn(*n);
     // Every consumer of n came before it, so nothing adds into its
-    // gradient again in this pass: free the buffer (a moved-from Tensor
-    // holds none).
-    const Tensor spent = std::move(n->grad);
+    // gradient again in this pass: free the buffer.
+    n->grad = Tensor::none();
     n->grad_ready = false;
   }
 }

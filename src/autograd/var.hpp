@@ -26,9 +26,9 @@
 //    pooling's and batch norm's, hand theirs to Node::accumulate_as_is,
 //    which adopts it without that pass.
 //  * conv2d keeps nothing: no pass builds im2col columns. Its backward
-//    reads n.parents[0]->value and n.parents[1]->value in place; the
-//    weight-gradient kernel gathers the input's taps straight from
-//    n.parents[0]->value into per-lane scratch strips.
+//    reads n.parents[0]->value and n.parents[1]->value; the weight-gradient
+//    kernel copies n.parents[0]->value once into a zero-padded scratch grid
+//    and reads the input's taps from it in place.
 //  * maxpool2d keeps only (kernel, stride): its backward finds each
 //    window's winner again in n.parents[0]->value. Batch norm keeps only
 //    the per-channel mean and inv_std: its backward recomputes
@@ -42,11 +42,12 @@
 //  * An op node's gradient (a node with a backward_fn) lives until its
 //    closure has run, and backward() then releases it: in reverse
 //    topological order every consumer has already added into it, and the
-//    closure has passed on everything it derives from it. Its grad() reads
-//    zeros afterwards, as before any backward. So a backward holds one
-//    frontier of gradients rather than every gradient of the graph, and a
-//    second backward through a node that an earlier one visited starts
-//    there from zero instead of adding the earlier pass's gradient again.
+//    closure has passed on everything it derives from it. It then holds no
+//    storage, as before its first contribution, and its grad() reads
+//    zeros. So a backward holds one frontier of gradients rather than every
+//    gradient of the graph, and a second backward through a node that an
+//    earlier one visited starts there from zero instead of adding the
+//    earlier pass's gradient again.
 //  * Leaves (parameters and attack inputs, the nodes without a closure)
 //    keep and accumulate theirs across backward passes until zero_grad().
 //  * Values and closures stay as long as the graph. Callers read values
@@ -65,12 +66,18 @@ namespace ibrar::ag {
 struct Node;
 using NodePtr = std::shared_ptr<Node>;
 
-/// One vertex of the dynamically-built computation graph.
+/// One vertex of the dynamically-built computation graph, constructed from
+/// its value. Its gradient holds no storage (Tensor::none()) until a first
+/// contribution is adopted or grad()/zero_grad() makes zeros, and again
+/// once backward() releases it.
 struct Node {
+  explicit Node(Tensor v, bool differentiated = false)
+      : value(std::move(v)), requires_grad(differentiated) {}
+
   Tensor value;
-  Tensor grad;                 ///< valid iff grad_ready
-  bool grad_ready = false;     ///< grad tensor allocated & shaped
-  bool requires_grad = false;  ///< participates in backward
+  Tensor grad = Tensor::none();  ///< valid iff grad_ready
+  bool grad_ready = false;       ///< grad tensor allocated & shaped
+  bool requires_grad = false;    ///< participates in backward
   std::vector<NodePtr> parents;
   /// Accumulates into parents' grads given this node's grad. Null for leaves.
   std::function<void(Node&)> backward_fn;

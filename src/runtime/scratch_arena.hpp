@@ -28,11 +28,11 @@ inline constexpr std::size_t kScratchAlign = 64;
 /// pack slots, and the serving telemetry (serve/telemetry.cpp) keeps its
 /// per-channel statistics in kServeTelemetry across the channel-score kernels
 /// it invokes (which bottom out in the same GEMM slots). The conv driver
-/// (tensor/conv_eval.cpp) holds its A panels in the caller's kConvPackA, a
-/// stride-1 forward its padded x and tap offsets in the caller's kConvPadX
-/// and kConvTaps, and the input gradient its offsets into g and its tap mask
-/// in the caller's kConvTaps and kConvTapMask, across the pool dispatch whose
-/// lanes read them and fill their own kConvPackB, kConvAccC and kConvGradX.
+/// (tensor/conv_eval.cpp) holds its A panels (or the weight gradient's
+/// copy of g^T) in the caller's kConvPackA, x's padded grid in kConvPadX,
+/// its tap offsets or output positions in kConvTaps, and the input
+/// gradient's gather mask in kConvTapMask, across the pool dispatch whose
+/// lanes read them and fill their own kConvPackB and kConvAccC.
 /// Adding a consumer = adding an enumerator; the arena sizes itself from
 /// kCount. get<T>() hands out a slot as any trivial element type; floats()
 /// is get<float>().
@@ -42,23 +42,23 @@ enum class Scratch : std::size_t {
   kSymGramTile,     ///< C block of matmul_nt_sym, held across gemm_packed
   kServeTelemetry,  ///< per-channel energies, held across channel scoring
   kConvPackA,       ///< a conv kernel's shared A panels, per call: conv2d's
-                    ///< weights, w^T for the input gradient, g for the weight
-                    ///< gradient (tensor/conv_eval.cpp)
-  kConvPackB,       ///< a conv task's B strips, gathered from NCHW
-                    ///< (tensor/conv_eval.cpp)
+                    ///< weights, w^T for the input gradient; or the weight
+                    ///< gradient's g^T (tensor/conv_eval.cpp)
+  kConvPackB,       ///< a conv task's B strips, packed from the padded
+                    ///< grid or from g's planes (tensor/conv_eval.cpp)
   kConvAccC,        ///< conv C accumulator block (tensor/conv_eval.cpp)
-  kConvPadX,        ///< a stride-1 conv forward's zero-padded channel-major
-                    ///< copy of x, per call; every lane reads its B rows
-                    ///< from it in place (tensor/conv_eval.cpp)
-  kConvTaps,        ///< a conv call's B-row offsets: the forward's offset
-                    ///< of each tap (ic, ky, kx) in the padded copy, or the
-                    ///< input gradient's of each filter's plane in g
+  kConvPadX,        ///< a conv forward's or weight gradient's zero-padded
+                    ///< channel-major copy of x, per call; every lane reads
+                    ///< its taps from it (tensor/conv_eval.cpp)
+  kConvTaps,        ///< a conv call's tables: the forward's offset of each
+                    ///< tap (ic, ky, kx) in the padded copy and, where it
+                    ///< packs B, of each output position; the weight
+                    ///< gradient's output positions; the input gradient's
+                    ///< offset of each filter's plane in g
                     ///< (tensor/conv_eval.cpp)
-  kConvTapMask,     ///< the input gradient's per-call mask of which block
-                    ///< columns each tap (ky, kx) lands inside the image
-                    ///< (tensor/conv_eval.cpp)
-  kConvGradX,       ///< a conv task's input-gradient block, its images
-                    ///< channel-major (tensor/conv_eval.cpp)
+  kConvTapMask,     ///< the input gradient's per-call mask of which taps
+                    ///< (ky, kx) of each input position come from an output
+                    ///< position inside the image (tensor/conv_eval.cpp)
   kCount,
 };
 

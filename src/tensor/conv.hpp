@@ -2,11 +2,11 @@
 // Convolution & pooling kernels on NCHW tensors.
 //
 // conv2d and its three gradients run on the one conv driver
-// (tensor/conv_eval.hpp): each gathers its GEMM operand straight from the
-// NCHW tensors into packed strips, or reads it in place (a stride-1 forward
-// from one zero-padded copy of x, the input gradient from g's planes when
-// they hold whole NR-column strips), so no (N*OH*OW, C*K*K) im2col matrix
-// and no transposed copy of the output gradient is ever built. Pooling
+// (tensor/conv_eval.hpp). The forward and the weight gradient read x's taps
+// from one zero-padded copy of x, in place or packed through a table of the
+// output positions; the input gradient reads g in place from its planes
+// when they hold whole NR-column strips. So no (N*OH*OW, C*K*K) im2col
+// matrix is ever built, and no bound is checked per element. Pooling
 // keeps no argmax: max pooling's backward finds each window's winner again
 // in the input it is given, with the forward's branch-free window chain.
 
@@ -28,9 +28,9 @@ std::int64_t conv_out_dim(std::int64_t in, std::int64_t kernel, std::int64_t str
                           std::int64_t pad);
 
 /// Forward conv: x (N,C,H,W), w (F,C,K,K), bias (F) optional -> (N,F,OH,OW).
-/// Packs w per call into the caller's scratch arena (and, for most stride-1
-/// convs, copies x into it zero-padded) and runs the one conv driver, which
-/// adds the bias in its NCHW scatter. memcmp-equal to
+/// Packs w and copies x zero-padded per call into the caller's scratch
+/// arena and runs the one conv driver, which adds the bias in its NCHW
+/// scatter. memcmp-equal to
 /// im2col -> GEMM (columns as A, w transposed as B) -> NCHW transpose ->
 /// bias pass. Defined in tensor/conv_eval.cpp beside the driver, as are the
 /// three gradients below.
@@ -41,23 +41,25 @@ Tensor conv2d(const Tensor& x, const Tensor& w, const Tensor* bias,
 /// shape x_shape. memcmp-equal to col2im(gprod * w), gprod being g as the
 /// (N*OH*OW, F) matrix: each column of w^T * g is the ascending-F chain, and
 /// each input element sums its contributors in ascending (oy, ox) order. A
-/// stride-1 conv whose output is its input's size adds each tap row as one
-/// masked run per block of whole images and copies every plane out; other
-/// convs scatter into a zeroed result. Either way every element is a sum
-/// started from +0, so none is -0 or a signalling NaN. Throws
+/// stride-1 conv whose output is its input's size gathers each input
+/// element's taps in a register and writes it once; other convs scatter
+/// into a zeroed result. Either way every element is a sum started from +0,
+/// so none is -0 or a signalling NaN. Throws
 /// std::invalid_argument when g's shape disagrees with x_shape, w and spec.
 Tensor conv2d_input_grad(const Tensor& g, const Shape& x_shape,
                          const Tensor& w, const Conv2dSpec& spec);
 
 /// Weight gradient of conv2d: g (N,F,OH,OW), x (N,C,H,W) -> (F,C,K,K) of
 /// shape w_shape. memcmp-equal to gprod^T * im2col(x): each element is one
-/// chain over (image, oy, ox) in ascending order. Throws
+/// chain over (image, oy, ox) in ascending order, computed as
+/// im2col(x)^T * gprod with the taps read in place. Throws
 /// std::invalid_argument when g's shape disagrees with x, w_shape and spec.
 Tensor conv2d_weight_grad(const Tensor& g, const Tensor& x,
                           const Shape& w_shape, const Conv2dSpec& spec);
 
 /// Bias gradient of conv2d: g (N,F,OH,OW) -> (F), each channel's planes
-/// summed in (image, spatial) order, as sum_axis(gprod, 0) adds them.
+/// summed in (image, spatial) order, as sum_axis(gprod, 0) adds them; the
+/// channels' chains run side by side in the lanes of a vector.
 Tensor conv2d_bias_grad(const Tensor& g);
 
 /// 2-D max pooling, no padding: x (N,C,H,W) -> (N,C,OH,OW). Each window

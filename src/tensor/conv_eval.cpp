@@ -1,12 +1,12 @@
 #include "tensor/conv_eval.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -15,6 +15,7 @@
 #include "runtime/scratch_arena.hpp"
 #include "runtime/thread_pool.hpp"
 #include "tensor/gemm_packed.hpp"
+#include "tensor/simd.hpp"
 
 namespace ibrar {
 namespace {
@@ -63,26 +64,28 @@ struct PlaneBlock {
   }
 };
 
-/// The task, B source and kernel loop every conv kernel runs: C = A * B,
-/// with A the shared `panels` (pack_panels' layout for `rows` rows and
-/// `depth` reduction steps) and B's rows for depth rows [pc, pc+kc) of a
-/// column block given by source(pc, kc, blk, tc, bp): a PackedBlock after
-/// it packs the lane's KC x tc strips at bp, or an InPlaceBlock that packs
-/// nothing. Blocks [t * per_task, (t + 1) * per_task) form task t and run in
-/// ascending order on one lane. Each block's C (rows padded to MR, tc =
-/// cols padded to NR, row-major with leading dimension tc) lives in the
-/// lane's accumulator: the first depth block's kernel calls start every
-/// chain from +0 in a register and write it, later ones load it, and the
-/// block goes to store(blk, acc, tc). Every C element is one
-/// ascending-depth chain on the one micro-kernel whatever the split or the
-/// source, so the bits depend on neither the lane count nor on where B's
-/// rows are read from. The depth loop runs at least once, so a C of depth
-/// 0 is written too, as +0.
+/// The task, B source and kernel loop the conv forward and input gradient
+/// run: C = A * B, with A the shared `panels` (pack_panels' layout for
+/// `rows` rows and `depth` reduction steps) and B's rows for depth rows
+/// [pc, pc+kc) of a column block given by source(pc, kc, blk, tc, bp): a
+/// PackedBlock after it packs the lane's KC x tc strips at bp, or an
+/// InPlaceBlock or PlaneBlock that packs nothing. Blocks
+/// [t * per_task, (t + 1) * per_task) form task t and run in ascending order
+/// on one lane. Each block's C (rows padded to MR, tc = cols padded to NR,
+/// row-major with leading dimension tc) lives in the lane's accumulator,
+/// followed by `acc_slack` zeros for a store that reads past it: the first
+/// depth block's kernel calls start every chain from +0 in a register and
+/// write it, later ones load it, and the block goes to store(blk, acc, tc).
+/// Every C element is one ascending-depth chain on the one micro-kernel
+/// whatever the split or the source, so the bits depend on neither the lane
+/// count nor on where B's rows are read from. The depth loop runs at least
+/// once, so a C of depth 0 is written too, as +0.
 template <typename BlockOf, typename Source, typename Store>
 void run_blocks(const float* panels, std::int64_t rows, std::int64_t depth,
                 std::int64_t nblocks, std::int64_t per_task,
-                obs::ProfileSite* kernel_site, const BlockOf& block_of,
-                const Source& source, const Store& store) {
+                std::int64_t acc_slack, obs::ProfileSite* kernel_site,
+                const BlockOf& block_of, const Source& source,
+                const Store& store) {
   const std::int64_t rp = round_up(rows, kGemmMR);
   const std::int64_t ntasks = (nblocks + per_task - 1) / per_task;
   runtime::parallel_for(0, ntasks, 1, [&](std::int64_t t0, std::int64_t t1) {
@@ -92,7 +95,8 @@ void run_blocks(const float* panels, std::int64_t rows, std::int64_t depth,
       const ColBlock blk = block_of(b);
       const std::int64_t tc = round_up(blk.cols, kGemmNR);
       float* acc = arena.floats(runtime::Scratch::kConvAccC,
-                                static_cast<std::size_t>(rp * tc));
+                                static_cast<std::size_t>(rp * tc + acc_slack));
+      std::fill_n(acc + rp * tc, acc_slack, 0.0f);
       float* bp = arena.floats(runtime::Scratch::kConvPackB,
                                static_cast<std::size_t>(kGemmKC * tc));
       for (std::int64_t pc = 0; pc == 0 || pc < depth; pc += kGemmKC) {
@@ -108,9 +112,9 @@ void run_blocks(const float* panels, std::int64_t rows, std::int64_t depth,
             for (std::int64_t ir = ic; ir < ie; ir += kGemmMR) {
               // Rows are MR-padded and columns NR-padded in the scratch
               // block, so the full-size kernel always applies.
-              gemm_detail::micro_kernel(kc, panel + ir * kc, strip,
-                                        acc + ir * tc + jr, tc,
-                                        /*load_c=*/pc > 0);
+              gemm_detail::micro_kernel(
+                  kc, gemm_detail::PackedStrip{panel + ir * kc}, strip,
+                  acc + ir * tc + jr, tc, /*load_c=*/pc > 0);
             }
           }
         }
@@ -148,68 +152,42 @@ void check_grad_shape(const Tensor& g, const Shape& x, const Shape& w,
   }
 }
 
-/// Implicit-im2col B pack: fill the packed block for depth rows [pc, pc+kc)
-/// and the block's columns straight from the NCHW input, in the exact
-/// NR-column-strip p-major layout gemm_detail::micro_kernel consumes
-/// (dst[jr*kc + p*NR + jj] = cols(blk.j0+jr+jj, pc+p)). Global column
-/// j = image * OH*OW + (oy*OW + ox); the gathered value is exactly what
-/// im2col would have written for that (row, p) — including the zero padding
-/// ring — so the micro-kernel sees the same operand values as the reference
-/// path without the columns tensor ever existing. Columns past blk.cols are
-/// zero-filled (they land in padded output the epilogue never reads).
-void pack_b_cols(const float* x, std::int64_t c, std::int64_t in_h,
-                 std::int64_t in_w, const Conv2dSpec& spec, std::int64_t ow,
-                 std::int64_t spatial, std::int64_t pc, std::int64_t kc,
-                 const ColBlock& blk, std::int64_t tc, float* bp) {
+/// Forward B pack from the padded grid: depth rows [pc, pc+kc) (the taps
+/// q = (ic, ky, kx)) of the block's columns (output positions j = image *
+/// OH*OW + oy*OW + ox), in the NR-column-strip p-major layout
+/// gemm_detail::micro_kernel consumes: element (p, jj) of strip jr is
+/// xp[off[pc + p] + pos[blk.j0 + jr + jj]], tap q of position j in the grid
+/// (PaddedX), which holds a zero wherever im2col would write one. So the
+/// micro-kernel sees the operand values of the reference lowering without a
+/// bounds check. Columns past blk.cols are zero-filled (they land in padded
+/// output the epilogue never reads).
+void pack_b_positions(const float* xp, const std::int64_t* off,
+                      const std::int64_t* pos, std::int64_t pc,
+                      std::int64_t kc, const ColBlock& blk, std::int64_t tc,
+                      float* bp) {
   static obs::ProfileSite& prof = obs::profile_site("tensor/conv_eval/pack_b");
   obs::ProfileScope prof_scope(prof);
-  const std::int64_t k = spec.kernel;
-  const std::int64_t plane = in_h * in_w;
   for (std::int64_t jr = 0; jr < tc; jr += kGemmNR) {
     float* dst = bp + jr * kc;
-    // Per-column source geometry, hoisted out of the depth walk.
-    const float* xbase[kGemmNR];
-    std::int64_t iy0[kGemmNR];
-    std::int64_t ix0[kGemmNR];
-    for (std::int64_t jj = 0; jj < kGemmNR; ++jj) {
-      if (jr + jj < blk.cols) {
-        const std::int64_t col = blk.j0 + jr + jj;
-        const std::int64_t in_n = col / spatial;
-        const std::int64_t s = col % spatial;
-        xbase[jj] = x + in_n * c * plane;
-        iy0[jj] = (s / ow) * spec.stride - spec.pad;
-        ix0[jj] = (s % ow) * spec.stride - spec.pad;
-      } else {
-        xbase[jj] = nullptr;
+    const std::int64_t* at = pos + blk.j0 + jr;
+    if (jr + kGemmNR <= blk.cols) {
+      // A full strip: its positions stay in registers across the taps.
+      std::int64_t idx[kGemmNR];
+      std::copy_n(at, kGemmNR, idx);
+      for (std::int64_t p = 0; p < kc; ++p) {
+        const float* src = xp + off[pc + p];
+        for (std::int64_t jj = 0; jj < kGemmNR; ++jj) {
+          dst[p * kGemmNR + jj] = src[idx[jj]];
+        }
       }
+      continue;
     }
-    // Walk p = ic*K*K + ky*K + kx with carried counters (im2col's row order).
-    std::int64_t ic = pc / (k * k);
-    std::int64_t rem = pc % (k * k);
-    std::int64_t ky = rem / k;
-    std::int64_t kx = rem % k;
+    const std::int64_t cols = blk.cols - jr;
     for (std::int64_t p = 0; p < kc; ++p) {
+      const float* src = xp + off[pc + p];
       float* row = dst + p * kGemmNR;
-      const std::int64_t plane_off = ic * plane;
       for (std::int64_t jj = 0; jj < kGemmNR; ++jj) {
-        if (xbase[jj] == nullptr) {
-          row[jj] = 0.0f;
-          continue;
-        }
-        const std::int64_t iy = iy0[jj] + ky;
-        const std::int64_t ix = ix0[jj] + kx;
-        const bool in_bounds = static_cast<std::uint64_t>(iy) <
-                                   static_cast<std::uint64_t>(in_h) &&
-                               static_cast<std::uint64_t>(ix) <
-                                   static_cast<std::uint64_t>(in_w);
-        row[jj] = in_bounds ? xbase[jj][plane_off + iy * in_w + ix] : 0.0f;
-      }
-      if (++kx == k) {
-        kx = 0;
-        if (++ky == k) {
-          ky = 0;
-          ++ic;
-        }
+        row[jj] = jj < cols ? src[at[jj]] : 0.0f;
       }
     }
   }
@@ -305,135 +283,84 @@ void scatter_input_grad(const float* acc, std::int64_t tc, const ColBlock& blk,
   }
 }
 
-/// The tap mask of a stride-1 conv whose output is its input's size (H x W):
-/// row ky * K + kx holds, for each of `cols` columns of whole images
-/// (column j at position j % (H*W)), all ones where that tap of the
-/// column's output position lands inside the image and 0 where it falls
-/// off. The pattern repeats per image, so a block of fewer images reads a
-/// prefix of each row.
-void tap_mask(std::int64_t k, std::int64_t pad, std::int64_t in_h,
-              std::int64_t in_w, std::int64_t cols, std::uint32_t* mask) {
+/// The gather mask of a stride-1 conv whose output is its input's size
+/// (H x W): row ky * K + kx holds, for each input position s = y * W + x,
+/// all ones where the output position that tap maps onto it,
+/// (y + pad - ky, x + pad - kx), is inside the image, and 0 where it falls
+/// off; `ld` >= H*W columns, those past H*W zero.
+void gather_mask(std::int64_t k, std::int64_t pad, std::int64_t in_h,
+                 std::int64_t in_w, std::int64_t ld, std::int32_t* mask) {
   const std::int64_t spatial = in_h * in_w;
-  for (std::int64_t ky = 0; ky < k; ++ky) {
-    for (std::int64_t kx = 0; kx < k; ++kx) {
-      std::uint32_t* row = mask + (ky * k + kx) * cols;
-      for (std::int64_t j = 0; j < cols; ++j) {
-        const std::int64_t s = j % spatial;
-        const std::int64_t iy = s / in_w + ky - pad;
-        const std::int64_t ix = s % in_w + kx - pad;
-        row[j] = iy >= 0 && iy < in_h && ix >= 0 && ix < in_w ? ~0u : 0u;
-      }
+  for (std::int64_t t = 0; t < k * k; ++t) {
+    std::int32_t* row = mask + t * ld;
+    for (std::int64_t s = 0; s < ld; ++s) {
+      const std::int64_t oy = s / in_w + pad - t / k;
+      const std::int64_t ox = s % in_w + pad - t % k;
+      row[s] = s < spatial && oy >= 0 && oy < in_h && ox >= 0 && ox < in_w
+                   ? -1
+                   : 0;
     }
   }
 }
 
-/// Input-gradient scatter of a stride-1 conv whose output is its input's
-/// size, for a block of whole images: add the block's C into dx, the
-/// block's input gradient channel-major (channel ic's `cols` columns, image
-/// after image, from ic * cols). Column j of tap row (ic, ky, kx) lands on
-/// dx column j + (ky - pad) * W + (kx - pad), so each row is added as one
-/// shifted run; where the tap's mask row (tap_mask, leading dimension
-/// mask_ld) is 0 the target is off the image and is left as it is, by a
-/// select rather than an add of +0. Walking the taps in descending order adds
-/// each input element's contributors in ascending (oy, ox) order, as
-/// scatter_input_grad does.
-void add_tap_rows(const float* acc, std::int64_t tc, std::int64_t cols,
-                  std::int64_t c, std::int64_t k, std::int64_t pad,
-                  std::int64_t in_w, const std::uint32_t* mask,
-                  std::int64_t mask_ld, float* dx) {
-  for (std::int64_t ic = 0; ic < c; ++ic) {
-    float* __restrict d = dx + ic * cols;
-    for (std::int64_t ky = k - 1; ky >= 0; --ky) {
-      for (std::int64_t kx = k - 1; kx >= 0; --kx) {
-        const std::int64_t shift = (ky - pad) * in_w + (kx - pad);
-        const float* __restrict a = acc + ((ic * k + ky) * k + kx) * tc;
-        const std::uint32_t* __restrict m = mask + (ky * k + kx) * mask_ld;
-        // A target outside [0, cols) is off its image, so masked anyway.
-        const std::int64_t j1 = std::min(cols, cols - shift);
-        for (std::int64_t j = std::max<std::int64_t>(0, -shift); j < j1; ++j) {
-          // A select on bit patterns: branch-free, so it vectorizes
-          // without AVX's masked stores too.
-          const float v = d[j + shift];
-          const auto keep = std::bit_cast<std::uint32_t>(v);
-          const auto sum = std::bit_cast<std::uint32_t>(v + a[j]);
-          d[j + shift] = std::bit_cast<float>(keep ^ ((keep ^ sum) & m[j]));
-        }
+/// Input gradient of a stride-1 conv whose output is its input's size, for
+/// a block of whole images, from the block's C: each input element of image
+/// `img0 + i`, channel ic, position s sums, from +0 and in a register, the
+/// taps t = ky * K + kx in descending order whose output position is inside
+/// the image (gather_mask, leading dimension mask_ld), reading tap row
+/// (ic, ky, kx) at column i * H*W + s + shift[t], shift[t] =
+/// (pad - ky) * W + (pad - kx); then it is written to gx once. Descending
+/// taps are ascending output positions, col2im's order. A vector V of input
+/// positions reads its taps whether or not they are inside, and a select
+/// keeps the old sum where one is not (not an add of +0), so that no
+/// element takes a term col2im does not add. Those reads run up to one
+/// vector plus pad * (W + 1) floats past the accumulator's last row, which
+/// run_blocks' slack covers.
+template <typename V, typename M>
+void gather_input_grad(const float* acc, std::int64_t tc, const ColBlock& blk,
+                       std::int64_t c, std::int64_t taps_per_channel,
+                       std::int64_t spatial, const std::int64_t* shift,
+                       const std::int32_t* mask, std::int64_t mask_ld,
+                       float* gx) {
+  constexpr std::int64_t kLanes = sizeof(V) / sizeof(float);
+  const std::int64_t img0 = blk.j0 / spatial;
+  // kChains vectors at once, so that their select chains overlap instead of
+  // each waiting on its previous tap.
+  const auto gather = [&](const float* taps, std::int64_t s, auto chains,
+                          V* v) {
+    for (std::int64_t u = 0; u < chains; ++u) v[u] = V{};
+    for (std::int64_t t = taps_per_channel - 1; t >= 0; --t) {
+      for (std::int64_t u = 0; u < chains; ++u) {
+        const std::int64_t at = s + u * kLanes;
+        V term;
+        std::memcpy(&term, taps + t * tc + shift[t] + at, sizeof term);
+        M inside;
+        std::memcpy(&inside, mask + t * mask_ld + at, sizeof inside);
+        v[u] = inside ? v[u] + term : v[u];
       }
     }
-  }
-}
-
-/// Weight-gradient A pack: depth block [pc, pc+kc) of g read as the
-/// (F, N*OH*OW) matrix (row f, column p = image * OH*OW + s), in pack_a's
-/// MR-row strip layout. Rows past f are zero-filled.
-void pack_a_planes(const float* g, std::int64_t f, std::int64_t spatial,
-                   std::int64_t pc, std::int64_t kc, float* ap) {
-  const std::int64_t fp = round_up(f, kGemmMR);
-  std::int64_t in_n = pc / spatial;
-  std::int64_t s = pc % spatial;
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const float* col = g + in_n * f * spatial + s;
-    for (std::int64_t ir = 0; ir < fp; ir += kGemmMR) {
-      float* dst = ap + ir * kc + p * kGemmMR;
-      for (std::int64_t r = 0; r < kGemmMR; ++r) {
-        dst[r] = ir + r < f ? col[(ir + r) * spatial] : 0.0f;
+  };
+  constexpr std::int64_t kChains = 4;
+  for (std::int64_t i = 0; i < blk.cols / spatial; ++i) {
+    for (std::int64_t ic = 0; ic < c; ++ic) {
+      // Tap row (ic, 0, 0) at image i's first column.
+      const float* taps = acc + ic * taps_per_channel * tc + i * spatial;
+      float* out = gx + ((img0 + i) * c + ic) * spatial;
+      V v[kChains];
+      std::int64_t s = 0;
+      for (; s + kChains * kLanes <= spatial; s += kChains * kLanes) {
+        gather(taps, s, std::integral_constant<std::int64_t, kChains>{}, v);
+        std::memcpy(out + s, v, sizeof v);
       }
-    }
-    if (++s == spatial) {
-      s = 0;
-      ++in_n;
-    }
-  }
-}
-
-/// Weight-gradient B pack: depth rows [pc, pc+kc) (p = image * OH*OW +
-/// oy*OW + ox) of the block's columns, the input taps q = (ic, ky, kx),
-/// gathered straight from the NCHW input: element (p, jj) of strip jr is
-/// im2col(x)[p, blk.j0 + jr + jj], zero in the padding ring and past
-/// blk.cols.
-void pack_b_taps(const float* x, std::int64_t c, std::int64_t in_h,
-                 std::int64_t in_w, const Conv2dSpec& spec, std::int64_t ow,
-                 std::int64_t spatial, std::int64_t pc, std::int64_t kc,
-                 const ColBlock& blk, std::int64_t tc, float* bp) {
-  const std::int64_t k = spec.kernel;
-  const std::int64_t plane = in_h * in_w;
-  const std::int64_t oh = spatial / ow;
-  for (std::int64_t jr = 0; jr < tc; jr += kGemmNR) {
-    float* dst = bp + jr * kc;
-    // Per-tap source geometry, hoisted out of the depth walk. A tap past
-    // blk.cols gets an offset no window reaches, so it always reads zero.
-    std::int64_t off[kGemmNR];
-    std::int64_t ty[kGemmNR];
-    std::int64_t tx[kGemmNR];
-    for (std::int64_t jj = 0; jj < kGemmNR; ++jj) {
-      const std::int64_t q = blk.j0 + jr + jj;
-      const bool valid = jr + jj < blk.cols;
-      ty[jj] = valid ? (q % (k * k)) / k : -in_h - spec.pad - 1;
-      tx[jj] = valid ? q % k : 0;
-      off[jj] = valid ? (q / (k * k)) * plane + ty[jj] * in_w + tx[jj] : 0;
-    }
-    std::int64_t in_n = pc / spatial;
-    std::int64_t oy = (pc % spatial) / ow;
-    std::int64_t ox = (pc % spatial) % ow;
-    for (std::int64_t p = 0; p < kc; ++p) {
-      float* row = dst + p * kGemmNR;
-      const float* xb = x + in_n * c * plane;
-      const std::int64_t iy0 = oy * spec.stride - spec.pad;
-      const std::int64_t ix0 = ox * spec.stride - spec.pad;
-      const std::int64_t base = iy0 * in_w + ix0;
-      for (std::int64_t jj = 0; jj < kGemmNR; ++jj) {
-        const bool in_bounds = static_cast<std::uint64_t>(iy0 + ty[jj]) <
-                                   static_cast<std::uint64_t>(in_h) &&
-                               static_cast<std::uint64_t>(ix0 + tx[jj]) <
-                                   static_cast<std::uint64_t>(in_w);
-        row[jj] = in_bounds ? xb[off[jj] + base] : 0.0f;
+      for (; s + kLanes <= spatial; s += kLanes) {
+        gather(taps, s, std::integral_constant<std::int64_t, 1>{}, v);
+        std::memcpy(out + s, v, sizeof(V));
       }
-      if (++ox == ow) {
-        ox = 0;
-        if (++oy == oh) {
-          oy = 0;
-          ++in_n;
-        }
+      if (s < spatial) {
+        gather(taps, s, std::integral_constant<std::int64_t, 1>{}, v);
+        float tail[kLanes];
+        std::memcpy(tail, v, sizeof(V));
+        std::copy_n(tail, spatial - s, out + s);
       }
     }
   }
@@ -477,33 +404,48 @@ struct Epilogue {
 
 /// The forward GEMM's columns: per image, `rows` rows of `width` columns,
 /// of which rows [0, out_h) and columns [0, out_w) are output positions.
-/// The gather packs the output positions alone, as one row of OH*OW; the
-/// in-place read runs over the zero-padded grid and skips its halo.
+/// The in-place read runs over the zero-padded grid and skips its halo; a
+/// packed B holds the output positions alone, as one row of OH*OW.
 struct ColGrid {
   std::int64_t rows, width, out_h, out_w;
 };
 
-/// Copy x (N,C,H,W) into xp as the grid a stride-1 conv reads in place:
-/// channel ic holds its N images one after another from ic * N * rows *
-/// width, each `rows` rows of `width` floats with pixel (y, x) at row
-/// y + pad, column x + pad, and zeros everywhere else. A window that runs
-/// off a row's right edge reads on into the next row's leading zeros, one
-/// that runs off an image's bottom into the next image's top rows (the next
-/// channel's for the last image), and the last channel's into `slack` zeros
-/// after the copy. So tap (ky, kx) of grid position (oy, ox) is the float
-/// at (oy + ky) * width + ox + kx from its image's start: pixel
-/// (oy + ky - pad, ox + kx - pad), or a zero where that is off the input.
+/// Copy x (N,C,H,W) into xp as the grid a conv reads its taps from: channel
+/// ic holds its N images one after another from ic * N * rows * width, each
+/// `rows` rows of `width` floats with pixel (y, x) at row y + pad, column
+/// x + pad, and zeros everywhere else. A window that runs off a row's right
+/// edge reads on into the next row's leading zeros, one that runs off an
+/// image's bottom into the next image's top rows (the next channel's for
+/// the last image), and the last channel's into `slack` zeros after the
+/// copy. So tap (ky, kx) of grid position (gy, gx) is the float at
+/// (gy + ky) * width + gx + kx from its image's start: pixel
+/// (gy + ky - pad, gx + kx - pad), or a zero where that is off the input.
+/// Planes of at most kTablePlane pixels (vgg16's 4x4 and 2x2 maps) are
+/// zeroed whole and their pixels placed through a table of grid offsets,
+/// instead of a fill and a copy per row of a few floats.
 void pad_channels(const float* x, std::int64_t n, std::int64_t c,
                   std::int64_t in_h, std::int64_t in_w, std::int64_t pad,
                   const ColGrid& grid, std::int64_t slack, float* xp) {
   static obs::ProfileSite& prof = obs::profile_site("tensor/conv_eval/pack_b");
+  constexpr std::int64_t kTablePlane = 16;
   const std::int64_t img = grid.rows * grid.width;
+  const std::int64_t plane = in_h * in_w;
+  std::int64_t at[kTablePlane];
+  const bool table = plane <= kTablePlane;
+  for (std::int64_t e = 0; table && e < plane; ++e) {
+    at[e] = (e / in_w + pad) * grid.width + e % in_w + pad;
+  }
   runtime::parallel_for(
       0, c * n, runtime::grain_for(img), [&](std::int64_t i0, std::int64_t i1) {
         obs::ProfileScope prof_scope(prof);
         for (std::int64_t i = i0; i < i1; ++i) {  // i = ic * N + image
-          const float* src = x + ((i % n) * c + i / n) * in_h * in_w;
+          const float* src = x + ((i % n) * c + i / n) * plane;
           float* dst = xp + i * img;
+          if (table) {
+            std::fill_n(dst, img, 0.0f);
+            for (std::int64_t e = 0; e < plane; ++e) dst[at[e]] = src[e];
+            continue;
+          }
           for (std::int64_t y = -pad; y < grid.rows - pad; ++y) {
             if (y < 0 || y >= in_h) {
               std::fill_n(dst, grid.width, 0.0f);
@@ -519,16 +461,66 @@ void pad_channels(const float* x, std::int64_t n, std::int64_t c,
       });
 }
 
+/// x's zero-padded grid (pad_channels) in the caller's kConvPadX, which
+/// every tap of every output position of a conv with this spec reads
+/// inside: per image max(H + pad, OH) rows of max(W + pad, OW) floats. Tap
+/// (ky, kx) of output position (oy, ox) lies at grid position
+/// (oy * stride + ky, ox * stride + kx), at most H + 2 pad - 1 rows and
+/// W + 2 pad - 1 columns down and across, so it spills at most pad rows
+/// into the next image's top zeros and pad columns into the next row's
+/// leading ones. The slack after the last channel also covers the
+/// in-place forward's last NR-column strip.
+struct PaddedX {
+  const float* xp;
+  ColGrid grid;
+  std::int64_t chan;  ///< floats per channel: N * rows * width
+
+  PaddedX(const Tensor& x, const Conv2dSpec& spec, std::int64_t oh,
+          std::int64_t ow)
+      : grid{std::max(x.dim(2) + spec.pad, oh), std::max(x.dim(3) + spec.pad, ow),
+             oh, ow},
+        chan(x.dim(0) * grid.rows * grid.width) {
+    const std::int64_t slack =
+        kGemmNR + std::max(spec.kernel - 1, spec.pad) * (grid.width + 1);
+    float* buf = runtime::lane_arena().floats(
+        runtime::Scratch::kConvPadX,
+        static_cast<std::size_t>(x.dim(1) * chan + slack));
+    pad_channels(x.data().data(), x.dim(0), x.dim(1), x.dim(2), x.dim(3),
+                 spec.pad, grid, slack, buf);
+    xp = buf;
+  }
+
+  /// Offset of tap q = (ic, ky, kx) of a K x K kernel from a grid
+  /// position's own offset.
+  std::int64_t tap(std::int64_t q, std::int64_t k) const {
+    return (q / (k * k)) * chan + (q % (k * k) / k) * grid.width + q % k;
+  }
+
+  /// pos[(image * OH + oy) * OW + ox] = the offset of output position
+  /// (oy, ox)'s grid position in channel 0, for every real output position
+  /// of n images.
+  void positions(std::int64_t n, std::int64_t stride, std::int64_t* pos) const {
+    const std::int64_t img = grid.rows * grid.width;
+    for (std::int64_t i = 0; i < n; ++i) {
+      for (std::int64_t oy = 0; oy < grid.out_h; ++oy) {
+        for (std::int64_t ox = 0; ox < grid.out_w; ++ox) {
+          *pos++ = i * img + oy * stride * grid.width + ox * stride;
+        }
+      }
+    }
+  }
+};
+
 /// The conv forward: x (N,C,H,W) against weight panels packed by
-/// pack_panels for f filters -> (N,F,OH,OW) with the epilogue applied.
+/// pack_panels for f filters -> (N,F,OH,OW) with the epilogue applied. x is
+/// copied once into its padded grid (PaddedX).
 ///
 /// A stride-1 conv whose padded grid is at most 2x its output reads B in
-/// place: x is copied once into the caller's kConvPadX (pad_channels, row
-/// width max(W + pad, OW), max(H + pad, OH) rows per image), the GEMM runs
-/// over every grid position, and B's row for tap q = (ic, ky, kx) at grid
-/// column j is the NR floats at off[q] + j, off[q] = ic * N*rows*width +
-/// ky * width + kx (kConvTaps). Other convs gather B per block
-/// (pack_b_cols). Both feed each output the same values in the same order.
+/// place: the GEMM runs over every grid position, and B's row for tap
+/// q = (ic, ky, kx) at grid column j is the NR floats at off[q] + j
+/// (kConvTaps). Other convs pack B per block from the grid through the
+/// table of the output positions (pack_b_positions). Both feed each output
+/// the same values in the same order.
 Tensor run_conv(const Tensor& x, const float* panels, std::int64_t f,
                 const Conv2dSpec& spec, const Epilogue& ep) {
   const auto n = x.dim(0), c = x.dim(1), in_h = x.dim(2), in_w = x.dim(3);
@@ -543,18 +535,16 @@ Tensor run_conv(const Tensor& x, const float* panels, std::int64_t f,
   }
   if (n * spatial == 0) return out;
 
-  const ColGrid padded{std::max(in_h + pad, oh), std::max(in_w + pad, ow), oh,
-                       ow};
-  // Past 2x the halo's extra kernel columns cost more than the gather
+  const PaddedX px(x, spec, oh, ow);
+  // Past 2x the halo's extra kernel columns cost more than the pack
   // saves: vgg16's 4x4 maps (1.56x) are faster in place, its 2x2 maps
   // (2.25x) slower.
   const bool in_place =
-      spec.stride == 1 && padded.rows * padded.width <= 2 * spatial;
-  const ColGrid grid = in_place ? padded : ColGrid{1, spatial, 1, spatial};
+      spec.stride == 1 && px.grid.rows * px.grid.width <= 2 * spatial;
+  const ColGrid grid = in_place ? px.grid : ColGrid{1, spatial, 1, spatial};
   const std::int64_t img = grid.rows * grid.width;
   const std::int64_t total_cols = n * img;
 
-  const float* px = x.data().data();
   const float* psk = ep.skip != nullptr ? ep.skip->data().data() : nullptr;
   const float* pbias = ep.bias;
   float* po = out.data().data();
@@ -607,36 +597,26 @@ Tensor run_conv(const Tensor& x, const float* panels, std::int64_t f,
     }
   };
   const std::int64_t nblocks = (total_cols + kGemmNC - 1) / kGemmNC;
+  auto* off = runtime::lane_arena().get<std::int64_t>(
+      runtime::Scratch::kConvTaps,
+      static_cast<std::size_t>(ckk + (in_place ? 0 : n * spatial)));
+  for (std::int64_t q = 0; q < ckk; ++q) off[q] = px.tap(q, k);
   if (!in_place) {
-    run_blocks(panels, f, ckk, nblocks, 1, &kprof, block_of,
+    std::int64_t* pos = off + ckk;
+    px.positions(n, spec.stride, pos);
+    run_blocks(panels, f, ckk, nblocks, 1, 0, &kprof, block_of,
                [&](std::int64_t pc, std::int64_t kc, const ColBlock& blk,
                    std::int64_t tc, float* bp) {
-                 pack_b_cols(px, c, in_h, in_w, spec, ow, spatial, pc, kc,
-                             blk, tc, bp);
+                 pack_b_positions(px.xp, off, pos, pc, kc, blk, tc, bp);
                  return PackedBlock{bp, kc};
                },
                store);
     return out;
   }
-
-  // The last block's NR padding and the widest tap read this far past the
-  // last channel's grid; zeros, like its bottom pad.
-  const std::int64_t slack =
-      kGemmNR + std::max(k - 1, pad) * (grid.width + 1);
-  runtime::ScratchArena& arena = runtime::lane_arena();
-  float* xp = arena.floats(runtime::Scratch::kConvPadX,
-                           static_cast<std::size_t>(c * total_cols + slack));
-  auto* off = arena.get<std::int64_t>(runtime::Scratch::kConvTaps,
-                                      static_cast<std::size_t>(ckk));
-  for (std::int64_t q = 0; q < ckk; ++q) {
-    off[q] = (q / (k * k)) * total_cols + (q % (k * k) / k) * grid.width +
-             q % k;
-  }
-  pad_channels(px, n, c, in_h, in_w, pad, grid, slack, xp);
-  run_blocks(panels, f, ckk, nblocks, 1, &kprof, block_of,
+  run_blocks(panels, f, ckk, nblocks, 1, 0, &kprof, block_of,
              [&](std::int64_t pc, std::int64_t, const ColBlock& blk,
                  std::int64_t, float*) {
-               return InPlaceBlock{xp + blk.j0, off + pc};
+               return InPlaceBlock{px.xp + blk.j0, off + pc};
              },
              store);
   return out;
@@ -676,8 +656,8 @@ Tensor conv2d_input_grad(const Tensor& g, const Shape& x_shape,
   const std::int64_t spatial = oh * ow;
   if (n * spatial == 0 || f == 0 || ckk == 0) return Tensor(x_shape);
   // A stride-1 conv whose output is its input's size and whose blocks hold
-  // whole images adds each tap row as one masked run (add_tap_rows) and
-  // copies every plane of gx out; any other conv scatters into a zeroed gx.
+  // whole images gathers each input element's taps (gather_input_grad) and
+  // writes it once; any other conv scatters into a zeroed gx.
   const bool same = spec.stride == 1 && oh == in_h && ow == in_w &&
                     spatial <= kGemmNC;
   Tensor gx = same ? Tensor::unfilled(x_shape) : Tensor(x_shape);
@@ -689,7 +669,7 @@ Tensor conv2d_input_grad(const Tensor& g, const Shape& x_shape,
       arena.floats(runtime::Scratch::kConvPackA, panel_floats(ckk, f));
   pack_panels(w.data().data(), ckk, /*trans=*/true, ckk, f, panels);
 
-  // A task owns whole images, so no two lanes add into one input element.
+  // A task owns whole images, so no two lanes write one input element.
   // Maps of at most NC columns pool whole images into one block, at most an
   // even share of the batch per lane so that small maps still fan out; a
   // wider image is one task of consecutive NC-column chunks.
@@ -717,34 +697,41 @@ Tensor conv2d_input_grad(const Tensor& g, const Shape& x_shape,
     return ColBlock{(b / chunks) * spatial + s0,
                     std::min(kGemmNC, spatial - s0)};
   };
-  std::uint32_t* mask = nullptr;
+  // Planes narrower than a register gather 4 positions at a time.
+  typedef float Floats4 __attribute__((vector_size(16)));
+  typedef std::int32_t Ints4 __attribute__((vector_size(16)));
+  const bool narrow = spatial < simd::kFloats;
+  const std::int64_t lanes_v = narrow ? 4 : simd::kFloats;
+  std::int32_t* mask = nullptr;
+  std::int64_t mask_ld = 0, acc_slack = 0;
+  std::vector<std::int64_t> shift;
   if (same) {
-    mask = arena.get<std::uint32_t>(runtime::Scratch::kConvTapMask,
-                                    static_cast<std::size_t>(k * k * width));
-    tap_mask(k, spec.pad, in_h, in_w, width, mask);
+    mask_ld = round_up(spatial, lanes_v);
+    mask = arena.get<std::int32_t>(runtime::Scratch::kConvTapMask,
+                                   static_cast<std::size_t>(k * k * mask_ld));
+    gather_mask(k, spec.pad, in_h, in_w, mask_ld, mask);
+    acc_slack = lanes_v + spec.pad * (in_w + 1);
+    for (std::int64_t t = 0; t < k * k; ++t) {
+      shift.push_back((spec.pad - t / k) * in_w + (spec.pad - t % k));
+    }
   }
   const auto store = [&](const ColBlock& blk, const float* acc,
                          std::int64_t tc) {
     obs::ProfileScope prof_scope(scatter_prof);
-    if (!same) {
+    if (same && narrow) {
+      gather_input_grad<Floats4, Ints4>(acc, tc, blk, c, k * k, spatial,
+                                        shift.data(), mask, mask_ld, pgx);
+    } else if (same) {
+      gather_input_grad<simd::Floats, simd::Ints>(acc, tc, blk, c, k * k,
+                                                  spatial, shift.data(), mask,
+                                                  mask_ld, pgx);
+    } else {
       scatter_input_grad(acc, tc, blk, c, in_h, in_w, spec, oh, ow, pgx);
-      return;
-    }
-    const std::int64_t cols = blk.cols;
-    float* dx = runtime::lane_arena().floats(
-        runtime::Scratch::kConvGradX, static_cast<std::size_t>(c * cols));
-    std::fill_n(dx, c * cols, 0.0f);
-    add_tap_rows(acc, tc, cols, c, k, spec.pad, in_w, mask, width, dx);
-    const std::int64_t img0 = blk.j0 / spatial;
-    for (std::int64_t i = 0; i < cols / spatial; ++i) {
-      for (std::int64_t ic = 0; ic < c; ++ic) {
-        std::copy_n(dx + ic * cols + i * spatial, spatial,
-                    pgx + ((img0 + i) * c + ic) * spatial);
-      }
     }
   };
   if (spatial % kGemmNR != 0) {
-    run_blocks(panels, ckk, f, nblocks, chunks, &kernel_prof, block_of,
+    run_blocks(panels, ckk, f, nblocks, chunks, acc_slack, &kernel_prof,
+               block_of,
                [&](std::int64_t pc, std::int64_t kc, const ColBlock& blk,
                    std::int64_t tc, float* bp) {
                  obs::ProfileScope prof_scope(pack_prof);
@@ -759,7 +746,8 @@ Tensor conv2d_input_grad(const Tensor& g, const Shape& x_shape,
   auto* off = arena.get<std::int64_t>(runtime::Scratch::kConvTaps,
                                       static_cast<std::size_t>(f));
   for (std::int64_t p = 0; p < f; ++p) off[p] = p * spatial;
-  run_blocks(panels, ckk, f, nblocks, chunks, &kernel_prof, block_of,
+  run_blocks(panels, ckk, f, nblocks, chunks, acc_slack, &kernel_prof,
+             block_of,
              [&](std::int64_t pc, std::int64_t, const ColBlock& blk,
                  std::int64_t, float*) {
                return PlaneBlock{pg, f, spatial, blk.j0, off + pc};
@@ -774,49 +762,78 @@ Tensor conv2d_weight_grad(const Tensor& g, const Tensor& x,
       obs::profile_site("tensor/conv2d_weight_grad");
   obs::ProfileScope prof_scope(prof);
   check_grad_shape(g, x.shape(), w_shape, spec, "conv2d_weight_grad");
-  const std::int64_t c = x.dim(1), in_h = x.dim(2), in_w = x.dim(3);
+  const std::int64_t n = x.dim(0);
   const std::int64_t f = w_shape[0];
-  const std::int64_t ckk = c * spec.kernel * spec.kernel;
-  const std::int64_t ow = g.dim(3);
-  const std::int64_t spatial = g.dim(2) * ow;
-  const std::int64_t depth = x.dim(0) * spatial;
+  const std::int64_t k = spec.kernel;
+  const std::int64_t ckk = x.dim(1) * k * k;
+  const std::int64_t oh = g.dim(2), ow = g.dim(3);
+  const std::int64_t spatial = oh * ow;
+  const std::int64_t depth = n * spatial;
   if (depth == 0 || f == 0 || ckk == 0) return Tensor(w_shape);
   Tensor gw = Tensor::unfilled(w_shape);  // every (filter, tap) is copied out
 
-  // C (F, C*K*K) = g * im2col(x), reduced over p = (image, oy, ox) in
-  // ascending order. g as (F, p) MR-row A panels, packed once and shared
-  // by every task; each task gathers the input taps of NR columns.
-  const std::int64_t fp = round_up(f, kGemmMR);
-  float* panels = runtime::lane_arena().floats(runtime::Scratch::kConvPackA,
-                                               panel_floats(f, depth));
+  // C^T (C*K*K, F) = im2col(x)^T * g^T, reduced over p = (image, oy, ox) in
+  // ascending order. Row q = (ic, ky, kx) of im2col(x)^T is read in place:
+  // its value at p is tap q of output position p in x's padded grid, through
+  // a table of the real output positions, so no halo term enters a chain
+  // and a tap off the input reads a zero of the grid, the value im2col
+  // holds there. g^T is copied once, as a (depth, F) matrix with NR floats
+  // of slack, and every task reads its rows in place. Tasks split the taps
+  // PositionRows::kRows rows at a time; each runs the depth blocks in
+  // ascending order over its row groups, so one KC-deep stretch of g^T
+  // serves them all.
+  runtime::ScratchArena& arena = runtime::lane_arena();
+  const PaddedX px(x, spec, oh, ow);
+  auto* pos = arena.get<std::int64_t>(runtime::Scratch::kConvTaps,
+                                      static_cast<std::size_t>(depth));
+  px.positions(n, spec.stride, pos);
+  float* gt = arena.floats(runtime::Scratch::kConvPackA,
+                           static_cast<std::size_t>(depth * f + kGemmNR));
   const float* pg = g.data().data();
-  runtime::parallel_for(
-      0, (depth + kGemmKC - 1) / kGemmKC, runtime::grain_for(fp * kGemmKC),
-      [&](std::int64_t d0, std::int64_t d1) {
-        for (std::int64_t d = d0; d < d1; ++d) {
-          const std::int64_t pc = d * kGemmKC;
-          pack_a_planes(pg, f, spatial, pc, std::min(kGemmKC, depth - pc),
-                        panels + pc * fp);
-        }
-      });
-  const float* px = x.data().data();
-  float* pgw = gw.data().data();
-  run_blocks(
-      panels, f, depth, (ckk + kGemmNR - 1) / kGemmNR, 1, nullptr,
-      [&](std::int64_t b) {
-        return ColBlock{b * kGemmNR, std::min(kGemmNR, ckk - b * kGemmNR)};
-      },
-      [&](std::int64_t pc, std::int64_t kc, const ColBlock& blk,
-          std::int64_t tc, float* bp) {
-        pack_b_taps(px, c, in_h, in_w, spec, ow, spatial, pc, kc, blk, tc, bp);
-        return PackedBlock{bp, kc};
-      },
-      [&](const ColBlock& blk, const float* acc, std::int64_t tc) {
+  runtime::parallel_for(0, n, runtime::grain_for(f * spatial),
+                        [&](std::int64_t i0, std::int64_t i1) {
+    for (std::int64_t i = i0; i < i1; ++i) {
+      const float* src = pg + i * f * spatial;
+      float* dst = gt + i * spatial * f;
+      for (std::int64_t s = 0; s < spatial; ++s) {
         for (std::int64_t of = 0; of < f; ++of) {
-          std::memcpy(pgw + of * ckk + blk.j0, acc + of * tc,
-                      static_cast<std::size_t>(blk.cols) * sizeof(float));
+          dst[s * f + of] = src[of * spatial + s];
         }
-      });
+      }
+    }
+  });
+  std::fill_n(gt + depth * f, kGemmNR, 0.0f);
+
+  using gemm_detail::PositionRows;
+  constexpr std::int64_t kRows = PositionRows::kRows;
+  const std::int64_t tc = round_up(f, kGemmNR);
+  const std::int64_t groups = (ckk + kRows - 1) / kRows;
+  float* pgw = gw.data().data();
+  runtime::parallel_for(0, groups, 1, [&](std::int64_t g0, std::int64_t g1) {
+    float* acc = runtime::lane_arena().floats(
+        runtime::Scratch::kConvAccC,
+        static_cast<std::size_t>((g1 - g0) * kRows * tc));
+    for (std::int64_t pc = 0; pc < depth; pc += kGemmKC) {
+      const std::int64_t kc = std::min(kGemmKC, depth - pc);
+      for (std::int64_t grp = g0; grp < g1; ++grp) {
+        // Rows past the last tap repeat it; their C rows are dropped.
+        PositionRows a{{}, pos + pc};
+        for (std::int64_t r = 0; r < kRows; ++r) {
+          a.row[r] = px.xp + px.tap(std::min(grp * kRows + r, ckk - 1), k);
+        }
+        float* cblk = acc + (grp - g0) * kRows * tc;
+        for (std::int64_t jr = 0; jr < tc; jr += kGemmNR) {
+          gemm_detail::micro_kernel(
+              kc, a, gemm_detail::StridedRows{gt + pc * f + jr, f}, cblk + jr,
+              tc, /*load_c=*/pc > 0, /*cols=*/f - jr);
+        }
+      }
+    }
+    for (std::int64_t q = g0 * kRows; q < std::min(ckk, g1 * kRows); ++q) {
+      const float* crow = acc + (q - g0 * kRows) * tc;
+      for (std::int64_t of = 0; of < f; ++of) pgw[of * ckk + q] = crow[of];
+    }
+  });
   return gw;
 }
 
@@ -827,15 +844,25 @@ Tensor conv2d_bias_grad(const Tensor& g) {
   Tensor gb = Tensor::unfilled({f});
   const float* pg = g.data().data();
   float* pb = gb.data().data();
-  // One chain per channel from +0, reading its planes in (image, spatial)
-  // order.
-  for (std::int64_t of = 0; of < f; ++of) {
-    float sum = 0.0f;
-    for (std::int64_t in_n = 0; in_n < n; ++in_n) {
-      const float* plane = pg + (in_n * f + of) * spatial;
-      for (std::int64_t s = 0; s < spatial; ++s) sum += plane[s];
+  // One chain per filter from +0, reading its planes in (image, spatial)
+  // order: kLanes filters side by side in the lanes of a vector, each lane
+  // exactly its filter's chain, reading its plane through simd::columns.
+  // Lanes past the last filter repeat it and are dropped.
+  using V = simd::HalfFloats;
+  constexpr std::int64_t kLanes = simd::kLanes<V>;
+  for (std::int64_t f0 = 0; f0 < f; f0 += kLanes) {
+    std::int64_t at[kLanes];
+    for (std::int64_t l = 0; l < kLanes; ++l) {
+      at[l] = std::min(f0 + l, f - 1) * spatial;
     }
-    pb[of] = sum;
+    V sum = {};
+    for (std::int64_t in_n = 0; in_n < n; ++in_n) {
+      simd::each_column<V>(pg + in_n * f * spatial, at, spatial,
+                           [&](V v) { sum += v; });
+    }
+    for (std::int64_t l = 0; l < std::min(kLanes, f - f0); ++l) {
+      pb[f0 + l] = sum[l];
+    }
   }
   return gb;
 }
@@ -878,19 +905,56 @@ Tensor batch_norm_relu(const Tensor& x, const FoldedBn& bn, bool relu) {
   const float* pis = bn.inv_std.data().data();
   const float* pg = bn.gamma.data().data();
   const float* pb = bn.beta.data().data();
-  const std::int64_t grain = runtime::grain_for(spatial);
-  runtime::parallel_for(0, n * c, grain, [&](std::int64_t i0, std::int64_t i1) {
-    for (std::int64_t i = i0; i < i1; ++i) {
-      const std::int64_t ic = i % c;
-      const std::int64_t off = i * spatial;
-      const float mu = pmu[ic], is = pis[ic], g = pg[ic], b = pb[ic];
-      for (std::int64_t kk = 0; kk < spatial; ++kk) {
-        float v = bn_element(px[off + kk], mu, is, g, b);
-        if (relu) v = v > 0.0f ? v : 0.0f;  // ag::relu
-        po[off + kk] = v;
-      }
+  // Planes shorter than a register: each image is one run of C*H*W
+  // elements, with the four constants expanded over the plane.
+  const bool small = spatial < simd::kFloats;
+  const std::int64_t run = small ? c * spatial : spatial;
+  std::vector<float> expanded;
+  if (small) {
+    expanded.resize(static_cast<std::size_t>(4 * run));
+    for (std::int64_t e = 0; e < run; ++e) {
+      const std::int64_t ic = e / spatial;
+      expanded[e] = pmu[ic];
+      expanded[run + e] = pis[ic];
+      expanded[2 * run + e] = pg[ic];
+      expanded[3 * run + e] = pb[ic];
     }
-  });
+  }
+  const float* ex = expanded.data();
+  // The ReLU's presence as a compile-time constant, so that neither loop
+  // tests it per element.
+  const auto apply = [&](auto kRelu) {
+    const auto put = [&](std::int64_t e, float v) {
+      po[e] = kRelu ? (v > 0.0f ? v : 0.0f) : v;  // ag::relu
+    };
+    if (small) {
+      runtime::parallel_for(
+          0, n, runtime::grain_for(run), [&](std::int64_t i0, std::int64_t i1) {
+        for (std::int64_t off = i0 * run; off < i1 * run; off += run) {
+          for (std::int64_t e = 0; e < run; ++e) {
+            put(off + e, bn_element(px[off + e], ex[e], ex[run + e],
+                                    ex[2 * run + e], ex[3 * run + e]));
+          }
+        }
+      });
+      return;
+    }
+    runtime::parallel_for(
+        0, n * c, runtime::grain_for(run), [&](std::int64_t i0, std::int64_t i1) {
+      for (std::int64_t i = i0; i < i1; ++i) {
+        const std::int64_t ic = i % c, off = i * run;
+        const float mu = pmu[ic], is = pis[ic], g = pg[ic], b = pb[ic];
+        for (std::int64_t e = 0; e < run; ++e) {
+          put(off + e, bn_element(px[off + e], mu, is, g, b));
+        }
+      }
+    });
+  };
+  if (relu) {
+    apply(std::true_type{});
+  } else {
+    apply(std::false_type{});
+  }
   return out;
 }
 

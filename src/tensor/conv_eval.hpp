@@ -14,29 +14,32 @@
 //    (Scratch::kConvPackA); ConvEvalPlan packs them once, at construction
 //    (ModelSnapshot publish time), and every micro-batch on every worker
 //    reuses them. Only the plan's panels count in serve.snapshot_bytes.
-//  * B-side (activations), read one of two ways. Columns are pooled across
-//    the whole batch, so small feature maps (deep VGG layers have OH*OW = 4)
-//    still fill complete NR=16 strips once the batch is large enough.
-//     - In place, for a stride-1 conv whose zero-padded grid is at most 2x
-//       its output (vgg16's 16x16, 8x8 and 4x4 maps): x is copied once per
-//       call into a channel-major zero-padded buffer in the caller's arena
-//       (Scratch::kConvPadX). Each channel is one flat run: per image,
-//       max(H + pad, OH) rows of max(W + pad, OW) floats, neighbouring rows,
-//       images and channels sharing their pad zeros. The GEMM runs over
-//       every position of that grid (column j = image * rows * width +
+//  * B-side (activations): x is copied once per call into a channel-major
+//    zero-padded grid in the caller's arena (Scratch::kConvPadX). Each
+//    channel is one flat run: per image, max(H + pad, OH) rows of
+//    max(W + pad, OW) floats, neighbouring rows, images and channels sharing
+//    their pad zeros, so every tap of every output position lies inside it
+//    with no bound to check. Planes of at most 16 pixels are placed through
+//    a table of grid offsets rather than a copy per row. Columns are pooled
+//    across the whole batch, so small feature maps (deep VGG layers have
+//    OH*OW = 4) still fill complete NR=16 strips once the batch is large
+//    enough. B is then read one of two ways:
+//     - In place, for a stride-1 conv whose grid is at most 2x its output
+//       (vgg16's 16x16, 8x8 and 4x4 maps): the GEMM runs over every
+//       position of the grid (column j = image * rows * width +
 //       y * width + x), and the micro-kernel reads the B row of tap
-//       (ic, ky, kx) at column j as the 16 floats at off[tap] + j, off being
-//       a per-call offset table (Scratch::kConvTaps): no pack, no bounds
-//       check. This is the indirect convolution of Dukhan et al.
-//       (arXiv:1907.02129), except that the padded layout lets one offset
-//       per tap serve every column where their indirection buffer holds a
-//       pointer per output and tap.
-//     - Gathered, for stride-2 convs and maps whose grid would be more than
+//       (ic, ky, kx) at column j as the 16 floats at off[tap] + j, off
+//       being a per-call offset table (Scratch::kConvTaps): no pack. This
+//       is the indirect convolution of Dukhan et al. (arXiv:1907.02129),
+//       except that the padded layout lets one offset per tap serve every
+//       column where their indirection buffer holds a pointer per output
+//       and tap.
+//     - Packed, for stride-2 convs and maps whose grid would be more than
 //       2x their output (vgg16's 2x2 maps, whose halo columns would cost
-//       more kernel time than the gather saves): packed straight from
-//       the NCHW input into KC x NR column strips in the per-lane scratch
-//       arena (Scratch::kConvPackB), the im2col gather happening inside the
-//       pack (column j = image * OH*OW + spatial).
+//       more kernel time than the pack saves): KC x NR column strips in the
+//       per-lane scratch arena (Scratch::kConvPackB), copied from the grid
+//       through the taps' offsets and a table of the real output positions
+//       (column j = image * OH*OW + spatial).
 //  * Epilogue: the C accumulator block (Scratch::kConvAccC) is scattered to
 //    NCHW exactly once, one grid row run at a time, skipping the in-place
 //    grid's halo and adding the bias in flight. ConvEvalPlan adds the folded
@@ -47,8 +50,8 @@
 // element function the epilogue shares. Autograd's forward and the plan's
 // BN+ReLU step run it; the plan's pool step runs maxpool2d (tensor/conv.hpp).
 //
-// ag::conv2d's backward runs three kernels on the same loop (declared in
-// tensor/conv.hpp), given g = dL/dout (N,F,OH,OW):
+// ag::conv2d's backward runs three kernels on the same micro-kernel
+// (declared in tensor/conv.hpp), given g = dL/dout (N,F,OH,OW):
 //
 //  * Input gradient: C (C*K*K, columns) = W^T * g. W^T is packed once per
 //    call as the shared A panels. Where OH*OW is a multiple of NR (vgg16's
@@ -56,45 +59,54 @@
 //    and the micro-kernel reads B's rows there in place through a per-call
 //    offset table (Scratch::kConvTaps, off[p] = p * OH*OW); other maps copy
 //    B strips from g's planes (Scratch::kConvPackB). A task owns whole
-//    images, so no two lanes add into one input element: a block pools up
-//    to NC columns of whole images, at most an even share of the batch per
+//    images, so no two lanes write one input element: a block pools up to
+//    NC columns of whole images, at most an even share of the batch per
 //    lane, and an image wider than NC columns is one task of consecutive
-//    chunks. The C block's rows are the input taps (ic, ky, kx), added with
-//    (ky, kx) descending, so each input element sums its contributors in
+//    chunks. The C block's rows are the input taps (ic, ky, kx); each input
+//    element sums its contributors with (ky, kx) descending, that is in
 //    ascending (oy, ox) order:
 //     - A stride-1 conv whose output is its input's size (every vgg16 conv,
 //       and the other models' 3x3 and 5x5 "same" convs) with whole images
-//       per block accumulates the block channel-major in the lane's
-//       Scratch::kConvGradX. Tap row (ic, ky, kx) is added as one run over
-//       the whole block, shifted by (ky - pad) * W + (kx - pad); a per-call
-//       tap mask (Scratch::kConvTapMask, of which a partial last block reads
-//       a prefix) leaves the columns whose input position falls off the
-//       image as they are. Each image's planes are then copied into dL/dx
-//       once.
+//       per block gathers: a vector of input positions of one plane starts
+//       from +0 in a register, takes tap (ky, kx) from its C row shifted by
+//       (pad - ky) * W + (pad - kx) where a per-call gather mask
+//       (Scratch::kConvTapMask) says that tap's output position is inside
+//       the image, and is written to dL/dx once.
 //     - Strided, non-"same" and chunked convs scatter the block into a
 //       zeroed dL/dx, one output row run per (tap, channel, row).
-//    The B pack, the kernel and the scatter each have a profile site
-//    (tensor/conv2d_input_grad/pack_b, /kernel and /scatter); a map read in
-//    place records no pack.
-//  * Weight gradient: C (F, C*K*K) = g * cols(x), reduced over
-//    p = (image, oy, ox) in ascending order. g as (F, p) is packed once as
-//    the shared A panels; each task gathers the input taps of NR columns
-//    straight from x, so tasks split C*K*K, not F.
+//    The B pack, the kernel and the gather or scatter each have a profile
+//    site (tensor/conv2d_input_grad/pack_b, /kernel and /scatter); a map
+//    read in place records no pack.
+//  * Weight gradient: C^T (C*K*K, F) = cols(x)^T * g^T, reduced over
+//    p = (image, oy, ox) in ascending order. Its A rows, the taps, are read
+//    in place from x's padded grid, built as the forward builds it: tap row
+//    (ic, ky, kx) at depth p is the float at off[tap] + pos[p], pos being a
+//    per-call table of the real output positions' grid offsets
+//    (Scratch::kConvTaps), so no halo term enters a chain. g^T is copied
+//    once per call as a (depth, F) row-major matrix (Scratch::kConvPackA)
+//    whose rows every task reads in place, 16 floats at a time (an F below
+//    16 reads into the next row, and those C columns are dropped). Tasks
+//    split the taps, MR rows at a time (2 MR with AVX-512, where one
+//    16-column register per row would leave the kernel four chains), and
+//    each walks the depth in KC blocks over all its rows, so one stretch of
+//    g^T serves them all. This is the in-place weight update of Georganas et
+//    al. (arXiv:1808.05567) on the indirect convolution's offsets.
 //  * Bias gradient: each channel's planes of g summed in (image, spatial)
-//    order, no GEMM.
+//    order, no GEMM; the channels' chains run side by side in the lanes of
+//    a vector (tensor/simd.hpp), each lane exactly its channel's chain.
 //
-// No (N*OH*OW, C*K*K) column matrix and no transposed copy of g exists
-// anywhere; tests/conv_reference.hpp keeps the materialized lowering as the
-// reference the gates compare with.
+// No (N*OH*OW, C*K*K) column matrix exists anywhere;
+// tests/conv_reference.hpp keeps the materialized lowering as the reference
+// the gates compare with.
 //
 // Bit-identity contract: every output element is the same ascending-p fma
 // chain over the same operand values as im2col -> GEMM (columns as A, the
 // transposed weight as B) -> NCHW transpose -> bias pass, extended by the one
 // compiled micro-kernel body (tensor/gemm_packed.cpp, gemm_detail, whose
-// packed-strip and offset-table instantiations differ only in where a B row
-// is loaded from). Read in place, a tap that falls in the padding reads the
-// 0.0f of the padded copy, the value the gather writes; the halo columns'
-// chains are computed and dropped. The epilogue replays the reference
+// instantiations differ only in where an A value or a B row is loaded
+// from). A tap that falls in the padding reads the 0.0f of the padded copy,
+// the value im2col holds there; the in-place forward's halo columns' chains
+// are computed and dropped. The epilogue replays the reference
 // per-element expressions (`v += bias`, batch norm's `(x - mu) * is` /
 // `g * xh + b`, ag::add's `h + skip`, relu's `x > 0 ? x : 0`) in the same
 // order. Outputs are
@@ -107,11 +119,13 @@
 // may differ between builds. The gradients hold the
 // same contract against the materialized backward — gprod * W then a
 // row-major col2im, gprod^T * im2col(x), and sum_axis(gprod, 0) — because
-// IEEE products commute and every chain and scatter keeps the reference's
+// IEEE products commute (so the weight gradient's transposed product keeps
+// every term) and every chain, gather and scatter keeps the reference's
 // order. Whether B is packed or read from g, each C element is the same
-// chain; a masked tap run selects the old value of an off-image column's
-// target rather than adding +0 to it, so each input element takes exactly
-// col2im's adds, and signed zeros, infinities and NaNs come out as there
+// chain; the gather keeps an input element's sum as it is where a tap's
+// output position is off the image, rather than adding +0 to it, so each
+// input element takes exactly col2im's adds, and signed zeros, infinities
+// and NaNs come out as there
 // (tests/test_autograd.cpp gates all three at 1, 3 and 4 lanes, on
 // ordinary values and on IEEE specials).
 
@@ -149,7 +163,9 @@ FoldedBn fold_batch_norm(const Tensor& gamma, const Tensor& beta,
 
 /// The one batch-norm kernel: x (N,C,H,W) -> g * ((x - mu) * is) + b on the
 /// folded constants, then ReLU when `relu`, in one pass over (image,
-/// channel) planes split across the pool. ag::batch_norm2d runs it with its
+/// channel) planes split across the pool; on planes shorter than a SIMD
+/// register, over each image's C*H*W elements instead, with the constants
+/// expanded over a plane once per call, so that the pass vectorizes. ag::batch_norm2d runs it with its
 /// own relu flag (true at every BN that feeds a ReLU); the InferencePlan's
 /// BN+ReLU step (pre-activation WideResNet blocks) with relu = true. Throws
 /// std::invalid_argument unless x is NCHW with bn's channel count.

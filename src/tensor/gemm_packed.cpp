@@ -6,6 +6,7 @@
 #include "obs/profile.hpp"
 #include "runtime/parallel_for.hpp"
 #include "runtime/scratch_arena.hpp"
+#include "tensor/simd.hpp"
 
 namespace ibrar {
 namespace {
@@ -65,13 +66,7 @@ void pack_b(const float* b, std::int64_t ldb, bool trans, std::int64_t pc,
 /// accumulators and a B row fit in the registers, half of them with 16
 /// 128-bit registers (x86-64 without AVX), which the 4 x 16 accumulators
 /// alone would fill.
-#if defined(__AVX512F__)
-inline constexpr std::int64_t kVecFloats = 16;
-#elif defined(__AVX__)
-inline constexpr std::int64_t kVecFloats = 8;
-#else
-inline constexpr std::int64_t kVecFloats = 4;
-#endif
+inline constexpr std::int64_t kVecFloats = simd::kFloats;
 #if defined(__x86_64__) && !defined(__AVX__)
 inline constexpr std::int64_t kPassCols = kGemmNR / 2;
 #else
@@ -79,32 +74,28 @@ inline constexpr std::int64_t kPassCols = kGemmNR;
 #endif
 inline constexpr std::int64_t kPassVecs = kPassCols / kVecFloats;
 
-/// One SIMD register of the tile. GCC/Clang lower arithmetic on this type
-/// to the target's packed mul/add or fma; per lane each operation is the
-/// same scalar operation the naive chain performs, so vectorization does
-/// not change any element's rounding sequence. It is no wider than a
-/// register because a wider vector type lives in memory: every step would
-/// load and store each accumulator.
-typedef float Vec __attribute__((vector_size(sizeof(float) * kVecFloats)));
+/// One SIMD register of the tile (tensor/simd.hpp): per lane each operation
+/// is the same scalar operation the naive chain performs, so vectorization
+/// does not change any element's rounding sequence.
+using Vec = simd::Floats;
 
-/// MR x NR register-tiled kernel: extend the per-element fma chain of the
-/// C tile at `c` (leading dimension ldc) by kc steps from the packed strip
-/// ap (kc x MR) and the B rows b(p) (NR floats each), kPassCols columns per
-/// pass. The accumulators stay in registers; C is read once before and
-/// written once after the kc loop, so the rounding sequence per element is
-/// exactly the naive ascending-p chain, whichever row source feeds it and
-/// however many passes the columns take.
-/// Loads/stores go through memcpy in-line (Vec never crosses a function
-/// boundary: passing a 64-byte vector by value is an ABI warning on targets
-/// without 512-bit registers).
-template <typename Rows>
-void micro_kernel(std::int64_t kc, const float* ap, Rows b, float* c,
-                  std::int64_t ldc, bool load_c) {
+/// ARows::kRows x NR register-tiled kernel: extend the per-element fma
+/// chain of the C tile at `c` (leading dimension ldc) by kc steps from the A
+/// values a(p, r) and the B rows b(p) (NR floats each), kPassCols columns
+/// per pass.
+/// The accumulators stay in registers; C is read once before and written
+/// once after the kc loop, so the rounding sequence per element is exactly
+/// the naive ascending-p chain, whichever row sources feed it and however
+/// many passes the columns take.
+template <typename ARows, typename BRows>
+void micro_kernel(std::int64_t kc, ARows a, BRows b, float* c,
+                  std::int64_t ldc, bool load_c, std::int64_t cols) {
   static_assert(kGemmNR % kPassCols == 0 && kPassCols % kVecFloats == 0);
-  for (std::int64_t j = 0; j < kGemmNR; j += kPassCols) {
-    Vec acc[kGemmMR][kPassVecs] = {};  // +0 unless C is loaded
+  constexpr std::int64_t kRows = ARows::kRows;
+  for (std::int64_t j = 0; j < std::min(cols, kGemmNR); j += kPassCols) {
+    Vec acc[kRows][kPassVecs] = {};  // +0 unless C is loaded
     if (load_c) {
-      for (std::int64_t r = 0; r < kGemmMR; ++r) {
+      for (std::int64_t r = 0; r < kRows; ++r) {
         for (std::int64_t v = 0; v < kPassVecs; ++v) {
           std::memcpy(&acc[r][v], c + r * ldc + j + v * kVecFloats,
                       sizeof(Vec));
@@ -112,19 +103,19 @@ void micro_kernel(std::int64_t kc, const float* ap, Rows b, float* c,
       }
     }
     for (std::int64_t p = 0; p < kc; ++p) {
-      const float* arow = ap + p * kGemmMR;
       const float* brow = b(p) + j;
       Vec bv[kPassVecs];
       for (std::int64_t v = 0; v < kPassVecs; ++v) {
         std::memcpy(&bv[v], brow + v * kVecFloats, sizeof(Vec));
       }
-      for (std::int64_t r = 0; r < kGemmMR; ++r) {
+      for (std::int64_t r = 0; r < kRows; ++r) {
+        const float av = a(p, r);
         for (std::int64_t v = 0; v < kPassVecs; ++v) {
-          acc[r][v] += arow[r] * bv[v];
+          acc[r][v] += av * bv[v];
         }
       }
     }
-    for (std::int64_t r = 0; r < kGemmMR; ++r) {
+    for (std::int64_t r = 0; r < kRows; ++r) {
       for (std::int64_t v = 0; v < kPassVecs; ++v) {
         std::memcpy(c + r * ldc + j + v * kVecFloats, &acc[r][v], sizeof(Vec));
       }
@@ -132,10 +123,19 @@ void micro_kernel(std::int64_t kc, const float* ap, Rows b, float* c,
   }
 }
 
-template void micro_kernel<PackedRows>(std::int64_t, const float*, PackedRows,
-                                       float*, std::int64_t, bool);
-template void micro_kernel<OffsetRows>(std::int64_t, const float*, OffsetRows,
-                                       float*, std::int64_t, bool);
+template void micro_kernel<PackedStrip, PackedRows>(std::int64_t, PackedStrip,
+                                                    PackedRows, float*,
+                                                    std::int64_t, bool,
+                                                    std::int64_t);
+template void micro_kernel<PackedStrip, OffsetRows>(std::int64_t, PackedStrip,
+                                                    OffsetRows, float*,
+                                                    std::int64_t, bool,
+                                                    std::int64_t);
+template void micro_kernel<PositionRows, StridedRows>(std::int64_t,
+                                                      PositionRows,
+                                                      StridedRows, float*,
+                                                      std::int64_t, bool,
+                                                      std::int64_t);
 
 }  // namespace gemm_detail
 
@@ -151,8 +151,8 @@ void micro_kernel_edge(std::int64_t kc, const float* ap, const float* bp,
   for (std::int64_t r = 0; r < mr; ++r)
     for (std::int64_t j = 0; j < nr; ++j)
       tile[r * kGemmNR + j] = c[r * ldc + j];
-  gemm_detail::micro_kernel(kc, ap, gemm_detail::PackedRows{bp}, tile,
-                            kGemmNR);
+  gemm_detail::micro_kernel(kc, gemm_detail::PackedStrip{ap},
+                            gemm_detail::PackedRows{bp}, tile, kGemmNR);
   for (std::int64_t r = 0; r < mr; ++r)
     for (std::int64_t j = 0; j < nr; ++j)
       c[r * ldc + j] = tile[r * kGemmNR + j];
@@ -161,6 +161,7 @@ void micro_kernel_edge(std::int64_t kc, const float* ap, const float* bp,
 }  // namespace
 
 using gemm_detail::PackedRows;
+using gemm_detail::PackedStrip;
 using gemm_detail::micro_kernel;
 using gemm_detail::pack_a;
 using gemm_detail::pack_b;
@@ -241,7 +242,8 @@ void run_packed(const float* a, GemmLayout la, const float* bpacked, float* c,
                   const float* astrip = apanel + ir * kc;
                   float* ctile = c + (ic + ir) * n + jc + jr;
                   if (mr == kGemmMR && nr == kGemmNR) {
-                    micro_kernel(kc, astrip, PackedRows{bstrip}, ctile, n);
+                    micro_kernel(kc, PackedStrip{astrip}, PackedRows{bstrip},
+                                 ctile, n);
                   } else {
                     micro_kernel_edge(kc, astrip, bstrip, ctile, n, mr, nr);
                   }

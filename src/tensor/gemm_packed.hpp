@@ -92,6 +92,33 @@ namespace gemm_detail {
 void pack_a(const float* a, std::int64_t lda, bool trans, std::int64_t ic,
             std::int64_t mc, std::int64_t pc, std::int64_t kc, float* ap);
 
+/// The A rows of a strip pack_a packed: element (p, r) is strip[p * MR + r].
+struct PackedStrip {
+  static constexpr std::int64_t kRows = kGemmMR;
+  const float* strip;
+  float operator()(std::int64_t p, std::int64_t r) const {
+    return strip[p * kGemmMR + r];
+  }
+};
+
+/// A rows read in place through a table of positions (a conv weight
+/// gradient's taps, read from a padded copy of x): element (p, r) is
+/// row[r][pos[p]]. With AVX-512 a 16-column B row is one register, so MR
+/// rows would give the kernel only four independent chains, each waiting
+/// on the one before; there it takes 2 MR rows, eight chains.
+struct PositionRows {
+#if defined(__AVX512F__)
+  static constexpr std::int64_t kRows = 2 * kGemmMR;
+#else
+  static constexpr std::int64_t kRows = kGemmMR;
+#endif
+  const float* row[kRows];
+  const std::int64_t* pos;
+  float operator()(std::int64_t p, std::int64_t r) const {
+    return row[r][pos[p]];
+  }
+};
+
 /// The B rows of a packed strip: row p is the NR floats at strip + p * NR.
 struct PackedRows {
   const float* strip;
@@ -106,22 +133,38 @@ struct OffsetRows {
   const float* operator()(std::int64_t p) const { return base + off[p]; }
 };
 
-/// MR x NR register tile: extend each C element's ascending-p fma chain by
-/// kc steps from the packed A strip ap (kc x MR) and the kc B rows b(p). C
-/// is read once before the loop when load_c, and stored once after it
-/// (leading dimension ldc); without load_c each chain starts from +0 in a
-/// register, as it would from a zeroed C, and C is only written. One body
-/// for both row sources, instantiated for each in gemm_packed.cpp: the B
-/// row's address is all that differs.
-template <typename Rows>
-void micro_kernel(std::int64_t kc, const float* ap, Rows b, float* c,
-                  std::int64_t ldc, bool load_c = true);
-extern template void micro_kernel<PackedRows>(std::int64_t, const float*,
-                                              PackedRows, float*, std::int64_t,
-                                              bool);
-extern template void micro_kernel<OffsetRows>(std::int64_t, const float*,
-                                              OffsetRows, float*, std::int64_t,
-                                              bool);
+/// B rows of a row-major matrix with leading dimension ld: row p is the NR
+/// floats at base + p * ld. Where ld < NR a row runs on into the next one,
+/// and the C columns those floats feed are the caller's to drop.
+struct StridedRows {
+  const float* base;
+  std::int64_t ld;
+  const float* operator()(std::int64_t p) const { return base + p * ld; }
+};
+
+/// ARows::kRows x NR register tile: extend each C element's ascending-p
+/// fma chain by kc steps from the kc A values a(p, r) and the kc B rows
+/// b(p). C is read once before the loop when load_c, and stored once after
+/// it (leading dimension ldc); without load_c each chain starts from +0 in
+/// a register, as it would from a zeroed C, and C is only written. A target
+/// whose register tile holds fewer than NR columns runs it in passes, and
+/// skips the passes that start at or past `cols`, columns its caller
+/// drops. One body for every pair of row sources, instantiated for each
+/// pair in gemm_packed.cpp: where an operand is loaded from is all that
+/// differs.
+template <typename ARows, typename BRows>
+void micro_kernel(std::int64_t kc, ARows a, BRows b, float* c,
+                  std::int64_t ldc, bool load_c = true,
+                  std::int64_t cols = kGemmNR);
+extern template void micro_kernel<PackedStrip, PackedRows>(
+    std::int64_t, PackedStrip, PackedRows, float*, std::int64_t, bool,
+    std::int64_t);
+extern template void micro_kernel<PackedStrip, OffsetRows>(
+    std::int64_t, PackedStrip, OffsetRows, float*, std::int64_t, bool,
+    std::int64_t);
+extern template void micro_kernel<PositionRows, StridedRows>(
+    std::int64_t, PositionRows, StridedRows, float*, std::int64_t, bool,
+    std::int64_t);
 
 }  // namespace gemm_detail
 

@@ -65,6 +65,12 @@ class Tensor {
     return Tensor(std::move(shape), UnfilledTag{});
   }
 
+  /// No storage at all: rank 0 and numel() 0, the state a moved-from tensor
+  /// is left in. Only for a slot that is assigned before it is read (an
+  /// autograd node's unset gradient), which Tensor() would fill with a
+  /// one-element scalar it allocates.
+  static Tensor none() { return Tensor(NoneTag{}); }
+
   /// Identity-like matrix (n x n).
   static Tensor eye(std::int64_t n);
 
@@ -126,6 +132,8 @@ class Tensor {
   };
   struct UnfilledTag {};
   Tensor(Shape shape, UnfilledTag);
+  struct NoneTag {};
+  explicit Tensor(NoneTag) {}
 
   Shape shape_;
   std::vector<float, DefaultInitAllocator<float>> data_;

@@ -85,6 +85,23 @@ TEST(VarBasics, OneRootRunTwiceAddsTwoPasses) {
   EXPECT_TRUE(same_bits(b.grad(), Tensor({3}, {2.0f, 4.0f, 6.0f})));
 }
 
+TEST(VarBasics, OpNodeHoldsNoGradientStorageBeforeItsFirstContributionAndAfterRelease) {
+  Var x = Var::param(Tensor({3}, 2.0f));
+  EXPECT_EQ(x.node()->grad.numel(), 0) << "a fresh leaf";
+  Var y = mul(x, x);
+  const Node& n = *y.node();
+  ASSERT_TRUE(static_cast<bool>(n.backward_fn));
+  EXPECT_FALSE(n.grad_ready);
+  EXPECT_EQ(n.grad.numel(), 0) << "before its first contribution";
+  sum(y).backward();
+  EXPECT_FALSE(n.grad_ready);
+  EXPECT_EQ(n.grad.numel(), 0) << "after its release";
+  EXPECT_TRUE(same_bits(y.grad(), Tensor({3}))) << "a released grad() reads 0";
+  EXPECT_TRUE(same_bits(x.grad(), Tensor({3}, 4.0f))) << "the leaf keeps its";
+  NoGradGuard ng;
+  EXPECT_EQ(mul(x, x).node()->grad.numel(), 0) << "an unrecorded constant";
+}
+
 TEST(VarBasics, SharedSubexpressionGradient) {
   // y = a*a + a -> dy/da = 2a + 1.
   Var a = Var::param(Tensor::scalar(3.0f));
@@ -1247,6 +1264,81 @@ TEST(BitGate, FusedBatchNormReluMatchesBatchNormThenRelu) {
                 << names[i] << " " << shape_str(shape) << " mode=" << mode
                 << " paused=" << paused << " lanes=" << lanes;
           }
+        }
+      }
+    }
+  }
+  runtime::set_num_threads(lanes0);
+}
+
+TEST(BitGate, BatchNormOnVgg16TrunkShapesMatchesAPlainLoop) {
+  // vgg16's trunk channels (8, 12, 16, 24) on each of its maps (16x16, 8x8,
+  // 4x4, 2x2) at a ragged batch of 97, its own four (channels, map) pairs
+  // at the training batch of 100, and a 1x1 map. Between them they put
+  // several vectors of channels and of planes through batch norm's lane
+  // chains and the transposed loads' tails, and planes shorter than a
+  // register through the per-image passes. Training mode, batch_norm2d's
+  // eval mode and batch_norm2d_eval, with and without the ReLU, gamma and
+  // beta requiring grad, IEEE specials in x's channel 0 and in the upstream
+  // gradient, at 1, 3 and 4 lanes. With the ReLU the plain loop masks the
+  // upstream gradient by the pre-activation, as relu's backward would.
+  std::vector<Shape> shapes;
+  for (const std::int64_t c : {8, 12, 16, 24}) {
+    for (const std::int64_t hw : {16, 8, 4, 2}) shapes.push_back({97, c, hw, hw});
+  }
+  for (const Shape& s : {Shape{100, 8, 16, 16}, Shape{100, 12, 8, 8},
+                         Shape{100, 16, 4, 4}, Shape{100, 24, 2, 2},
+                         Shape{97, 24, 1, 1}}) {
+    shapes.push_back(s);
+  }
+  const std::int64_t lanes0 = runtime::num_threads();
+  for (const std::int64_t lanes : {1, 3, 4}) {
+    runtime::set_num_threads(lanes);
+    std::uint64_t seed = 1000;
+    for (const auto& shape : shapes) {
+      const Tensor x = bn_input(shape, ++seed);
+      BnParams p = bn_params(shape, ++seed);
+      p.r = special_values(shape, ++seed);
+      for (const int mode : {0, 1, 2}) {
+        for (const bool with_relu : {false, true}) {
+          Tensor run_m = p.rm, run_v = p.rv;
+          Var xv = Var::param(x), gv = Var::param(p.gamma),
+              bv = Var::param(p.beta);
+          const Var y = batch_norm_in_mode(mode, xv, gv, bv, run_m, run_v,
+                                           with_relu);
+          backward_with(y, p.r);
+          Tensor gy = upstream(p.r);
+          PlainBn expect = plain_batch_norm(x, p.gamma, p.beta, p.rm, p.rv,
+                                            gy, mode == 0);
+          if (with_relu) {
+            for (std::int64_t e = 0; e < gy.numel(); ++e) {
+              const bool on = expect.y[e] > 0.0f;
+              gy[e] = 0.0f + gy[e] * (on ? 1.0f : 0.0f);
+              expect.y[e] = on ? expect.y[e] : 0.0f;
+            }
+            const PlainBn masked = plain_batch_norm(
+                x, p.gamma, p.beta, p.rm, p.rv, gy, mode == 0);
+            expect.gx = masked.gx;
+            expect.ggamma = masked.ggamma;
+            expect.gbeta = masked.gbeta;
+          }
+          const std::string where =
+              shape_str(shape) + " mode=" + std::to_string(mode) +
+              " relu=" + std::to_string(with_relu) +
+              " lanes=" + std::to_string(lanes);
+          const auto matches = [](const Tensor& a, const Tensor& e) {
+            return same_bits(canonical_nans(a), canonical_nans(e));
+          };
+          EXPECT_TRUE(matches(y.value(), expect.y)) << "forward " << where;
+          EXPECT_TRUE(matches(xv.grad(), expect.gx)) << "x grad " << where;
+          EXPECT_TRUE(matches(gv.grad(), expect.ggamma))
+              << "gamma grad " << where;
+          EXPECT_TRUE(matches(bv.grad(), expect.gbeta))
+              << "beta grad " << where;
+          EXPECT_TRUE(matches(run_m, expect.running_mean))
+              << "running mean " << where;
+          EXPECT_TRUE(matches(run_v, expect.running_var))
+              << "running var " << where;
         }
       }
     }

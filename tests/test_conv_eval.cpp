@@ -7,7 +7,7 @@
 // (masked and unmasked, grad mode on and off, at 1, 3 and 4 lanes), the
 // serve.snapshot_bytes gauge accounting of plan lifetimes (and of nothing
 // else), and one-lane timing floors of the stride-1 forward, of the input
-// gradient and of a served batch-1 mlp256 forward.
+// and weight gradients and of a served batch-1 mlp256 forward.
 
 #include <gtest/gtest.h>
 
@@ -42,9 +42,13 @@ constexpr float kEps = 1e-5f;
 /// most of the in-place forward's time (about 2.0 ms against the gather's
 /// 3.4 ms), so such builds get a floor of their own. The same for one b2c1
 /// input gradient: with AVX-512 the g pack and the row-run scatter take
-/// 0.9-1.4 ms, g read in place and masked tap runs 0.45-0.6 ms; without AVX
-/// the kernel is most of either, 1.4-2.1 ms against 1.0-1.6 ms, so that
-/// floor has little headroom on a busy host. DenseTiming's floor for one
+/// 0.9-1.4 ms, g read in place and masked tap runs 0.45-0.6 ms, and with
+/// each input element's taps gathered in a register 0.23-0.26 ms; without
+/// AVX the kernel is most of any of them, 1.4-2.1 ms against 1.0-1.6 ms
+/// and 0.78-0.84 ms, so that floor has little headroom on a busy host. And for one b1c2 weight
+/// gradient: with AVX-512 the tap gather takes 1.9-4.3 ms, the taps read in
+/// place 0.68-1.16 ms; without AVX 2.9-5.6 against 1.44-2.14 ms (the host's
+/// load moves both by up to 2x). DenseTiming's floor for one
 /// served batch-1 mlp256 forward on one lane sits between a forward that
 /// packs every dense weight per call and one that reads panels packed at
 /// publish: 150-160 against 33-55 us with AVX-512, 305-335 against
@@ -52,10 +56,12 @@ constexpr float kEps = 1e-5f;
 #if defined(__AVX__)
 constexpr double kBlock1FloorMs = 1.5;
 constexpr double kInputGradFloorMs = 0.85;
+constexpr double kWeightGradFloorMs = 1.5;
 constexpr double kMlp256FloorUs = 100.0;
 #else
 constexpr double kBlock1FloorMs = 3.0;
 constexpr double kInputGradFloorMs = 1.35;
+constexpr double kWeightGradFloorMs = 2.6;
 constexpr double kMlp256FloorUs = 225.0;
 #endif
 
@@ -407,7 +413,7 @@ TEST(ConvTiming, InputGradReadsGInPlace) {
   // training batch on one lane: the end of every attack step's backward. It
   // fails when g is packed into B strips and C is scattered into dx in runs
   // of one output row, instead of B read in place from g's planes and each
-  // tap row added as one masked run.
+  // input element's taps gathered in a register.
   const std::int64_t lanes0 = runtime::num_threads();
   runtime::set_num_threads(1);
   Rng rng(41);
@@ -423,6 +429,30 @@ TEST(ConvTiming, InputGradReadsGInPlace) {
   EXPECT_TRUE(std::isfinite(sink));
   SKIP_UNLESS_TIMING_BUILD() << ms << " ms per input gradient";
   EXPECT_LT(ms, kInputGradFloorMs) << ms << " ms per input gradient";
+}
+
+TEST(ConvTiming, WeightGradReadsXInPlace) {
+  // vgg16's b1c2 (8 -> 8 at 16x16, 3x3 pad 1) weight gradient at the
+  // training batch on one lane: twice per conv in every PGD-AT + IB-RAR
+  // step. It fails when B's taps are gathered with a bounds check per
+  // element for every depth block of every task, instead of the taps read
+  // in place as A rows from one padded copy of x through a table of the
+  // output positions.
+  const std::int64_t lanes0 = runtime::num_threads();
+  runtime::set_num_threads(1);
+  Rng rng(43);
+  const Tensor x = randn({100, 8, 16, 16}, rng);
+  const Tensor g = randn({100, 8, 16, 16}, rng);
+  float sink = 0.0f;
+  const double ms = best_wall_ns(30, [&] {
+                      sink += conv2d_weight_grad(g, x, {8, 8, 3, 3},
+                                                 Conv2dSpec{3, 1, 1})[0];
+                    }) *
+                    1e-6;
+  runtime::set_num_threads(lanes0);
+  EXPECT_TRUE(std::isfinite(sink));
+  SKIP_UNLESS_TIMING_BUILD() << ms << " ms per weight gradient";
+  EXPECT_LT(ms, kWeightGradFloorMs) << ms << " ms per weight gradient";
 }
 
 TEST(DenseTiming, Mlp256Batch1PlanForward) {

@@ -225,8 +225,8 @@ TEST(IBRARObjectiveTest, BackwardLeavesGradientsOnParametersOnly) {
       stack.pop_back();
       if (n->backward_fn) {
         ++ops;
-        // Tensor() is a one-element scalar; a released gradient holds none.
-        if (n->grad_ready || n->grad.numel() > 1) ++holding;
+        // An unset or released gradient holds no storage.
+        if (n->grad_ready || n->grad.numel() > 0) ++holding;
       }
       for (const auto& parent : n->parents) {
         if (seen.insert(parent.get()).second) stack.push_back(parent.get());
