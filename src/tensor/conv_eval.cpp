@@ -1,6 +1,7 @@
 #include "tensor/conv_eval.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -71,22 +72,25 @@ struct PlaneBlock {
 /// PackedBlock after it packs the lane's KC x tc strips at bp, or an
 /// InPlaceBlock or PlaneBlock that packs nothing. Blocks
 /// [t * per_task, (t + 1) * per_task) form task t and run in ascending order
-/// on one lane. Each block's C (rows padded to MR, tc = cols padded to NR,
-/// row-major with leading dimension tc) lives in the lane's accumulator,
+/// on one lane. Each block's C (rows padded to kConvMR, tc = cols padded to
+/// NR, row-major with leading dimension tc) lives in the lane's accumulator,
 /// followed by `acc_slack` zeros for a store that reads past it: the first
 /// depth block's kernel calls start every chain from +0 in a register and
 /// write it, later ones load it, and the block goes to store(blk, acc, tc).
-/// Every C element is one ascending-depth chain on the one micro-kernel
-/// whatever the split or the source, so the bits depend on neither the lane
-/// count nor on where B's rows are read from. The depth loop runs at least
-/// once, so a C of depth 0 is written too, as +0.
+/// A depth of at most kShortDepth (an input gradient of F <= 16 filters,
+/// with AVX-512) is one short_depth_kernel call per NR-column strip, which
+/// holds the strip's B rows in registers for every row strip. Every C
+/// element is one ascending-depth chain from +0 whichever kernel runs it,
+/// the split or the source, so the bits depend on neither the lane count
+/// nor on where B's rows are read from. The depth loop runs at least once,
+/// so a C of depth 0 is written too, as +0.
 template <typename BlockOf, typename Source, typename Store>
 void run_blocks(const float* panels, std::int64_t rows, std::int64_t depth,
                 std::int64_t nblocks, std::int64_t per_task,
                 std::int64_t acc_slack, obs::ProfileSite* kernel_site,
                 const BlockOf& block_of, const Source& source,
                 const Store& store) {
-  const std::int64_t rp = round_up(rows, kGemmMR);
+  const std::int64_t rp = round_up(rows, kConvMR);
   const std::int64_t ntasks = (nblocks + per_task - 1) / per_task;
   runtime::parallel_for(0, ntasks, 1, [&](std::int64_t t0, std::int64_t t1) {
     runtime::ScratchArena& arena = runtime::lane_arena();
@@ -105,16 +109,25 @@ void run_blocks(const float* panels, std::int64_t rows, std::int64_t depth,
         std::optional<obs::ProfileScope> kscope;
         if (kernel_site != nullptr) kscope.emplace(*kernel_site);
         const float* panel = panels + pc * rp;
+        if constexpr (kShortDepth > 0) {
+          if (depth <= kShortDepth) {
+            for (std::int64_t jr = 0; jr < tc; jr += kGemmNR) {
+              gemm_detail::short_depth_kernel(kc, panel, rp, src.strip(jr),
+                                              acc + jr, tc);
+            }
+            continue;
+          }
+        }
         for (std::int64_t ic = 0; ic < rp; ic += kGemmMC) {
           const std::int64_t ie = std::min(ic + kGemmMC, rp);
           for (std::int64_t jr = 0; jr < tc; jr += kGemmNR) {
             const auto strip = src.strip(jr);
-            for (std::int64_t ir = ic; ir < ie; ir += kGemmMR) {
-              // Rows are MR-padded and columns NR-padded in the scratch
-              // block, so the full-size kernel always applies.
+            for (std::int64_t ir = ic; ir < ie; ir += kConvMR) {
+              // Rows are kConvMR-padded and columns NR-padded in the
+              // scratch block, so the full-size kernel always applies.
               gemm_detail::micro_kernel(
-                  kc, gemm_detail::PackedStrip{panel + ir * kc}, strip,
-                  acc + ir * tc + jr, tc, /*load_c=*/pc > 0);
+                  kc, gemm_detail::PackedStrip<kConvMR>{panel + ir * kc},
+                  strip, acc + ir * tc + jr, tc, /*load_c=*/pc > 0);
             }
           }
         }
@@ -366,23 +379,25 @@ void gather_input_grad(const float* acc, std::int64_t tc, const ColBlock& blk,
   }
 }
 
-/// Floats of packed A panels: rows padded up to MR, times the depth.
+/// Floats of packed A panels: rows padded up to kConvMR, times the depth.
 std::size_t panel_floats(std::int64_t rows, std::int64_t depth) {
-  return static_cast<std::size_t>(round_up(rows, kGemmMR) * depth);
+  return static_cast<std::size_t>(round_up(rows, kConvMR) * depth);
 }
 
 /// Pack op(A) (rows x depth, read from `a` with leading dimension lda,
-/// transposed when `trans`) as gemm_packed packs A: depth block pc becomes
-/// one panel of MR-row strips at offset pc * round_up(rows, MR), its strip
-/// for rows [ir, ir+MR) at ir * kc within the panel, rows past `rows`
-/// zero-filled. A weight (F,C,K,K) is the (F, C*K*K) row-major matrix as
-/// it is; its transpose is the same buffer read with trans = true.
+/// transposed when `trans`) as gemm_packed packs A, in kConvMR-row strips:
+/// depth block pc becomes one panel of strips at offset
+/// pc * round_up(rows, kConvMR), its strip for rows [ir, ir+kConvMR) at
+/// ir * kc within the panel, rows past `rows` zero-filled. A weight
+/// (F,C,K,K) is the (F, C*K*K) row-major matrix as it is; its transpose is
+/// the same buffer read with trans = true.
 void pack_panels(const float* a, std::int64_t lda, bool trans,
                  std::int64_t rows, std::int64_t depth, float* panels) {
-  const std::int64_t rp = round_up(rows, kGemmMR);
+  const std::int64_t rp = round_up(rows, kConvMR);
   for (std::int64_t pc = 0; pc < depth; pc += kGemmKC) {
     const std::int64_t kc = std::min(kGemmKC, depth - pc);
-    gemm_detail::pack_a(a, lda, trans, 0, rows, pc, kc, panels + pc * rp);
+    gemm_detail::pack_a<kConvMR>(a, lda, trans, 0, rows, pc, kc,
+                                 panels + pc * rp);
   }
 }
 
@@ -410,6 +425,75 @@ struct ColGrid {
   std::int64_t rows, width, out_h, out_w;
 };
 
+/// The forward's store for one set of epilogue flags, compiled once per set
+/// so that no element tests a flag: the block's C (row `of` the filter,
+/// leading dimension tc, column jj the grid column blk.j0 + jj) to the
+/// NCHW output po, filter by filter with the filter's constants in
+/// registers, one grid row run at a time. Padded rows and columns and the
+/// in-place grid's halo are never read. The block's first run is found by
+/// division, the rest by stepping. Each element takes the reference
+/// per-element expressions in reference order: the bias pass `v += bias`,
+/// batch norm (bn_element), ag::add's `h + skip`, ag::relu.
+template <bool kBias, bool kBn, bool kSkip, bool kRelu>
+void store_block(const float* __restrict acc, std::int64_t tc,
+                 const ColBlock& blk, const ColGrid& grid, std::int64_t f,
+                 const Epilogue& ep, float* __restrict po) {
+  const std::int64_t img = grid.rows * grid.width;
+  const std::int64_t spatial = grid.out_h * grid.out_w;
+  const std::int64_t n0 = blk.j0 / img;
+  const std::int64_t y0 = blk.j0 % img / grid.width;
+  const std::int64_t x0 = blk.j0 % grid.width;
+  // The output is a fresh tensor: no store aliases C or the skip.
+  const float* __restrict psk = kSkip ? ep.skip->data().data() : nullptr;
+  const float* pmu = kBn ? ep.bn->mean.data().data() : nullptr;
+  const float* pis = kBn ? ep.bn->inv_std.data().data() : nullptr;
+  const float* pg = kBn ? ep.bn->gamma.data().data() : nullptr;
+  const float* pbeta = kBn ? ep.bn->beta.data().data() : nullptr;
+  for (std::int64_t of = 0; of < f; ++of) {
+    const float* crow = acc + of * tc;
+    const float bias = kBias ? ep.bias[of] : 0.0f;
+    const float mu = kBn ? pmu[of] : 0.0f, is = kBn ? pis[of] : 0.0f;
+    const float g = kBn ? pg[of] : 0.0f, beta = kBn ? pbeta[of] : 0.0f;
+    // o: filter of's plane of the run's image.
+    std::int64_t y = y0, x = x0, o = (n0 * f + of) * spatial;
+    for (std::int64_t jj = 0; jj < blk.cols;) {
+      const std::int64_t run = std::min(blk.cols - jj, grid.width - x);
+      if (y < grid.out_h && x < grid.out_w) {
+        const std::int64_t real = std::min(run, grid.out_w - x);
+        const float* src = crow + jj;
+        const std::int64_t at = o + y * grid.out_w + x;
+        for (std::int64_t e = 0; e < real; ++e) {
+          float v = src[e];
+          if constexpr (kBias) v += bias;
+          if constexpr (kBn) v = bn_element(v, mu, is, g, beta);
+          if constexpr (kSkip) v = v + psk[at + e];
+          if constexpr (kRelu) v = v > 0.0f ? v : 0.0f;
+          po[at + e] = v;
+        }
+      }
+      jj += run;
+      x = 0;
+      if (++y == grid.rows) {
+        y = 0;
+        o += f * spatial;
+      }
+    }
+  }
+}
+
+using StoreBlock = void (*)(const float*, std::int64_t, const ColBlock&,
+                            const ColGrid&, std::int64_t, const Epilogue&,
+                            float*);
+
+/// store_block for each flag set, indexed by bias | bn << 1 | skip << 2 |
+/// relu << 3.
+template <std::size_t... kSet>
+constexpr std::array<StoreBlock, sizeof...(kSet)> store_blocks(
+    std::index_sequence<kSet...>) {
+  return {&store_block<(kSet & 1) != 0, (kSet & 2) != 0, (kSet & 4) != 0,
+                       (kSet & 8) != 0>...};
+}
+
 /// Copy x (N,C,H,W) into xp as the grid a conv reads its taps from: channel
 /// ic holds its N images one after another from ic * N * rows * width, each
 /// `rows` rows of `width` floats with pixel (y, x) at row y + pad, column
@@ -420,9 +504,11 @@ struct ColGrid {
 /// copy. So tap (ky, kx) of grid position (gy, gx) is the float at
 /// (gy + ky) * width + gx + kx from its image's start: pixel
 /// (gy + ky - pad, gx + kx - pad), or a zero where that is off the input.
-/// Planes of at most kTablePlane pixels (vgg16's 4x4 and 2x2 maps) are
-/// zeroed whole and their pixels placed through a table of grid offsets,
-/// instead of a fill and a copy per row of a few floats.
+/// Each image's plane is zeroed in one pass, and its pixels are then copied
+/// in: row by row in an inline loop, not a libc call per row (vgg16's 16-
+/// and 8-float rows cost less to copy than to call for), or, in planes of
+/// at most kTablePlane pixels (vgg16's 4x4 and 2x2 maps), through a table
+/// of grid offsets.
 void pad_channels(const float* x, std::int64_t n, std::int64_t c,
                   std::int64_t in_h, std::int64_t in_w, std::int64_t pad,
                   const ColGrid& grid, std::int64_t slack, float* xp) {
@@ -441,20 +527,16 @@ void pad_channels(const float* x, std::int64_t n, std::int64_t c,
         for (std::int64_t i = i0; i < i1; ++i) {  // i = ic * N + image
           const float* src = x + ((i % n) * c + i / n) * plane;
           float* dst = xp + i * img;
+          std::fill_n(dst, img, 0.0f);
           if (table) {
-            std::fill_n(dst, img, 0.0f);
             for (std::int64_t e = 0; e < plane; ++e) dst[at[e]] = src[e];
             continue;
           }
-          for (std::int64_t y = -pad; y < grid.rows - pad; ++y) {
-            if (y < 0 || y >= in_h) {
-              std::fill_n(dst, grid.width, 0.0f);
-            } else {
-              std::fill_n(dst, pad, 0.0f);
-              std::copy_n(src + y * in_w, in_w, dst + pad);
-              std::fill_n(dst + pad + in_w, grid.width - pad - in_w, 0.0f);
-            }
-            dst += grid.width;
+          float* row = dst + pad * grid.width + pad;
+          for (std::int64_t y = 0; y < in_h; ++y) {
+            for (std::int64_t e = 0; e < in_w; ++e) row[e] = src[e];
+            row += grid.width;
+            src += in_w;
           }
         }
         if (i1 == c * n) std::fill_n(xp + c * n * img, slack, 0.0f);
@@ -545,56 +627,25 @@ Tensor run_conv(const Tensor& x, const float* panels, std::int64_t f,
   const std::int64_t img = grid.rows * grid.width;
   const std::int64_t total_cols = n * img;
 
-  const float* psk = ep.skip != nullptr ? ep.skip->data().data() : nullptr;
-  const float* pbias = ep.bias;
   float* po = out.data().data();
-  const bool has_bn = ep.bn != nullptr;
-  const float* pmu = has_bn ? ep.bn->mean.data().data() : nullptr;
-  const float* pis = has_bn ? ep.bn->inv_std.data().data() : nullptr;
-  const float* pg = has_bn ? ep.bn->gamma.data().data() : nullptr;
-  const float* pbeta = has_bn ? ep.bn->beta.data().data() : nullptr;
 
   // NC grid columns (pooled across the batch) per block, mirroring
   // gemm_packed's NC panel width; every output element is produced by
   // exactly one block.
   static obs::ProfileSite& kprof = obs::profile_site("tensor/conv_eval/kernel");
+  static obs::ProfileSite& eprof =
+      obs::profile_site("tensor/conv_eval/epilogue");
   const auto block_of = [&](std::int64_t b) {
     return ColBlock{b * kGemmNC, std::min(kGemmNC, total_cols - b * kGemmNC)};
   };
+  static constexpr auto kStores = store_blocks(std::make_index_sequence<16>{});
+  const StoreBlock store_fn =
+      kStores[(ep.bias != nullptr ? 1 : 0) | (ep.bn != nullptr ? 2 : 0) |
+              (ep.skip != nullptr ? 4 : 0) | (ep.relu ? 8 : 0)];
   const auto store = [&](const ColBlock& blk, const float* acc,
                          std::int64_t tc) {
-    // Epilogue: single scatter of the block's output positions to NCHW, one
-    // grid row run at a time, applying the reference per-element
-    // expressions in reference order (bias -> BN -> skip -> ReLU). The
-    // padded accumulator rows/columns and the halo are never read.
-    std::int64_t jj = 0;
-    while (jj < blk.cols) {
-      const std::int64_t in_n = (blk.j0 + jj) / img;
-      const std::int64_t r = (blk.j0 + jj) % img;
-      const std::int64_t y = r / grid.width, x0 = r % grid.width;
-      const std::int64_t run = std::min(blk.cols - jj, grid.width - x0);
-      const std::int64_t real =
-          y < grid.out_h ? std::min(run, grid.out_w - x0) : 0;
-      const std::int64_t base = in_n * f * spatial + y * grid.out_w + x0;
-      for (std::int64_t of = 0; of < f && real > 0; ++of) {
-        const float* crow = acc + of * tc + jj;
-        const std::int64_t o = base + of * spatial;
-        const float bf = pbias != nullptr ? pbias[of] : 0.0f;
-        const float mu = has_bn ? pmu[of] : 0.0f;
-        const float is = has_bn ? pis[of] : 0.0f;
-        const float g = has_bn ? pg[of] : 0.0f;
-        const float bb = has_bn ? pbeta[of] : 0.0f;
-        for (std::int64_t e = 0; e < real; ++e) {
-          float v = crow[e];
-          if (pbias != nullptr) v += bf;       // the bias pass
-          if (has_bn) v = bn_element(v, mu, is, g, bb);
-          if (psk != nullptr) v = v + psk[o + e];  // ag::add(h, skip)
-          if (ep.relu) v = v > 0.0f ? v : 0.0f;  // ag::relu
-          po[o + e] = v;
-        }
-      }
-      jj += run;
-    }
+    obs::ProfileScope prof_scope(eprof);
+    store_fn(acc, tc, blk, grid, f, ep, po);
   };
   const std::int64_t nblocks = (total_cols + kGemmNC - 1) / kGemmNC;
   auto* off = runtime::lane_arena().get<std::int64_t>(

@@ -8,9 +8,11 @@
 // snapshot's InferencePlan runs. The driver computes out = W * cols(x)
 // without ever materializing cols:
 //
-//  * A-side (weights): the (F, C*K*K) weight matrix packed into the MR-row
-//    strips gemm_packed's micro-kernel consumes, one KC-deep panel per depth
-//    block. conv2d packs them per call into the caller's scratch arena
+//  * A-side (weights): the (F, C*K*K) weight matrix packed into the
+//    kConvMR-row strips gemm_packed's micro-kernel consumes (8 rows with
+//    AVX-512, so that the 8 x 16 tile runs eight FMA chains; 4 elsewhere,
+//    tensor/gemm_packed.hpp), one KC-deep panel per depth block. conv2d
+//    packs them per call into the caller's scratch arena
 //    (Scratch::kConvPackA); ConvEvalPlan packs them once, at construction
 //    (ModelSnapshot publish time), and every micro-batch on every worker
 //    reuses them. Only the plan's panels count in serve.snapshot_bytes.
@@ -19,11 +21,12 @@
 //    channel is one flat run: per image, max(H + pad, OH) rows of
 //    max(W + pad, OW) floats, neighbouring rows, images and channels sharing
 //    their pad zeros, so every tap of every output position lies inside it
-//    with no bound to check. Planes of at most 16 pixels are placed through
-//    a table of grid offsets rather than a copy per row. Columns are pooled
-//    across the whole batch, so small feature maps (deep VGG layers have
-//    OH*OW = 4) still fill complete NR=16 strips once the batch is large
-//    enough. B is then read one of two ways:
+//    with no bound to check. Each image's plane is zeroed in one pass and
+//    its pixel rows copied in an inline loop (planes of at most 16 pixels
+//    through a table of grid offsets), with no libc call per row. Columns
+//    are pooled across the whole batch, so small feature maps (deep VGG
+//    layers have OH*OW = 4) still fill complete NR=16 strips once the batch
+//    is large enough. B is then read one of two ways:
 //     - In place, for a stride-1 conv whose grid is at most 2x its output
 //       (vgg16's 16x16, 8x8 and 4x4 maps): the GEMM runs over every
 //       position of the grid (column j = image * rows * width +
@@ -41,10 +44,14 @@
 //       through the taps' offsets and a table of the real output positions
 //       (column j = image * OH*OW + spatial).
 //  * Epilogue: the C accumulator block (Scratch::kConvAccC) is scattered to
-//    NCHW exactly once, one grid row run at a time, skipping the in-place
-//    grid's halo and adding the bias in flight. ConvEvalPlan adds the folded
+//    NCHW exactly once, filter by filter with the filter's constants in
+//    registers, one grid row run at a time, skipping the in-place grid's
+//    halo and adding the bias in flight. ConvEvalPlan adds the folded
 //    frozen-stat batch norm, an optional residual add and an optional ReLU
-//    to the same scatter.
+//    to the same scatter. The scatter is compiled once per set of these
+//    flags (bias, BN, skip, ReLU), so no element tests one, and it steps
+//    from one grid row run to the next without a division; it runs under
+//    the tensor/conv_eval/epilogue profile site, which sums lane time.
 //
 // The file also holds the one batch-norm kernel, batch_norm_relu, whose
 // element function the epilogue shares. Autograd's forward and the plan's
@@ -58,7 +65,12 @@
 //    16x16, 8x8 and 4x4 maps) every NR-column strip lies in one plane of g,
 //    and the micro-kernel reads B's rows there in place through a per-call
 //    offset table (Scratch::kConvTaps, off[p] = p * OH*OW); other maps copy
-//    B strips from g's planes (Scratch::kConvPackB). A task owns whole
+//    B strips from g's planes (Scratch::kConvPackB). The GEMM is only F
+//    deep; with AVX-512 and F <= 16 (vgg16's F = 8, 12 and 16) one
+//    short-depth kernel call per NR-column strip loads the strip's F rows
+//    of g into registers and runs every 8-row strip of W^T against them,
+//    where the generic loop would make one call of F steps per strip, each
+//    reloading B and storing its tile. A task owns whole
 //    images, so no two lanes write one input element: a block pools up to
 //    NC columns of whole images, at most an even share of the batch per
 //    lane, and an image wider than NC columns is one task of consecutive
@@ -86,11 +98,10 @@
 //    once per call as a (depth, F) row-major matrix (Scratch::kConvPackA)
 //    whose rows every task reads in place, 16 floats at a time (an F below
 //    16 reads into the next row, and those C columns are dropped). Tasks
-//    split the taps, MR rows at a time (2 MR with AVX-512, where one
-//    16-column register per row would leave the kernel four chains), and
-//    each walks the depth in KC blocks over all its rows, so one stretch of
-//    g^T serves them all. This is the in-place weight update of Georganas et
-//    al. (arXiv:1808.05567) on the indirect convolution's offsets.
+//    split the taps, kConvMR rows at a time, and each walks the depth in KC
+//    blocks over all its rows, so one stretch of g^T serves them all. This
+//    is the in-place weight update of Georganas et al. (arXiv:1808.05567)
+//    on the indirect convolution's offsets.
 //  * Bias gradient: each channel's planes of g summed in (image, spatial)
 //    order, no GEMM; the channels' chains run side by side in the lanes of
 //    a vector (tensor/simd.hpp), each lane exactly its channel's chain.
@@ -101,11 +112,13 @@
 //
 // Bit-identity contract: every output element is the same ascending-p fma
 // chain over the same operand values as im2col -> GEMM (columns as A, the
-// transposed weight as B) -> NCHW transpose -> bias pass, extended by the one
-// compiled micro-kernel body (tensor/gemm_packed.cpp, gemm_detail, whose
-// instantiations differ only in where an A value or a B row is loaded
-// from). A tap that falls in the padding reads the 0.0f of the padded copy,
-// the value im2col holds there; the in-place forward's halo columns' chains
+// transposed weight as B) -> NCHW transpose -> bias pass, extended by the
+// compiled kernel bodies of tensor/gemm_packed.cpp (gemm_detail: the
+// micro-kernel, whose instantiations differ only in where an A value or a B
+// row is loaded from, and the short-depth kernel, which starts each chain
+// from +0 and takes the same `acc += a * b` steps in the same order). A
+// tap that falls in the padding reads the 0.0f of the padded copy, the
+// value im2col holds there; the in-place forward's halo columns' chains
 // are computed and dropped. The epilogue replays the reference
 // per-element expressions (`v += bias`, batch norm's `(x - mu) * is` /
 // `g * xh + b`, ag::add's `h + skip`, relu's `x > 0 ? x : 0`) in the same

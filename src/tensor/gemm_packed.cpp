@@ -1,7 +1,9 @@
 #include "tensor/gemm_packed.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <utility>
 
 #include "obs/profile.hpp"
 #include "runtime/parallel_for.hpp"
@@ -23,25 +25,35 @@ inline std::int64_t round_up(std::int64_t v, std::int64_t to) {
 // operand values and ascending-p order alone.
 namespace gemm_detail {
 
-/// A-panel pack: rows [ic, ic+mc) x depth [pc, pc+kc) into MR-row strips,
-/// p-major within a strip (strip s holds kc * MR floats; element (p, r) of
-/// strip s is A(ic + s*MR + r, pc + p)). Rows past mc are zero-filled so the
+/// A-panel pack: rows [ic, ic+mc) x depth [pc, pc+kc) into kR-row strips,
+/// p-major within a strip (strip s holds kc * kR floats; element (p, r) of
+/// strip s is A(ic + s*kR + r, pc + p)). Rows past mc are zero-filled so the
 /// micro-kernel never branches on the row edge.
+template <std::int64_t kR>
 void pack_a(const float* a, std::int64_t lda, bool trans, std::int64_t ic,
             std::int64_t mc, std::int64_t pc, std::int64_t kc, float* ap) {
-  for (std::int64_t ir = 0; ir < mc; ir += kGemmMR) {
-    const std::int64_t mr = std::min(kGemmMR, mc - ir);
+  for (std::int64_t ir = 0; ir < mc; ir += kR) {
+    const std::int64_t mr = std::min(kR, mc - ir);
     float* dst = ap + ir * kc;
     for (std::int64_t p = 0; p < kc; ++p) {
-      for (std::int64_t r = 0; r < kGemmMR; ++r) {
+      for (std::int64_t r = 0; r < kR; ++r) {
         const std::int64_t i = ic + ir + r;
         const std::int64_t pp = pc + p;
-        dst[p * kGemmMR + r] =
+        dst[p * kR + r] =
             r < mr ? (trans ? a[pp * lda + i] : a[i * lda + pp]) : 0.0f;
       }
     }
   }
 }
+
+template void pack_a<kGemmMR>(const float*, std::int64_t, bool, std::int64_t,
+                              std::int64_t, std::int64_t, std::int64_t,
+                              float*);
+#if defined(__AVX512F__)
+template void pack_a<kConvMR>(const float*, std::int64_t, bool, std::int64_t,
+                              std::int64_t, std::int64_t, std::int64_t,
+                              float*);
+#endif
 
 /// B-panel pack: depth [pc, pc+kc) x cols [jc, jc+nc) into NR-column strips,
 /// p-major within a strip. Columns past nc are zero-filled.
@@ -123,19 +135,83 @@ void micro_kernel(std::int64_t kc, ARows a, BRows b, float* c,
   }
 }
 
-template void micro_kernel<PackedStrip, PackedRows>(std::int64_t, PackedStrip,
-                                                    PackedRows, float*,
-                                                    std::int64_t, bool,
-                                                    std::int64_t);
-template void micro_kernel<PackedStrip, OffsetRows>(std::int64_t, PackedStrip,
-                                                    OffsetRows, float*,
-                                                    std::int64_t, bool,
-                                                    std::int64_t);
+template void micro_kernel<PackedStrip<kGemmMR>, PackedRows>(
+    std::int64_t, PackedStrip<kGemmMR>, PackedRows, float*, std::int64_t,
+    bool, std::int64_t);
+#if defined(__AVX512F__)
+template void micro_kernel<PackedStrip<kConvMR>, PackedRows>(
+    std::int64_t, PackedStrip<kConvMR>, PackedRows, float*, std::int64_t,
+    bool, std::int64_t);
+#endif
+template void micro_kernel<PackedStrip<kConvMR>, OffsetRows>(
+    std::int64_t, PackedStrip<kConvMR>, OffsetRows, float*, std::int64_t,
+    bool, std::int64_t);
 template void micro_kernel<PositionRows, StridedRows>(std::int64_t,
                                                       PositionRows,
                                                       StridedRows, float*,
                                                       std::int64_t, bool,
                                                       std::int64_t);
+
+#if defined(__AVX512F__)
+namespace {
+
+/// short_depth_kernel at a depth known when compiling, so that the kDepth
+/// B rows live in registers (one each: NR is a register's 16 floats) and
+/// every strip's chains run against them: with kConvMR = 8 accumulators,
+/// 24 of the 32 registers at depth 16.
+template <std::int64_t kDepth, typename BRows>
+void short_depth_tiles(const float* panel, std::int64_t rows, BRows b,
+                       float* c, std::int64_t ldc) {
+  static_assert(kGemmNR == kVecFloats && kPassCols == kGemmNR);
+  // The p loops unroll whole, so that bv is kDepth registers, not an array
+  // reloaded from the stack.
+  Vec bv[kDepth + 1];  // one spare, so that depth 0 declares no empty array
+#pragma GCC unroll 16
+  for (std::int64_t p = 0; p < kDepth; ++p) {
+    std::memcpy(&bv[p], b(p), sizeof(Vec));
+  }
+  for (std::int64_t ir = 0; ir < rows; ir += kConvMR) {
+    const PackedStrip<kConvMR> a{panel + ir * kDepth};
+    Vec acc[kConvMR] = {};  // each chain from +0, as micro_kernel's
+#pragma GCC unroll 16
+    for (std::int64_t p = 0; p < kDepth; ++p) {
+      for (std::int64_t r = 0; r < kConvMR; ++r) {
+        acc[r] += a(p, r) * bv[p];
+      }
+    }
+    for (std::int64_t r = 0; r < kConvMR; ++r) {
+      std::memcpy(c + (ir + r) * ldc, &acc[r], sizeof(Vec));
+    }
+  }
+}
+
+template <typename BRows, std::int64_t... kDepth>
+constexpr auto short_depth_table(
+    std::integer_sequence<std::int64_t, kDepth...>) {
+  using Tiles = void (*)(const float*, std::int64_t, BRows, float*,
+                         std::int64_t);
+  return std::array<Tiles, sizeof...(kDepth)>{
+      &short_depth_tiles<kDepth, BRows>...};
+}
+
+}  // namespace
+
+template <typename BRows>
+void short_depth_kernel(std::int64_t kc, const float* panel,
+                        std::int64_t rows, BRows b, float* c,
+                        std::int64_t ldc) {
+  static constexpr auto kByDepth = short_depth_table<BRows>(
+      std::make_integer_sequence<std::int64_t, kShortDepth + 1>{});
+  kByDepth[static_cast<std::size_t>(kc)](panel, rows, b, c, ldc);
+}
+
+template void short_depth_kernel<PackedRows>(std::int64_t, const float*,
+                                             std::int64_t, PackedRows, float*,
+                                             std::int64_t);
+template void short_depth_kernel<OffsetRows>(std::int64_t, const float*,
+                                             std::int64_t, OffsetRows, float*,
+                                             std::int64_t);
+#endif
 
 }  // namespace gemm_detail
 
@@ -151,7 +227,7 @@ void micro_kernel_edge(std::int64_t kc, const float* ap, const float* bp,
   for (std::int64_t r = 0; r < mr; ++r)
     for (std::int64_t j = 0; j < nr; ++j)
       tile[r * kGemmNR + j] = c[r * ldc + j];
-  gemm_detail::micro_kernel(kc, gemm_detail::PackedStrip{ap},
+  gemm_detail::micro_kernel(kc, gemm_detail::PackedStrip<kGemmMR>{ap},
                             gemm_detail::PackedRows{bp}, tile, kGemmNR);
   for (std::int64_t r = 0; r < mr; ++r)
     for (std::int64_t j = 0; j < nr; ++j)
@@ -233,7 +309,7 @@ void run_packed(const float* a, GemmLayout la, const float* bpacked, float* c,
               float* apanel =
                   arena.floats(runtime::Scratch::kGemmPackA,
                                static_cast<std::size_t>(kc * mcp));
-              pack_a(a, lda, ta, ic, mc, pc, kc, apanel);
+              pack_a<kGemmMR>(a, lda, ta, ic, mc, pc, kc, apanel);
               for (std::int64_t jr = 0; jr < nc; jr += kGemmNR) {
                 const std::int64_t nr = std::min(kGemmNR, nc - jr);
                 const float* bstrip = bpanel + jr * kc;
@@ -242,8 +318,8 @@ void run_packed(const float* a, GemmLayout la, const float* bpacked, float* c,
                   const float* astrip = apanel + ir * kc;
                   float* ctile = c + (ic + ir) * n + jc + jr;
                   if (mr == kGemmMR && nr == kGemmNR) {
-                    micro_kernel(kc, PackedStrip{astrip}, PackedRows{bstrip},
-                                 ctile, n);
+                    micro_kernel(kc, PackedStrip<kGemmMR>{astrip},
+                                 PackedRows{bstrip}, ctile, n);
                   } else {
                     micro_kernel_edge(kc, astrip, bstrip, ctile, n, mr, nr);
                   }

@@ -11,6 +11,25 @@
 // once with gemm_pack_b (a serving plan's dense weights), so a call packs
 // only its own rows of A.
 //
+// Which tile each driver runs:
+//  * gemm_packed and gemm_prepacked (matmul, the serving plan's dense
+//    layers): kGemmMR x NR = 4 x 16 on every target.
+//  * The conv drivers (tensor/conv_eval.cpp): kConvMR x NR, 8 x 16 with
+//    AVX-512 and 4 x 16 elsewhere, their weights packed in kConvMR-row
+//    strips; and, for a depth of at most kShortDepth (the input gradient of
+//    a conv with F <= 16 filters, AVX-512 only), short_depth_kernel, which
+//    holds B's rows in registers across every strip of the panel.
+// With AVX-512 a row of the tile is one 16-float register, so 4 rows hold
+// four FMA chains, each waiting on its last, where two FMA ports at four
+// cycles' latency need eight (the m_r * n_r bound of Low et al., "Analytical
+// Modeling Is Enough for High-Performance BLIS", ACM TOMS 2016); 8 rows hold
+// eight. With AVX2 (two registers a row) and without AVX (two passes of two)
+// 4 rows already hold eight chains, and 8 would spill. The dense path stays
+// at 4 rows even with AVX-512: a served batch of 1-8 rows pads to a whole
+// strip, and with 8-row dense strips serve-mlp-churn's user CPU per item
+// rose 13.7% and 15.3% in two A/Bs of 6 pairs on a 4-vCPU AVX-512 host
+// (no pair won).
+//
 // Determinism and exactness contract:
 //  * The accumulation for every C element is the plain ascending-p chain
 //    c = fma(a[i,p], b[p,j], c) — the micro-kernel loads the C tile, extends
@@ -39,6 +58,16 @@ enum class GemmLayout {
 /// Register tile: MR rows x NR columns of C per inner-kernel invocation.
 inline constexpr std::int64_t kGemmMR = 4;
 inline constexpr std::int64_t kGemmNR = 16;
+/// Rows of the conv drivers' tile and packed weight strips, and the deepest
+/// GEMM they run through gemm_detail::short_depth_kernel (none without
+/// AVX-512, where 16 B rows would not fit in the registers beside the tile).
+#if defined(__AVX512F__)
+inline constexpr std::int64_t kConvMR = 8;
+inline constexpr std::int64_t kShortDepth = 16;
+#else
+inline constexpr std::int64_t kConvMR = kGemmMR;
+inline constexpr std::int64_t kShortDepth = 0;
+#endif
 /// Cache blocking: A panels are MC x KC (~L2), B strips KC x NR (~L1),
 /// B panels KC x NC (~L3).
 inline constexpr std::int64_t kGemmMC = 128;
@@ -86,32 +115,30 @@ void gemm_naive(const float* a, GemmLayout la, const float* b, GemmLayout lb,
 /// kernel, never in the per-element rounding chain.
 namespace gemm_detail {
 
-/// A-panel pack: rows [ic, ic+mc) x depth [pc, pc+kc) of op(A) into MR-row
-/// strips, p-major within a strip (strip s holds kc * MR floats; element
-/// (p, r) of strip s is A(ic + s*MR + r, pc + p)). Rows past mc zero-filled.
+/// A-panel pack: rows [ic, ic+mc) x depth [pc, pc+kc) of op(A) into kR-row
+/// strips, p-major within a strip (strip s holds kc * kR floats; element
+/// (p, r) of strip s is A(ic + s*kR + r, pc + p)). Rows past mc zero-filled.
+/// kR is kGemmMR (gemm_packed) or kConvMR (the conv drivers).
+template <std::int64_t kR>
 void pack_a(const float* a, std::int64_t lda, bool trans, std::int64_t ic,
             std::int64_t mc, std::int64_t pc, std::int64_t kc, float* ap);
 
-/// The A rows of a strip pack_a packed: element (p, r) is strip[p * MR + r].
+/// The A rows of a strip pack_a<kR> packed: element (p, r) is
+/// strip[p * kR + r].
+template <std::int64_t kR>
 struct PackedStrip {
-  static constexpr std::int64_t kRows = kGemmMR;
+  static constexpr std::int64_t kRows = kR;
   const float* strip;
   float operator()(std::int64_t p, std::int64_t r) const {
-    return strip[p * kGemmMR + r];
+    return strip[p * kR + r];
   }
 };
 
 /// A rows read in place through a table of positions (a conv weight
 /// gradient's taps, read from a padded copy of x): element (p, r) is
-/// row[r][pos[p]]. With AVX-512 a 16-column B row is one register, so MR
-/// rows would give the kernel only four independent chains, each waiting
-/// on the one before; there it takes 2 MR rows, eight chains.
+/// row[r][pos[p]], kConvMR rows a call.
 struct PositionRows {
-#if defined(__AVX512F__)
-  static constexpr std::int64_t kRows = 2 * kGemmMR;
-#else
-  static constexpr std::int64_t kRows = kGemmMR;
-#endif
+  static constexpr std::int64_t kRows = kConvMR;
   const float* row[kRows];
   const std::int64_t* pos;
   float operator()(std::int64_t p, std::int64_t r) const {
@@ -156,15 +183,43 @@ template <typename ARows, typename BRows>
 void micro_kernel(std::int64_t kc, ARows a, BRows b, float* c,
                   std::int64_t ldc, bool load_c = true,
                   std::int64_t cols = kGemmNR);
-extern template void micro_kernel<PackedStrip, PackedRows>(
-    std::int64_t, PackedStrip, PackedRows, float*, std::int64_t, bool,
-    std::int64_t);
-extern template void micro_kernel<PackedStrip, OffsetRows>(
-    std::int64_t, PackedStrip, OffsetRows, float*, std::int64_t, bool,
-    std::int64_t);
+extern template void micro_kernel<PackedStrip<kGemmMR>, PackedRows>(
+    std::int64_t, PackedStrip<kGemmMR>, PackedRows, float*, std::int64_t,
+    bool, std::int64_t);
+#if defined(__AVX512F__)
+extern template void micro_kernel<PackedStrip<kConvMR>, PackedRows>(
+    std::int64_t, PackedStrip<kConvMR>, PackedRows, float*, std::int64_t,
+    bool, std::int64_t);
+#endif
+extern template void micro_kernel<PackedStrip<kConvMR>, OffsetRows>(
+    std::int64_t, PackedStrip<kConvMR>, OffsetRows, float*, std::int64_t,
+    bool, std::int64_t);
 extern template void micro_kernel<PositionRows, StridedRows>(
     std::int64_t, PositionRows, StridedRows, float*, std::int64_t, bool,
     std::int64_t);
+
+/// C rows [0, rows) x NR columns (leading dimension ldc) of a GEMM of depth
+/// kc <= kShortDepth: the kConvMR-row strips of `panel` (pack_a<kConvMR>'s
+/// layout, rows a multiple of kConvMR) against the B rows b(p), every chain
+/// from +0 and in ascending p, as micro_kernel computes it without load_c.
+/// B's kc rows are loaded into registers once, and every strip of the panel
+/// runs against them in this one call, instead of one micro_kernel call per
+/// strip of a few steps that reloads them. Defined only where kShortDepth
+/// is nonzero (AVX-512).
+template <typename BRows>
+void short_depth_kernel(std::int64_t kc, const float* panel,
+                        std::int64_t rows, BRows b, float* c,
+                        std::int64_t ldc);
+#if defined(__AVX512F__)
+extern template void short_depth_kernel<PackedRows>(std::int64_t,
+                                                    const float*, std::int64_t,
+                                                    PackedRows, float*,
+                                                    std::int64_t);
+extern template void short_depth_kernel<OffsetRows>(std::int64_t,
+                                                    const float*, std::int64_t,
+                                                    OffsetRows, float*,
+                                                    std::int64_t);
+#endif
 
 }  // namespace gemm_detail
 

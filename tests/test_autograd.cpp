@@ -678,7 +678,11 @@ struct ConvGateCase {
 /// C*K*K and F past kGemmKC, images wider than kGemmNC columns (evenly and
 /// unevenly chunked), image groups that do not fill kGemmNC, a batch whose
 /// last block of images is partial at every lane count, a 1x1 map on which
-/// only the centre tap of a 3x3 kernel lands, and batch 1.
+/// only the centre tap of a 3x3 kernel lands, and batch 1. Then input
+/// gradients that read g in place (4x4 and 8x8 maps) at a ragged batch of
+/// 97, for depths F from 1 to one past kShortDepth and C*K*K = 27 and 45,
+/// not a multiple of the 8-row panel strip, so that the short-depth kernel
+/// at many depths and the panel's partial last strip meet the lowering.
 std::vector<ConvGateCase> conv_gate_cases() {
   std::vector<ConvGateCase> cases;
   for (const std::int64_t stride : {1, 2}) {
@@ -720,6 +724,15 @@ std::vector<ConvGateCase> conv_gate_cases() {
   cases.push_back({"map1x1_k3p1", 5, 4, 1, 1, 6, {3, 1, 1}});
   cases.push_back({"batch1", 1, 8, 16, 16, 8, {3, 1, 1}});
   cases.push_back({"batch1_deep", 1, 24, 2, 2, 24, {3, 1, 1}});
+  for (const std::int64_t hw : {4, 8}) {
+    for (const std::int64_t f : {1, 2, 5, 9, 13, 15, 16, 17}) {
+      for (const std::int64_t c : {3, 5}) {
+        cases.push_back({"in_place_dx_map" + std::to_string(hw) + "_f" +
+                             std::to_string(f) + "_c" + std::to_string(c),
+                         97, c, hw, hw, f, {3, 1, 1}});
+      }
+    }
+  }
   return cases;
 }
 

@@ -6,11 +6,14 @@
 // equality of every classifier's lowered InferencePlan, the MLP's included
 // (masked and unmasked, grad mode on and off, at 1, 3 and 4 lanes), the
 // serve.snapshot_bytes gauge accounting of plan lifetimes (and of nothing
-// else), and one-lane timing floors of the stride-1 forward, of the input
-// and weight gradients and of a served batch-1 mlp256 forward.
+// else), every flag set of the forward's epilogue, and one-lane timing
+// floors of the stride-1 forward, of two input gradients (one of them
+// short-depth), of a weight gradient and of a served batch-1 mlp256
+// forward.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -24,6 +27,7 @@
 #include "models/plan.hpp"
 #include "models/registry.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/model_registry.hpp"
 #include "special_values.hpp"
@@ -53,6 +57,19 @@ constexpr float kEps = 1e-5f;
 /// packs every dense weight per call and one that reads panels packed at
 /// publish: 150-160 against 33-55 us with AVX-512, 305-335 against
 /// 120-145 us without AVX.
+/// ConvTiming's floor for the kernel of one b1c2 input gradient (8 -> 8 at
+/// 16x16) at batch 100 on one lane, a GEMM 8 deep: with AVX-512, between
+/// one micro-kernel call per 4-row strip of the panel, each reloading its 8
+/// rows of g (0.46-0.55 ms quiet, 0.51-0.62 under a concurrent ctest -j4),
+/// and the short-depth kernel holding them in registers for every 8-row
+/// strip (0.33-0.35 ms quiet, 0.35-0.39 under ctest); one call per 8-row
+/// strip lands near the floor. Builds without AVX-512 keep the generic path
+/// (1.28-1.33 ms without AVX) and get a floor of their own.
+#if defined(__AVX512F__)
+constexpr double kShortDepthFloorMs = 0.46;
+#else
+constexpr double kShortDepthFloorMs = 2.2;
+#endif
 #if defined(__AVX__)
 constexpr double kBlock1FloorMs = 1.5;
 constexpr double kInputGradFloorMs = 0.85;
@@ -297,6 +314,74 @@ TEST(ConvEvalPlan, ConvOnlyAndResidualSkipVariants) {
                          res.run(x, &skip)));
 }
 
+TEST(ConvEvalPlan, EveryEpilogueFlagSetMatchesReference) {
+  // The forward's store is compiled once per set of bias / BN / skip / ReLU
+  // flags: all 16 sets, at a stride-1 shape whose B is read in place from
+  // the padded grid (halo columns and rows to skip, blocks that end
+  // mid-row) and at a stride-2 shape whose B is packed, at 1 and 4 lanes,
+  // on ordinary values and on IEEE specials in x, w and the skip.
+  struct Case {
+    const char* name;
+    std::int64_t n, c, h, w, f;
+    Conv2dSpec spec;
+  };
+  const Case cases[] = {{"in_place", 5, 5, 11, 9, 9, {3, 1, 1}},
+                        {"packed", 3, 4, 9, 9, 6, {3, 2, 1}}};
+  constexpr std::int64_t kLanes[] = {1, 4};
+  const std::int64_t lanes0 = runtime::num_threads();
+  for (const auto& tc : cases) {
+    for (const bool special : {false, true}) {
+      Rng rng(0xf1a6u + static_cast<std::uint64_t>(tc.f));
+      const Shape x_shape{tc.n, tc.c, tc.h, tc.w};
+      const Shape w_shape{tc.f, tc.c, tc.spec.kernel, tc.spec.kernel};
+      const Shape out_shape{tc.n, tc.f,
+                            conv_out_dim(tc.h, tc.spec.kernel, tc.spec.stride,
+                                         tc.spec.pad),
+                            conv_out_dim(tc.w, tc.spec.kernel, tc.spec.stride,
+                                         tc.spec.pad)};
+      const Tensor x =
+          special ? special_values(x_shape, 0x71u) : randn(x_shape, rng);
+      const Tensor w =
+          special ? special_values(w_shape, 0x72u) : randn(w_shape, rng);
+      const Tensor skip =
+          special ? special_values(out_shape, 0x73u) : randn(out_shape, rng);
+      const Tensor bias = randn({tc.f}, rng);
+      const BnParams bn = make_bn(tc.f, rng);
+      for (int set = 0; set < 16; ++set) {
+        const bool has_bias = (set & 1) != 0, has_bn = (set & 2) != 0;
+        const bool has_skip = (set & 4) != 0, relu = (set & 8) != 0;
+        const ConvEvalPlan plan(
+            w, has_bias ? &bias : nullptr, tc.spec,
+            has_bn ? fold_batch_norm(bn.gamma, bn.beta, bn.rm, bn.rv, kEps)
+                   : FoldedBn{},
+            relu);
+        // Every output stays alive until the reference is computed, so an
+        // element the store never writes cannot pass by holding the bits
+        // of a recycled buffer.
+        std::vector<Tensor> got;
+        for (const std::int64_t lanes : kLanes) {
+          runtime::set_num_threads(lanes);
+          got.push_back(plan.run(x, has_skip ? &skip : nullptr));
+        }
+        const Tensor ref = reference(x, w, has_bias ? &bias : nullptr, tc.spec,
+                                     has_bn ? &bn : nullptr,
+                                     has_skip ? &skip : nullptr, relu);
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          // A NaN met by another NaN keeps the sign of the one the
+          // compiler's operand order picks (canonical_nans).
+          EXPECT_TRUE(special ? bits_equal(canonical_nans(ref),
+                                           canonical_nans(got[i]))
+                              : bits_equal(ref, got[i]))
+              << tc.name << (special ? " special" : "") << " bias=" << has_bias
+              << " bn=" << has_bn << " skip=" << has_skip << " relu=" << relu
+              << " lanes=" << kLanes[i];
+        }
+      }
+    }
+  }
+  runtime::set_num_threads(lanes0);
+}
+
 TEST(ConvEvalPlan, LaneCountDoesNotChangeBits) {
   Rng rng(31);
   const Conv2dSpec spec{3, 1, 1};
@@ -429,6 +514,40 @@ TEST(ConvTiming, InputGradReadsGInPlace) {
   EXPECT_TRUE(std::isfinite(sink));
   SKIP_UNLESS_TIMING_BUILD() << ms << " ms per input gradient";
   EXPECT_LT(ms, kInputGradFloorMs) << ms << " ms per input gradient";
+}
+
+TEST(ConvTiming, ShortDepthInputGradHoldsGInRegisters) {
+  // vgg16's b1c2 (8 -> 8 at 16x16, 3x3 pad 1) input gradient at the
+  // training batch on one lane: a GEMM of depth F = 8, the largest input
+  // gradient of the trunk. It fails when each strip of the weight panel is
+  // its own micro-kernel call of eight steps that reloads the column
+  // strip's rows of g and stores its tile, instead of one call per column
+  // strip that holds those rows in registers for every 8-row strip. It
+  // times the kernel alone, from its profile site: the gather that follows
+  // is a third of the call and would halve the margin on either side.
+  const std::int64_t lanes0 = runtime::num_threads();
+  const bool profiling0 = obs::profiling_enabled();
+  runtime::set_num_threads(1);
+  obs::set_profiling_enabled(true);
+  Rng rng(59);
+  const Tensor g = randn({100, 8, 16, 16}, rng);
+  const Tensor w = randn({8, 8, 3, 3}, rng);
+  float sink = 0.0f;
+  double ms = 1e300;
+  for (int rep = 0; rep < 30; ++rep) {
+    obs::reset_profile();
+    sink += conv2d_input_grad(g, {100, 8, 16, 16}, w, Conv2dSpec{3, 1, 1})[0];
+    for (const auto& e : obs::profile_table()) {
+      if (e.name == "tensor/conv2d_input_grad/kernel") {
+        ms = std::min(ms, static_cast<double>(e.total_ns) * 1e-6);
+      }
+    }
+  }
+  obs::set_profiling_enabled(profiling0);
+  runtime::set_num_threads(lanes0);
+  EXPECT_TRUE(std::isfinite(sink));
+  SKIP_UNLESS_TIMING_BUILD() << ms << " ms of kernel per input gradient";
+  EXPECT_LT(ms, kShortDepthFloorMs) << ms << " ms of kernel per input gradient";
 }
 
 TEST(ConvTiming, WeightGradReadsXInPlace) {
