@@ -19,7 +19,6 @@ namespace ibrar::ag {
 Var add(const Var& a, const Var& b);
 Var sub(const Var& a, const Var& b);
 Var mul(const Var& a, const Var& b);
-Var div(const Var& a, const Var& b);
 Var add_scalar(const Var& a, float s);
 Var mul_scalar(const Var& a, float s);
 Var neg(const Var& a);
@@ -28,13 +27,9 @@ Var neg(const Var& a);
 
 Var exp(const Var& a);
 Var log(const Var& a);        ///< clamped log for numerical safety
-Var sqrt(const Var& a);
 Var square(const Var& a);
-Var pow_scalar(const Var& a, float p);
 Var relu(const Var& a);
 Var tanh(const Var& a);
-Var sigmoid(const Var& a);
-Var abs(const Var& a);
 
 // ---- linear algebra ----------------------------------------------------------
 
@@ -45,8 +40,6 @@ Var transpose(const Var& a);              ///< 2-D transpose
 
 Var reshape(const Var& a, Shape new_shape);
 Var flatten2d(const Var& a);              ///< (N, ...) -> (N, rest)
-Var concat_rows(const std::vector<Var>& parts);
-Var slice_rows(const Var& a, std::int64_t begin, std::int64_t end);
 
 /// Pick one column per row: out(i) = a(i, idx[i]) -> shape (n, 1).
 Var gather_cols(const Var& a, const std::vector<std::int64_t>& idx);
@@ -56,7 +49,6 @@ Var gather_cols(const Var& a, const std::vector<std::int64_t>& idx);
 Var sum(const Var& a);                    ///< scalar
 Var mean(const Var& a);                   ///< scalar
 Var sum_axis(const Var& a, std::int64_t axis, bool keepdim = false);
-Var mean_axis(const Var& a, std::int64_t axis, bool keepdim = false);
 
 // ---- convolution / pooling ---------------------------------------------------
 

@@ -55,19 +55,6 @@ Var mul(const Var& a, const Var& b) {
   });
 }
 
-Var div(const Var& a, const Var& b) {
-  return make_op(ibrar::div(a.value(), b.value()), {a, b}, [](Node& n) {
-    const Tensor& av = n.parents[0]->value;
-    const Tensor& bv = n.parents[1]->value;
-    accum_broadcast(n, 0, [&] { return ibrar::div(n.grad, bv); });
-    // d/db (a/b) = -a / b^2
-    accum_broadcast(n, 1, [&] {
-      return ibrar::neg(
-          ibrar::div(ibrar::mul(n.grad, av), ibrar::mul(bv, bv)));
-    });
-  });
-}
-
 Var add_scalar(const Var& a, float s) {
   return make_op(ibrar::add_scalar(a.value(), s), {a},
                  [](Node& n) { accum(n, 0, n.grad); });
@@ -95,23 +82,9 @@ Var log(const Var& a) {
   });
 }
 
-Var sqrt(const Var& a) {
-  return make_op(ibrar::sqrt(a.value()), {a}, [](Node& n) {
-    accum(n, 0, ibrar::div(n.grad,
-                           ibrar::mul_scalar(ibrar::maximum(n.value, Tensor::scalar(1e-12f)), 2.0f)));
-  });
-}
-
 Var square(const Var& a) {
   return make_op(ibrar::square(a.value()), {a}, [](Node& n) {
     accum(n, 0, ibrar::mul(n.grad, ibrar::mul_scalar(n.parents[0]->value, 2.0f)));
-  });
-}
-
-Var pow_scalar(const Var& a, float p) {
-  return make_op(ibrar::pow_scalar(a.value(), p), {a}, [p](Node& n) {
-    accum(n, 0, ibrar::mul(n.grad,
-                           ibrar::mul_scalar(ibrar::pow_scalar(n.parents[0]->value, p - 1.0f), p)));
   });
 }
 
@@ -126,19 +99,6 @@ Var tanh(const Var& a) {
     // 1 - tanh^2
     accum(n, 0, ibrar::mul(n.grad, ibrar::sub(Tensor::scalar(1.0f),
                                               ibrar::square(n.value))));
-  });
-}
-
-Var sigmoid(const Var& a) {
-  return make_op(ibrar::sigmoid(a.value()), {a}, [](Node& n) {
-    accum(n, 0, ibrar::mul(n.grad,
-                           ibrar::mul(n.value, ibrar::sub(Tensor::scalar(1.0f), n.value))));
-  });
-}
-
-Var abs(const Var& a) {
-  return make_op(ibrar::abs(a.value()), {a}, [](Node& n) {
-    accum(n, 0, ibrar::mul(n.grad, ibrar::sign(n.parents[0]->value)));
   });
 }
 

@@ -35,10 +35,4 @@ Var sum_axis(const Var& a, std::int64_t axis, bool keepdim) {
   });
 }
 
-Var mean_axis(const Var& a, std::int64_t axis, bool keepdim) {
-  const auto ax = axis < 0 ? axis + a.value().rank() : axis;
-  const float inv = 1.0f / static_cast<float>(a.value().dim(ax));
-  return mul_scalar(sum_axis(a, axis, keepdim), inv);
-}
-
 }  // namespace ibrar::ag

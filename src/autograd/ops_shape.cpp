@@ -21,52 +21,6 @@ Var flatten2d(const Var& a) {
   return reshape(a, {n, a.numel() / n});
 }
 
-Var concat_rows(const std::vector<Var>& parts) {
-  std::vector<Tensor> values;
-  values.reserve(parts.size());
-  std::vector<std::int64_t> row_counts;
-  for (const auto& p : parts) {
-    values.push_back(p.value());
-    row_counts.push_back(p.shape()[0]);
-  }
-  return make_op(ibrar::concat_rows(values), {parts.begin(), parts.end()},
-                 [row_counts](Node& n) {
-                   const std::int64_t row_size =
-                       n.value.numel() / n.value.shape()[0];
-                   std::int64_t row = 0;
-                   for (std::size_t i = 0; i < n.parents.size(); ++i) {
-                     auto& p = n.parents[i];
-                     if (p->requires_grad) {
-                       Tensor g(p->value.shape());
-                       std::copy_n(n.grad.data().begin() + row * row_size,
-                                   g.numel(), g.data().begin());
-                       p->accumulate(std::move(g));
-                     }
-                     row += row_counts[i];
-                   }
-                 });
-}
-
-Var slice_rows(const Var& a, std::int64_t begin, std::int64_t end) {
-  if (a.shape().empty() || begin < 0 || end > a.shape()[0] || begin >= end) {
-    throw std::invalid_argument("slice_rows: bad range");
-  }
-  const std::int64_t row_size = a.numel() / a.shape()[0];
-  Shape out_shape = a.shape();
-  out_shape[0] = end - begin;
-  Tensor out(out_shape);
-  std::copy_n(a.value().data().begin() + begin * row_size, out.numel(),
-              out.data().begin());
-  const Shape in_shape = a.shape();
-  return make_op(std::move(out), {a}, [begin, row_size, in_shape](Node& n) {
-    if (!n.parents[0]->requires_grad) return;
-    Tensor g(in_shape);
-    std::copy_n(n.grad.data().begin(), n.grad.numel(),
-                g.data().begin() + begin * row_size);
-    n.parents[0]->accumulate(std::move(g));
-  });
-}
-
 Var gather_cols(const Var& a, const std::vector<std::int64_t>& idx) {
   if (a.shape().size() != 2) throw std::invalid_argument("gather_cols: 2-D only");
   const auto rows = a.shape()[0];

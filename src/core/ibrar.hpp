@@ -35,8 +35,6 @@ class IBRARObjective : public train::Objective {
   ag::Var compute(models::TapClassifier& model,
                   const data::Batch& batch) override;
 
-  const MILossConfig& mi_config() const { return mi_cfg_; }
-
  private:
   train::ObjectivePtr base_;
   MILossConfig mi_cfg_;

@@ -100,9 +100,4 @@ std::uint32_t AdmissionController::retry_after_ms(
                   rate_rows_per_sec_);
 }
 
-double AdmissionController::service_rate() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return rate_rows_per_sec_;
-}
-
 }  // namespace ibrar::serve

@@ -78,9 +78,6 @@ class AdmissionController {
   /// [1, 5000].
   std::uint32_t retry_after_ms(std::size_t queue_depth) const;
 
-  /// Measured service rate, rows/sec (0 before the first two batches).
-  double service_rate() const;
-
   const AdmissionConfig& config() const { return cfg_; }
 
  private:

@@ -26,6 +26,9 @@ namespace {
 /// for as long as it stays connected.
 constexpr timeval kConnectionIoTimeout{2, 0};
 
+/// listen(2) queue depth: admin traffic is a scraper on a cadence.
+constexpr int kBacklog = 16;
+
 std::string http_response(int code, const char* reason,
                           const char* content_type, const std::string& body) {
   std::string out = "HTTP/1.0 " + std::to_string(code) + " " + reason +
@@ -99,7 +102,7 @@ std::string render_admin_response(const std::string& target) {
   }
 }
 
-AdminEndpoint::AdminEndpoint(AdminConfig cfg) : cfg_(cfg) {
+AdminEndpoint::AdminEndpoint(std::uint16_t port) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     throw std::runtime_error("AdminEndpoint: socket() failed");
@@ -110,14 +113,14 @@ AdminEndpoint::AdminEndpoint(AdminConfig cfg) : cfg_(cfg) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(cfg_.port);
+  addr.sin_port = htons(port);
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
       0) {
     ::close(listen_fd_);
     throw std::runtime_error("AdminEndpoint: bind(127.0.0.1:" +
-                             std::to_string(cfg_.port) + ") failed");
+                             std::to_string(port) + ") failed");
   }
-  if (::listen(listen_fd_, cfg_.backlog) < 0) {
+  if (::listen(listen_fd_, kBacklog) < 0) {
     ::close(listen_fd_);
     throw std::runtime_error("AdminEndpoint: listen() failed");
   }

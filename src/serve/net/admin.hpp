@@ -37,11 +37,6 @@
 
 namespace ibrar::serve::net {
 
-struct AdminConfig {
-  std::uint16_t port = 0;  ///< 0 = kernel-assigned; read back via port()
-  int backlog = 16;
-};
-
 /// Full HTTP/1.0 response (status line, headers, body) for a request
 /// target such as "/metrics" or "/timeseries?name=serve.accepted".
 /// Unknown targets get 404; the function never throws.
@@ -49,14 +44,14 @@ std::string render_admin_response(const std::string& target);
 
 class AdminEndpoint {
  public:
-  /// Bind 127.0.0.1:port, listen, serve. Throws std::runtime_error when the
-  /// socket cannot be set up.
-  explicit AdminEndpoint(AdminConfig cfg = AdminConfig());
+  /// Bind 127.0.0.1:port (0 = kernel-assigned), listen with a backlog of
+  /// 16, serve. Throws std::runtime_error when the socket cannot be set up.
+  explicit AdminEndpoint(std::uint16_t port = 0);
   ~AdminEndpoint();
   AdminEndpoint(const AdminEndpoint&) = delete;
   AdminEndpoint& operator=(const AdminEndpoint&) = delete;
 
-  /// The bound port (the kernel's pick when AdminConfig::port was 0).
+  /// The bound port (the kernel's pick when the constructor got 0).
   std::uint16_t port() const { return port_; }
 
   /// Close the listener and join the accept thread. Idempotent.
@@ -65,7 +60,6 @@ class AdminEndpoint {
  private:
   void accept_loop();
 
-  AdminConfig cfg_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};

@@ -20,6 +20,9 @@
 
 namespace ibrar::serve::net {
 
+/// listen(2) queue depth: a connection burst queues in the kernel.
+constexpr int kBacklog = 128;
+
 /// One reply the writer owes the peer, in submission order. `bad` marks a
 /// request the server refused at the door (no future exists for it).
 struct PendingReply {
@@ -40,8 +43,8 @@ struct TcpFrontend::Connection {
   std::thread writer;  ///< joined by whoever reaps the connection
 };
 
-TcpFrontend::TcpFrontend(Server& server, Config cfg)
-    : server_(server), cfg_(cfg) {
+TcpFrontend::TcpFrontend(Server& server, std::uint16_t port)
+    : server_(server) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     throw std::runtime_error("TcpFrontend: socket() failed");
@@ -52,14 +55,14 @@ TcpFrontend::TcpFrontend(Server& server, Config cfg)
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(cfg_.port);
+  addr.sin_port = htons(port);
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
       0) {
     ::close(listen_fd_);
     throw std::runtime_error("TcpFrontend: bind(127.0.0.1:" +
-                             std::to_string(cfg_.port) + ") failed");
+                             std::to_string(port) + ") failed");
   }
-  if (::listen(listen_fd_, cfg_.backlog) < 0) {
+  if (::listen(listen_fd_, kBacklog) < 0) {
     ::close(listen_fd_);
     throw std::runtime_error("TcpFrontend: listen() failed");
   }

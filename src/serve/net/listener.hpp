@@ -4,10 +4,10 @@
 //
 // The in-process Server speaks std::future; this front-end makes the same
 // contract reachable over a socket. One acceptor thread blocks in accept()
-// on a loopback listener with a deep backlog (default 128, the same
-// listen-queue depth long-lived daemons like cupsd use — a connection burst
-// should queue in the kernel, not get RSTs). Each accepted connection gets a
-// reader thread and a writer thread:
+// on a loopback listener with a deep backlog (128, the same listen-queue
+// depth long-lived daemons like cupsd use — a connection burst should queue
+// in the kernel, not get RSTs). Each accepted connection gets a reader
+// thread and a writer thread:
 //
 //   reader: read_frame -> decode_submit -> Server::submit -> enqueue the
 //           returned future (FIFO) for the writer. A submit the server
@@ -49,23 +49,16 @@
 
 namespace ibrar::serve::net {
 
-struct FrontendConfig {
-  std::uint16_t port = 0;  ///< 0 = kernel-assigned; read back via port()
-  int backlog = 128;       ///< listen(2) queue depth
-};
-
 class TcpFrontend {
  public:
-  using Config = FrontendConfig;
-
-  /// Bind 127.0.0.1:port, listen, and start accepting. Throws
-  /// std::runtime_error when the socket cannot be set up.
-  TcpFrontend(Server& server, Config cfg = Config());
+  /// Bind 127.0.0.1:port (0 = kernel-assigned), listen, and start
+  /// accepting. Throws std::runtime_error when the socket cannot be set up.
+  explicit TcpFrontend(Server& server, std::uint16_t port = 0);
   ~TcpFrontend();
   TcpFrontend(const TcpFrontend&) = delete;
   TcpFrontend& operator=(const TcpFrontend&) = delete;
 
-  /// The bound port (the kernel's pick when Config::port was 0).
+  /// The bound port (the kernel's pick when the constructor got 0).
   std::uint16_t port() const { return port_; }
 
   /// Stop accepting, tear down every connection, join all threads.
@@ -80,7 +73,6 @@ class TcpFrontend {
   void writer_loop(const std::shared_ptr<Connection>& conn);
 
   Server& server_;
-  Config cfg_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};

@@ -1,5 +1,7 @@
 #include "serve/reply_cache.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <utility>
 
@@ -31,60 +33,10 @@ Reply failure_copy(const Reply& src) {
   return r;
 }
 
-std::size_t round_up_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
+constexpr std::uint64_t kGolden = 0x9E3779B97F4A7C15ull;
 
-}  // namespace
-
-ReplyCache::ReplyCache(ReplyCacheConfig cfg)
-    : cfg_(cfg),
-      c_lookups_(obs::registry().counter("serve.cache.lookups")),
-      c_hits_(obs::registry().counter("serve.cache.hits")),
-      c_misses_(obs::registry().counter("serve.cache.misses")),
-      c_joins_(obs::registry().counter("serve.cache.inflight_joins")),
-      c_evictions_(obs::registry().counter("serve.cache.evictions")),
-      c_invalidations_(obs::registry().counter("serve.cache.invalidations")),
-      g_bytes_(obs::registry().gauge("serve.cache.bytes")),
-      g_budget_(obs::registry().gauge("serve.cache.budget_bytes")) {
-  const std::size_t n =
-      round_up_pow2(cfg_.shards == 0 ? std::size_t{1} : cfg_.shards);
-  shards_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
-  if (enabled()) {
-    g_budget_.set(static_cast<double>(cfg_.capacity_bytes));
-  }
-}
-
-ReplyCache::~ReplyCache() { clear(); }
-
-std::uint64_t ReplyCache::hash_input(const Tensor& input) {
-  // FNV-1a 64 over the dims then the raw IEEE-754 bytes. The exact bytes are
-  // re-checked on every candidate hit, so the hash only has to spread keys.
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix_bytes = [&h](const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 1099511628211ull;
-    }
-  };
-  for (std::size_t d = 0; d < input.shape().size(); ++d) {
-    const std::int64_t dim = input.shape()[d];
-    mix_bytes(&dim, sizeof dim);
-  }
-  mix_bytes(input.data().data(), sizeof(float) * input.data().size());
-  return h;
-}
-
-std::uint64_t ReplyCache::mix_key(std::uint64_t hash, std::uint64_t version) {
-  // splitmix64 finisher over (hash, version) so shard selection and map
-  // bucketing both see well-spread bits.
-  std::uint64_t z = hash ^ (version * 0x9E3779B97F4A7C15ull);
+/// splitmix64's finisher: every input bit reaches every output bit.
+std::uint64_t splitmix(std::uint64_t z) {
   z ^= z >> 30;
   z *= 0xBF58476D1CE4E5B9ull;
   z ^= z >> 27;
@@ -93,8 +45,63 @@ std::uint64_t ReplyCache::mix_key(std::uint64_t hash, std::uint64_t version) {
   return z;
 }
 
-ReplyCache::Shard& ReplyCache::shard_for(std::uint64_t key) {
-  return *shards_[key & (shards_.size() - 1)];
+/// The map key of (input hash, model version), well spread for bucketing.
+std::uint64_t mix_key(std::uint64_t hash, std::uint64_t version) {
+  return splitmix(hash ^ (version * kGolden));
+}
+
+}  // namespace
+
+ReplyCache::ReplyCache(std::size_t capacity_bytes)
+    : capacity_bytes_(capacity_bytes),
+      c_lookups_(obs::registry().counter("serve.cache.lookups")),
+      c_hits_(obs::registry().counter("serve.cache.hits")),
+      c_misses_(obs::registry().counter("serve.cache.misses")),
+      c_joins_(obs::registry().counter("serve.cache.inflight_joins")),
+      c_evictions_(obs::registry().counter("serve.cache.evictions")),
+      c_invalidations_(obs::registry().counter("serve.cache.invalidations")),
+      g_bytes_(obs::registry().gauge("serve.cache.bytes")),
+      g_budget_(obs::registry().gauge("serve.cache.budget_bytes")) {
+  if (enabled()) {
+    g_budget_.set(static_cast<double>(capacity_bytes_));
+  }
+}
+
+ReplyCache::~ReplyCache() { clear(); }
+
+std::uint64_t ReplyCache::hash_input(const Tensor& input) {
+  // Four independent xor-rotate-multiply lanes over 8-byte words, so the
+  // multiplies overlap instead of chaining once per byte; the rotate feeds
+  // each word's high bits back into the low ones. The dims go into lane 0
+  // first; a last odd float is zero-extended, which cannot alias a longer
+  // input because the dims differ. The lanes fold through the splitmix
+  // finisher. The exact bytes are re-checked on every candidate hit, so
+  // the hash only has to spread keys.
+  const auto step = [](std::uint64_t h, std::uint64_t w) {
+    return std::rotl(h ^ w, 29) * kGolden;
+  };
+  std::uint64_t lanes[4] = {1, 2, 3, 4};
+  for (const std::int64_t dim : input.shape()) {
+    lanes[0] = step(lanes[0], static_cast<std::uint64_t>(dim));
+  }
+  const auto* p = reinterpret_cast<const unsigned char*>(input.data().data());
+  const std::size_t n = sizeof(float) * input.data().size();
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    for (std::size_t l = 0; l < 4; ++l) {
+      std::uint64_t w;
+      std::memcpy(&w, p + i + 8 * l, 8);
+      lanes[l] = step(lanes[l], w);
+    }
+  }
+  for (std::size_t l = 0; i < n; i += 8, ++l) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, p + i, std::min<std::size_t>(8, n - i));
+    lanes[l] = step(lanes[l], w);
+  }
+  std::uint64_t h = 0;
+  for (const std::uint64_t lane : lanes) h = splitmix(h ^ lane);
+  return h;
 }
 
 std::size_t ReplyCache::entry_bytes(const Entry& e) {
@@ -106,14 +113,24 @@ std::size_t ReplyCache::entry_bytes(const Entry& e) {
 }
 
 void ReplyCache::account(std::ptrdiff_t delta) {
-  if (delta >= 0) {
-    bytes_.fetch_add(static_cast<std::size_t>(delta),
-                     std::memory_order_relaxed);
-  } else {
-    bytes_.fetch_sub(static_cast<std::size_t>(-delta),
-                     std::memory_order_relaxed);
-  }
+  bytes_ += static_cast<std::size_t>(delta);  // wraps: a negative subtracts
   g_bytes_.add(static_cast<double>(delta));
+}
+
+ReplyCache::Lru::iterator ReplyCache::drop(Lru::iterator it) {
+  account(-static_cast<std::ptrdiff_t>(it->bytes));
+  index_.erase(it->key);
+  return lru_.erase(it);
+}
+
+std::size_t ReplyCache::bytes() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return bytes_;
+}
+
+std::size_t ReplyCache::entries() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return lru_.size();
 }
 
 ReplyCache::Lookup ReplyCache::lookup_or_join(std::uint64_t hash,
@@ -124,58 +141,51 @@ ReplyCache::Lookup ReplyCache::lookup_or_join(std::uint64_t hash,
   if (!enabled()) return out;
   c_lookups_.inc();
   const std::uint64_t key = mix_key(hash, version);
-  Shard& sh = shard_for(key);
-  bool installed = false;
-  {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    auto it = sh.index.find(key);
-    if (it != sh.index.end()) {
-      Entry& e = *it->second;
-      const bool same =
-          e.version == version && e.shape == input.shape() &&
-          e.input.size() == input.data().size() &&
-          std::memcmp(e.input.data(), input.data().data(),
-                      sizeof(float) * e.input.size()) == 0;
-      if (!same) {
-        // A different input collided onto the same key: serve it uncached.
-        // kBypass can never be a wrong answer; it is only a missed saving.
-        c_misses_.inc();
-        return out;
-      }
-      if (e.complete) {
-        sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-        e.used = clock_++;
-        out.outcome = Outcome::kHit;
-        out.reply = e.reply;  // already normalized at store time
-        c_hits_.inc();
-        return out;
-      }
-      // In flight: park the promise; the leader's complete()/abort() fans
-      // out. A join IS a hit for the hits+misses==lookups invariant — the
-      // request is served without its own compute.
-      e.joiners.push_back(std::move(joiner));
-      out.outcome = Outcome::kJoined;
-      c_hits_.inc();
-      c_joins_.inc();
+  std::lock_guard<std::mutex> lk(mu_);
+  auto it = index_.find(key);
+  if (it != index_.end()) {
+    Entry& e = *it->second;
+    const bool same =
+        e.version == version && e.shape == input.shape() &&
+        e.input.size() == input.data().size() &&
+        std::memcmp(e.input.data(), input.data().data(),
+                    sizeof(float) * e.input.size()) == 0;
+    if (!same) {
+      // A different input collided onto the same key: serve it uncached.
+      // kBypass can never be a wrong answer; it is only a missed saving.
+      c_misses_.inc();
       return out;
     }
-    // Miss: install the nfs_dupreq-style "being processed" entry and name
-    // the caller leader.
-    Entry e;
-    e.key = key;
-    e.version = version;
-    e.shape = input.shape();
-    e.input.assign(input.data().begin(), input.data().end());
-    e.bytes = entry_bytes(e);
-    e.used = clock_++;
-    sh.lru.push_front(std::move(e));
-    sh.index.emplace(key, sh.lru.begin());
-    account(static_cast<std::ptrdiff_t>(sh.lru.front().bytes));
-    installed = true;
+    if (e.complete) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      out.outcome = Outcome::kHit;
+      out.reply = e.reply;  // already normalized at store time
+      c_hits_.inc();
+      return out;
+    }
+    // In flight: park the promise; the leader's complete()/abort() fans
+    // out. A join IS a hit for the hits+misses==lookups invariant — the
+    // request is served without its own compute.
+    e.joiners.push_back(std::move(joiner));
+    out.outcome = Outcome::kJoined;
+    c_hits_.inc();
+    c_joins_.inc();
+    return out;
   }
+  // Miss: install the nfs_dupreq-style "being processed" entry and name
+  // the caller leader.
+  Entry e;
+  e.key = key;
+  e.version = version;
+  e.shape = input.shape();
+  e.input.assign(input.data().begin(), input.data().end());
+  e.bytes = entry_bytes(e);
+  lru_.push_front(std::move(e));
+  index_.emplace(key, lru_.begin());
+  account(static_cast<std::ptrdiff_t>(lru_.front().bytes));
   c_misses_.inc();
   out.outcome = Outcome::kLeader;
-  if (installed) evict_to_budget();
+  evict_to_budget();
   return out;
 }
 
@@ -183,19 +193,17 @@ void ReplyCache::complete(std::uint64_t hash, std::uint64_t version,
                           const Reply& reply) {
   if (!enabled()) return;
   const std::uint64_t key = mix_key(hash, version);
-  Shard& sh = shard_for(key);
   std::vector<std::promise<Reply>> joiners;
-  Reply stored;
-  bool store = false;
   {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    auto it = sh.index.find(key);
-    if (it == sh.index.end()) return;  // cleared under us (shutdown race)
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = index_.find(key);
+    if (it == index_.end()) return;  // cleared under us (shutdown race)
     Entry& e = *it->second;
     joiners = std::move(e.joiners);
     e.joiners.clear();
-    store = reply.ok() && !e.doomed &&
-            version == latest_version_.load(std::memory_order_relaxed);
+    const bool store =
+        reply.ok() && !e.doomed &&
+        version == latest_version_.load(std::memory_order_relaxed);
     if (store) {
       const std::size_t before = e.bytes;
       e.complete = true;
@@ -203,40 +211,32 @@ void ReplyCache::complete(std::uint64_t hash, std::uint64_t version,
       e.bytes = entry_bytes(e);
       account(static_cast<std::ptrdiff_t>(e.bytes) -
               static_cast<std::ptrdiff_t>(before));
-      sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-      e.used = clock_++;
-      stored = e.reply;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      evict_to_budget();  // may take e itself when it alone overflows
     } else {
-      account(-static_cast<std::ptrdiff_t>(e.bytes));
-      sh.lru.erase(it->second);
-      sh.index.erase(it);
+      drop(it->second);
     }
   }
-  // Fan out OUTSIDE the shard lock: set_value wakes waiters synchronously.
+  // Fan out OUTSIDE the lock: set_value wakes waiters synchronously.
   if (reply.ok()) {
-    const Reply fan = store ? stored : cached_copy(reply);
+    const Reply fan = cached_copy(reply);
     for (auto& p : joiners) p.set_value(fan);
   } else {
     for (auto& p : joiners) p.set_value(failure_copy(reply));
   }
-  if (store) evict_to_budget();
 }
 
 void ReplyCache::abort(std::uint64_t hash, std::uint64_t version,
                        const Reply& reply) {
   if (!enabled()) return;
   const std::uint64_t key = mix_key(hash, version);
-  Shard& sh = shard_for(key);
   std::vector<std::promise<Reply>> joiners;
   {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    auto it = sh.index.find(key);
-    if (it == sh.index.end()) return;
-    Entry& e = *it->second;
-    joiners = std::move(e.joiners);
-    account(-static_cast<std::ptrdiff_t>(e.bytes));
-    sh.lru.erase(it->second);
-    sh.index.erase(it);
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = index_.find(key);
+    if (it == index_.end()) return;
+    joiners = std::move(it->second->joiners);
+    drop(it->second);
   }
   for (auto& p : joiners) p.set_value(failure_copy(reply));
 }
@@ -249,41 +249,35 @@ void ReplyCache::on_version(std::uint64_t version) {
   // off the gauge immediately); stale in-flight entries are doomed — their
   // joiners were promised a reply, so they still fan out, but the result is
   // never stored.
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    std::lock_guard<std::mutex> lk(sh.mu);
-    for (auto it = sh.lru.begin(); it != sh.lru.end();) {
-      if (it->version == version) {
-        ++it;
-        continue;
-      }
-      if (it->complete) {
-        account(-static_cast<std::ptrdiff_t>(it->bytes));
-        sh.index.erase(it->key);
-        it = sh.lru.erase(it);
+  std::lock_guard<std::mutex> lk(mu_);
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    if (it->version == version) {
+      ++it;
+      continue;
+    }
+    if (it->complete) {
+      it = drop(it);
+      c_invalidations_.inc();
+    } else {
+      if (!it->doomed) {
+        it->doomed = true;
         c_invalidations_.inc();
-      } else {
-        if (!it->doomed) {
-          it->doomed = true;
-          c_invalidations_.inc();
-        }
-        ++it;
       }
+      ++it;
     }
   }
 }
 
 void ReplyCache::clear() {
   std::vector<std::promise<Reply>> stranded;
-  for (auto& shp : shards_) {
-    Shard& sh = *shp;
-    std::lock_guard<std::mutex> lk(sh.mu);
-    for (auto& e : sh.lru) {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (auto& e : lru_) {
       account(-static_cast<std::ptrdiff_t>(e.bytes));
       for (auto& p : e.joiners) stranded.push_back(std::move(p));
     }
-    sh.lru.clear();
-    sh.index.clear();
+    lru_.clear();
+    index_.clear();
   }
   // A submit racing shutdown can leave joiners whose leader will abort into
   // an empty cache; failing them here keeps the no-broken-promise contract.
@@ -292,46 +286,16 @@ void ReplyCache::clear() {
   for (auto& p : stranded) p.set_value(r);
 }
 
-std::size_t ReplyCache::entries() const {
-  std::size_t n = 0;
-  for (const auto& shp : shards_) {
-    std::lock_guard<std::mutex> lk(shp->mu);
-    n += shp->lru.size();
-  }
-  return n;
-}
-
 void ReplyCache::evict_to_budget() {
-  // Evict the least recently used COMPLETE entry (in-flight ones are pinned
-  // — evicting one would strand its joiners) until the byte budget holds or
-  // nothing is evictable. Each shard's list is in clock order, so the oldest
-  // of the shards' cold tails is the global LRU victim; taking one entry per
-  // shard in turn would let a shard that drew more of the recent inserts
-  // lose its newest entries.
-  const auto coldest_complete = [](std::list<Entry>& lru) {  // end(): none
-    for (auto it = lru.rbegin(); it != lru.rend(); ++it) {
-      if (it->complete) return std::prev(it.base());
-    }
-    return lru.end();
-  };
-  while (bytes_.load(std::memory_order_relaxed) > cfg_.capacity_bytes) {
-    Shard* victim = nullptr;
-    std::uint64_t oldest = 0;
-    for (auto& shp : shards_) {
-      std::lock_guard<std::mutex> lk(shp->mu);
-      const auto it = coldest_complete(shp->lru);
-      if (it != shp->lru.end() && (victim == nullptr || it->used < oldest)) {
-        victim = shp.get();
-        oldest = it->used;
-      }
-    }
-    if (victim == nullptr) return;  // everything left is in flight
-    std::lock_guard<std::mutex> lk(victim->mu);
-    const auto it = coldest_complete(victim->lru);  // may differ from the scan
-    if (it == victim->lru.end()) continue;
-    account(-static_cast<std::ptrdiff_t>(it->bytes));
-    victim->index.erase(it->key);
-    victim->lru.erase(it);
+  // The list is in recency order, so the first COMPLETE entry from the cold
+  // end is the least recently used one. In-flight entries are pinned —
+  // evicting one would strand its joiners — so the walk steps past them and
+  // stops when the budget holds or it reaches the front.
+  auto it = lru_.end();
+  while (bytes_ > capacity_bytes_ && it != lru_.begin()) {
+    --it;
+    if (!it->complete) continue;
+    it = drop(it);
     c_evictions_.inc();
   }
 }

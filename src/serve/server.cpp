@@ -54,7 +54,7 @@ Server::Server(ModelRegistry& registry, ServeConfig cfg)
       }()),
       queue_(static_cast<std::size_t>(cfg_.queue_capacity)),
       monitor_(cfg_.telemetry),
-      cache_(ReplyCacheConfig{cfg_.cache_bytes, /*shards=*/8}),
+      cache_(cfg_.cache_bytes),
       admission_(AdmissionConfig{cfg_.client_rate, cfg_.client_burst,
                                  cfg_.max_inflight_per_client}),
       c_accepted_(obs::registry().counter("serve.accepted")),

@@ -9,15 +9,19 @@
 
 namespace ibrar::serve {
 
-DriftDetector::DriftDetector() : DriftDetector(Config()) {}
+namespace {
 
-DriftDetector::DriftDetector(Config cfg) : cfg_(cfg) {
-  cfg_.decay = std::clamp(cfg_.decay, 0.0, 0.999);
-  cfg_.band_sigma = std::max(cfg_.band_sigma, 0.1);
-  cfg_.min_band = std::max(cfg_.min_band, 0.0);
-  cfg_.warmup = std::max<std::int64_t>(cfg_.warmup, 1);
-  cfg_.trip = std::max<std::int64_t>(cfg_.trip, 1);
-}
+// The drift detector's control band.
+constexpr double kDecay = 0.8;       ///< weight kept on the old mean/var
+constexpr double kBandSigma = 4.0;   ///< band half-width in baseline stddevs
+constexpr double kMinBand = 0.05;    ///< absolute floor on the half-width
+constexpr std::int64_t kWarmup = 4;  ///< observations before bands arm
+
+/// Bottom fraction of channels (by current score) counted as suspicious —
+/// the paper's Eq. (3) drop fraction.
+constexpr float kSuspiciousFraction = 0.25f;
+
+}  // namespace
 
 double DriftDetector::stddev() const { return std::sqrt(std::max(var_, 0.0)); }
 
@@ -25,7 +29,6 @@ void DriftDetector::reset() {
   mean_ = 0.0;
   var_ = 0.0;
   n_ = 0;
-  out_run_ = 0;
   state_ = kStable;
 }
 
@@ -36,21 +39,18 @@ int DriftDetector::observe(double v) {
     var_ = 0.0;
     return state_;
   }
-  const bool armed = n_ > cfg_.warmup;
-  const double band =
-      std::max(cfg_.band_sigma * stddev(), cfg_.min_band);
+  const bool armed = n_ > kWarmup;
+  const double band = std::max(kBandSigma * stddev(), kMinBand);
   if (armed && std::abs(v - mean_) > band) {
-    // Out-of-band: count toward the trip, and keep the baseline frozen so a
-    // persistent shift stays flagged instead of being learned as normal.
-    ++out_run_;
-    if (out_run_ >= cfg_.trip) state_ = kDrift;
+    // Out-of-band: flag it, and keep the baseline frozen so a persistent
+    // shift stays flagged instead of being learned as normal.
+    state_ = kDrift;
     return state_;
   }
-  out_run_ = 0;
   state_ = kStable;
   const double d = v - mean_;
-  mean_ += (1.0 - cfg_.decay) * d;
-  var_ = cfg_.decay * (var_ + (1.0 - cfg_.decay) * d * d);
+  mean_ += (1.0 - kDecay) * d;
+  var_ = kDecay * (var_ + (1.0 - kDecay) * d * d);
   return state_;
 }
 
@@ -59,8 +59,6 @@ RobustnessMonitor::RobustnessMonitor(TelemetryConfig cfg) : cfg_(cfg) {
     throw std::invalid_argument("RobustnessMonitor: sample_every must be >= 0");
   }
   cfg_.window = std::max<std::int64_t>(cfg_.window, 2);
-  cfg_.suspicious_fraction =
-      std::clamp(cfg_.suspicious_fraction, 0.01f, 0.99f);
   cfg_.ewma_decay = std::clamp(cfg_.ewma_decay, 0.0f, 0.99f);
 }
 
@@ -163,8 +161,7 @@ RequestTelemetry RobustnessMonitor::observe(const float* tap_row,
           scores[i] = d * scores_[i] + (1.0f - d) * scores[i];
         }
       }
-      suspicious_mask_ =
-          mi::mask_from_scores(scores, cfg_.suspicious_fraction);
+      suspicious_mask_ = mi::mask_from_scores(scores, kSuspiciousFraction);
       scores_ = std::move(scores);
       ++epoch_;
     }
@@ -207,11 +204,6 @@ std::uint64_t RobustnessMonitor::samples() const {
 int RobustnessMonitor::drift_state() const {
   std::lock_guard<std::mutex> lk(mu_);
   return drift_.state();
-}
-
-DriftDetector RobustnessMonitor::drift_snapshot() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return drift_;
 }
 
 }  // namespace ibrar::serve

@@ -13,9 +13,10 @@
 // re-score runs on a double-buffered copy of the window OUTSIDE the monitor
 // mutex so concurrent workers keep observing while one recomputes). A
 // sampled request's reply then carries a `suspicion` reading: the fraction
-// of its activation energy living in the currently low-scoring channels.
-// Clean traffic concentrates energy in robust channels; inputs pushed
-// toward the non-robust ones read high.
+// of its activation energy living in the currently low-scoring channels
+// (the bottom quarter by score, the paper's Eq. (3) drop fraction). Clean
+// traffic concentrates energy in robust channels; inputs pushed toward the
+// non-robust ones read high.
 //
 // Sampling every Kth request bounds the overhead to one O(C * spatial)
 // energy sweep per K requests, plus one windowed re-score per window*K
@@ -35,9 +36,6 @@ struct TelemetryConfig {
   std::int64_t sample_every = 0;
   /// Sampled taps per scoring window (window full -> channel scores refresh).
   std::int64_t window = 64;
-  /// Bottom fraction of channels (by current score) counted as suspicious —
-  /// mirrors the paper's Eq. (3) drop fraction.
-  float suspicious_fraction = 0.25f;
   /// Weight kept on the previous epoch's scores per completed window:
   ///   scores = ewma_decay * previous + (1 - ewma_decay) * window
   /// 0 (the default) is a tumbling window — each epoch's scores are exactly
@@ -48,30 +46,18 @@ struct TelemetryConfig {
 
 /// EWMA control-band change detector over a scalar series (here: the
 /// per-window mean suspicion). Maintains exponentially-weighted mean and
-/// variance of the in-band baseline; an observation farther than
-/// band_sigma * stddev (floored at min_band) from the mean is out-of-band,
-/// and `trip` consecutive out-of-band observations raise the drift state.
-/// Out-of-band points are NOT absorbed into the baseline — a genuine
-/// distribution shift keeps the detector latched instead of teaching it the
-/// new normal. An in-band observation clears the state.
+/// variance (0.8 kept per update) of the in-band baseline; once four
+/// observations have warmed it up, an observation farther than four
+/// baseline stddevs (floored at 0.05) from the mean is out-of-band and
+/// raises the drift state. Out-of-band points are NOT absorbed into the
+/// baseline — a genuine distribution shift keeps the detector latched
+/// instead of teaching it the new normal. An in-band observation clears the
+/// state.
 class DriftDetector {
  public:
-  struct Config {
-    double decay = 0.8;       ///< weight kept on the old mean/var per update
-    double band_sigma = 4.0;  ///< band half-width in baseline stddevs
-    double min_band = 0.05;   ///< absolute floor on the band half-width
-    std::int64_t warmup = 4;  ///< observations absorbed before bands arm
-    std::int64_t trip = 1;    ///< consecutive out-of-band points to flip
-  };
   /// States for the serve.telemetry.drift_state gauge.
   static constexpr int kStable = 0;
   static constexpr int kDrift = 1;
-
-  // Two constructors instead of one defaulted argument: `Config cfg =
-  // Config()` would need the nested type complete inside its own enclosing
-  // class, which the language disallows.
-  DriftDetector();
-  explicit DriftDetector(Config cfg);
 
   /// Feed one observation; returns the state after it.
   int observe(double v);
@@ -83,11 +69,9 @@ class DriftDetector {
   void reset();
 
  private:
-  Config cfg_;
   double mean_ = 0.0;
   double var_ = 0.0;
   std::int64_t n_ = 0;
-  std::int64_t out_run_ = 0;
   int state_ = kStable;
 };
 
@@ -135,10 +119,6 @@ class RobustnessMonitor {
   /// state (mirrored into the serve.telemetry.drift_state gauge by the
   /// server). DriftDetector::kStable / kDrift.
   int drift_state() const;
-
-  /// Copy of the detector (baseline mean/stddev, observation count) for
-  /// tests and the admin endpoint.
-  DriftDetector drift_snapshot() const;
 
   const TelemetryConfig& config() const { return cfg_; }
 

@@ -157,9 +157,6 @@ Tensor exp(const Tensor& a) {
 Tensor log(const Tensor& a) {
   return unary_apply(a, [](float x) { return std::log(std::max(x, 1e-38f)); });
 }
-Tensor sqrt(const Tensor& a) {
-  return unary_apply(a, [](float x) { return std::sqrt(x); });
-}
 Tensor abs(const Tensor& a) {
   return unary_apply(a, [](float x) { return std::fabs(x); });
 }
@@ -185,17 +182,11 @@ Tensor relu_backward(const Tensor& g, const Tensor& x) {
 Tensor tanh(const Tensor& a) {
   return unary_apply(a, [](float x) { return std::tanh(x); });
 }
-Tensor sigmoid(const Tensor& a) {
-  return unary_apply(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
-}
 Tensor square(const Tensor& a) {
   return unary_apply(a, [](float x) { return x * x; });
 }
 Tensor clamp(const Tensor& a, float lo, float hi) {
   return unary_apply(a, [lo, hi](float x) { return std::min(std::max(x, lo), hi); });
-}
-Tensor pow_scalar(const Tensor& a, float p) {
-  return unary_apply(a, [p](float x) { return std::pow(x, p); });
 }
 
 Tensor transpose2d(const Tensor& a) {
@@ -205,29 +196,6 @@ Tensor transpose2d(const Tensor& a) {
   Tensor out({n, m});
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) out.at(j, i) = a.at(i, j);
-  }
-  return out;
-}
-
-Tensor concat_rows(const std::vector<Tensor>& parts) {
-  if (parts.empty()) throw std::invalid_argument("concat_rows: empty");
-  Shape shape = parts.front().shape();
-  if (shape.empty()) throw std::invalid_argument("concat_rows: scalar part");
-  std::int64_t rows = 0;
-  for (const auto& p : parts) {
-    Shape tail_a(shape.begin() + 1, shape.end());
-    Shape tail_b(p.shape().begin() + 1, p.shape().end());
-    if (p.rank() != static_cast<std::int64_t>(shape.size()) || tail_a != tail_b) {
-      throw std::invalid_argument("concat_rows: trailing shape mismatch");
-    }
-    rows += p.dim(0);
-  }
-  shape[0] = rows;
-  Tensor out(shape);
-  std::size_t off = 0;
-  for (const auto& p : parts) {
-    std::copy(p.data().begin(), p.data().end(), out.data().begin() + off);
-    off += p.data().size();
   }
   return out;
 }

@@ -30,15 +30,12 @@ Tensor mul_scalar(const Tensor& a, float s);
 Tensor neg(const Tensor& a);
 Tensor exp(const Tensor& a);
 Tensor log(const Tensor& a);          ///< natural log; log(0) clamps to -87.
-Tensor sqrt(const Tensor& a);
 Tensor abs(const Tensor& a);
 Tensor sign(const Tensor& a);         ///< -1/0/+1 per element.
 Tensor relu(const Tensor& a);
 Tensor tanh(const Tensor& a);
-Tensor sigmoid(const Tensor& a);
 Tensor square(const Tensor& a);
 Tensor clamp(const Tensor& a, float lo, float hi);
-Tensor pow_scalar(const Tensor& a, float p);
 
 /// ReLU's input gradient in one pass: g * (x > 0 ? 1 : 0). g and x share a
 /// shape; NaN or -0 in x selects 0, and the product keeps g's NaN and sign.
@@ -52,9 +49,6 @@ Tensor greater(const Tensor& a, const Tensor& b);
 
 /// 2-D transpose.
 Tensor transpose2d(const Tensor& a);
-
-/// Concatenate along axis 0 (all trailing dims must match).
-Tensor concat_rows(const std::vector<Tensor>& parts);
 
 /// Select rows of a 2-D (or N-d, axis 0) tensor by index.
 Tensor take_rows(const Tensor& a, const std::vector<std::int64_t>& idx);

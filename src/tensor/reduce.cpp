@@ -43,12 +43,6 @@ Tensor sum_axis(const Tensor& a, std::int64_t axis, bool keepdim) {
   return out;
 }
 
-Tensor mean_axis(const Tensor& a, std::int64_t axis, bool keepdim) {
-  if (axis < 0) axis += a.rank();
-  const auto denom = static_cast<float>(a.dim(axis));
-  return mul_scalar(sum_axis(a, axis, keepdim), 1.0f / denom);
-}
-
 std::vector<std::int64_t> argmax_rows(const Tensor& a) {
   if (a.rank() != 2) throw std::invalid_argument("argmax_rows: rank != 2");
   const auto m = a.dim(0), n = a.dim(1);

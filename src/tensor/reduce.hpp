@@ -16,9 +16,6 @@ Tensor mean(const Tensor& a);
 /// Sum along `axis`, keeping or dropping that dimension.
 Tensor sum_axis(const Tensor& a, std::int64_t axis, bool keepdim = false);
 
-/// Mean along `axis`.
-Tensor mean_axis(const Tensor& a, std::int64_t axis, bool keepdim = false);
-
 /// Row-wise argmax of a 2-D tensor.
 std::vector<std::int64_t> argmax_rows(const Tensor& a);
 

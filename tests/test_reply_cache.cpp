@@ -1,13 +1,16 @@
 // Duplicate-request reply cache: hit bit-identity vs recompute (telemetry
 // on/off, workers 1/4), LRU eviction order under byte-budget pressure,
-// hot-swap invalidation, concurrent in-flight dedup (N threads, one
-// compute), fixed-seed duplicate schedules through a live server (cache-off
-// bits, exact counts, and the vgg16 throughput floor at 90% repeats), the
-// serve.cache.bytes gauge-freshness contract, and a fixed-seed randomized
-// op-sequence sweep against a naive map+recompute reference model.
+// concurrent inserts and evictions under the one lock, hash collisions
+// served uncached, hot-swap invalidation, concurrent in-flight dedup (N
+// threads, one compute), fixed-seed duplicate schedules through a live
+// server (cache-off bits, exact counts, and the vgg16 throughput floor at
+// 90% repeats), the serve.cache.bytes gauge-freshness contract, and a
+// fixed-seed randomized op-sequence sweep against a naive map+recompute
+// reference model.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -184,33 +187,32 @@ TEST(ReplyCache, HitBitIdenticalToRecomputeAcrossWorkersAndTelemetry) {
 // ---- LRU eviction under byte pressure ---------------------------------------
 
 TEST(ReplyCache, LruEvictsColdEntriesFirstUnderByteBudget) {
-  // One shard so the LRU order is exact and observable. Budget sized for
-  // three complete entries (input 48 floats + logits 5 floats + overhead).
+  // The LRU order is exact and observable. Budget sized for three complete
+  // entries (input 48 floats + logits 5 floats + overhead).
   const Tensor a = sample_input(1), b = sample_input(2), c = sample_input(3),
                d = sample_input(4);
-  serve::ReplyCacheConfig cfg;
-  cfg.shards = 1;
+  std::size_t budget = 0;
   {
-    serve::ReplyCache probe(serve::ReplyCacheConfig{std::size_t{1} << 20, 1});
+    serve::ReplyCache probe(std::size_t{1} << 20);
     probe.on_version(1);
     ASSERT_EQ(drive(probe, a, 1), serve::ReplyCache::Outcome::kLeader);
-    cfg.capacity_bytes = probe.bytes() * 3 + probe.bytes() / 2;  // ~3.5 entries
+    budget = probe.bytes() * 3 + probe.bytes() / 2;  // ~3.5 entries
   }
   const auto base = CacheCounters::now();
-  serve::ReplyCache cache(cfg);
+  serve::ReplyCache cache(budget);
   cache.on_version(1);
   ASSERT_EQ(drive(cache, a, 1), serve::ReplyCache::Outcome::kLeader);
   ASSERT_EQ(drive(cache, b, 1), serve::ReplyCache::Outcome::kLeader);
   ASSERT_EQ(drive(cache, c, 1), serve::ReplyCache::Outcome::kLeader);
   EXPECT_EQ(cache.entries(), 3u);
-  EXPECT_LE(cache.bytes(), cfg.capacity_bytes);
+  EXPECT_LE(cache.bytes(), budget);
 
   // Touch `a` so `b` is now the coldest, then overflow with `d`.
   EXPECT_EQ(drive(cache, a, 1), serve::ReplyCache::Outcome::kHit);
   ASSERT_EQ(drive(cache, d, 1), serve::ReplyCache::Outcome::kLeader);
 
   // The eviction took the LRU victim: b is gone; a, c, d still hit.
-  EXPECT_LE(cache.bytes(), cfg.capacity_bytes);
+  EXPECT_LE(cache.bytes(), budget);
   EXPECT_EQ(cache.entries(), 3u);
   EXPECT_EQ(drive(cache, a, 1), serve::ReplyCache::Outcome::kHit);
   EXPECT_EQ(drive(cache, c, 1), serve::ReplyCache::Outcome::kHit);
@@ -222,19 +224,16 @@ TEST(ReplyCache, LruEvictsColdEntriesFirstUnderByteBudget) {
   EXPECT_EQ(delta.hits + delta.misses, delta.lookups);
 }
 
-TEST(ReplyCache, ShardedEvictionKeepsTheNewestEntries) {
-  // Eight shards, a budget of ~128 entries, 1024 distinct inserts. Eviction
-  // must take each shard's cold tail in turn: an eviction that always began
-  // at shard 0 drained the low shards, so fresh entries landing there were
-  // gone by the next insert and most of the newest 32 missed.
-  serve::ReplyCacheConfig cfg;
-  cfg.shards = 8;
+TEST(ReplyCache, EvictionKeepsTheNewestEntries) {
+  // A budget of ~128 entries, 1024 distinct inserts. Eviction must take the
+  // least recently used entries, so the newest 32 all still hit.
+  std::size_t budget = 0;
   {
-    serve::ReplyCache probe(serve::ReplyCacheConfig{std::size_t{1} << 20, 1});
+    serve::ReplyCache probe(std::size_t{1} << 20);
     probe.on_version(1);
     ASSERT_EQ(drive(probe, sample_input(1), 1),
               serve::ReplyCache::Outcome::kLeader);
-    cfg.capacity_bytes = probe.bytes() * 128;
+    budget = probe.bytes() * 128;
   }
   constexpr int kInserts = 1024;
   constexpr int kNewest = 32;
@@ -242,17 +241,117 @@ TEST(ReplyCache, ShardedEvictionKeepsTheNewestEntries) {
   for (int i = 0; i < kInserts; ++i) {
     inputs.push_back(sample_input(5000 + static_cast<std::uint64_t>(i)));
   }
-  serve::ReplyCache cache(cfg);
+  serve::ReplyCache cache(budget);
   cache.on_version(1);
   for (const auto& x : inputs) {
     ASSERT_EQ(drive(cache, x, 1), serve::ReplyCache::Outcome::kLeader);
   }
-  EXPECT_LE(cache.bytes(), cfg.capacity_bytes);
+  EXPECT_LE(cache.bytes(), budget);
   for (int i = kInserts - kNewest; i < kInserts; ++i) {
     EXPECT_EQ(drive(cache, inputs[static_cast<std::size_t>(i)], 1),
               serve::ReplyCache::Outcome::kHit)
         << "insert " << i << " was evicted";
   }
+  cache.clear();
+}
+
+TEST(ReplyCache, ConcurrentInsertsAndEvictionsHoldTheBudget) {
+  // Eight threads drive one cache with a budget of ~64 entries: half their
+  // picks come from 16 hot inputs (repeats that hit or join in flight), the
+  // rest from 256 distinct ones (inserts that overflow the budget and
+  // evict). Once the threads have joined, the budget holds, the bytes gauge
+  // agrees with the cache, every lookup was a hit or a miss, and every hit
+  // or join carried its own input's reply.
+  using Outcome = serve::ReplyCache::Outcome;
+  std::size_t budget = 0;
+  {
+    serve::ReplyCache probe(std::size_t{1} << 20);
+    probe.on_version(1);
+    ASSERT_EQ(drive(probe, sample_input(1), 1), Outcome::kLeader);
+    budget = probe.bytes() * 64;
+  }
+  constexpr int kThreads = 8;
+  constexpr int kOpsPerThread = 400;
+  constexpr std::uint64_t kHot = 16;
+  constexpr std::uint64_t kPool = 256;
+  std::vector<Tensor> pool;
+  for (std::uint64_t i = 0; i < kPool; ++i) {
+    pool.push_back(sample_input(7000 + i));
+  }
+  auto& g_bytes = obs::registry().gauge("serve.cache.bytes");
+  const double gauge_before = g_bytes.value();
+  const auto base = CacheCounters::now();
+  serve::ReplyCache cache(budget);
+  cache.on_version(1);
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937_64 rng(0xc0ffeeu + static_cast<std::uint64_t>(t));
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        const Tensor& x = pool[(rng() & 1) ? rng() % kHot : rng() % kPool];
+        const serve::Reply want = fake_reply(x, 1);
+        std::promise<serve::Reply> pr;
+        auto fut = pr.get_future();
+        const std::uint64_t h = serve::ReplyCache::hash_input(x);
+        const auto lk = cache.lookup_or_join(h, x, 1, pr);
+        if (lk.outcome == Outcome::kLeader) {
+          cache.complete(h, 1, want);
+        } else if (lk.outcome == Outcome::kHit) {
+          if (!bits_equal(lk.reply.logits, want.logits)) ++wrong;
+        } else if (lk.outcome == Outcome::kJoined) {
+          // The leader completes right after its lookup, so this resolves.
+          const serve::Reply r = fut.get();
+          if (!r.ok() || !bits_equal(r.logits, want.logits)) ++wrong;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_LE(cache.bytes(), cache.capacity_bytes());
+  EXPECT_EQ(g_bytes.value() - gauge_before,
+            static_cast<double>(cache.bytes()));
+  const auto delta = CacheCounters::now().delta_from(base);
+  EXPECT_EQ(delta.lookups,
+            static_cast<std::uint64_t>(kThreads * kOpsPerThread));
+  EXPECT_EQ(delta.hits + delta.misses, delta.lookups);
+  EXPECT_GT(delta.hits, 0u);
+  EXPECT_GT(delta.evictions, 0u);
+  cache.clear();
+}
+
+// ---- hash collisions --------------------------------------------------------
+
+TEST(ReplyCache, CollidingHashWithOtherBytesIsServedUncached) {
+  // Two different inputs looked up under one hash: the second finds the
+  // first's entry, fails the byte compare, and is served uncached (kBypass)
+  // instead of joining or hitting an answer that is not its own.
+  using Outcome = serve::ReplyCache::Outcome;
+  const Tensor a = sample_input(1), b = sample_input(2);
+  serve::ReplyCache cache(std::size_t{1} << 20);
+  cache.on_version(1);
+  const std::uint64_t h = serve::ReplyCache::hash_input(a);
+  std::promise<serve::Reply> pa;
+  ASSERT_EQ(cache.lookup_or_join(h, a, 1, pa).outcome, Outcome::kLeader);
+
+  const auto base = CacheCounters::now();
+  std::promise<serve::Reply> pb;
+  EXPECT_EQ(cache.lookup_or_join(h, b, 1, pb).outcome, Outcome::kBypass);
+  // The promise is untouched: it still holds its shared state.
+  std::future<serve::Reply> fb;
+  ASSERT_NO_THROW(fb = pb.get_future());
+  const auto delta = CacheCounters::now().delta_from(base);
+  EXPECT_EQ(delta.lookups, 1u);
+  EXPECT_EQ(delta.misses, 1u);
+  EXPECT_EQ(delta.hits, 0u);
+
+  // The first input's entry is intact and still hits with its own reply.
+  cache.complete(h, 1, fake_reply(a, 1));
+  serve::Reply hit;
+  EXPECT_EQ(drive(cache, a, 1, &hit), Outcome::kHit);
+  EXPECT_TRUE(bits_equal(hit.logits, fake_reply(a, 1).logits));
   cache.clear();
 }
 
@@ -545,8 +644,7 @@ TEST(ReplyCache, RandomizedOpSequenceMatchesNaiveReferenceModel) {
   }
 
   const auto base = CacheCounters::now();
-  serve::ReplyCache cache(
-      serve::ReplyCacheConfig{std::size_t{16} << 20, 4});
+  serve::ReplyCache cache(std::size_t{16} << 20);
   std::map<std::pair<int, std::uint64_t>, std::vector<float>> naive;
   std::uint64_t version = 1;
   cache.on_version(version);

@@ -359,7 +359,6 @@ TEST(TelemetryDrift, CleanToPgdShiftFlipsWithinThreeWindowsCleanNever) {
   serve::TelemetryConfig base;
   base.sample_every = 1;
   base.window = 8;
-  base.suspicious_fraction = 0.25f;
 
   for (const float decay : {0.5f, 0.0f}) {
     serve::TelemetryConfig cfg = base;

@@ -260,18 +260,16 @@ int main(int argc, char** argv) {
               static_cast<long long>(cfg.max_inflight_per_client));
   std::unique_ptr<serve::net::TcpFrontend> frontend;
   if (listen_port >= 0) {
-    serve::net::FrontendConfig fcfg;
-    fcfg.port = static_cast<std::uint16_t>(listen_port);
-    frontend = std::make_unique<serve::net::TcpFrontend>(server, fcfg);
+    frontend = std::make_unique<serve::net::TcpFrontend>(
+        server, static_cast<std::uint16_t>(listen_port));
     std::printf("listening on 127.0.0.1:%u — traffic goes through the socket "
                 "(length-prefixed frames, serve/net/wire.hpp)\n",
                 frontend->port());
   }
   std::unique_ptr<serve::net::AdminEndpoint> admin;
   if (admin_port >= 0) {
-    serve::net::AdminConfig acfg;
-    acfg.port = static_cast<std::uint16_t>(admin_port);
-    admin = std::make_unique<serve::net::AdminEndpoint>(acfg);
+    admin = std::make_unique<serve::net::AdminEndpoint>(
+        static_cast<std::uint16_t>(admin_port));
     std::printf("admin endpoint on 127.0.0.1:%u — GET /metrics /slo "
                 "/timeseries (read-only)\n",
                 admin->port());
